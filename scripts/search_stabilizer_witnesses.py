@@ -6,8 +6,9 @@ this sweeps W(core) in length order, keeps the theta-commuting elements,
 and tests epsilon against det; the first violation is printed as a frozen
 catalog entry (ambient word + imaginary count).
 
-Elements are represented by their signed action on the core's positive
-roots, which keeps the breadth-first closure cheap even for an A7 core.
+Elements are the library's signed permutations of the ambient positive
+roots (root_system.weyl_tables), so the breadth-first closure and the theta
+test are plain tuple operations.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from cayley_lift.cartan import E_CLASS_REPS
 from cayley_lift.root_system import (
     build_root_system,
     canonical_reflection_word,
-    mat_apply,
-    neg,
-    reflection_matrix,
+    perm_mul,
+    root_permutation,
+    weyl_tables,
 )
 
 TARGETS = (
@@ -38,66 +39,33 @@ TARGETS = (
 )
 
 
-def signed_index(roots, index, v):
-    if v in index:
-        return index[v] + 1
-    return -(index[neg(v)] + 1)
-
-
-def perm_table(roots, index, matrix):
-    return tuple(signed_index(roots, index, mat_apply(matrix, r)) for r in roots)
-
-
-def commutes(a, b):
-    from cayley_lift.root_system import mat_mul
-
-    return mat_mul(a, b) == mat_mul(b, a)
-
-
-def perm_mul(w, g, *_):
-    """Action of w.g: (w.g)(r_k) = w(g(r_k))."""
-    out = []
-    for k in range(len(g)):
-        j = g[k]
-        image = w[abs(j) - 1]
-        out.append(image if j > 0 else -image)
-    return tuple(out)
-
-
 def search_class(witness_id, family, signature, deadline=600.0):
     blocks, pairs = E_CLASS_REPS[(family, signature)]
     p = P.make_parameter(family, int(family[1]), 0, blocks, pairs)
     system = build_root_system(family)
+    tables = weyl_tables(system)
     st = C.stabilizer(p)
-    theta = P.theta(p).matrix
+    theta = root_permutation(P.theta(p).matrix, system)
     core = st.complex_core
-    roots = core.positive
-    index = {r: k for k, r in enumerate(roots)}
-    gen_mats = [reflection_matrix(a) for a in core.simple]
-    gens = [perm_table(roots, index, m) for m in gen_mats]
+    gens = [tables.reflections[tables.root_index(a) - 1] for a in core.simple]
     ambient_words = [canonical_reflection_word(a, system) for a in core.simple]
 
-    from cayley_lift.root_system import identity_matrix, mat_mul
-
-    ident = tuple(range(1, len(roots) + 1))
+    ident = tables.identity
     seen = {ident}
-    # theta need not stabilize the core, so fixedness is tested on matrices;
-    # the perm on core roots is only the cheap dedup key.
-    frontier = [(ident, identity_matrix(system.dim), ())]
+    frontier = [(ident, ())]
     t0 = time.time()
     examined = 0
     while frontier:
         nxt = []
-        for w, wmat, word in frontier:
+        for w, word in frontier:
             for gi, g in enumerate(gens):
                 c = perm_mul(w, g)
                 if c in seen:
                     continue
                 seen.add(c)
-                cmat = mat_mul(wmat, gen_mats[gi])
                 cw = word + (gi,)
-                nxt.append((c, cmat, cw))
-                if not commutes(theta, cmat):
+                nxt.append((c, cw))
+                if perm_mul(theta, c) != perm_mul(c, theta):
                     continue
                 examined += 1
                 ambient = tuple(x for gi2 in cw for x in ambient_words[gi2])

@@ -665,10 +665,6 @@ def cover_center_data(family: str, rank: Optional[int] = None) -> CenterData:
     )
 
 
-def cover_center(family: str, rank: Optional[int] = None) -> FiniteAbelianGroup:
-    return cover_center_data(family, rank).center
-
-
 def genuine_central_character_count(family: str, rank: Optional[int] = None) -> int:
     """Number of genuine central characters with a fixed infinitesimal type."""
     return cover_center_data(family, rank).quotient_order

@@ -8,6 +8,13 @@ tagged real / imaginary / complex against gamma's fixed involution.  The
 parity of the imaginary count defines the sign epsilon_gamma(w); comparing
 it with det(w) on the stabilizer of gamma's orbit decides whether gamma
 supports a sign-consistent family (it "survives") or is ruled out.
+
+Every Weyl group element here, and the involution theta, is a signed
+permutation of the ambient positive roots (root_system.WeylTables).  Chain
+roots are table lookups, theta-types compare a root's index with its image,
+the stabilizer sweep is one lazy breadth-first search over the core Weyl
+group that stops at the first violation, and words come from descent on
+the permutation.
 """
 
 from __future__ import annotations
@@ -15,16 +22,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .root_system import (
     Matrix,
     RootSubsystem,
     RootSystem,
     ScopeError,
+    SignedPerm,
     Vector,
     WeylWord,
-    WordError,
+    beta_chain_for_word,
     build_root_system,
     canonical_reflection_word,
     dot,
@@ -34,12 +43,16 @@ from .root_system import (
     mat_apply,
     mat_mul,
     neg,
+    perm_mul,
+    perm_to_word,
     reflection_matrix,
+    root_permutation,
     scale,
+    weyl_tables,
     word_matrix,
     zero,
 )
-from .cartan import COMPLEX, IMAGINARY, REAL, Involution, root_type
+from .cartan import COMPLEX, IMAGINARY, REAL
 from .parameters import PairSetParameter, theta as parameter_theta
 from . import witness_data
 
@@ -64,91 +77,35 @@ def _ambient(p: PairSetParameter) -> RootSystem:
     return build_root_system(p.family, p.rank)
 
 
+@lru_cache(maxsize=None)
+def _theta_perm(p: PairSetParameter) -> SignedPerm:
+    return root_permutation(parameter_theta(p).matrix, _ambient(p))
+
+
 def chain_types(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
     """Chain roots and their types for the word, against p's involution."""
-    system = _ambient(p)
-    th = parameter_theta(p).matrix
-    word = tuple(word)
-    for letter in word:
-        if not 0 <= letter < system.rank:
-            raise WordError("letter %d out of range" % letter)
-    u = identity_matrix(system.dim)
+    chain = beta_chain_for_word(tuple(word), _ambient(p))
+    th = _theta_perm(p)
     steps: List[Tuple[Vector, str]] = []
     m = 0
-    for letter in reversed(word):
-        a = system.simple_roots[letter]
-        beta = mat_apply(u, a)
-        tag = root_type(th, beta)
-        if tag == IMAGINARY:
+    for s, beta in zip(chain.indices, chain.steps):
+        k = abs(s)  # a root and its negative have the same type
+        if th[k - 1] == k:
+            tag = IMAGINARY
             m += 1
+        elif th[k - 1] == -k:
+            tag = REAL
+        else:
+            tag = COMPLEX
         steps.append((beta, tag))
-        u = mat_mul(u, reflection_matrix(a))
     return ChainCertificate(
         parameter=p,
-        word=word,
+        word=chain.word,
         steps=tuple(steps),
         imaginary_count=m,
         sign=-1 if m % 2 else 1,
-        word_sign=-1 if len(word) % 2 else 1,
+        word_sign=-1 if len(chain.word) % 2 else 1,
     )
-
-
-# ---------------------------------------------------------------------------
-# Signed permutations: fast Weyl elements for families A and D
-# ---------------------------------------------------------------------------
-# An element is a tuple sp with sp[i] = +-(j+1): e_{i+1} maps to +-e_j.
-
-SignedPerm = Tuple[int, ...]
-
-
-def sp_identity(n: int) -> SignedPerm:
-    return tuple(range(1, n + 1))
-
-
-def sp_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
-    out = []
-    for i in range(len(a)):
-        j = b[i]
-        image = a[abs(j) - 1]
-        out.append(image if j > 0 else -image)
-    return tuple(out)
-
-
-def sp_apply(a: SignedPerm, v: Vector) -> Vector:
-    out = [Q(0)] * len(v)
-    for i, x in enumerate(v):
-        if x:
-            j = a[i]
-            out[abs(j) - 1] += x if j > 0 else -x
-    return tuple(out)
-
-
-def sp_from_root(root: Vector) -> SignedPerm:
-    """Reflection in a root of the form +-e_i +- e_j, as a signed permutation."""
-    support = [(k, x) for k, x in enumerate(root) if x]
-    if len(support) != 2 or any(abs(x) != 1 for _, x in support):
-        raise ValueError("not a two-slot root: %r" % (root,))
-    (i, xi), (j, xj) = support
-    out = list(range(1, len(root) + 1))
-    if xi * xj < 0:
-        out[i], out[j] = j + 1, i + 1
-    else:
-        out[i], out[j] = -(j + 1), -(i + 1)
-    return tuple(out)
-
-
-def sp_matrix(a: SignedPerm) -> Matrix:
-    n = len(a)
-    rows = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        j = a[i]
-        rows[abs(j) - 1][i] = Q(1) if j > 0 else Q(-1)
-    return tuple(tuple(r) for r in rows)
-
-
-def sp_is_two_slot(root: Vector) -> bool:
-    support = [x for x in root if x]
-    return len(support) == 2 and all(abs(x) == 1 for x in support)
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +159,14 @@ def _vector_sum(vectors: Iterable[Vector], dim: int) -> Vector:
 
 def matrix_to_word(m: Matrix, system: RootSystem) -> WeylWord:
     """Reduced word (printed order) for a Weyl group element given as a matrix."""
-    ident = identity_matrix(system.dim)
-    w = m
-    rev: List[int] = []
-    guard = len(system.positive_roots) + 1
-    while w != ident:
-        if guard == 0:
-            raise ValueError("matrix is not in the Weyl group")
-        guard -= 1
-        for i, a in enumerate(system.simple_roots):
-            if not system.is_positive(mat_apply(w, a)):
-                w = mat_mul(w, reflection_matrix(a))
-                rev.append(i)
-                break
-        else:
-            raise ValueError("matrix is not in the Weyl group")
-    return tuple(reversed(rev))
+    try:
+        word = perm_to_word(root_permutation(m, system), system)
+    except ValueError:
+        raise ValueError("matrix is not in the Weyl group") from None
+    # W fixes the complement of the root span pointwise; m must as well.
+    if word_matrix(word, system) != m:
+        raise ValueError("matrix is not in the Weyl group")
+    return word
 
 
 def in_reflection_subgroup(m: Matrix, sub: RootSubsystem, system: RootSystem) -> bool:
@@ -284,75 +233,38 @@ class RuleOutReport:
 _E_SWEEP_CAP = 4000  # largest W(core) swept live for an E family
 
 
-def _sweep_elements_sp(p: PairSetParameter, st: StabilizerDescription):
-    """theta-commuting core Weyl elements for A/D, as signed permutations."""
-    system = _ambient(p)
-    n = system.dim
-    th_sp = _involution_as_sp(parameter_theta(p))
-    gens = [sp_from_root(a) for a in st.complex_core.simple]
-    seen: Set[SignedPerm] = {sp_identity(n)}
-    frontier: List[SignedPerm] = [sp_identity(n)]
-    ordered: List[SignedPerm] = [sp_identity(n)]
+def _core_sweep(p: PairSetParameter, st: StabilizerDescription) -> Iterator[SignedPerm]:
+    """theta-commuting elements of the core Weyl group, lazily, in
+    breadth-first order from the identity (which comes first)."""
+    tables = weyl_tables(_ambient(p))
+    th = _theta_perm(p)
+    gens = [tables.reflections[tables.root_index(a) - 1] for a in st.complex_core.simple]
+    seen = {tables.identity}
+    frontier = [tables.identity]
+    yield tables.identity
     while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                c = sp_mul(w, g)
-                if c not in seen:
-                    seen.add(c)
-                    frontier_add = c
-                    nxt.append(frontier_add)
-                    ordered.append(c)
-        frontier = nxt
-    out = []
-    for w in ordered:
-        if sp_mul(sp_mul(th_sp, w), th_sp) == w:
-            out.append(sp_matrix(w))
-    return out
-
-
-def _involution_as_sp(th: Involution) -> SignedPerm:
-    out = []
-    for i in range(th.dim):
-        col = [th.matrix[r][i] for r in range(th.dim)]
-        support = [(r, x) for r, x in enumerate(col) if x]
-        if len(support) != 1 or abs(support[0][1]) != 1:
-            raise ValueError("involution is not a signed permutation")
-        r, x = support[0]
-        out.append(r + 1 if x > 0 else -(r + 1))
-    return tuple(out)
-
-
-def _sweep_elements_mat(p: PairSetParameter, st: StabilizerDescription):
-    system = _ambient(p)
-    th = parameter_theta(p).matrix
-    gens = [reflection_matrix(a) for a in st.complex_core.simple]
-    ident = identity_matrix(system.dim)
-    seen = {ident}
-    frontier = [ident]
-    ordered = [ident]
-    while frontier:
-        if len(seen) > _E_SWEEP_CAP:
+        if p.family in ("E6", "E7", "E8") and len(seen) > _E_SWEEP_CAP:
             raise ScopeError(
                 "core Weyl group too large for a live sweep (%d+ elements)" % len(seen)
             )
         nxt = []
         for w in frontier:
             for g in gens:
-                c = mat_mul(w, g)
+                c = perm_mul(w, g)
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
-                    ordered.append(c)
+                    if perm_mul(th, c) == perm_mul(c, th):
+                        yield c
         frontier = nxt
-    return [w for w in ordered if mat_mul(th, w) == mat_mul(w, th)]
 
 
 def _star_sweep(p: PairSetParameter) -> Tuple[Optional[ChainCertificate], int]:
     """First sign violation on the stabilizer, or None after a full sweep.
 
-    Sweeps every theta-commuting element of the core Weyl group plus one
-    chain per imaginary and real integral root, comparing epsilon with det.
+    Checks one chain per imaginary and real integral root, then walks the
+    theta-commuting elements of the core Weyl group, comparing epsilon with
+    det, and stops at the first violation.
     """
     system = _ambient(p)
     st = stabilizer(p)
@@ -363,12 +275,8 @@ def _star_sweep(p: PairSetParameter) -> Tuple[Optional[ChainCertificate], int]:
         checked += 1
         if cert.sign != cert.word_sign:
             return cert, checked
-    if p.family in ("A", "D"):
-        elements = _sweep_elements_sp(p, st)
-    else:
-        elements = _sweep_elements_mat(p, st)
-    for w in elements:
-        word = matrix_to_word(w, system)
+    for w in _core_sweep(p, st):
+        word = perm_to_word(w, system)
         if not word:
             continue
         cert = chain_types(p, word)
@@ -432,9 +340,6 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
         witness_id=None,
         checked=checked,
     )
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)

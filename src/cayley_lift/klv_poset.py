@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,9 +70,6 @@ def block_poset(family: str, rank: int, chi: int = 0) -> ParameterPoset:
     """The full Cayley-transform block through gamma(empty) (families A, D)."""
     params = enumerate_block(family, rank, chi)
     return ParameterPoset(family, params[0].rank, chi, _dedup_sorted(params))
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)

@@ -83,7 +83,6 @@ def verify_main_theorem(family: str, rank: Optional[int] = None) -> TheoremRepor
     size equals the independently computed number of small representations."""
     from .coherent import count_small
 
-    lie_rank = None
     checks = []
     count = genuine_central_character_count(family, rank)
     for chi in range(count):

@@ -11,7 +11,6 @@ block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -44,16 +43,6 @@ Block = Tuple[int, ...]
 
 class TransformError(ValueError):
     """An illegal Cayley transform was requested."""
-
-
-@dataclass(frozen=True)
-class CentralCharacterLabel:
-    family: str
-    rank: int
-    index: int
-
-    def render(self) -> str:
-        return "chi%d" % self.index
 
 
 @dataclass(frozen=True)
@@ -126,6 +115,8 @@ def make_parameter(
     blocks: Sequence[Sequence[int]] = (),
     pairs: Sequence[Sequence[int]] = (),
 ) -> PairSetParameter:
+    if family in ("E6", "E7", "E8") and rank != int(family[1]):
+        raise ScopeError("rank of %s is fixed" % family)
     system = _ambient_system(family, rank)
     if not 0 <= chi < genuine_central_character_count(family, system.rank if family in ("A", "D") else None):
         raise ScopeError("central character index %d out of range" % chi)
@@ -153,11 +144,6 @@ def make_parameter(
         for x in (abs(p[0]), abs(p[1])):
             if x in used:
                 raise TransformError("slot %d reused" % x)
-    plane_count: Dict[Tuple[int, int], int] = {}
-    for p in norm_pairs:
-        key = (abs(p[0]), abs(p[1]))
-        plane_count[key] = plane_count.get(key, 0) + 1
-    overlapping = {abs(x) for p in norm_pairs for x in p}
     for p in norm_pairs:
         i, j = abs(p[0]), abs(p[1])
         for other in norm_pairs:
@@ -398,7 +384,3 @@ def parameter_from_json(data: dict) -> PairSetParameter:
         blocks=[tuple(b) for b in data.get("blocks", ())],
         pairs=[tuple(q) for q in data.get("pairs", ())],
     )
-
-
-def parameter_json_text(p: PairSetParameter) -> str:
-    return json.dumps(parameter_to_json(p), sort_keys=True, indent=2)

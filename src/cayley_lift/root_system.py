@@ -1,8 +1,9 @@
 """Simply-laced root systems in exact rational coordinates.
 
 Families: A (ambient n coordinates, roots e_i - e_j), D (roots +-e_i +- e_j),
-and E6/E7/E8 realized inside an 8-dimensional ambient space.  All arithmetic
-uses fractions.Fraction; there is no floating point anywhere in this package.
+and E6/E7/E8 realized inside an 8-dimensional ambient space.  Vectors hold
+fractions.Fraction entries; the Weyl group tables are built in doubled
+integer coordinates.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -371,6 +372,104 @@ def half_integral_roots(system: RootSystem) -> Tuple[Vector, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Weyl group elements as signed permutations of the positive roots
+# ---------------------------------------------------------------------------
+# w[k] = +-(j+1) means w maps positive root k to +-(positive root j).  W acts
+# faithfully on its roots, and every involution theta here permutes them, so
+# this one representation serves every family.
+
+SignedPerm = Tuple[int, ...]
+
+
+def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
+    """The product a.b of two signed permutations (b acts first)."""
+    return tuple([a[j - 1] if j > 0 else -a[-j - 1] for j in b])
+
+
+@dataclass(frozen=True)
+class WeylTables:
+    """Integer tables for the action of W on a system's positive roots."""
+
+    positive: Tuple[Vector, ...]            # positive root k
+    negative: Tuple[Vector, ...]            # its negative
+    index: Dict[Tuple[int, ...], int]       # doubled root 2v -> +-(k+1)
+    simple: Tuple[int, ...]                 # positive-root index of each simple root
+    reflections: Tuple[SignedPerm, ...]     # s_k for each positive root k
+    identity: SignedPerm
+
+    def root(self, s: int) -> Vector:
+        """The root with signed index s."""
+        return self.positive[s - 1] if s > 0 else self.negative[-s - 1]
+
+    def root_index(self, v: Vector) -> int:
+        """Signed index of the root v; KeyError if v is not a root."""
+        return self.index[tuple(2 * x for x in v)]
+
+
+@lru_cache(maxsize=None)
+def weyl_tables(system: RootSystem) -> WeylTables:
+    """The system's WeylTables, built once in doubled integer coordinates."""
+    doubled = [tuple(int(2 * x) for x in a) for a in system.positive_roots]
+    index: Dict[Tuple[int, ...], int] = {}
+    for k, d in enumerate(doubled):
+        index[d] = k + 1
+        index[tuple(-x for x in d)] = -(k + 1)
+    return WeylTables(
+        positive=system.positive_roots,
+        negative=tuple(neg(a) for a in system.positive_roots),
+        index=index,
+        simple=tuple(index[tuple(int(2 * x) for x in a)] - 1 for a in system.simple_roots),
+        reflections=tuple(_reflection_perm(a, doubled, index) for a in doubled),
+        identity=tuple(range(1, len(doubled) + 1)),
+    )
+
+
+def _reflection_perm(a, doubled, index) -> SignedPerm:
+    """s_a on the positive roots, all in doubled integer coordinates."""
+    aa = sum(x * x for x in a)
+    out = []
+    for d in doubled:
+        c = 2 * sum(x * y for x, y in zip(d, a)) // aa  # <d, a^vee>, an integer
+        out.append(index[tuple(x - c * y for x, y in zip(d, a))])
+    return tuple(out)
+
+
+def root_permutation(m: Matrix, system: RootSystem) -> SignedPerm:
+    """The signed permutation of the positive roots induced by the matrix m.
+
+    Raises ValueError if m does not map every root to a root.
+    """
+    tables = weyl_tables(system)
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m]
+    out = []
+    for a in tables.positive:
+        try:
+            out.append(tables.root_index([sum((x * a[j] for j, x in row), Q(0)) for row in rows]))
+        except KeyError:
+            raise ValueError("matrix does not permute the roots") from None
+    return tuple(out)
+
+
+def perm_to_word(w: SignedPerm, system: RootSystem) -> WeylWord:
+    """Reduced word (printed order) for w, by descent on the positive roots.
+
+    Repeatedly peels off, on the right, the first simple root that w sends
+    negative.  Raises ValueError if w is not in the Weyl group.
+    """
+    tables = weyl_tables(system)
+    rev: List[int] = []
+    for _ in range(len(w) + 1):
+        if w == tables.identity:
+            return tuple(reversed(rev))
+        i = next((i for i, k in enumerate(tables.simple) if w[k] < 0), None)
+        if i is None:
+            break
+        w = perm_mul(w, tables.reflections[tables.simple[i]])
+        rev.append(i)
+    raise ValueError("element is not in the Weyl group")
+
+
+# ---------------------------------------------------------------------------
 # Reflection words and beta chains
 # ---------------------------------------------------------------------------
 
@@ -380,11 +479,13 @@ class BetaChain:
 
     beta_k = s_{beta_{k-1}} ... s_{beta_1}(a_k) where a_k is the positive root
     of the k-th consumed letter; the ordered composition of the chain
-    reflections equals the composition of the word's letters.
+    reflections equals the composition of the word's letters.  indices holds
+    the signed positive-root index of each step (see WeylTables).
     """
 
     word: WeylWord
     steps: Tuple[Vector, ...]
+    indices: Tuple[int, ...]
 
 
 def word_matrix(word: WeylWord, system: RootSystem) -> Matrix:
@@ -399,13 +500,18 @@ def beta_chain_for_word(word: WeylWord, system: RootSystem) -> BetaChain:
     for letter in word:
         if not 0 <= letter < system.rank:
             raise WordError("letter %d out of range" % letter)
-    u = identity_matrix(system.dim)
-    steps: List[Vector] = []
+    tables = weyl_tables(system)
+    u = tables.identity
+    indices: List[int] = []
     for letter in reversed(word):
-        a = system.simple_roots[letter]
-        steps.append(mat_apply(u, a))
-        u = mat_mul(u, reflection_matrix(a))
-    return BetaChain(word=tuple(word), steps=tuple(steps))
+        k = tables.simple[letter]
+        indices.append(u[k])
+        u = perm_mul(u, tables.reflections[k])
+    return BetaChain(
+        word=tuple(word),
+        steps=tuple(tables.root(s) for s in indices),
+        indices=tuple(indices),
+    )
 
 
 def canonical_reflection_word(alpha: Vector, system: RootSystem) -> WeylWord:

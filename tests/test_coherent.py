@@ -16,11 +16,6 @@ from cayley_lift.coherent import (
     random_equivalent_word,
     replay_witness,
     rule_out,
-    sp_apply,
-    sp_from_root,
-    sp_identity,
-    sp_matrix,
-    sp_mul,
     stabilizer,
     survey,
 )
@@ -29,7 +24,6 @@ from cayley_lift.root_system import (
     ScopeError,
     WordError,
     build_root_system,
-    reflection_matrix,
     word_matrix,
 )
 
@@ -89,23 +83,6 @@ def test_imaginary_count_depends_on_word_but_sign_does_not():
 
 
 # ---------------------------------------------------------------------------
-# signed permutations
-# ---------------------------------------------------------------------------
-
-def test_signed_perm_helpers_agree_with_matrices():
-    from fractions import Fraction as Q
-
-    root = (Q(1), Q(-1), Q(0), Q(0))
-    swap = sp_from_root(root)
-    assert swap == (2, 1, 3, 4)
-    assert sp_matrix(swap) == reflection_matrix(root)
-    plus = sp_from_root((Q(0), Q(0), Q(1), Q(1)))
-    assert sp_apply(plus, (Q(0), Q(0), Q(2), Q(5))) == (Q(0), Q(0), Q(-5), Q(-2))
-    assert sp_mul(swap, sp_identity(4)) == swap
-    assert sp_mul(swap, swap) == sp_identity(4)
-
-
-# ---------------------------------------------------------------------------
 # stabilizer descriptions
 # ---------------------------------------------------------------------------
 
@@ -156,6 +133,19 @@ def test_matrix_to_word_round_trips():
         mat = word_matrix(word, system)
         recovered = matrix_to_word(mat, system)
         assert word_matrix(recovered, system) == mat
+
+
+def test_matrix_to_word_rejects_matrices_outside_the_weyl_group():
+    from fractions import Fraction as Q
+
+    system = build_root_system("A", 3)
+    minus_one = tuple(tuple(Q(-1) if i == j else Q(0) for j in range(4)) for i in range(4))
+    # fixes every root but doubles (1,1,1,1), which W fixes
+    stretch = tuple(tuple(Q(1, 4) + (1 if i == j else 0) for j in range(4)) for i in range(4))
+    half = tuple(tuple(Q(1, 2) if i == j else Q(0) for j in range(4)) for i in range(4))
+    for m in (minus_one, stretch, half):
+        with pytest.raises(ValueError):
+            matrix_to_word(m, system)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,15 @@ def test_validation_errors():
     assert make_parameter("E7", 7, pairs=((7, 8),)).render() == "gamma({7,8})"
 
 
+@pytest.mark.parametrize("family", ["E6", "E7", "E8"])
+def test_e_rank_must_be_the_lie_rank(family):
+    lie_rank = int(family[1])
+    assert make_parameter(family, lie_rank).rank == lie_rank
+    for rank in (lie_rank - 1, lie_rank + 1, 0):
+        with pytest.raises(ScopeError, match="rank of %s is fixed" % family):
+            make_parameter(family, rank)
+
+
 # ---------------------------------------------------------------------------
 # Cayley transforms
 # ---------------------------------------------------------------------------
