@@ -1,4 +1,4 @@
-"""Write the replay-witness golden transcripts next to this file.
+"""Write the golden CLI transcripts next to this file.
 
 Run from the root of a checkout:
 
@@ -6,10 +6,12 @@ Run from the root of a checkout:
 
 For every catalog id it stores the stdout of
 ``cayley-lift replay-witness --id ID --no-header`` as ``replay-witness/ID.txt``
-and the same with ``--format json`` as ``replay-witness/ID.json``;
-tests/test_golden.py asserts that the CLI still prints them byte for byte.
-Regenerate only for an intended output change, and name that change in
-CHANGES.md.
+and the same with ``--format json`` as ``replay-witness/ID.json``.  For every
+verb in VERBS and group in GROUPS it stores the stdout of
+``cayley-lift VERB FLAGS --no-header`` as ``VERB/GROUP.txt`` and ``.json``
+in the same way.  tests/test_golden.py asserts that the CLI still prints
+them byte for byte.  Regenerate only for an intended output change, and
+name that change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -17,21 +19,43 @@ from __future__ import annotations
 import contextlib
 import io
 from pathlib import Path
+from typing import List
 
 from cayley_lift import cli, witness_data
 
-DIRECTORY = Path(__file__).resolve().parent / "replay-witness"
+ROOT = Path(__file__).resolve().parent
+DIRECTORY = ROOT / "replay-witness"
 FORMATS = {"txt": [], "json": ["--format", "json"]}
+VERBS = ("roots", "cartans", "centers", "params", "count-small", "klv-check", "lift", "verify")
+GROUPS = {
+    "SL4": ["--family", "A", "--rank", "4"],
+    "SL7": ["--family", "A", "--rank", "7"],
+    "Spin5-5": ["--family", "D", "--rank", "5"],
+    "Spin6-6": ["--family", "D", "--rank", "6"],
+    "E6": ["--family", "E6"],
+    "E7": ["--family", "E7"],
+    "E8": ["--family", "E8"],
+}
+
+
+def _stdout(argv: List[str]) -> bytes:
+    """stdout of one CLI request with --no-header, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv + ["--no-header"])
+    if code != cli.EXIT_OK:
+        raise RuntimeError("%s exited with %d" % (" ".join(argv), code))
+    return out.getvalue().encode()
 
 
 def transcript(witness_id: str, suffix: str) -> bytes:
-    """stdout of one replay-witness request, run in this process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["replay-witness", "--id", witness_id, "--no-header"] + FORMATS[suffix])
-    if code != cli.EXIT_OK:
-        raise RuntimeError("replay-witness --id %s exited with %d" % (witness_id, code))
-    return out.getvalue().encode()
+    """stdout of one replay-witness request."""
+    return _stdout(["replay-witness", "--id", witness_id] + FORMATS[suffix])
+
+
+def verb_transcript(verb: str, group: str, suffix: str) -> bytes:
+    """stdout of one VERBS request for one of GROUPS."""
+    return _stdout([verb] + GROUPS[group] + FORMATS[suffix])
 
 
 def main() -> None:
@@ -39,6 +63,12 @@ def main() -> None:
     for witness_id in sorted(witness_data.CATALOG):
         for suffix in FORMATS:
             (DIRECTORY / ("%s.%s" % (witness_id, suffix))).write_bytes(transcript(witness_id, suffix))
+    for verb in VERBS:
+        (ROOT / verb).mkdir(exist_ok=True)
+        for group in GROUPS:
+            for suffix in FORMATS:
+                path = ROOT / verb / ("%s.%s" % (group, suffix))
+                path.write_bytes(verb_transcript(verb, group, suffix))
 
 
 if __name__ == "__main__":

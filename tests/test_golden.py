@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cayley_lift import witness_data
-from golden.generate import DIRECTORY, FORMATS, transcript
+from golden.generate import DIRECTORY, FORMATS, GROUPS, ROOT, VERBS, transcript, verb_transcript
 
 
 def test_every_catalog_id_has_transcripts():
@@ -18,3 +18,17 @@ def test_every_catalog_id_has_transcripts():
 def test_replay_witness_transcript(witness_id, suffix):
     golden = (DIRECTORY / ("%s.%s" % (witness_id, suffix))).read_bytes()
     assert transcript(witness_id, suffix) == golden
+
+
+def test_every_verb_and_group_has_transcripts():
+    expected = {"%s.%s" % (g, s) for g in GROUPS for s in FORMATS}
+    for verb in VERBS:
+        assert {path.name for path in (ROOT / verb).iterdir()} == expected
+
+
+@pytest.mark.parametrize("suffix", sorted(FORMATS))
+@pytest.mark.parametrize("group", list(GROUPS))
+@pytest.mark.parametrize("verb", VERBS)
+def test_verb_transcript(verb, group, suffix):
+    golden = (ROOT / verb / ("%s.%s" % (group, suffix))).read_bytes()
+    assert verb_transcript(verb, group, suffix) == golden
