@@ -11,11 +11,11 @@ sigma = -theta on the root lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .root_system import (
+    InvariantError,
     Matrix,
     RootSystem,
     Vector,
@@ -238,7 +238,7 @@ def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[in
         col = []
         for c in coeffs:
             if c.denominator != 1:
-                raise AssertionError("sigma does not preserve the root lattice")
+                raise InvariantError("sigma does not preserve the root lattice")
             col.append(int(c))
         sigma_cols.append(col)
     t = [[sigma_cols[j][i] for j in range(n)] for i in range(n)]
@@ -247,12 +247,12 @@ def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[in
     k_plus = integer_kernel_basis(t_minus)   # sigma = +1, theta = -1
     k_minus = integer_kernel_basis(t_plus)   # sigma = -1, theta = +1
     if len(k_plus) + len(k_minus) != n:
-        raise AssertionError("eigenlattice ranks do not fill the lattice")
+        raise InvariantError("eigenlattice ranks do not fill the lattice")
     m = n - gf2_rank(list(k_plus) + list(k_minus))
     r = len(k_minus) - m
     s = len(k_plus) - m
     if r < 0 or s < 0:
-        raise AssertionError("negative signature entry; not an involution?")
+        raise InvariantError("negative signature entry; not an involution?")
     return (r, m, s)
 
 
@@ -530,7 +530,7 @@ def hasse_diagram(family: str, rank: Optional[int] = None) -> HasseDiagram:
     for k, c in enumerate(classes):
         for target in _class_moves(c):
             if target.signature not in index:
-                raise AssertionError("Cayley move left the class list: %r" % (target,))
+                raise InvariantError("Cayley move left the class list: %r" % (target,))
             edges.add((k, index[target.signature]))
     edge_tuple = tuple(sorted(edges))
     if family in ("E6", "E7", "E8"):
@@ -538,7 +538,7 @@ def hasse_diagram(family: str, rank: Optional[int] = None) -> HasseDiagram:
             (index[a], index[b]) for a, b in _E_HASSE[family]
         }
         if set(edge_tuple) != expected:
-            raise AssertionError("computed %s Cayley diagram differs from the fixed one" % family)
+            raise InvariantError("computed %s Cayley diagram differs from the fixed one" % family)
     return HasseDiagram(classes=classes, edges=edge_tuple)
 
 
@@ -570,7 +570,7 @@ def cartan_matrix(system: RootSystem) -> List[List[int]]:
         for b in system.simple_roots:
             p = pairing(b, a)
             if p.denominator != 1:
-                raise AssertionError("non-integer Cartan pairing")
+                raise InvariantError("non-integer Cartan pairing")
             row.append(int(p))
         out.append(row)
     return out
@@ -636,10 +636,10 @@ def cover_center_data(family: str, rank: Optional[int] = None) -> CenterData:
             if all(sum(cmat[i][j] * v[j] for j in range(n)) % 2 == 0 for i in range(n)):
                 count += 1
         if count != 1 << k:
-            raise AssertionError("coset enumeration disagrees with the mod-2 kernel")
+            raise InvariantError("coset enumeration disagrees with the mod-2 kernel")
     even_factors = sum(1 for d in smith_invariant_factors(cmat) if d % 2 == 0)
     if even_factors != k:
-        raise AssertionError("Smith form parity disagrees with the mod-2 kernel")
+        raise InvariantError("Smith form parity disagrees with the mod-2 kernel")
 
     reps: List[Vector] = [zero(system.dim)]
     span: List[Tuple[int, ...]] = []

@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction as Q
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .root_system import (
+    InvariantError,
     ScopeError,
     Vector,
     build_root_system,
@@ -25,7 +25,6 @@ from .root_system import (
     vector_to_strings,
 )
 from .cartan import (
-    cartan_classes,
     cartan_shape,
     class_rep_data,
     cover_center_data,
@@ -33,14 +32,12 @@ from .cartan import (
     hasse_diagram,
 )
 from .parameters import (
-    class_of,
     length,
     make_parameter,
     orbit_representatives,
     parameter_to_json,
-    pi_RD,
 )
-from .coherent import CertificateError, count_small, replay_witness, rule_out
+from .coherent import CertificateError, count_small, replay_witness
 from .klv_poset import tower_poset, verify_inversion
 from .lifting import lift_trivial, verify_main_theorem
 from . import witness_data
@@ -51,6 +48,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SCOPE = 3
+EXIT_INTERNAL = 4
 
 _EPILOG = """\
 exit codes:
@@ -58,6 +56,7 @@ exit codes:
   1  a verification or replay check failed
   2  usage error
   3  request outside the implemented scope
+  4  internal error: an invariant of the computation failed
 """
 
 
@@ -415,6 +414,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScopeError as exc:
         print("out of scope: %s" % exc, file=sys.stderr)
         return EXIT_SCOPE
+    except InvariantError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .root_system import (
+    InvariantError,
     Matrix,
     RootSubsystem,
     RootSystem,
@@ -53,7 +54,7 @@ from .root_system import (
     zero,
 )
 from .cartan import COMPLEX, IMAGINARY, REAL
-from .parameters import PairSetParameter, theta as parameter_theta
+from .parameters import PairSetParameter, theta as parameter_theta, theta_perm
 from . import witness_data
 
 
@@ -77,15 +78,10 @@ def _ambient(p: PairSetParameter) -> RootSystem:
     return build_root_system(p.family, p.rank)
 
 
-@lru_cache(maxsize=None)
-def _theta_perm(p: PairSetParameter) -> SignedPerm:
-    return root_permutation(parameter_theta(p).matrix, _ambient(p))
-
-
 def chain_types(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
     """Chain roots and their types for the word, against p's involution."""
     chain = beta_chain_for_word(tuple(word), _ambient(p))
-    th = _theta_perm(p)
+    th = theta_perm(p)
     steps: List[Tuple[Vector, str]] = []
     m = 0
     for s, beta in zip(chain.indices, chain.steps):
@@ -237,7 +233,7 @@ def _core_sweep(p: PairSetParameter, st: StabilizerDescription) -> Iterator[Sign
     """theta-commuting elements of the core Weyl group, lazily, in
     breadth-first order from the identity (which comes first)."""
     tables = weyl_tables(_ambient(p))
-    th = _theta_perm(p)
+    th = theta_perm(p)
     gens = [tables.reflections[tables.root_index(a) - 1] for a in st.complex_core.simple]
     seen = {tables.identity}
     frontier = [tables.identity]
@@ -313,7 +309,7 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
         word = canonical_reflection_word(st.real.positive[0], system)
         cert = chain_types(p, word)
         if cert.sign == cert.word_sign:
-            raise AssertionError("real-reflection chain did not violate the sign test")
+            raise InvariantError("real-reflection chain did not violate the sign test")
         return RuleOutReport(
             parameter=p,
             verdict="ruled_out",

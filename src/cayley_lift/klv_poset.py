@@ -11,10 +11,9 @@ which is exactly what makes the two matrices inverse to each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .root_system import ScopeError
 from .parameters import (

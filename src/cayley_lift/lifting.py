@@ -24,7 +24,7 @@ from .parameters import (
     rd_subsets,
     tower_parameter,
 )
-from .klv_poset import FormalIntegerCombination, in_tower_scope, tower_poset
+from .klv_poset import FormalIntegerCombination, in_tower_scope
 
 
 def cartan_constant(p: PairSetParameter) -> int:

@@ -13,19 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .root_system import (
     RootSystem,
     ScopeError,
+    SignedPerm,
     Vector,
     add,
     basis_vector,
     build_root_system,
     pairing,
+    root_permutation,
     sub,
 )
-from . import cartan
 from .cartan import (
     CartanClass,
     Involution,
@@ -205,17 +207,22 @@ def theta(p: PairSetParameter) -> Involution:
     return involution_from_pairs(system, pairs=p.pairs, blocks=p.blocks)
 
 
+@lru_cache(maxsize=None)
+def theta_perm(p: PairSetParameter) -> SignedPerm:
+    """p's involution as a signed permutation of the positive roots."""
+    return root_permutation(theta(p).matrix, _ambient_system(p.family, p.rank))
+
+
 def class_of(p: PairSetParameter) -> CartanClass:
     return classify_pairs(p.family, p.rank, p.pairs, p.blocks)
 
 
+@lru_cache(maxsize=None)
 def length(p: PairSetParameter) -> Q:
     """Half the number of positive roots moved out of the positive system by
     theta, plus half the real rank of the associated Cartan subgroup."""
-    system = _ambient_system(p.family, p.rank)
-    th = theta(p)
-    flips = sum(1 for a in system.positive_roots if not system.is_positive(th.apply(a)))
-    r, m, s = signature_from_involution(system, th)
+    flips = sum(1 for k in theta_perm(p) if k < 0)
+    r, m, s = signature_from_involution(_ambient_system(p.family, p.rank), theta(p))
     return Q(flips, 2) + Q(m + s, 2)
 
 

@@ -2,15 +2,17 @@
 
 Families: A (ambient n coordinates, roots e_i - e_j), D (roots +-e_i +- e_j),
 and E6/E7/E8 realized inside an 8-dimensional ambient space.  Vectors hold
-fractions.Fraction entries; the Weyl group tables are built in doubled
-integer coordinates.  There is no floating point anywhere in this package.
+fractions.Fraction entries; the Weyl group tables and simple-root
+coefficients are computed in doubled integer coordinates.  There is no
+floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
@@ -30,6 +32,10 @@ class ScopeError(ValueError):
 
 class WordError(ValueError):
     """A Weyl word failed validation."""
+
+
+class InvariantError(AssertionError):
+    """An internal consistency check failed: a defect, not a bad request."""
 
 
 def vec(*entries) -> Vector:
@@ -147,6 +153,13 @@ class RootSystem:
     def height(self, root: Vector) -> Q:
         return sum(self.simple_coefficients(root), Q(0))
 
+    def __hash__(self) -> int:  # computed once: the lru_caches below are keyed on the system
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.family, self.rank, self.simple_roots, self.positive_roots, self.rho))
+
 
 @lru_cache(maxsize=None)
 def _root_set(system: RootSystem) -> frozenset:
@@ -165,10 +178,28 @@ def _all_roots(system: RootSystem) -> Tuple[Vector, ...]:
 
 @lru_cache(maxsize=None)
 def _coefficient_table(system: RootSystem) -> Dict[Vector, Tuple[Q, ...]]:
-    table: Dict[Vector, Tuple[Q, ...]] = {}
-    for root in _all_roots(system):
-        table[root] = _solve_in_basis(system.simple_roots, root)
-    return table
+    rows, div = _dual_basis(system.simple_roots)
+    return {v: tuple(Q(c, div) for c in _scaled_coefficients(rows, v)) for v in _all_roots(system)}
+
+
+@lru_cache(maxsize=None)
+def _dual_basis(simples: Tuple[Vector, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """Rows d*omega_i, integer for the least d, and the divisor 2d, where
+    omega_i = sum_k (C^-1)_ik alpha_k (C: the Gram = Cartan matrix) pairs to
+    delta_ij with alpha_j: v in the span has coefficients (2v . d*omega_i) / 2d.
+    """
+    r = len(simples)
+    gram = [tuple(dot(a, b) for b in simples) for a in simples]  # symmetric
+    columns = tuple(zip(*simples))
+    omegas = [mat_apply(columns, _solve_in_basis(gram, basis_vector(i + 1, r))) for i in range(r)]
+    d = lcm(*(x.denominator for omega in omegas for x in omega))
+    return tuple(tuple(int(d * x) for x in omega) for omega in omegas), 2 * d
+
+
+def _scaled_coefficients(rows: Sequence[Tuple[int, ...]], v: Vector) -> Tuple[int, ...]:
+    """2d times the simple-root coefficients of v, for (rows, 2d) = _dual_basis."""
+    doubled = tuple(int(2 * x) for x in v)  # integers for v in (1/2)Z^n
+    return tuple(sum(x * y for x, y in zip(row, doubled)) for row in rows)
 
 
 def _solve_in_basis(basis: Sequence[Vector], v: Vector) -> Tuple[Q, ...]:
@@ -297,11 +328,12 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
         if rank is not None and rank != int(family[1]):
             raise ScopeError("rank of %s is fixed" % family)
         simples = _e_simple_roots(family)
+        rows, _ = _dual_basis(simples)
         members = [v for v in _e8_roots() if _in_e_subspace(family, v)]
-        positives = tuple(sorted(v for v in members if _is_nonneg_combo(simples, v)))
+        positives = tuple(sorted(v for v in members if min(_scaled_coefficients(rows, v)) >= 0))
         expected = {"E6": 36, "E7": 63, "E8": 120}[family]
         if len(positives) != expected or 2 * len(positives) != len(members):
-            raise AssertionError("positive system extraction failed for %s" % family)
+            raise InvariantError("positive system extraction failed for %s" % family)
     else:
         raise ScopeError("unknown family %r" % (family,))
 
@@ -317,14 +349,6 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
         positive_roots=positives,
         rho=rho,
     )
-
-
-def _is_nonneg_combo(basis: Sequence[Vector], v: Vector) -> bool:
-    try:
-        coeffs = _solve_in_basis(basis, v)
-    except ValueError:
-        return False
-    return all(c >= 0 for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +561,7 @@ def canonical_reflection_word(alpha: Vector, system: RootSystem) -> WeylWord:
                 cur = cand
                 break
         else:
-            raise AssertionError("height descent failed; not a positive root?")
+            raise InvariantError("height descent failed; not a positive root?")
     return tuple(prefix) + (core,) + tuple(reversed(prefix))
 
 

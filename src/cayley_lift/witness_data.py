@@ -10,10 +10,9 @@ entries were found offline by sweeping the theta-commuting core Weyl group
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Dict, Optional, Tuple
 
-from .root_system import Vector, WeylWord, basis_vector, beta_root, neg, sub
+from .root_system import Vector, WeylWord, basis_vector, beta_root, sub
 
 IM = "im"
 RE = "real"

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from cayley_lift import cartan
 from cayley_lift.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_SCOPE,
     EXIT_USAGE,
@@ -43,6 +45,18 @@ def test_scope_errors(capsys):
     assert run(capsys, "count-small", "--family", "A", "--rank", "1")[0] == EXIT_SCOPE
     assert run(capsys, "replay-witness", "--id", "E9-000")[0] == EXIT_SCOPE
     assert run(capsys, "params", "--family", "A", "--rank", "5", "--chi", "3")[0] == EXIT_SCOPE
+
+
+def test_internal_error_is_exit_code_4_without_traceback(capsys, monkeypatch):
+    # break one invariant: the computed E6 Cayley diagram no longer matches
+    monkeypatch.setitem(cartan._E_HASSE, "E6", ())
+    assert EXIT_INTERNAL == 4
+    assert main(["cartans", "--family", "E6"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: computed E6 Cayley diagram differs from the fixed one\n"
+    )
 
 
 def test_help_exits_cleanly(capsys):

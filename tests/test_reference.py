@@ -1,4 +1,4 @@
-"""The signed-permutation Weyl code against the dense-matrix reference."""
+"""The integer Weyl and root-system code against the exact-Fraction reference."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from cayley_lift.coherent import _core_sweep, chain_types, matrix_to_word, stabilizer
-from cayley_lift.parameters import orbit_representatives
+from cayley_lift.parameters import enumerate_block, length, orbit_representatives
 from cayley_lift.root_system import (
+    _coefficient_table,
     beta_chain_for_word,
     build_root_system,
     perm_mul,
@@ -19,6 +20,30 @@ from cayley_lift.root_system import (
 )
 
 GROUPS = [("A", 5), ("D", 5), ("E6", None), ("E7", None), ("E8", None)]
+IN_SCOPE = (
+    [("A", r) for r in range(1, 10)]
+    + [("D", r) for r in range(3, 9)]
+    + [("E6", None), ("E7", None), ("E8", None)]
+)
+
+
+@pytest.mark.parametrize("family, rank", IN_SCOPE)
+def test_positive_roots_and_coefficients_match_reference(family, rank):
+    system = build_root_system(family, rank)
+    assert system.positive_roots == reference.positive_roots(system)
+    assert _coefficient_table(system) == reference.coefficient_table(system)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("A", 5), ("D", 4), ("D", 5)])
+def test_length_matches_reference_on_blocks(family, rank):
+    block = enumerate_block(family, rank)
+    assert [length(p) for p in block] == [reference.length(p) for p in block]
+
+
+@pytest.mark.parametrize("family", ["E6", "E7", "E8"])
+def test_length_matches_reference_on_e_class_representatives(family):
+    reps = [p for _, p in orbit_representatives(family)]
+    assert [length(p) for p in reps] == [reference.length(p) for p in reps]
 
 
 @st.composite

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
@@ -44,6 +45,25 @@ def test_positive_root_counts():
     assert len(build_root_system("E6").positive_roots) == 36
     assert len(build_root_system("E7").positive_roots) == 63
     assert len(build_root_system("E8").positive_roots) == 120
+
+
+def test_equal_systems_hash_alike():
+    system = build_root_system("E7")
+    copy = dataclasses.replace(system)
+    assert copy is not system and copy == system and hash(copy) == hash(system)
+    assert {system: 1}[copy] == 1
+    assert build_root_system("E6") != system
+
+
+def test_simple_coefficients_off_the_root_table():
+    e7 = build_root_system("E7")
+    # in the span but not a root: solved exactly
+    assert e7.simple_coefficients(tuple(2 * x for x in e7.simple_roots[0])) == (2,) + (0,) * 6
+    # outside the span (E7 lies in v7 + v8 = 0)
+    with pytest.raises(ValueError):
+        e7.simple_coefficients(V(0, 0, 0, 0, 0, 0, 1, 1))
+    with pytest.raises(ValueError):
+        build_root_system("A", 3).simple_coefficients(V(1, 1, 1, 1))
 
 
 def test_scope_caps():
