@@ -27,7 +27,6 @@ from cayley_lift.root_system import (
     build_root_system,
     canonical_reflection_word,
     perm_mul,
-    root_permutation,
     weyl_tables,
 )
 
@@ -45,7 +44,7 @@ def search_class(witness_id, family, signature, deadline=600.0):
     system = build_root_system(family)
     tables = weyl_tables(system)
     st = C.stabilizer(p)
-    theta = root_permutation(P.theta(p).matrix, system)
+    theta = P.theta_perm(p)
     core = st.complex_core
     gens = [tables.reflections[tables.root_index(a) - 1] for a in core.simple]
     ambient_words = [canonical_reflection_word(a, system) for a in core.simple]

@@ -1,17 +1,20 @@
 """Cartan involutions, Cartan-subgroup classes, and the cover's center.
 
-An involution theta is stored as a dense rational matrix on the ambient
-coordinates.  Conjugacy classes of Cartan subgroups are labelled by a
-signature: for E families the triple (r, m, s) of compact / complex / split
-torus factors, for A the real rank, for D the plane census plus an
-orientation bit.  Signatures are computed exactly from the action of
-sigma = -theta on the root lattice.
+An involution theta is stored as a signed permutation of the ambient
+coordinates: every theta built here is -Id composed with reflections in
+e_i -+ e_j, which swap two coordinates (negating both for e_i + e_j).
+Conjugacy classes of Cartan subgroups are labelled by a signature: for E
+families the triple (r, m, s) of compact / complex / split torus factors,
+for A the real rank, for D the plane census plus an orientation bit.
+Signatures are computed exactly from the action of sigma = -theta on the
+root lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction as Q
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .root_system import (
@@ -19,16 +22,14 @@ from .root_system import (
     Matrix,
     RootSystem,
     Vector,
+    _dual_basis,
+    _scaled_coefficients,
     add,
     basis_vector,
     build_root_system,
-    identity_matrix,
     mat_apply,
-    mat_mul,
-    mat_neg,
     neg,
     pairing,
-    reflection_matrix,
     sub,
     zero,
     ScopeError,
@@ -51,17 +52,27 @@ def root_type(theta: Matrix, alpha: Vector) -> str:
 
 @dataclass(frozen=True)
 class Involution:
-    """An involutive isometry normalizing the root system."""
+    """An involutive isometry normalizing the root system, stored as a signed
+    permutation of the ambient coordinates: coordinate k of theta(v) is
+    v[c - 1] for c = coords[k] > 0, and -v[-c - 1] for c < 0."""
 
     family: str
     dim: int
-    matrix: Matrix
+    coords: Tuple[int, ...]
 
     def apply(self, v: Vector) -> Vector:
-        return mat_apply(self.matrix, v)
+        return tuple([v[c - 1] if c > 0 else -v[-c - 1] for c in self.coords])
 
     def is_involution(self) -> bool:
-        return mat_mul(self.matrix, self.matrix) == identity_matrix(self.dim)
+        return self.apply(self.coords) == tuple(range(1, self.dim + 1))
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        """theta as a dense matrix with exact 0 and +-1 entries."""
+        return tuple(
+            tuple(Q(1 if c > 0 else -1) if abs(c) == j + 1 else Q(0) for j in range(self.dim))
+            for c in self.coords
+        )
 
 
 def _plane_roots(i: int, j: int, dim: int) -> Tuple[Vector, Vector]:
@@ -81,23 +92,21 @@ def involution_from_pairs(
     its odd-position members with its even-position members in sorted order
     and contributes both reflections for each matched pair.
     """
-    dim = system.dim
-    m = mat_neg(identity_matrix(dim))
-    for a, b in pairs:
-        i, j = abs(a), abs(b)
-        minus, plus = _plane_roots(i, j, dim)
-        root = minus if a > 0 else plus
-        m = mat_mul(m, reflection_matrix(root))
+    planes = [(abs(a), abs(b), a < 0) for a, b in pairs]
     for block in blocks:
         odds = sorted(x for x in block if x % 2 == 1)
         evens = sorted(x for x in block if x % 2 == 0)
         if len(odds) != len(evens):
             raise ValueError("block must balance odd and even slots: %r" % (block,))
         for i, j in zip(odds, evens):
-            minus, plus = _plane_roots(i, j, dim)
-            m = mat_mul(m, reflection_matrix(minus))
-            m = mat_mul(m, reflection_matrix(plus))
-    return Involution(family=system.family, dim=dim, matrix=m)
+            planes += [(i, j, False), (i, j, True)]
+    coords = [-(k + 1) for k in range(system.dim)]
+    for i, j, signed in planes:
+        # theta.s_root reads coordinate j where theta read i and i where it
+        # read j, negated for the root e_i + e_j.
+        swap = {i: -j if signed else j, j: -i if signed else i}
+        coords = [swap[abs(c)] * (1 if c > 0 else -1) if abs(c) in swap else c for c in coords]
+    return Involution(family=system.family, dim=system.dim, coords=tuple(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +240,14 @@ def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[in
     corank of the combined eigenlattice bases modulo 2.
     """
     n = system.rank
+    rows, div = _dual_basis(system.simple_roots)
     sigma_cols: List[List[int]] = []
     for a in system.simple_roots:
         image = neg(theta.apply(a))
-        coeffs = system.simple_coefficients(image)
-        col = []
-        for c in coeffs:
-            if c.denominator != 1:
-                raise InvariantError("sigma does not preserve the root lattice")
-            col.append(int(c))
-        sigma_cols.append(col)
+        col = _scaled_coefficients(rows, image)
+        if not system.is_root(image) or any(c % div for c in col):
+            raise InvariantError("sigma does not preserve the root lattice")
+        sigma_cols.append([c // div for c in col])
     t = [[sigma_cols[j][i] for j in range(n)] for i in range(n)]
     t_minus = [[t[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     t_plus = [[t[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -402,6 +409,7 @@ def involution_for_class(c: CartanClass) -> Involution:
     return involution_from_pairs(system, pairs=pairs, blocks=blocks)
 
 
+@lru_cache(maxsize=None)
 def cartan_shape(c: CartanClass) -> TorusShape:
     system = build_root_system(c.family, c.rank if c.family in ("A", "D") else None)
     theta = involution_for_class(c)
@@ -516,7 +524,7 @@ def _class_moves(c: CartanClass) -> List[CartanClass]:
             continue
         if not _is_half_integral(system, root):
             continue
-        if root_type(theta.matrix, root) != REAL:
+        if theta.apply(root) != neg(root):
             continue
         new_pairs = tuple(pairs) + (cand,)
         targets.append(classify_pairs(family, c.rank, new_pairs, blocks))

@@ -119,12 +119,15 @@ class StabilizerDescription:
     rho_imaginary: Vector
 
 
+@lru_cache(maxsize=None)
 def stabilizer(p: PairSetParameter) -> StabilizerDescription:
     system = _ambient(p)
-    th = parameter_theta(p)
+    th = theta_perm(p)
     integral = integral_system(system.rho_half, system)
-    real_pos = [a for a in integral.positive if th.apply(a) == neg(a)]
-    imag_pos = [a for a in integral.positive if th.apply(a) == a]
+    root_index = weyl_tables(system).root_index
+    indexed = [(a, root_index(a)) for a in integral.positive]
+    real_pos = [a for a, k in indexed if th[k - 1] == -k]
+    imag_pos = [a for a, k in indexed if th[k - 1] == k]
     rho_r = scale(Q(1, 2), _vector_sum(real_pos, system.dim))
     rho_i = scale(Q(1, 2), _vector_sum(imag_pos, system.dim))
     core_pos = [

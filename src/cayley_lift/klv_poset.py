@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .root_system import ScopeError
+from .root_system import InvariantError, ScopeError
 from .parameters import (
     PairSetParameter,
     contains,
@@ -61,7 +61,8 @@ def tower_poset(family: str, rank: Optional[int] = None, chi: int = 0) -> Parame
                 p = tower_parameter(family, rank, chi, subset, members)
                 params.append(p)
                 lie_rank = p.rank
-    assert lie_rank is not None
+    if lie_rank is None:
+        raise InvariantError("no tower parameter for %s" % family)
     return ParameterPoset(family, lie_rank, chi, _dedup_sorted(params))
 
 

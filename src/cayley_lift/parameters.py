@@ -25,8 +25,8 @@ from .root_system import (
     basis_vector,
     build_root_system,
     pairing,
-    root_permutation,
     sub,
+    weyl_tables,
 )
 from .cartan import (
     CartanClass,
@@ -202,6 +202,7 @@ def cayley(p: PairSetParameter, pair: Sequence[int]) -> PairSetParameter:
     )
 
 
+@lru_cache(maxsize=None)
 def theta(p: PairSetParameter) -> Involution:
     system = _ambient_system(p.family, p.rank)
     return involution_from_pairs(system, pairs=p.pairs, blocks=p.blocks)
@@ -210,7 +211,9 @@ def theta(p: PairSetParameter) -> Involution:
 @lru_cache(maxsize=None)
 def theta_perm(p: PairSetParameter) -> SignedPerm:
     """p's involution as a signed permutation of the positive roots."""
-    return root_permutation(theta(p).matrix, _ambient_system(p.family, p.rank))
+    th = theta(p)
+    tables = weyl_tables(_ambient_system(p.family, p.rank))
+    return tuple([tables.index[th.apply(d)] for d in tables.doubled])
 
 
 def class_of(p: PairSetParameter) -> CartanClass:

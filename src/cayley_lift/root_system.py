@@ -87,7 +87,8 @@ def reflect(alpha: Vector, v: Vector) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# Matrices (dense, exact).  Reflections and involutions are stored this way.
+# Matrices (dense, exact), for reflections and words.  Involutions are
+# signed permutations of the coordinates (cartan.Involution).
 # ---------------------------------------------------------------------------
 
 def identity_matrix(dim: int) -> Matrix:
@@ -108,10 +109,6 @@ def reflection_matrix(alpha: Vector) -> Matrix:
     dim = len(alpha)
     cols = [reflect(alpha, basis_vector(j + 1, dim)) for j in range(dim)]
     return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-
-
-def mat_neg(m: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +375,7 @@ def make_subsystem(positive: Iterable[Vector]) -> RootSubsystem:
     return RootSubsystem(roots=roots, positive=pos, simple=tuple(simple))
 
 
+@lru_cache(maxsize=None)
 def integral_system(lam: Vector, system: RootSystem) -> RootSubsystem:
     """Roots with integral pairing against lam, with positives and simples."""
     pos = [a for a in system.positive_roots if pairing(lam, a).denominator == 1]
@@ -415,6 +413,7 @@ class WeylTables:
     """Integer tables for the action of W on a system's positive roots."""
 
     positive: Tuple[Vector, ...]            # positive root k
+    doubled: Tuple[Tuple[int, ...], ...]    # 2 * positive root k, in integers
     negative: Tuple[Vector, ...]            # its negative
     index: Dict[Tuple[int, ...], int]       # doubled root 2v -> +-(k+1)
     simple: Tuple[int, ...]                 # positive-root index of each simple root
@@ -440,6 +439,7 @@ def weyl_tables(system: RootSystem) -> WeylTables:
         index[tuple(-x for x in d)] = -(k + 1)
     return WeylTables(
         positive=system.positive_roots,
+        doubled=tuple(doubled),
         negative=tuple(neg(a) for a in system.positive_roots),
         index=index,
         simple=tuple(index[tuple(int(2 * x) for x in a)] - 1 for a in system.simple_roots),

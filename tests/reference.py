@@ -3,11 +3,14 @@
 These are the original implementations, on exact Fraction vectors and
 matrices, of the chain loop, the descent that turns a matrix into a reduced
 word, the breadth-first sweep of the core Weyl group, the positive roots
-and simple-root coefficients (one Gaussian solve per root) and the length
-(theta applied as a dense matrix to every positive root).  The library now
-does the first three on signed permutations of the positive roots and the
-last two with one integer dual basis per system and theta's signed
-permutation; tests compare the two.
+and simple-root coefficients (one Gaussian solve per root), the Cartan
+involution theta (-Id times a product of dense reflection matrices), its
+torus signature (one Gaussian solve per simple root), the stabilizer data
+(theta applied as a dense matrix to every integral root) and the length.
+The library now does the first three on signed permutations of the
+positive roots, builds theta as a signed permutation of the coordinates,
+and does the rest with one integer dual basis per system and theta's
+signed permutation; tests compare the two.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from typing import Dict, List, Sequence, Tuple
 
-from cayley_lift.cartan import root_type, signature_from_involution
+from cayley_lift.cartan import gf2_rank, integer_kernel_basis, root_type
 from cayley_lift.coherent import StabilizerDescription
-from cayley_lift.parameters import PairSetParameter, theta
+from cayley_lift.parameters import PairSetParameter
 from cayley_lift.root_system import (
     Matrix,
     RootSystem,
@@ -29,12 +32,17 @@ from cayley_lift.root_system import (
     add,
     basis_vector,
     build_root_system,
+    dot,
     identity_matrix,
+    integral_system,
+    make_subsystem,
     mat_apply,
     mat_mul,
     neg,
     reflection_matrix,
+    scale,
     sub,
+    zero,
 )
 
 
@@ -66,13 +74,97 @@ def coefficient_table(system: RootSystem) -> Dict[Vector, Tuple[Q, ...]]:
     return {root: _solve_in_basis(system.simple_roots, root) for root in system.roots}
 
 
+def _system(p: PairSetParameter) -> RootSystem:
+    return build_root_system(p.family, p.rank if p.family in ("A", "D") else None)
+
+
+def involution_from_pairs(
+    system: RootSystem,
+    pairs: Sequence[Tuple[int, int]] = (),
+    blocks: Sequence[Tuple[int, ...]] = (),
+) -> Matrix:
+    """theta = (-Id) times the reflection matrices named by the pair data:
+    e_i - e_j for a pair (i, j), e_i + e_j for (-i, -j), and both for each
+    (odd, even) match of a block."""
+    dim = system.dim
+    e = [basis_vector(i, dim) for i in range(1, dim + 1)]
+    m = tuple(tuple(-x for x in row) for row in identity_matrix(dim))
+    for a, b in pairs:
+        i, j = abs(a) - 1, abs(b) - 1
+        root = sub(e[i], e[j]) if a > 0 else add(e[i], e[j])
+        m = mat_mul(m, reflection_matrix(root))
+    for block in blocks:
+        odds = sorted(x for x in block if x % 2 == 1)
+        evens = sorted(x for x in block if x % 2 == 0)
+        if len(odds) != len(evens):
+            raise ValueError("block must balance odd and even slots: %r" % (block,))
+        for i, j in zip(odds, evens):
+            m = mat_mul(m, reflection_matrix(sub(e[i - 1], e[j - 1])))
+            m = mat_mul(m, reflection_matrix(add(e[i - 1], e[j - 1])))
+    return m
+
+
+def theta(p: PairSetParameter) -> Matrix:
+    """p's involution as a dense matrix."""
+    return involution_from_pairs(_system(p), pairs=p.pairs, blocks=p.blocks)
+
+
+def signature(system: RootSystem, th: Matrix) -> Tuple[int, int, int]:
+    """(compact, complex, split) torus signature of the involution matrix th:
+    sigma = -th on the simple roots, one exact solve each, then the
+    eigenlattices of sigma."""
+    n = system.rank
+    cols = [_solve_in_basis(system.simple_roots, neg(mat_apply(th, a))) for a in system.simple_roots]
+    if any(c.denominator != 1 for col in cols for c in col):
+        raise ValueError("sigma does not preserve the root lattice")
+    t = [[int(cols[j][i]) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    k_plus = integer_kernel_basis(t)
+    for i in range(n):
+        t[i][i] += 2
+    k_minus = integer_kernel_basis(t)
+    m = n - gf2_rank(list(k_plus) + list(k_minus))
+    return (len(k_minus) - m, m, len(k_plus) - m)
+
+
+def stabilizer(p: PairSetParameter) -> StabilizerDescription:
+    """Real and imaginary integral roots by applying theta's matrix."""
+    system = _system(p)
+    th = theta(p)
+    integral = integral_system(system.rho_half, system)
+    images = [(a, mat_apply(th, a)) for a in integral.positive]
+    real_pos = [a for a, image in images if image == neg(a)]
+    imag_pos = [a for a, image in images if image == a]
+    rho_r = scale(Q(1, 2), _vector_sum(real_pos, system.dim))
+    rho_i = scale(Q(1, 2), _vector_sum(imag_pos, system.dim))
+    core_pos = [
+        a for a in integral.positive
+        if dot(a, rho_r) == 0 and dot(a, rho_i) == 0
+    ]
+    return StabilizerDescription(
+        parameter=p,
+        integral=integral,
+        real=make_subsystem(real_pos),
+        imaginary=make_subsystem(imag_pos),
+        complex_core=make_subsystem(core_pos),
+        rho_real=rho_r,
+        rho_imaginary=rho_i,
+    )
+
+
+def _vector_sum(vectors, dim: int) -> Vector:
+    out = zero(dim)
+    for v in vectors:
+        out = add(out, v)
+    return out
+
+
 def length(p: PairSetParameter) -> Q:
     """Half the positive roots that theta's matrix sends negative, plus half
     the real rank of the Cartan subgroup."""
-    system = build_root_system(p.family, p.rank if p.family in ("A", "D") else None)
+    system = _system(p)
     th = theta(p)
-    flips = sum(1 for a in system.positive_roots if not system.is_positive(th.apply(a)))
-    r, m, s = signature_from_involution(system, th)
+    flips = sum(1 for a in system.positive_roots if not system.is_positive(mat_apply(th, a)))
+    r, m, s = signature(system, th)
     return Q(flips, 2) + Q(m + s, 2)
 
 
@@ -89,7 +181,7 @@ def chain_roots(word: Sequence[int], system: RootSystem) -> Tuple[Vector, ...]:
 
 def chain_steps(p: PairSetParameter, word: Sequence[int], system: RootSystem):
     """(beta_k, tag) pairs, tagged against p's involution matrix."""
-    th = theta(p).matrix
+    th = theta(p)
     return tuple((beta, root_type(th, beta)) for beta in chain_roots(word, system))
 
 
@@ -115,7 +207,7 @@ def matrix_descent(m: Matrix, system: RootSystem) -> WeylWord:
 
 def sweep_elements(p: PairSetParameter, st: StabilizerDescription, system: RootSystem):
     """theta-commuting elements of W(core) as matrices, breadth-first order."""
-    th = theta(p).matrix
+    th = theta(p)
     gens = [reflection_matrix(a) for a in st.complex_core.simple]
     ident = identity_matrix(system.dim)
     seen = {ident}

@@ -47,6 +47,52 @@ def test_scope_errors(capsys):
     assert run(capsys, "params", "--family", "A", "--rank", "5", "--chi", "3")[0] == EXIT_SCOPE
 
 
+FAMILY_VERBS = ("roots", "cartans", "centers", "params", "count-small", "klv-check", "lift",
+                "verify")
+CHI_VERBS = ("params", "klv-check", "lift")
+CHI_GROUPS = (  # CLI flags and the library's Lie rank
+    (("--family", "A", "--rank", "4"), "A", 3),
+    (("--family", "D", "--rank", "4"), "D", 4),
+    (("--family", "E7"), "E7", None),
+)
+
+
+def _edge_cases():
+    cases = []
+    for verb in FAMILY_VERBS:
+        for family, ranks in (("A", (-1, 0, 1, 11)), ("D", (-1, 0, 2, 9))):
+            for rank in ranks:
+                cases.append(((verb, "--family", family, "--rank", str(rank)), EXIT_SCOPE))
+        cases.append(((verb, "--family", "E6", "--rank", "6"), EXIT_USAGE))
+    for verb in CHI_VERBS:
+        for flags, family, rank in CHI_GROUPS:
+            count = cartan.genuine_central_character_count(family, rank)
+            for chi in (-1, count):
+                cases.append(((verb,) + flags + ("--chi", str(chi)), EXIT_SCOPE))
+    cases.append((("replay-witness", "--id", "nope"), EXIT_SCOPE))
+    return cases
+
+
+EDGE_CASES = _edge_cases()
+
+
+@pytest.mark.parametrize("argv, code", EDGE_CASES, ids=[" ".join(a) for a, _ in EDGE_CASES])
+def test_malformed_requests_end_in_one_typed_stderr_line(capsys, argv, code):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    prefix = "usage error: " if code == EXIT_USAGE else "out of scope: "
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_non_integer_rank_is_an_argparse_usage_error(capsys):
+    assert main(["count-small", "--family", "D", "--rank", "five"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --rank: invalid int value: 'five'" in captured.err
+
+
 def test_internal_error_is_exit_code_4_without_traceback(capsys, monkeypatch):
     # break one invariant: the computed E6 Cayley diagram no longer matches
     monkeypatch.setitem(cartan._E_HASSE, "E6", ())

@@ -3,7 +3,8 @@
 Every top-level import of a module under src/cayley_lift must be used in
 that module or listed in its __all__, and internal consistency checks raise
 InvariantError (which the CLI maps to exit code 4), never a bare
-AssertionError.
+AssertionError and never through an assert statement, which python -O
+strips.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def bare_assertion_errors(tree: ast.Module) -> List[str]:
     return out
 
 
+def assert_statements(tree: ast.Module) -> List[str]:
+    """Lines holding an assert statement."""
+    return ["line %d" % node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 def test_sources_are_found():
     assert {"cli.py", "root_system.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -66,6 +72,11 @@ def test_no_bare_assertion_error():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_no_assert_statements():
+    found = {p.name: assert_statements(_parse(p)) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_checks_flag_what_they_should():
     tree = ast.parse(
         "from fractions import Fraction as Q\n"
@@ -76,6 +87,9 @@ def test_checks_flag_what_they_should():
         "    raise AssertionError('x')\n"
         "def g():\n"
         "    raise AssertionError\n"
+        "def h(x):\n"
+        "    assert x is not None\n"
     )
     assert unused_imports(tree) == ["line 1: Q", "line 2: os"]
     assert bare_assertion_errors(tree) == ["line 6", "line 8"]
+    assert assert_statements(tree) == ["line 10"]

@@ -6,12 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from cayley_lift.cartan import involution_from_pairs, signature_from_involution
 from cayley_lift.coherent import _core_sweep, chain_types, matrix_to_word, stabilizer
-from cayley_lift.parameters import enumerate_block, length, orbit_representatives
+from cayley_lift.parameters import (
+    enumerate_block,
+    length,
+    make_parameter,
+    orbit_representatives,
+    theta,
+    theta_perm,
+)
 from cayley_lift.root_system import (
     _coefficient_table,
     beta_chain_for_word,
     build_root_system,
+    mat_apply,
     perm_mul,
     perm_to_word,
     root_permutation,
@@ -34,7 +43,41 @@ def test_positive_roots_and_coefficients_match_reference(family, rank):
     assert _coefficient_table(system) == reference.coefficient_table(system)
 
 
-@pytest.mark.parametrize("family, rank", [("A", 3), ("A", 5), ("D", 4), ("D", 5)])
+BLOCKS = [("A", 3), ("A", 5), ("D", 4), ("D", 5)]
+
+
+def _theta_cases():
+    cases = [(family, rank, p) for family, rank in BLOCKS for p in enumerate_block(family, rank)]
+    cases += [(family, None, p) for family in ("E6", "E7", "E8")
+              for _, p in orbit_representatives(family)]
+    return cases
+
+
+THETA_CASES = _theta_cases()
+
+
+def _check_theta(p):
+    """theta(p) and everything read from it against the dense-matrix reference."""
+    system = build_root_system(p.family, p.rank if p.family in ("A", "D") else None)
+    th = theta(p)
+    dense = reference.theta(p)
+    assert th.is_involution()
+    assert th.matrix == dense
+    assert [th.apply(a) for a in system.roots] == [mat_apply(dense, a) for a in system.roots]
+    assert theta_perm(p) == root_permutation(dense, system)
+    assert signature_from_involution(system, th) == reference.signature(system, dense)
+    assert stabilizer(p) == reference.stabilizer(p)
+
+
+@pytest.mark.parametrize(
+    "family, rank, p", THETA_CASES,
+    ids=["%s%s-%s" % (f, r or "", p.render()) for f, r, p in THETA_CASES],
+)
+def test_theta_and_stabilizer_match_reference(family, rank, p):
+    _check_theta(p)
+
+
+@pytest.mark.parametrize("family, rank", BLOCKS)
 def test_length_matches_reference_on_blocks(family, rank):
     block = enumerate_block(family, rank)
     assert [length(p) for p in block] == [reference.length(p) for p in block]
@@ -44,6 +87,37 @@ def test_length_matches_reference_on_blocks(family, rank):
 def test_length_matches_reference_on_e_class_representatives(family):
     reps = [p for _, p in orbit_representatives(family)]
     assert [length(p) for p in reps] == [reference.length(p) for p in reps]
+
+
+@st.composite
+def d6_pairs_and_blocks(draw):
+    """Pair and block data of a D 6 parameter: (odd, even) slot planes, each
+    unused, carrying e_i - e_j, e_i + e_j or both, or joining one block."""
+    odds = draw(st.permutations([1, 3, 5]))
+    evens = draw(st.permutations([2, 4, 6]))
+    pairs, block = [], []
+    for i, j in zip(odds, evens):
+        use = draw(st.sampled_from(["none", "minus", "plus", "both", "block"]))
+        if use in ("minus", "both"):
+            pairs.append((i, j))
+        if use in ("plus", "both"):
+            pairs.append((-i, -j))
+        if use == "block":
+            block += [i, j]
+    blocks = [tuple(block)] if len(block) >= 4 else []
+    if len(block) == 2:
+        pairs.append(tuple(block))
+    return tuple(pairs), tuple(blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d6_pairs_and_blocks())
+def test_d6_theta_and_stabilizer_match_reference(data):
+    pairs, blocks = data
+    system = build_root_system("D", 6)
+    assert involution_from_pairs(system, pairs, blocks).matrix == \
+        reference.involution_from_pairs(system, pairs, blocks)
+    _check_theta(make_parameter("D", 6, pairs=pairs, blocks=blocks))
 
 
 @st.composite
