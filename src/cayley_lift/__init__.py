@@ -3,78 +3,52 @@ double covers of split simply-laced groups at infinitesimal character rho/2."""
 
 from __future__ import annotations
 
-from .root_system import (
-    BetaChain,
-    InvariantError,
-    RootSubsystem,
-    RootSystem,
-    ScopeError,
-    WordError,
-    build_root_system,
-    canonical_reflection_word,
-    decompose_to_chain,
-    integral_system,
-    half_integral_roots,
-)
-from .cartan import (
-    CartanClass,
-    CenterData,
-    FiniteAbelianGroup,
-    HasseDiagram,
-    Involution,
-    TorusShape,
-    cartan_classes,
-    cartan_shape,
-    cover_center_data,
-    genuine_central_character_count,
-    hasse_diagram,
-    involution_for_class,
-    root_type,
-)
-from .parameters import (
-    PairSetParameter,
-    TransformError,
-    cayley,
-    class_of,
-    contains,
-    enumerate_block,
-    length,
-    make_parameter,
-    orbit_representatives,
-    pi_RD,
-    pseudospherical_params,
-    rd_subsets,
-    theta,
-    tower_parameter,
-)
-from .coherent import (
-    CertificateError,
-    ChainCertificate,
-    RuleOutReport,
-    StabilizerDescription,
-    chain_types,
-    count_small,
-    replay_witness,
-    rule_out,
-    stabilizer,
-)
-from .klv_poset import (
-    FormalIntegerCombination,
-    M_entry,
-    ParameterPoset,
-    block_poset,
-    m_entry,
-    tower_poset,
-    verify_inversion,
-    zuckerman_restricted,
-)
-from .lifting import (
-    K_coefficient,
-    TheoremReport,
-    cartan_constant,
-    lift_trivial,
-    verify_main_theorem,
-)
+import importlib.util
+import sys
+
+# Public names by home module.  A submodule runs on first use of one of its
+# names, or of the module itself, so each CLI verb executes only what it calls.
+_EXPORTS = {
+    "root_system": ("BetaChain", "CertificateError", "InvariantError", "RootSubsystem",
+                    "RootSystem", "ScopeError", "WordError", "build_root_system",
+                    "canonical_reflection_word", "decompose_to_chain", "integral_system",
+                    "half_integral_roots"),
+    "cartan": ("CartanClass", "CenterData", "FiniteAbelianGroup", "HasseDiagram", "Involution",
+               "TorusShape", "cartan_classes", "cartan_shape", "cover_center_data",
+               "genuine_central_character_count", "hasse_diagram", "involution_for_class",
+               "root_type"),
+    "parameters": ("PairSetParameter", "TransformError", "cayley", "class_of", "contains",
+                   "enumerate_block", "length", "make_parameter", "orbit_representatives",
+                   "pi_RD", "pseudospherical_params", "rd_subsets", "theta", "tower_parameter"),
+    "coherent": ("ChainCertificate", "RuleOutReport", "StabilizerDescription", "chain_types",
+                 "count_small", "replay_witness", "rule_out", "stabilizer"),
+    "klv_poset": ("FormalIntegerCombination", "M_entry", "ParameterPoset", "block_poset",
+                  "m_entry", "tower_poset", "verify_inversion", "zuckerman_restricted"),
+    "lifting": ("K_coefficient", "TheoremReport", "cartan_constant", "lift_trivial",
+                "verify_main_theorem"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def _lazy(name: str):
+    """Register submodule `name` in sys.modules without running it."""
+    spec = importlib.util.find_spec(__name__ + "." + name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# cli is left out: python -m warns about a module already in sys.modules.
+globals().update((name, _lazy(name)) for name in (*_EXPORTS, "witness_data"))
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "BetaChain",

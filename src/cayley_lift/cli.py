@@ -15,6 +15,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .root_system import (
+    CertificateError,
     InvariantError,
     ScopeError,
     Vector,
@@ -24,23 +25,7 @@ from .root_system import (
     root_system_to_json,
     vector_to_strings,
 )
-from .cartan import (
-    cartan_shape,
-    class_rep_data,
-    cover_center_data,
-    genuine_central_character_count,
-    hasse_diagram,
-)
-from .parameters import (
-    length,
-    make_parameter,
-    orbit_representatives,
-    parameter_to_json,
-)
-from .coherent import CertificateError, count_small, replay_witness
-from .klv_poset import tower_poset, verify_inversion
-from .lifting import lift_trivial, verify_main_theorem
-from . import witness_data
+from . import cartan, coherent, klv_poset, lifting, parameters, witness_data
 
 SCHEMA = "cayley-lift/1"
 
@@ -123,7 +108,7 @@ class UsageError(Exception):
 
 
 def _chi_range(args, family: str, rank: Optional[int]) -> Sequence[int]:
-    count = genuine_central_character_count(family, rank)
+    count = cartan.genuine_central_character_count(family, rank)
     chi = getattr(args, "chi", None)
     if chi is None:
         return range(count)
@@ -187,7 +172,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_cartans(args) -> int:
     rank = _lie_rank(args)
-    diagram = hasse_diagram(args.family, rank)
+    diagram = cartan.hasse_diagram(args.family, rank)
     classes = diagram.classes
     payload = {
         "family": args.family,
@@ -196,9 +181,9 @@ def _cmd_cartans(args) -> int:
             {
                 "label": c.render(),
                 "signature": list(c.signature),
-                "shape": cartan_shape(c).render(),
-                "blocks": [list(b) for b in class_rep_data(c)[0]],
-                "pairs": [list(p) for p in class_rep_data(c)[1]],
+                "shape": cartan.cartan_shape(c).render(),
+                "blocks": [list(b) for b in cartan.class_rep_data(c)[0]],
+                "pairs": [list(p) for p in cartan.class_rep_data(c)[1]],
             }
             for c in classes
         ],
@@ -208,10 +193,10 @@ def _cmd_cartans(args) -> int:
     }
     lines = ["%d Cartan classes" % len(classes)]
     for c in classes:
-        blocks, pairs = class_rep_data(c)
-        rep = make_parameter(args.family, c.rank, 0, blocks, pairs)
+        blocks, pairs = cartan.class_rep_data(c)
+        rep = parameters.make_parameter(args.family, c.rank, 0, blocks, pairs)
         lines.append(
-            "%-10s shape %-10s rep %s" % (c.render(), cartan_shape(c).render(), rep.render())
+            "%-10s shape %-10s rep %s" % (c.render(), cartan.cartan_shape(c).render(), rep.render())
         )
     lines.append("Cayley edges (one real rank step each):")
     for i, j in diagram.edges:
@@ -222,7 +207,7 @@ def _cmd_cartans(args) -> int:
 
 def _cmd_centers(args) -> int:
     rank = _lie_rank(args)
-    data = cover_center_data(args.family, rank)
+    data = cartan.cover_center_data(args.family, rank)
     payload = {
         "family": data.family,
         "lie_rank": data.rank,
@@ -247,18 +232,19 @@ def _cmd_params(args) -> int:
     entries = []
     lines = []
     for chi in chis:
-        for c, p in orbit_representatives(args.family, rank, chi):
+        for c, p in parameters.orbit_representatives(args.family, rank, chi):
             entries.append(
                 {
                     "class": c.render(),
-                    "shape": cartan_shape(c).render(),
-                    "length": str(length(p)),
-                    "parameter": parameter_to_json(p),
+                    "shape": cartan.cartan_shape(c).render(),
+                    "length": str(parameters.length(p)),
+                    "parameter": parameters.parameter_to_json(p),
                 }
             )
             lines.append(
                 "chi%d %-10s shape %-10s length %-6s %s"
-                % (chi, c.render(), cartan_shape(c).render(), length(p), p.render())
+                % (chi, c.render(), cartan.cartan_shape(c).render(), parameters.length(p),
+                   p.render())
             )
     payload = {"family": args.family, "parameters": entries}
     _emit(args, _header(args), payload, lines)
@@ -267,7 +253,7 @@ def _cmd_params(args) -> int:
 
 def _cmd_count_small(args) -> int:
     rank = _lie_rank(args)
-    n = count_small(args.family, rank)
+    n = coherent.count_small(args.family, rank)
     payload = {"family": args.family, "count": n}
     if rank is not None:
         payload["lie_rank"] = rank
@@ -276,7 +262,7 @@ def _cmd_count_small(args) -> int:
 
 
 def _cmd_replay_witness(args) -> int:
-    report = replay_witness(args.witness_id)
+    report = coherent.replay_witness(args.witness_id)
     cert = report.certificate
     entry = witness_data.CATALOG[args.witness_id]
     payload = {
@@ -315,8 +301,8 @@ def _cmd_klv_check(args) -> int:
     lines = []
     ok = True
     for chi in chis:
-        poset = tower_poset(args.family, rank, chi)
-        good = verify_inversion(poset)
+        poset = klv_poset.tower_poset(args.family, rank, chi)
+        good = klv_poset.verify_inversion(poset)
         ok = ok and good
         results.append({"chi": chi, "elements": len(poset.elements), "inversion": good})
         lines.append(
@@ -334,12 +320,12 @@ def _cmd_lift(args) -> int:
     out = []
     lines = []
     for chi in chis:
-        combo = lift_trivial(args.family, rank, chi)
+        combo = lifting.lift_trivial(args.family, rank, chi)
         out.append(
             {
                 "chi": chi,
                 "terms": [
-                    {"coefficient": c, "parameter": parameter_to_json(p)}
+                    {"coefficient": c, "parameter": parameters.parameter_to_json(p)}
                     for p, c in combo.terms
                 ],
             }
@@ -352,7 +338,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_verify(args) -> int:
     rank = _lie_rank(args)
-    report = verify_main_theorem(args.family, rank)
+    report = lifting.verify_main_theorem(args.family, rank)
     payload = {
         "family": report.family,
         "support_total": report.support_total,

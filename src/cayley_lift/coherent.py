@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .root_system import (
+    CertificateError,
     InvariantError,
     Matrix,
     RootSubsystem,
@@ -56,10 +57,6 @@ from .root_system import (
 from .cartan import COMPLEX, IMAGINARY, REAL
 from .parameters import PairSetParameter, theta as parameter_theta, theta_perm
 from . import witness_data
-
-
-class CertificateError(ValueError):
-    """A replayed certificate diverged from its stored golden data."""
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,10 @@ class InvariantError(AssertionError):
     """An internal consistency check failed: a defect, not a bad request."""
 
 
+class CertificateError(ValueError):
+    """A replayed certificate diverged from its stored golden data."""
+
+
 def vec(*entries) -> Vector:
     return tuple(Q(x) for x in entries)
 

@@ -1,0 +1,152 @@
+"""The package surface: public names, the README example, and cold start.
+
+`import cayley_lift` registers its submodules without running them; a
+submodule runs when one of its names, or the module itself, is first used.
+The cold-start tests start one fresh interpreter per CLI verb, with
+warnings turned into errors, and check which package modules actually ran:
+a module still waiting on its lazy loader has a type other than
+types.ModuleType, and asking for that type does not load it.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cayley_lift
+from golden.generate import GROUPS, ROOT as GOLDEN
+
+PACKAGE_ROOT = Path(cayley_lift.__file__).resolve().parent.parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# ---------------------------------------------------------------------------
+# public names
+# ---------------------------------------------------------------------------
+
+
+def test_every_public_name_is_its_home_module_attribute():
+    assert sorted(cayley_lift._HOME) == sorted(cayley_lift.__all__)
+    for name in cayley_lift.__all__:
+        value = getattr(cayley_lift, name)
+        assert value.__module__.startswith("cayley_lift."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from cayley_lift import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(cayley_lift.__all__)
+
+
+def test_unknown_names_are_not_attributes():
+    assert not hasattr(cayley_lift, "nope")
+    with pytest.raises(AttributeError, match="nope"):
+        cayley_lift.nope
+    with pytest.raises(ImportError):
+        exec("from cayley_lift import nope", {})
+
+
+def _readme_library_block() -> str:
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_returns_what_it_states():
+    """Each expression line of the example equals the literal in its comment,
+    and each commented assignment has the attributes its comment names."""
+    block = _readme_library_block()
+    lines = block.splitlines()
+    namespace = {}
+    stated = 0
+    for statement in ast.parse(block).body:
+        comment = lines[statement.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(statement, ast.Expr):
+            value = eval(compile(ast.Expression(statement.value), "README", "eval"), namespace)
+            assert value == ast.literal_eval(comment), comment
+            stated += 1
+            continue
+        exec(compile(ast.Module([statement], []), "README", "exec"), namespace)
+        if isinstance(statement, ast.Assign) and comment:
+            value = namespace[statement.targets[0].id]
+            assert all(hasattr(value, attr) for attr in comment.split(", ")), comment
+            stated += 1
+    assert stated == 4
+
+
+# ---------------------------------------------------------------------------
+# cold start: each verb runs only the modules it calls
+# ---------------------------------------------------------------------------
+
+# Prints, at interpreter exit, the package modules that ran.  The program
+# text after it is the request.
+REPORTER = """\
+import atexit, sys, types
+
+@atexit.register
+def report():
+    ran = sorted(name.partition(".")[2] for name, module in sys.modules.items()
+                 if name.startswith("cayley_lift.") and type(module) is types.ModuleType)
+    print("ran: " + " ".join(ran), file=sys.stderr)
+
+"""
+RUN_CLI = 'import runpy\nrunpy.run_module("cayley_lift.cli", run_name="__main__", alter_sys=True)\n'
+
+SL4 = GROUPS["SL4"]
+BASE = {"root_system"}
+COHERENT = BASE | {"cartan", "parameters", "coherent", "witness_data"}
+REQUESTS = {  # verb: (arguments, golden transcript, modules run)
+    "roots": (SL4, "roots/SL4.txt", BASE),
+    "centers": (SL4, "centers/SL4.txt", BASE | {"cartan"}),
+    "cartans": (SL4, "cartans/SL4.txt", BASE | {"cartan", "parameters"}),
+    "params": (SL4, "params/SL4.txt", BASE | {"cartan", "parameters"}),
+    "count-small": (SL4, "count-small/SL4.txt", COHERENT),
+    "replay-witness": (["--id", "E6-030"], "replay-witness/E6-030.txt", COHERENT),
+    "klv-check": (SL4, "klv-check/SL4.txt", BASE | {"cartan", "parameters", "klv_poset"}),
+    "lift": (SL4, "lift/SL4.txt", BASE | {"cartan", "parameters", "klv_poset", "lifting"}),
+    "verify": (SL4, "verify/SL4.txt", COHERENT | {"klv_poset", "lifting"}),
+}
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with warnings as errors and this package first
+    on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_ROOT)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_requests_cover_every_verb():
+    from cayley_lift.cli import _DISPATCH
+    assert set(REQUESTS) == set(_DISPATCH)
+
+
+@pytest.mark.parametrize("verb", sorted(REQUESTS))
+def test_each_verb_runs_only_the_modules_it_calls(verb):
+    args, golden, modules = REQUESTS[verb]
+    done = _python("-c", REPORTER + RUN_CLI, verb, *args, "--no-header")
+    assert (done.returncode, done.stderr) == (0, "ran: %s\n" % " ".join(sorted(modules)))
+    assert done.stdout == (GOLDEN / golden).read_text()
+
+
+def test_importing_the_cli_runs_only_the_root_system():
+    done = _python("-c", REPORTER + "import cayley_lift.cli\n")
+    assert (done.returncode, done.stderr) == (0, "ran: cli root_system\n")
+
+
+def test_importing_the_package_runs_no_submodule():
+    done = _python("-c", REPORTER + "import cayley_lift\n")
+    assert (done.returncode, done.stderr) == (0, "ran: \n")
+
+
+def test_python_m_emits_no_warning():
+    done = _python("-m", "cayley_lift.cli", "roots", *SL4, "--no-header")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (GOLDEN / "roots/SL4.txt").read_text()
