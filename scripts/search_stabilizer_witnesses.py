@@ -46,8 +46,8 @@ def search_class(witness_id, family, signature, deadline=600.0):
     st = C.stabilizer(p)
     theta = P.theta_perm(p)
     core = st.complex_core
-    gens = [tables.reflections[tables.root_index(a) - 1] for a in core.simple]
-    ambient_words = [canonical_reflection_word(a, system) for a in core.simple]
+    gens = [tables.reflections[k] for k in core.simple_index]
+    ambient_words = [canonical_reflection_word(k + 1, system) for k in core.simple_index]
 
     ident = tables.identity
     seen = {ident}

@@ -25,12 +25,12 @@ from .root_system import (
     _dual_basis,
     _scaled_coefficients,
     add,
-    basis_vector,
     build_root_system,
+    idot,
+    is_half_integral,
     mat_apply,
     neg,
-    pairing,
-    sub,
+    pair_root,
     zero,
     ScopeError,
 )
@@ -73,11 +73,6 @@ class Involution:
             tuple(Q(1 if c > 0 else -1) if abs(c) == j + 1 else Q(0) for j in range(self.dim))
             for c in self.coords
         )
-
-
-def _plane_roots(i: int, j: int, dim: int) -> Tuple[Vector, Vector]:
-    ei, ej = basis_vector(i, dim), basis_vector(j, dim)
-    return sub(ei, ej), add(ei, ej)
 
 
 def involution_from_pairs(
@@ -240,12 +235,12 @@ def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[in
     corank of the combined eigenlattice bases modulo 2.
     """
     n = system.rank
-    rows, div = _dual_basis(system.simple_roots)
+    rows, div = _dual_basis(system.doubled_simple)
     sigma_cols: List[List[int]] = []
-    for a in system.simple_roots:
-        image = neg(theta.apply(a))
+    for a in system.doubled_simple:
+        image = tuple([-x for x in theta.apply(a)])
         col = _scaled_coefficients(rows, image)
-        if not system.is_root(image) or any(c % div for c in col):
+        if image not in system.index or any(c % div for c in col):
             raise InvariantError("sigma does not preserve the root lattice")
         sigma_cols.append([c // div for c in col])
     t = [[sigma_cols[j][i] for j in range(n)] for i in range(n)]
@@ -467,7 +462,7 @@ def classify_pairs(family: str, rank: int, pairs: Sequence[Tuple[int, int]],
         t = sum(1 for s in single if s < 0) % 2 if chirality_defined else 0
         return CartanClass("D", n, (a_count, b_count, t))
     if family in ("E6", "E7", "E8"):
-        system = build_root_system(family)
+        system = build_root_system(family, None)
         theta = involution_from_pairs(system, pairs=pairs, blocks=blocks)
         sig = signature_from_involution(system, theta)
         return CartanClass(family, system.rank, sig)
@@ -480,31 +475,19 @@ class HasseDiagram:
     edges: Tuple[Tuple[int, int], ...]  # (from, to) indices; one Cayley step
 
 
-def _is_half_integral(system: RootSystem, root: Vector) -> bool:
-    return pairing(system.rho_half, root).denominator == 2
-
-
 def _class_moves(c: CartanClass) -> List[CartanClass]:
     """Classes reachable from c by one Cayley transform on its representative."""
     family = c.family
     system = build_root_system(family, c.rank if family in ("A", "D") else None)
     blocks, pairs = class_rep_data(c)
     theta = involution_from_pairs(system, pairs=pairs, blocks=blocks)
-    used = set()
-    for a, b in pairs:
-        used.update((abs(a), abs(b)))
-    for block in blocks:
-        used.update(block)
-    n_slots = system.dim if family != "E6" else 6
-    if family == "E7":
-        n_slots = 8
+    used = {abs(x) for pair in pairs for x in pair} | {x for block in blocks for x in block}
+    n_slots = 6 if family == "E6" else system.dim
     targets: List[CartanClass] = []
     candidates: List[Tuple[int, int]] = []
     for i in range(1, n_slots + 1):
         for j in range(i + 1, n_slots + 1):
-            if (i + j) % 2 == 0:
-                continue
-            if i in used or j in used:
+            if (i + j) % 2 == 0 or i in used or j in used:
                 continue
             candidates.append((i, j))
             if family != "A":
@@ -517,14 +500,10 @@ def _class_moves(c: CartanClass) -> List[CartanClass]:
             if len(signs) == 1:
                 candidates.append((-i, -j) if signs[0] > 0 else (i, j))
     for cand in candidates:
-        i, j = abs(cand[0]), abs(cand[1])
-        minus, plus = _plane_roots(i, j, system.dim)
-        root = minus if cand[0] > 0 else plus
-        if not system.is_root(root):
+        root = pair_root(system.dim, cand)
+        if root not in system.index or not is_half_integral(system, root):
             continue
-        if not _is_half_integral(system, root):
-            continue
-        if theta.apply(root) != neg(root):
+        if theta.apply(root) != tuple([-x for x in root]):
             continue
         new_pairs = tuple(pairs) + (cand,)
         targets.append(classify_pairs(family, c.rank, new_pairs, blocks))
@@ -573,14 +552,11 @@ class FiniteAbelianGroup:
 
 def cartan_matrix(system: RootSystem) -> List[List[int]]:
     out = []
-    for a in system.simple_roots:
-        row = []
-        for b in system.simple_roots:
-            p = pairing(b, a)
-            if p.denominator != 1:
-                raise InvariantError("non-integer Cartan pairing")
-            row.append(int(p))
-        out.append(row)
+    for a in system.doubled_simple:
+        row = [2 * idot(a, b) for b in system.doubled_simple]  # (a, a) times <b, a^vee>
+        if any(x % idot(a, a) for x in row):
+            raise InvariantError("non-integer Cartan pairing")
+        out.append([x // idot(a, a) for x in row])
     return out
 
 

@@ -403,6 +403,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
+    except parameters.TransformError as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

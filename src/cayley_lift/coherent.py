@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .root_system import (
     CertificateError,
@@ -35,13 +34,12 @@ from .root_system import (
     SignedPerm,
     Vector,
     WeylWord,
+    _doubled_sum,
+    _integral_system,
     beta_chain_for_word,
-    build_root_system,
     canonical_reflection_word,
-    dot,
     identity_matrix,
-    integral_system,
-    make_subsystem,
+    idot,
     mat_apply,
     mat_mul,
     neg,
@@ -49,13 +47,12 @@ from .root_system import (
     perm_to_word,
     reflection_matrix,
     root_permutation,
-    scale,
+    subsystem,
     weyl_tables,
     word_matrix,
-    zero,
 )
 from .cartan import COMPLEX, IMAGINARY, REAL
-from .parameters import PairSetParameter, theta as parameter_theta, theta_perm
+from .parameters import PairSetParameter, _ambient_system, theta as parameter_theta, theta_perm
 from . import witness_data
 
 
@@ -70,9 +67,7 @@ class ChainCertificate:
 
 
 def _ambient(p: PairSetParameter) -> RootSystem:
-    if p.family in ("E6", "E7", "E8"):
-        return build_root_system(p.family)
-    return build_root_system(p.family, p.rank)
+    return _ambient_system(p.family, p.rank)
 
 
 def chain_types(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
@@ -112,41 +107,36 @@ class StabilizerDescription:
     real: RootSubsystem                # real integral roots
     imaginary: RootSubsystem           # imaginary integral roots
     complex_core: RootSubsystem        # integral roots orthogonal to both rho_r, rho_i
-    rho_real: Vector
-    rho_imaginary: Vector
+
+    @property
+    def rho_real(self) -> Vector:
+        return self.real.rho
+
+    @property
+    def rho_imaginary(self) -> Vector:
+        return self.imaginary.rho
 
 
 @lru_cache(maxsize=None)
 def stabilizer(p: PairSetParameter) -> StabilizerDescription:
+    """The split of Delta(rho/2) by theta, on positive-root indices: theta
+    fixes the imaginary roots and negates the real ones; the core is
+    orthogonal to both of their half sums (integer dot products)."""
     system = _ambient(p)
     th = theta_perm(p)
-    integral = integral_system(system.rho_half, system)
-    root_index = weyl_tables(system).root_index
-    indexed = [(a, root_index(a)) for a in integral.positive]
-    real_pos = [a for a, k in indexed if th[k - 1] == -k]
-    imag_pos = [a for a, k in indexed if th[k - 1] == k]
-    rho_r = scale(Q(1, 2), _vector_sum(real_pos, system.dim))
-    rho_i = scale(Q(1, 2), _vector_sum(imag_pos, system.dim))
-    core_pos = [
-        a for a in integral.positive
-        if dot(a, rho_r) == 0 and dot(a, rho_i) == 0
-    ]
+    integral = _integral_system(system, system.doubled_rho, 8)
+    real = subsystem(system, (k for k in integral.positive_index if th[k] == -(k + 1)))
+    imaginary = subsystem(system, (k for k in integral.positive_index if th[k] == k + 1))
+    sums = (_doubled_sum(real), _doubled_sum(imaginary))
+    core = (k for k in integral.positive_index
+            if not any(idot(system.doubled_positive[k], s) for s in sums))
     return StabilizerDescription(
         parameter=p,
         integral=integral,
-        real=make_subsystem(real_pos),
-        imaginary=make_subsystem(imag_pos),
-        complex_core=make_subsystem(core_pos),
-        rho_real=rho_r,
-        rho_imaginary=rho_i,
+        real=real,
+        imaginary=imaginary,
+        complex_core=subsystem(system, core),
     )
-
-
-def _vector_sum(vectors: Iterable[Vector], dim: int) -> Vector:
-    out = zero(dim)
-    for v in vectors:
-        out = tuple(a + b for a, b in zip(out, v))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +224,7 @@ def _core_sweep(p: PairSetParameter, st: StabilizerDescription) -> Iterator[Sign
     breadth-first order from the identity (which comes first)."""
     tables = weyl_tables(_ambient(p))
     th = theta_perm(p)
-    gens = [tables.reflections[tables.root_index(a) - 1] for a in st.complex_core.simple]
+    gens = [tables.reflections[k] for k in st.complex_core.simple_index]
     seen = {tables.identity}
     frontier = [tables.identity]
     yield tables.identity
@@ -265,8 +255,8 @@ def _star_sweep(p: PairSetParameter) -> Tuple[Optional[ChainCertificate], int]:
     system = _ambient(p)
     st = stabilizer(p)
     checked = 0
-    for root in st.real.positive + st.imaginary.positive:
-        word = canonical_reflection_word(root, system)
+    for k in st.real.positive_index + st.imaginary.positive_index:
+        word = canonical_reflection_word(k + 1, system)
         cert = chain_types(p, word)
         checked += 1
         if cert.sign != cert.word_sign:
@@ -304,9 +294,8 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
             checked=1,
         )
     st = stabilizer(p)
-    if st.real.positive:
-        system = _ambient(p)
-        word = canonical_reflection_word(st.real.positive[0], system)
+    if st.real.positive_index:
+        word = canonical_reflection_word(st.real.positive_index[0] + 1, _ambient(p))
         cert = chain_types(p, word)
         if cert.sign == cert.word_sign:
             raise InvariantError("real-reflection chain did not violate the sign test")
@@ -416,7 +405,7 @@ def replay_witness(witness_id: str) -> ReplayReport:
 # ---------------------------------------------------------------------------
 
 def _braid_order(system: RootSystem, i: int, j: int) -> int:
-    p = dot(system.simple_roots[i], system.simple_roots[j])
+    p = idot(system.doubled_simple[i], system.doubled_simple[j])
     return 2 if p == 0 else 3  # simply laced
 
 

@@ -20,12 +20,9 @@ from .root_system import (
     RootSystem,
     ScopeError,
     SignedPerm,
-    Vector,
-    add,
-    basis_vector,
     build_root_system,
-    pairing,
-    sub,
+    is_half_integral,
+    pair_root,
     weyl_tables,
 )
 from .cartan import (
@@ -68,7 +65,7 @@ class PairSetParameter:
 
 def _ambient_system(family: str, rank: int) -> RootSystem:
     if family in ("E6", "E7", "E8"):
-        return build_root_system(family)
+        return build_root_system(family, None)  # the key every E caller uses
     return build_root_system(family, rank)
 
 
@@ -87,13 +84,6 @@ def _pair_sort_key(p: Pair) -> Tuple[int, int, int]:
     return (abs(p[0]), abs(p[1]), 0 if p[0] > 0 else 1)
 
 
-def pair_root(system: RootSystem, p: Pair) -> Vector:
-    """Cayley-transform root of a pair: e_i - e_j unsigned, e_i + e_j signed."""
-    i, j = abs(p[0]), abs(p[1])
-    ei, ej = basis_vector(i, system.dim), basis_vector(j, system.dim)
-    return sub(ei, ej) if p[0] > 0 else add(ei, ej)
-
-
 def block_pairs(block: Block) -> Tuple[Pair, ...]:
     odds = sorted(x for x in block if x % 2 == 1)
     evens = sorted(x for x in block if x % 2 == 0)
@@ -103,10 +93,10 @@ def block_pairs(block: Block) -> Tuple[Pair, ...]:
 
 
 def _check_transform_root(system: RootSystem, p: Pair) -> None:
-    root = pair_root(system, p)
-    if not system.is_root(root):
+    root = pair_root(system.dim, p)
+    if root not in system.index:
         raise TransformError("no root for pair %r in %s" % (p, system.family))
-    if pairing(system.rho_half, root).denominator != 2:
+    if not is_half_integral(system, root):
         raise TransformError("pair %r is not a half-integral transform" % (p,))
 
 
@@ -146,13 +136,16 @@ def make_parameter(
         for x in (abs(p[0]), abs(p[1])):
             if x in used:
                 raise TransformError("slot %d reused" % x)
+    by_slot: Dict[int, List[Pair]] = {}  # slot -> the pairs using it, in order
     for p in norm_pairs:
-        i, j = abs(p[0]), abs(p[1])
-        for other in norm_pairs:
-            if other == p or (abs(other[0]), abs(other[1])) == (i, j):
-                continue
-            if {i, j} & {abs(other[0]), abs(other[1])}:
-                raise TransformError("slot shared between pairs %r and %r" % (p, other))
+        by_slot.setdefault(abs(p[0]), []).append(p)
+        by_slot.setdefault(abs(p[1]), []).append(p)
+    for p in norm_pairs:
+        plane = (abs(p[0]), abs(p[1]))
+        clash = [q for x in plane for q in by_slot[x] if (abs(q[0]), abs(q[1])) != plane]
+        if clash:
+            other = min(clash, key=_pair_sort_key)
+            raise TransformError("slot shared between pairs %r and %r" % (p, other))
     return PairSetParameter(
         family=family,
         rank=system.rank,
@@ -231,7 +224,7 @@ def length(p: PairSetParameter) -> Q:
 
 def split_length(family: str, rank: Optional[int] = None) -> Q:
     system = _ambient_system(family, rank or 0)
-    return Q(len(system.positive_roots) + system.rank, 2)
+    return Q(len(system.doubled_positive) + system.rank, 2)
 
 
 def contains(p1: PairSetParameter, p2: PairSetParameter) -> bool:

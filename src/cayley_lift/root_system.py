@@ -1,10 +1,15 @@
-"""Simply-laced root systems in exact rational coordinates.
+"""Simply-laced root systems in doubled integer coordinates.
 
 Families: A (ambient n coordinates, roots e_i - e_j), D (roots +-e_i +- e_j),
-and E6/E7/E8 realized inside an 8-dimensional ambient space.  Vectors hold
-fractions.Fraction entries; the Weyl group tables and simple-root
-coefficients are computed in doubled integer coordinates.  There is no
-floating point anywhere in this package.
+and E6/E7/E8 realized inside an 8-dimensional ambient space.  The core holds
+every vector doubled, 2v as a tuple of ints, so that the half-integer E8
+roots are integral: construction, the integral subsystems at rho/2, the Weyl
+group tables and the reflection words are integer arithmetic.  Doubling
+keeps the lexicographic order, so the positive roots and every signed index
+are those of the rational vectors.  fractions.Fraction appears only at the
+edge: the vector views (simple_roots, positive_roots, rho, rho_half and the
+roots of subsystems and chains) are built on first use for input, output
+and the public API.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -12,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from operator import mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Vector = Tuple[Q, ...]
 Matrix = Tuple[Vector, ...]
+Doubled = Tuple[int, ...]  # 2v for a vector v of (1/2)Z^n
 WeylWord = Tuple[int, ...]  # 0-based indices into a system's simple roots
-
-FAMILIES = ("A", "D", "E6", "E7", "E8")
 
 # Desk-scale caps: ambient coordinates for A (SL(n)), rank n for D.
 MAX_A_AMBIENT = 10
@@ -50,6 +55,11 @@ def dot(x: Vector, y: Vector) -> Q:
     if len(x) != len(y):
         raise ValueError("dimension mismatch: %d vs %d" % (len(x), len(y)))
     return sum((a * b for a, b in zip(x, y)), Q(0))
+
+
+def idot(x: Sequence[int], y: Sequence[int]) -> int:
+    """Integer dot product; on doubled vectors it is 4 times the inner product."""
+    return sum(map(mul, x, y))
 
 
 def add(x: Vector, y: Vector) -> Vector:
@@ -90,6 +100,28 @@ def reflect(alpha: Vector, v: Vector) -> Vector:
     return sub(v, scale(pairing(v, alpha), alpha))
 
 
+def pair_root(dim: int, pair: Tuple[int, int]) -> Doubled:
+    """Doubled Cayley-transform root of a pair of 1-based slots:
+    2(e_i - e_j) for (i, j), 2(e_i + e_j) for (-i, -j)."""
+    out = [0] * dim
+    out[abs(pair[0]) - 1] = 2
+    out[abs(pair[1]) - 1] = -2 if pair[0] > 0 else 2
+    return tuple(out)
+
+
+_fraction = lru_cache(maxsize=None)(Q)  # views share one Fraction per value
+
+
+def _view(d: Doubled, den: int = 2) -> Vector:
+    """The rational vector d / den."""
+    return tuple([_fraction(x, den) for x in d])
+
+
+def _doubled(v: Vector) -> Tuple:
+    """2v; the entries equal (and hash like) ints for v in (1/2)Z^n."""
+    return tuple([2 * x for x in v])
+
+
 # ---------------------------------------------------------------------------
 # Matrices (dense, exact), for reflections and words.  Involutions are
 # signed permutations of the coordinates (cartan.Involution).
@@ -121,35 +153,61 @@ def reflection_matrix(alpha: Vector) -> Matrix:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A root system with the fixed simple system used throughout."""
+    """A root system with the fixed simple system used throughout, stored
+    in doubled integer coordinates; the Fraction vectors are views."""
 
     family: str
-    rank: int            # Lie rank
-    dim: int             # ambient coordinates
-    simple_roots: Tuple[Vector, ...]
-    positive_roots: Tuple[Vector, ...]
-    rho: Vector
+    rank: int                               # Lie rank
+    dim: int                                # ambient coordinates
+    doubled_simple: Tuple[Doubled, ...]     # 2 * simple root i
+    doubled_positive: Tuple[Doubled, ...]   # 2 * positive root k, ascending
+    doubled_rho: Doubled                    # 2 * rho, the sum of the positive roots
 
-    @property
-    def roots(self) -> Tuple[Vector, ...]:
-        return _all_roots(self)
+    @cached_property
+    def index(self) -> Dict[Doubled, int]:
+        """Signed index of each root, doubled: 2v -> +-(k+1) for +-(positive root k)."""
+        out: Dict[Doubled, int] = {}
+        for k, d in enumerate(self.doubled_positive):
+            out[d] = k + 1
+            out[tuple([-x for x in d])] = -(k + 1)
+        return out
 
-    @property
+    @cached_property
+    def simple_roots(self) -> Tuple[Vector, ...]:
+        return tuple(_view(d) for d in self.doubled_simple)
+
+    @cached_property
+    def positive_roots(self) -> Tuple[Vector, ...]:
+        return tuple(_view(d) for d in self.doubled_positive)
+
+    @cached_property
+    def rho(self) -> Vector:
+        return _view(self.doubled_rho)
+
+    @cached_property
     def rho_half(self) -> Vector:
-        return scale(Q(1, 2), self.rho)
+        return _view(self.doubled_rho, 4)
+
+    @cached_property
+    def roots(self) -> Tuple[Vector, ...]:
+        return tuple(_view(d) for d in sorted(self.index))
 
     def is_root(self, v: Vector) -> bool:
-        return v in _root_set(self)
+        return _doubled(v) in self.index
 
     def is_positive(self, v: Vector) -> bool:
-        return v in _positive_set(self)
+        return self.index.get(_doubled(v), 0) > 0
 
     def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:
-        """Coordinates of v in the simple-root basis (exact solve)."""
-        coeffs = _coefficient_table(self).get(v)
-        if coeffs is not None:
-            return coeffs
-        return _solve_in_basis(self.simple_roots, v)
+        """Coordinates of v in the simple-root basis; ValueError off the span."""
+        rows, div = _dual_basis(self.doubled_simple)
+        den = lcm(*(Q(x).denominator for x in v))
+        scaled = tuple(int(x * den) for x in v)  # v = scaled / den
+        coeffs = _scaled_coefficients(rows, scaled)  # den * div/2 times the coefficients
+        span = [idot(coeffs, column) for column in zip(*self.doubled_simple)]
+        if span != [div * x for x in scaled]:
+            raise ValueError("vector is not in the span of the basis")
+        return tuple(Q(2 * c, den * div) for c in coeffs)
 
     def height(self, root: Vector) -> Q:
         return sum(self.simple_coefficients(root), Q(0))
@@ -159,92 +217,51 @@ class RootSystem:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.family, self.rank, self.simple_roots, self.positive_roots, self.rho))
+        return hash((self.family, self.rank, self.doubled_simple, self.doubled_positive))
 
 
 @lru_cache(maxsize=None)
-def _root_set(system: RootSystem) -> frozenset:
-    return frozenset(_all_roots(system))
-
-
-@lru_cache(maxsize=None)
-def _positive_set(system: RootSystem) -> frozenset:
-    return frozenset(system.positive_roots)
-
-
-@lru_cache(maxsize=None)
-def _all_roots(system: RootSystem) -> Tuple[Vector, ...]:
-    return tuple(sorted(system.positive_roots + tuple(neg(a) for a in system.positive_roots)))
-
-
-@lru_cache(maxsize=None)
-def _coefficient_table(system: RootSystem) -> Dict[Vector, Tuple[Q, ...]]:
-    rows, div = _dual_basis(system.simple_roots)
-    return {v: tuple(Q(c, div) for c in _scaled_coefficients(rows, v)) for v in _all_roots(system)}
-
-
-@lru_cache(maxsize=None)
-def _dual_basis(simples: Tuple[Vector, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+def _dual_basis(simples: Tuple[Doubled, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
     """Rows d*omega_i, integer for the least d, and the divisor 2d, where
     omega_i = sum_k (C^-1)_ik alpha_k (C: the Gram = Cartan matrix) pairs to
     delta_ij with alpha_j: v in the span has coefficients (2v . d*omega_i) / 2d.
+    C^-1 comes from fraction-free Gauss-Jordan elimination on [C | I].
     """
     r = len(simples)
-    gram = [tuple(dot(a, b) for b in simples) for a in simples]  # symmetric
-    columns = tuple(zip(*simples))
-    omegas = [mat_apply(columns, _solve_in_basis(gram, basis_vector(i + 1, r))) for i in range(r)]
-    d = lcm(*(x.denominator for omega in omegas for x in omega))
-    return tuple(tuple(int(d * x) for x in omega) for omega in omegas), 2 * d
+    aug = [[idot(a, b) // 4 for b in simples] + [int(i == j) for j in range(r)]
+           for i, a in enumerate(simples)]
+    for c in range(r):
+        piv = next(i for i in range(c, r) if aug[i][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        for i in range(r):
+            if i != c and aug[i][c]:
+                f, p = aug[i][c], aug[c][c]
+                aug[i] = [p * x - f * y for x, y in zip(aug[i], aug[c])]
+    # Row i reads aug[i][i] * (C^-1)_i, so omega_i = w_i / (2 aug[i][i]).
+    ws = [[idot(aug[i][r:], column) for column in zip(*simples)] for i in range(r)]
+    dens = [2 * aug[i][i] for i in range(r)]
+    d = lcm(*(abs(den) // gcd(den, *w) for w, den in zip(ws, dens)))
+    return tuple(tuple(d * x // den for x in w) for w, den in zip(ws, dens)), 2 * d
 
 
-def _scaled_coefficients(rows: Sequence[Tuple[int, ...]], v: Vector) -> Tuple[int, ...]:
-    """2d times the simple-root coefficients of v, for (rows, 2d) = _dual_basis."""
-    doubled = tuple(int(2 * x) for x in v)  # integers for v in (1/2)Z^n
-    return tuple(sum(x * y for x, y in zip(row, doubled)) for row in rows)
+def _scaled_coefficients(rows: Sequence[Tuple[int, ...]], doubled: Sequence[int]) -> Tuple[int, ...]:
+    """2d times the simple-root coefficients of v = doubled/2, for (rows, 2d) = _dual_basis."""
+    return tuple(idot(row, doubled) for row in rows)
 
 
-def _solve_in_basis(basis: Sequence[Vector], v: Vector) -> Tuple[Q, ...]:
-    """Solve sum_j c_j basis[j] = v exactly (consistent, possibly overdetermined)."""
-    dim = len(v)
-    k = len(basis)
-    rows = [[basis[j][i] for j in range(k)] + [v[i]] for i in range(dim)]
-    pivot_cols: List[int] = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, dim) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, dim):
-        if rows[i][k] != 0:
-            raise ValueError("vector is not in the span of the basis")
-    sol = [Q(0)] * k
-    for i, c in enumerate(pivot_cols):
-        sol[c] = rows[i][k]
-    return tuple(sol)
-
-
-def _e8_roots() -> List[Vector]:
-    roots: List[Vector] = []
+def _e8_roots() -> List[Doubled]:
+    roots: List[Doubled] = []
     for i in range(8):
         for j in range(i + 1, 8):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Q(0)] * 8
-                    v[i] = Q(si)
-                    v[j] = Q(sj)
+            for si in (2, -2):
+                for sj in (2, -2):
+                    v = [0] * 8
+                    v[i] = si
+                    v[j] = sj
                     roots.append(tuple(v))
     for signs in range(256):
-        v = tuple(Q(1, 2) if (signs >> k) & 1 == 0 else Q(-1, 2) for k in range(8))
-        if sum(1 for x in v if x < 0) % 2 == 0:
+        v = tuple(-1 if (signs >> k) & 1 else 1 for k in range(8))
+        if v.count(-1) % 2 == 0:
             roots.append(v)
     return roots
 
@@ -258,28 +275,13 @@ def beta_root(minus_positions: Iterable[int]) -> Vector:
     return v
 
 
-_E_SIMPLES: Dict[str, Tuple[Vector, ...]] = {}
+def _e_simple_roots(family: str) -> Tuple[Doubled, ...]:
+    """Doubled: 2 * beta_root((2, ..., 7)), 2(e_1 + e_2), then 2(e_{i+1} - e_i)."""
+    chain = tuple(pair_root(8, (i + 1, i)) for i in range(1, int(family[1]) - 1))
+    return ((1, -1, -1, -1, -1, -1, -1, 1), pair_root(8, (-1, -2))) + chain
 
 
-def _e_simple_roots(family: str) -> Tuple[Vector, ...]:
-    if not _E_SIMPLES:
-        a1 = beta_root((2, 3, 4, 5, 6, 7))
-        a2 = vec(1, 1, 0, 0, 0, 0, 0, 0)
-        chain = [
-            vec(-1, 1, 0, 0, 0, 0, 0, 0),
-            vec(0, -1, 1, 0, 0, 0, 0, 0),
-            vec(0, 0, -1, 1, 0, 0, 0, 0),
-            vec(0, 0, 0, -1, 1, 0, 0, 0),
-            vec(0, 0, 0, 0, -1, 1, 0, 0),
-            vec(0, 0, 0, 0, 0, -1, 1, 0),
-        ]
-        _E_SIMPLES["E6"] = (a1, a2) + tuple(chain[:4])
-        _E_SIMPLES["E7"] = (a1, a2) + tuple(chain[:5])
-        _E_SIMPLES["E8"] = (a1, a2) + tuple(chain[:6])
-    return _E_SIMPLES[family]
-
-
-def _in_e_subspace(family: str, v: Vector) -> bool:
+def _in_e_subspace(family: str, v: Doubled) -> bool:
     if family == "E8":
         return True
     if family == "E7":
@@ -300,101 +302,125 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
         n = rank + 1
         if n > MAX_A_AMBIENT:
             raise ScopeError("family A supported up to SL(%d)" % MAX_A_AMBIENT)
-        simples = tuple(
-            sub(basis_vector(i, n), basis_vector(i + 1, n)) for i in range(1, n)
-        )
-        positives = tuple(
-            sorted(
-                sub(basis_vector(i, n), basis_vector(j, n))
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-            )
-        )
+        simples = tuple(pair_root(n, (i, i + 1)) for i in range(1, n))
+        positives = tuple(sorted(
+            pair_root(n, (i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        ))
     elif family == "D":
         if rank is None or rank < 3:
             raise ScopeError("family D needs a rank >= 3")
         n = rank
         if n > MAX_D_RANK:
             raise ScopeError("family D supported up to rank %d" % MAX_D_RANK)
-        simples = tuple(
-            sub(basis_vector(i, n), basis_vector(i + 1, n)) for i in range(1, n)
-        ) + (add(basis_vector(n - 1, n), basis_vector(n, n)),)
-        pos: List[Vector] = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                pos.append(sub(basis_vector(i, n), basis_vector(j, n)))
-                pos.append(add(basis_vector(i, n), basis_vector(j, n)))
-        positives = tuple(sorted(pos))
+        simples = tuple(pair_root(n, (i, i + 1)) for i in range(1, n)) + (pair_root(n, (1 - n, -n)),)
+        positives = tuple(sorted(
+            pair_root(n, (s * i, s * j))
+            for i in range(1, n + 1) for j in range(i + 1, n + 1) for s in (1, -1)
+        ))
     elif family in ("E6", "E7", "E8"):
         if rank is not None and rank != int(family[1]):
             raise ScopeError("rank of %s is fixed" % family)
         simples = _e_simple_roots(family)
-        rows, _ = _dual_basis(simples)
+        height = [sum(column) for column in zip(*_dual_basis(simples)[0])]  # d * rho, as rows
         members = [v for v in _e8_roots() if _in_e_subspace(family, v)]
-        positives = tuple(sorted(v for v in members if min(_scaled_coefficients(rows, v)) >= 0))
+        positives = tuple(sorted(v for v in members if idot(height, v) > 0))
         expected = {"E6": 36, "E7": 63, "E8": 120}[family]
         if len(positives) != expected or 2 * len(positives) != len(members):
             raise InvariantError("positive system extraction failed for %s" % family)
     else:
         raise ScopeError("unknown family %r" % (family,))
 
-    rho = zero(len(simples[0]))
-    for a in positives:
-        rho = add(rho, a)
-    rho = scale(Q(1, 2), rho)
     return RootSystem(
         family=family,
         rank=len(simples),
         dim=len(simples[0]),
-        simple_roots=simples,
-        positive_roots=positives,
-        rho=rho,
+        doubled_simple=simples,
+        doubled_positive=positives,
+        doubled_rho=tuple(sum(column) // 2 for column in zip(*positives)),  # sum of 2a, halved
     )
 
 
 # ---------------------------------------------------------------------------
 # Integral and half-integral subsystems at a weight
 # ---------------------------------------------------------------------------
+# <rho/2, a^vee> = (2rho . 2a) / 8: a root is integral at rho/2 when that
+# integer dot product is 0 mod 8, half-integral when it is 4 mod 8.
 
 @dataclass(frozen=True)
 class RootSubsystem:
-    """A reflection-closed set of roots with its positive and simple parts."""
+    """A reflection-closed set of roots of a system, held as ascending
+    0-based positive-root indices; the root vectors are views."""
 
-    roots: Tuple[Vector, ...]
-    positive: Tuple[Vector, ...]
-    simple: Tuple[Vector, ...]
+    system: RootSystem
+    positive_index: Tuple[int, ...]
+    simple_index: Tuple[int, ...]
+
+    @cached_property
+    def positive(self) -> Tuple[Vector, ...]:
+        return tuple(self.system.positive_roots[k] for k in self.positive_index)
+
+    @cached_property
+    def simple(self) -> Tuple[Vector, ...]:
+        return tuple(self.system.positive_roots[k] for k in self.simple_index)
+
+    @cached_property
+    def roots(self) -> Tuple[Vector, ...]:
+        return tuple(sorted(self.positive + tuple(neg(a) for a in self.positive)))
+
+    @cached_property
+    def rho(self) -> Vector:
+        """Half the sum of the positive roots."""
+        return _view(_doubled_sum(self), 4)
 
 
-def make_subsystem(positive: Iterable[Vector]) -> RootSubsystem:
-    pos = tuple(sorted(set(positive)))
-    roots = tuple(sorted(pos + tuple(neg(a) for a in pos)))
-    pos_set = set(pos)
-    simple = []
-    for a in pos:
-        decomposable = any(
-            sub(a, b) in pos_set for b in pos if b != a
-        )
-        if not decomposable:
-            simple.append(a)
-    return RootSubsystem(roots=roots, positive=pos, simple=tuple(simple))
+def _doubled_sum(sub: RootSubsystem) -> Doubled:
+    """Sum of the doubled positive roots of sub: 4 times its rho."""
+    doubled = sub.system.doubled_positive
+    return tuple(sum(doubled[k][i] for k in sub.positive_index) for i in range(sub.system.dim))
+
+
+def subsystem(system: RootSystem, positive_index: Iterable[int]) -> RootSubsystem:
+    """The subsystem with the given positive roots (closed under reflections);
+    its simple roots are the positive roots a with no positive b such that
+    a - b is a positive root, found by index lookups of doubled differences."""
+    pos = tuple(sorted(set(positive_index)))
+    doubled, index = system.doubled_positive, system.index
+    members = {k + 1 for k in pos}
+    simple = tuple(a for a in pos if not any(
+        index.get(tuple([x - y for x, y in zip(doubled[a], doubled[b])])) in members
+        for b in pos if b != a
+    ))
+    return RootSubsystem(system=system, positive_index=pos, simple_index=simple)
 
 
 @lru_cache(maxsize=None)
+def _integral_system(system: RootSystem, weight: Tuple[int, ...], modulus: int) -> RootSubsystem:
+    """Roots a with (weight . 2a) = 0 mod modulus."""
+    return subsystem(system, (k for k, d in enumerate(system.doubled_positive)
+                              if idot(weight, d) % modulus == 0))
+
+
 def integral_system(lam: Vector, system: RootSystem) -> RootSubsystem:
-    """Roots with integral pairing against lam, with positives and simples."""
-    pos = [a for a in system.positive_roots if pairing(lam, a).denominator == 1]
-    return make_subsystem(pos)
+    """Roots with integral pairing against lam, with positives and simples.
+
+    At lam = rho/2 this reads the doubled rho; another lam is scaled to
+    integers, den * lam, with <lam, a^vee> = (den * lam . 2a) / 2den.
+    """
+    if lam == system.rho_half:
+        return _integral_system(system, system.doubled_rho, 8)
+    den = lcm(*(Q(x).denominator for x in lam))
+    return _integral_system(system, tuple(int(x * den) for x in lam), 2 * den)
+
+
+def is_half_integral(system: RootSystem, doubled: Doubled) -> bool:
+    """Whether the root doubled/2 pairs to Z + 1/2 against rho/2."""
+    return idot(system.doubled_rho, doubled) % 8 == 4
 
 
 def half_integral_roots(system: RootSystem) -> Tuple[Vector, ...]:
     """Positive roots pairing to Z + 1/2 against rho/2."""
-    lam = system.rho_half
-    out = []
-    for a in system.positive_roots:
-        t = pairing(lam, a)
-        if t.denominator == 2:
-            out.append(a)
-    return tuple(out)
+    return tuple(a for a, d in zip(system.positive_roots, system.doubled_positive)
+                 if is_half_integral(system, d))
 
 
 # ---------------------------------------------------------------------------
@@ -416,49 +442,64 @@ def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
 class WeylTables:
     """Integer tables for the action of W on a system's positive roots."""
 
-    positive: Tuple[Vector, ...]            # positive root k
-    doubled: Tuple[Tuple[int, ...], ...]    # 2 * positive root k, in integers
-    negative: Tuple[Vector, ...]            # its negative
-    index: Dict[Tuple[int, ...], int]       # doubled root 2v -> +-(k+1)
+    system: RootSystem
+    doubled: Tuple[Doubled, ...]            # 2 * positive root k
+    index: Dict[Doubled, int]               # doubled root 2v -> +-(k+1)
     simple: Tuple[int, ...]                 # positive-root index of each simple root
+    height: Tuple[int, ...]                 # height of positive root k
     reflections: Tuple[SignedPerm, ...]     # s_k for each positive root k
     identity: SignedPerm
 
+    @cached_property
+    def negative(self) -> Tuple[Vector, ...]:
+        return tuple(_view(tuple([-x for x in d])) for d in self.doubled)
+
     def root(self, s: int) -> Vector:
         """The root with signed index s."""
-        return self.positive[s - 1] if s > 0 else self.negative[-s - 1]
+        return self.system.positive_roots[s - 1] if s > 0 else self.negative[-s - 1]
 
     def root_index(self, v: Vector) -> int:
         """Signed index of the root v; KeyError if v is not a root."""
-        return self.index[tuple(2 * x for x in v)]
+        return self.index[_doubled(v)]
 
 
 @lru_cache(maxsize=None)
 def weyl_tables(system: RootSystem) -> WeylTables:
-    """The system's WeylTables, built once in doubled integer coordinates."""
-    doubled = [tuple(int(2 * x) for x in a) for a in system.positive_roots]
-    index: Dict[Tuple[int, ...], int] = {}
-    for k, d in enumerate(doubled):
-        index[d] = k + 1
-        index[tuple(-x for x in d)] = -(k + 1)
+    """The system's WeylTables, built once in doubled integer coordinates.
+
+    Only the simple reflections are computed from coordinates; in order of
+    height every other one is a conjugate, s_beta = s_i s_gamma s_i for a
+    simple s_i with gamma = s_i(beta) of smaller height.
+    """
+    doubled, index = system.doubled_positive, system.index
+    height = tuple(idot(system.doubled_rho, d) // 4 for d in doubled)  # (rho, a)
+    simple = tuple(index[a] - 1 for a in system.doubled_simple)
+    reflections: List[Optional[SignedPerm]] = [None] * len(doubled)
+    for k in simple:
+        reflections[k] = _reflection_perm(doubled[k], doubled, index)
+    lowering = [reflections[k] for k in simple]
+    for k in sorted(range(len(doubled)), key=height.__getitem__):
+        if reflections[k] is None:
+            s = next(s for s in lowering if height[s[k] - 1] < height[k])
+            reflections[k] = perm_mul(perm_mul(s, reflections[s[k] - 1]), s)
     return WeylTables(
-        positive=system.positive_roots,
-        doubled=tuple(doubled),
-        negative=tuple(neg(a) for a in system.positive_roots),
+        system=system,
+        doubled=doubled,
         index=index,
-        simple=tuple(index[tuple(int(2 * x) for x in a)] - 1 for a in system.simple_roots),
-        reflections=tuple(_reflection_perm(a, doubled, index) for a in doubled),
+        simple=simple,
+        height=height,
+        reflections=tuple(reflections),
         identity=tuple(range(1, len(doubled) + 1)),
     )
 
 
 def _reflection_perm(a, doubled, index) -> SignedPerm:
     """s_a on the positive roots, all in doubled integer coordinates."""
-    aa = sum(x * x for x in a)
+    aa = idot(a, a)
     out = []
     for d in doubled:
-        c = 2 * sum(x * y for x, y in zip(d, a)) // aa  # <d, a^vee>, an integer
-        out.append(index[tuple(x - c * y for x, y in zip(d, a))])
+        c = 2 * idot(d, a) // aa  # <d, a^vee>, an integer
+        out.append(index[tuple([x - c * y for x, y in zip(d, a)])])
     return tuple(out)
 
 
@@ -470,9 +511,9 @@ def root_permutation(m: Matrix, system: RootSystem) -> SignedPerm:
     tables = weyl_tables(system)
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in m]
     out = []
-    for a in tables.positive:
+    for d in tables.doubled:
         try:
-            out.append(tables.root_index([sum((x * a[j] for j, x in row), Q(0)) for row in rows]))
+            out.append(tables.index[tuple(sum(x * d[j] for j, x in row) for row in rows)])
         except KeyError:
             raise ValueError("matrix does not permute the roots") from None
     return tuple(out)
@@ -542,31 +583,25 @@ def beta_chain_for_word(word: WeylWord, system: RootSystem) -> BetaChain:
     )
 
 
-def canonical_reflection_word(alpha: Vector, system: RootSystem) -> WeylWord:
-    """Deterministic palindromic word for the reflection s_alpha.
+def canonical_reflection_word(alpha: Union[Vector, int], system: RootSystem) -> WeylWord:
+    """Deterministic palindromic word for the reflection s_alpha; alpha is a
+    root or its signed index (see WeylTables).
 
     Repeatedly conjugates by the smallest-index simple reflection that strictly
     lowers the height of the conjugated (positive) root.
     """
-    if not system.is_root(alpha):
+    tables = weyl_tables(system)
+    s = alpha if isinstance(alpha, int) else tables.index.get(_doubled(alpha), 0)
+    if not 0 < abs(s) <= len(tables.doubled):
         raise ValueError("not a root: %r" % (alpha,))
-    cur = alpha if system.is_positive(alpha) else neg(alpha)
+    k = abs(s) - 1
+    height, reflections = tables.height, tables.reflections
     prefix: List[int] = []
-    while True:
-        coeffs = system.simple_coefficients(cur)
-        if sum(1 for c in coeffs if c != 0) == 1 and sum(coeffs, Q(0)) == 1:
-            core = next(i for i, c in enumerate(coeffs) if c != 0)
-            break
-        h = system.height(cur)
-        for i, a in enumerate(system.simple_roots):
-            cand = reflect(a, cur)
-            if system.height(cand) < h:
-                prefix.append(i)
-                cur = cand
-                break
-        else:
-            raise InvariantError("height descent failed; not a positive root?")
-    return tuple(prefix) + (core,) + tuple(reversed(prefix))
+    while height[k] > 1:
+        i = next(i for i, s in enumerate(tables.simple) if height[reflections[s][k] - 1] < height[k])
+        prefix.append(i)
+        k = reflections[tables.simple[i]][k] - 1
+    return tuple(prefix) + (tables.simple.index(k),) + tuple(reversed(prefix))
 
 
 def decompose_to_chain(

@@ -1,49 +1,146 @@
 """Slow exact-Fraction reference for the integer code in cayley_lift.
 
 These are the original implementations, on exact Fraction vectors and
-matrices, of the chain loop, the descent that turns a matrix into a reduced
-word, the breadth-first sweep of the core Weyl group, the positive roots
-and simple-root coefficients (one Gaussian solve per root), the Cartan
-involution theta (-Id times a product of dense reflection matrices), its
-torus signature (one Gaussian solve per simple root), the stabilizer data
-(theta applied as a dense matrix to every integral root) and the length.
-The library now does the first three on signed permutations of the
-positive roots, builds theta as a signed permutation of the coordinates,
-and does the rest with one integer dual basis per system and theta's
-signed permutation; tests compare the two.
+matrices, of the root-system build (the E positive roots picked by one
+Gaussian solve per root), the simple-root coefficients, the integral and
+half-integral roots at rho/2 (by pairing), the subsystems and their simple
+roots (by vector differences), the canonical reflection word (descent on
+vectors), the chain loop, the descent that turns a matrix into a reduced
+word, the breadth-first sweep of the core Weyl group, the Cartan involution
+theta (-Id times a product of dense reflection matrices), its torus
+signature (one Gaussian solve per simple root), the stabilizer data (theta
+applied as a dense matrix to every integral root) and the length.  The
+library does all of this in doubled integer coordinates, on signed
+permutations of the positive roots and with one integer dual basis per
+system; tests compare the two.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Q
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from cayley_lift.cartan import gf2_rank, integer_kernel_basis, root_type
-from cayley_lift.coherent import StabilizerDescription
 from cayley_lift.parameters import PairSetParameter
 from cayley_lift.root_system import (
     Matrix,
     RootSystem,
     Vector,
     WeylWord,
-    _e8_roots,
-    _in_e_subspace,
-    _solve_in_basis,
     add,
     basis_vector,
+    beta_root,
     build_root_system,
     dot,
     identity_matrix,
-    integral_system,
-    make_subsystem,
     mat_apply,
     mat_mul,
     neg,
+    pairing,
+    reflect,
     reflection_matrix,
     scale,
     sub,
+    vec,
     zero,
 )
+
+Subsystem = namedtuple("Subsystem", "roots positive simple")
+Stabilizer = namedtuple(
+    "Stabilizer", "integral real imaginary complex_core rho_real rho_imaginary"
+)
+
+
+def _solve_in_basis(basis: Sequence[Vector], v: Vector) -> Tuple[Q, ...]:
+    """Solve sum_j c_j basis[j] = v exactly (consistent, possibly overdetermined)."""
+    dim = len(v)
+    k = len(basis)
+    rows = [[basis[j][i] for j in range(k)] + [v[i]] for i in range(dim)]
+    pivot_cols: List[int] = []
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, dim) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(dim):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    for i in range(r, dim):
+        if rows[i][k] != 0:
+            raise ValueError("vector is not in the span of the basis")
+    sol = [Q(0)] * k
+    for i, c in enumerate(pivot_cols):
+        sol[c] = rows[i][k]
+    return tuple(sol)
+
+
+def _e8_roots() -> List[Vector]:
+    roots: List[Vector] = []
+    for i in range(8):
+        for j in range(i + 1, 8):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    v = [Q(0)] * 8
+                    v[i] = Q(si)
+                    v[j] = Q(sj)
+                    roots.append(tuple(v))
+    for signs in range(256):
+        v = tuple(Q(1, 2) if (signs >> k) & 1 == 0 else Q(-1, 2) for k in range(8))
+        if sum(1 for x in v if x < 0) % 2 == 0:
+            roots.append(v)
+    return roots
+
+
+def _in_e_subspace(family: str, v: Vector) -> bool:
+    if family == "E8":
+        return True
+    if family == "E7":
+        return v[6] + v[7] == 0
+    return v[5] == v[6] == -v[7]
+
+
+def _e_simple_roots(family: str) -> Tuple[Vector, ...]:
+    chain = [
+        vec(-1, 1, 0, 0, 0, 0, 0, 0),
+        vec(0, -1, 1, 0, 0, 0, 0, 0),
+        vec(0, 0, -1, 1, 0, 0, 0, 0),
+        vec(0, 0, 0, -1, 1, 0, 0, 0),
+        vec(0, 0, 0, 0, -1, 1, 0, 0),
+        vec(0, 0, 0, 0, 0, -1, 1, 0),
+    ]
+    head = (beta_root((2, 3, 4, 5, 6, 7)), vec(1, 1, 0, 0, 0, 0, 0, 0))
+    return head + tuple(chain[: int(family[1]) - 2])
+
+
+def build(family: str, rank: Optional[int] = None) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...], Vector]:
+    """(simple roots, sorted positive roots, rho) as Fraction vectors."""
+    if family in ("A", "D"):
+        n = rank + 1 if family == "A" else rank
+        e = [basis_vector(i, n) for i in range(1, n + 1)]
+        simples = tuple(sub(e[i], e[i + 1]) for i in range(n - 1))
+        pos = [sub(e[i], e[j]) for i in range(n) for j in range(i + 1, n)]
+        if family == "D":
+            simples += (add(e[n - 2], e[n - 1]),)
+            pos += [add(e[i], e[j]) for i in range(n) for j in range(i + 1, n)]
+        positives = tuple(sorted(pos))
+    else:
+        simples = _e_simple_roots(family)
+        members = [v for v in _e8_roots() if _in_e_subspace(family, v)]
+        positives = tuple(sorted(
+            v for v in members if min(_solve_in_basis(simples, v)) >= 0
+        ))
+    rho = zero(len(simples[0]))
+    for a in positives:
+        rho = add(rho, a)
+    return simples, positives, scale(Q(1, 2), rho)
 
 
 def all_roots(system: RootSystem) -> List[Vector]:
@@ -62,16 +159,51 @@ def all_roots(system: RootSystem) -> List[Vector]:
     return [v for v in _e8_roots() if _in_e_subspace(system.family, v)]
 
 
-def positive_roots(system: RootSystem) -> Tuple[Vector, ...]:
-    """The roots whose simple coefficients, one exact solve each, are all >= 0."""
-    return tuple(sorted(
-        v for v in all_roots(system) if min(_solve_in_basis(system.simple_roots, v)) >= 0
-    ))
-
-
+@lru_cache(maxsize=None)
 def coefficient_table(system: RootSystem) -> Dict[Vector, Tuple[Q, ...]]:
     """Simple-root coefficients of every root, one exact solve each."""
-    return {root: _solve_in_basis(system.simple_roots, root) for root in system.roots}
+    return {root: _solve_in_basis(system.simple_roots, root) for root in all_roots(system)}
+
+
+def make_subsystem(positive: Iterable[Vector]) -> Subsystem:
+    """Positive roots sorted; simple roots are those that are not a member
+    plus another member."""
+    pos = tuple(sorted(set(positive)))
+    roots = tuple(sorted(pos + tuple(neg(a) for a in pos)))
+    pos_set = set(pos)
+    simple = tuple(a for a in pos if not any(sub(a, b) in pos_set for b in pos if b != a))
+    return Subsystem(roots=roots, positive=pos, simple=simple)
+
+
+@lru_cache(maxsize=None)
+def integral_system(lam: Vector, system: RootSystem) -> Subsystem:
+    """Roots with integral pairing against lam."""
+    return make_subsystem(a for a in system.positive_roots if pairing(lam, a).denominator == 1)
+
+
+def half_integral_roots(system: RootSystem) -> Tuple[Vector, ...]:
+    """Positive roots pairing to Z + 1/2 against rho/2."""
+    return tuple(a for a in system.positive_roots if pairing(system.rho_half, a).denominator == 2)
+
+
+def canonical_reflection_word(alpha: Vector, system: RootSystem) -> WeylWord:
+    """Conjugate by the smallest-index simple reflection that lowers the
+    height of the (positive) root until it is simple."""
+    table = coefficient_table(system)
+    cur = alpha if min(table[alpha]) >= 0 else neg(alpha)
+    prefix: List[int] = []
+    while sum(table[cur]) != 1:
+        h = sum(table[cur])
+        for i, a in enumerate(system.simple_roots):
+            cand = reflect(a, cur)
+            if sum(table[cand]) < h:
+                prefix.append(i)
+                cur = cand
+                break
+        else:
+            raise ValueError("height descent failed")
+    core = system.simple_roots.index(cur)
+    return tuple(prefix) + (core,) + tuple(reversed(prefix))
 
 
 def _system(p: PairSetParameter) -> RootSystem:
@@ -126,7 +258,7 @@ def signature(system: RootSystem, th: Matrix) -> Tuple[int, int, int]:
     return (len(k_minus) - m, m, len(k_plus) - m)
 
 
-def stabilizer(p: PairSetParameter) -> StabilizerDescription:
+def stabilizer(p: PairSetParameter) -> Stabilizer:
     """Real and imaginary integral roots by applying theta's matrix."""
     system = _system(p)
     th = theta(p)
@@ -140,8 +272,7 @@ def stabilizer(p: PairSetParameter) -> StabilizerDescription:
         a for a in integral.positive
         if dot(a, rho_r) == 0 and dot(a, rho_i) == 0
     ]
-    return StabilizerDescription(
-        parameter=p,
+    return Stabilizer(
         integral=integral,
         real=make_subsystem(real_pos),
         imaginary=make_subsystem(imag_pos),

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cayley_lift import cartan
+from cayley_lift import cartan, cli, parameters
 from cayley_lift.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -103,6 +103,23 @@ def test_internal_error_is_exit_code_4_without_traceback(capsys, monkeypatch):
     assert captured.err == (
         "internal error: computed E6 Cayley diagram differs from the fixed one\n"
     )
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (parameters.TransformError("pair (1, 3) is not a half-integral transform"), EXIT_USAGE,
+     "usage error: pair (1, 3) is not a half-integral transform\n"),
+    (ValueError("matrix does not permute the roots"), EXIT_INTERNAL,
+     "internal error: matrix does not permute the roots\n"),
+])
+def test_value_errors_map_to_exit_codes_without_traceback(capsys, monkeypatch, error, code, line):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli._DISPATCH, "roots", fail)
+    assert main(["roots", "--family", "E6"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
 
 
 def test_help_exits_cleanly(capsys):

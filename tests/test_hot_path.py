@@ -1,21 +1,33 @@
-"""Dense Fraction matrices stay off the count, lift and tower paths.
+"""Dense Fraction matrices stay off the count, lift and tower paths, and
+Fraction arithmetic stays out of the integer root-system core.
 
 Every Cartan involution is a signed permutation of the coordinates, so
 count_small, lift_trivial and the tower check must never multiply a matrix
-or build a reflection matrix.  Calls are counted through monkeypatch on
-cold caches, not by timing.
+or build a reflection matrix.  The Weyl tables, the integral system at
+rho/2, the stabilizer and the canonical reflection words work in doubled
+integer coordinates, so they must make no call into the fractions module.
+Calls are counted (through monkeypatch and sys.setprofile) on cold caches,
+not by timing.
 """
 
 from __future__ import annotations
 
+import fractions
 import sys
 
 import pytest
 
 from cayley_lift import root_system
-from cayley_lift.coherent import count_small
+from cayley_lift.coherent import count_small, stabilizer
 from cayley_lift.klv_poset import tower_poset, verify_inversion
 from cayley_lift.lifting import lift_trivial
+from cayley_lift.parameters import orbit_representatives
+from cayley_lift.root_system import (
+    build_root_system,
+    canonical_reflection_word,
+    integral_system,
+    weyl_tables,
+)
 
 WATCHED = ("mat_mul", "reflection_matrix")
 
@@ -25,15 +37,19 @@ def _package_modules():
             if m is not None and (name == "cayley_lift" or name.startswith("cayley_lift."))]
 
 
+def _clear_caches():
+    for module in _package_modules():
+        for value in list(vars(module).values()):
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
 @pytest.fixture
 def matrix_calls(monkeypatch):
     """Clear every package lru_cache, then count calls to WATCHED in every
     package namespace that binds them."""
     modules = _package_modules()
-    for module in modules:
-        for value in list(vars(module).values()):
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    _clear_caches()
     calls = {name: 0 for name in WATCHED}
     for name in WATCHED:
         original = getattr(root_system, name)
@@ -63,3 +79,36 @@ HOT_PATHS = {
 def test_no_dense_matrices_on_hot_paths(matrix_calls, label):
     HOT_PATHS[label]()
     assert matrix_calls == {"mat_mul": 0, "reflection_matrix": 0}
+
+
+def _fraction_calls(function, *args):
+    """Number of calls into the fractions module made by function(*args)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("family, rank", [("A", 6), ("D", 5), ("E6", None), ("E8", None)])
+def test_integer_core_makes_no_fraction_calls(family, rank):
+    reps = [p for _, p in orbit_representatives(family, rank)]
+    _clear_caches()
+    system = build_root_system(family, rank)
+    lam = system.rho_half
+    calls = {
+        "weyl_tables": _fraction_calls(weyl_tables, system),
+        "integral_system": _fraction_calls(integral_system, lam, system),
+        "stabilizer": sum(_fraction_calls(stabilizer, p) for p in reps),
+    }
+    assert calls == dict.fromkeys(calls, 0)
+    signed_indices = range(1, len(weyl_tables(system).doubled) + 1)
+    assert sum(_fraction_calls(canonical_reflection_word, s, system) for s in signed_indices) == 0

@@ -70,6 +70,30 @@ def test_validation_errors():
     assert make_parameter("E7", 7, pairs=((7, 8),)).render() == "gamma({7,8})"
 
 
+# Messages of the pair-overlap check, pinned: the earliest pair (in
+# normalized order) that shares a slot with another plane, and the earliest
+# such other pair.
+OVERLAPS = [
+    ("D", 6, [(1, 2), (2, 3)], "(1, 2) and (2, 3)"),
+    ("D", 6, [(3, 4), (1, 4)], "(1, 4) and (3, 4)"),
+    ("D", 6, [(1, 2), (-1, -2), (2, 3)], "(1, 2) and (2, 3)"),
+    ("D", 6, [(-1, -4), (3, 4), (1, 2)], "(1, 2) and (-1, -4)"),
+    ("D", 6, [(5, 6), (1, 6), (1, 2)], "(1, 2) and (1, 6)"),
+    ("D", 6, [(1, 2), (3, 4), (3, 6)], "(3, 4) and (3, 6)"),
+    ("D", 6, [(4, 5), (3, 6), (2, 3), (1, 4)], "(1, 4) and (4, 5)"),
+    ("A", 6, [(1, 4), (3, 4), (1, 2)], "(1, 2) and (1, 4)"),
+    ("D", 8, [(7, 8), (-5, -8), (1, 2), (-1, -2), (5, 6)], "(5, 6) and (-5, -8)"),
+    ("D", 8, [(-7, -8), (5, 8), (7, 8), (3, 6)], "(5, 8) and (7, 8)"),
+]
+
+
+@pytest.mark.parametrize("family, rank, pairs, shared", OVERLAPS)
+def test_overlapping_pairs_message(family, rank, pairs, shared):
+    with pytest.raises(TransformError) as info:
+        make_parameter(family, rank, pairs=pairs)
+    assert str(info.value) == "slot shared between pairs " + shared
+
+
 @pytest.mark.parametrize("family", ["E6", "E7", "E8"])
 def test_e_rank_must_be_the_lie_rank(family):
     lie_rank = int(family[1])

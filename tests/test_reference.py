@@ -17,9 +17,12 @@ from cayley_lift.parameters import (
     theta_perm,
 )
 from cayley_lift.root_system import (
-    _coefficient_table,
+    _reflection_perm,
     beta_chain_for_word,
     build_root_system,
+    canonical_reflection_word,
+    half_integral_roots,
+    integral_system,
     mat_apply,
     perm_mul,
     perm_to_word,
@@ -39,8 +42,56 @@ IN_SCOPE = (
 @pytest.mark.parametrize("family, rank", IN_SCOPE)
 def test_positive_roots_and_coefficients_match_reference(family, rank):
     system = build_root_system(family, rank)
-    assert system.positive_roots == reference.positive_roots(system)
-    assert _coefficient_table(system) == reference.coefficient_table(system)
+    assert (system.simple_roots, system.positive_roots, system.rho) == reference.build(family, rank)
+    assert {v: system.simple_coefficients(v) for v in system.roots} == \
+        reference.coefficient_table(system)
+
+
+def _same_subsystem(sub, expected):
+    return (sub.roots, sub.positive, sub.simple) == tuple(expected)
+
+
+@pytest.mark.parametrize("family, rank", IN_SCOPE)
+def test_integral_and_half_integral_roots_match_reference(family, rank):
+    system = build_root_system(family, rank)
+    integral = integral_system(system.rho_half, system)
+    assert _same_subsystem(integral, reference.integral_system(system.rho_half, system))
+    assert half_integral_roots(system) == reference.half_integral_roots(system)
+    # any other weight goes through the same integer subsystem code
+    lam = tuple(x / 3 for x in system.rho)
+    assert _same_subsystem(integral_system(lam, system), reference.integral_system(lam, system))
+
+
+@pytest.mark.parametrize("family, rank", IN_SCOPE)
+def test_reflection_tables_match_direct_permutations(family, rank):
+    tables = weyl_tables(build_root_system(family, rank))
+    assert tables.reflections == tuple(
+        _reflection_perm(d, tables.doubled, tables.index) for d in tables.doubled
+    )
+
+
+@pytest.mark.parametrize("family, rank", IN_SCOPE)
+def test_canonical_reflection_words_match_reference(family, rank):
+    system = build_root_system(family, rank)
+    expected = [reference.canonical_reflection_word(a, system) for a in system.positive_roots]
+    assert [canonical_reflection_word(a, system) for a in system.positive_roots] == expected
+    assert [canonical_reflection_word(-(k + 1), system)
+            for k in range(len(system.positive_roots))] == expected
+
+
+def _same_stabilizer(st, expected):
+    return all(
+        _same_subsystem(getattr(st, name), getattr(expected, name))
+        for name in ("integral", "real", "imaginary", "complex_core")
+    ) and (st.rho_real, st.rho_imaginary) == (expected.rho_real, expected.rho_imaginary)
+
+
+@pytest.mark.parametrize("family, rank", IN_SCOPE)
+def test_stabilizer_matches_reference_on_class_representatives(family, rank):
+    for _, p in orbit_representatives(family, rank):
+        st = stabilizer(p)
+        assert st.parameter == p
+        assert _same_stabilizer(st, reference.stabilizer(p))
 
 
 BLOCKS = [("A", 3), ("A", 5), ("D", 4), ("D", 5)]
@@ -66,7 +117,7 @@ def _check_theta(p):
     assert [th.apply(a) for a in system.roots] == [mat_apply(dense, a) for a in system.roots]
     assert theta_perm(p) == root_permutation(dense, system)
     assert signature_from_involution(system, th) == reference.signature(system, dense)
-    assert stabilizer(p) == reference.stabilizer(p)
+    assert _same_stabilizer(stabilizer(p), reference.stabilizer(p))
 
 
 @pytest.mark.parametrize(

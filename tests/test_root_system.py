@@ -21,11 +21,13 @@ from cayley_lift.root_system import (
     mat_apply,
     neg,
     pairing,
+    perm_to_word,
     reflect,
     reflection_matrix,
     root_system_to_json,
     sub,
     vector_from_strings,
+    weyl_tables,
     word_matrix,
 )
 
@@ -198,6 +200,31 @@ def test_canonical_reflection_word_is_palindromic_and_correct():
             word = canonical_reflection_word(root, system)
             assert word == tuple(reversed(word))
             assert word_matrix(word, system) == reflection_matrix(root)
+
+
+IN_SCOPE = (
+    [("A", r) for r in range(1, 10)]
+    + [("D", r) for r in range(3, 9)]
+    + [("E6", None), ("E7", None), ("E8", None)]
+)
+
+
+@pytest.mark.parametrize("family, rank", IN_SCOPE)
+def test_canonical_reflection_words_are_reduced(family, rank):
+    # simply laced: l(s_beta) = 2 ht(beta) - 1, and the canonical word has that length
+    system = build_root_system(family, rank)
+    tables = weyl_tables(system)
+    for k, root in enumerate(system.positive_roots):
+        length = 2 * system.height(root) - 1
+        assert len(canonical_reflection_word(root, system)) == length
+        assert len(perm_to_word(tables.reflections[k], system)) == length
+
+
+def test_canonical_reflection_word_rejects_non_roots():
+    a3 = build_root_system("A", 3)
+    for alpha in (V(1, 1, 0, 0), V(1, -1, 0), 0, 7, -7):
+        with pytest.raises(ValueError, match="not a root"):
+            canonical_reflection_word(alpha, a3)
 
 
 def test_decompose_to_chain_has_odd_palindromic_structure():
