@@ -38,21 +38,17 @@ from .root_system import (
     _integral_system,
     beta_chain_for_word,
     canonical_reflection_word,
-    identity_matrix,
     idot,
-    mat_apply,
-    mat_mul,
     neg,
     perm_mul,
     perm_to_word,
-    reflection_matrix,
     root_permutation,
     subsystem,
     weyl_tables,
     word_matrix,
 )
 from .cartan import COMPLEX, IMAGINARY, REAL
-from .parameters import PairSetParameter, _ambient_system, theta as parameter_theta, theta_perm
+from .parameters import PairSetParameter, _ambient_system, theta_perm
 from . import witness_data
 
 
@@ -140,7 +136,7 @@ def stabilizer(p: PairSetParameter) -> StabilizerDescription:
 
 
 # ---------------------------------------------------------------------------
-# Subgroup membership and word extraction
+# Word extraction
 # ---------------------------------------------------------------------------
 
 def matrix_to_word(m: Matrix, system: RootSystem) -> WeylWord:
@@ -155,53 +151,6 @@ def matrix_to_word(m: Matrix, system: RootSystem) -> WeylWord:
     return word
 
 
-def in_reflection_subgroup(m: Matrix, sub: RootSubsystem, system: RootSystem) -> bool:
-    """Membership in the reflection subgroup of a root subsystem, by descent."""
-    ident = identity_matrix(system.dim)
-    w = m
-    for _ in range(len(sub.positive) + 1):
-        if w == ident:
-            return True
-        beta = next(
-            (b for b in sub.positive if mat_apply(w, b) in _negatives(sub)), None
-        )
-        if beta is None:
-            return False
-        w = mat_mul(w, reflection_matrix(beta))
-    return w == ident
-
-
-def _negatives(sub: RootSubsystem) -> frozenset:
-    return frozenset(neg(a) for a in sub.positive)
-
-
-def in_integral_weyl_group(p: PairSetParameter, word: Sequence[int]) -> bool:
-    """Whether the word's element lies in the integral Weyl group at rho/2."""
-    system = _ambient(p)
-    st = stabilizer(p)
-    return in_reflection_subgroup(word_matrix(tuple(word), system), st.integral, system)
-
-
-def is_complex_fixed_member(p: PairSetParameter, word: Sequence[int]) -> bool:
-    """Whether the word's element lies in W(core)^theta.
-
-    The element must commute with theta, fix rho_real and rho_imaginary
-    pointwise, and lie in the integral Weyl group; fixing both dominant
-    vectors inside the integral group forces membership in the core.
-    """
-    system = _ambient(p)
-    st = stabilizer(p)
-    w = word_matrix(tuple(word), system)
-    th = parameter_theta(p).matrix
-    if mat_mul(th, w) != mat_mul(w, th):
-        return False
-    if mat_apply(w, st.rho_real) != st.rho_real:
-        return False
-    if mat_apply(w, st.rho_imaginary) != st.rho_imaginary:
-        return False
-    return in_reflection_subgroup(w, st.integral, system)
-
-
 # ---------------------------------------------------------------------------
 # The sign test
 # ---------------------------------------------------------------------------
@@ -210,13 +159,9 @@ def is_complex_fixed_member(p: PairSetParameter, word: Sequence[int]) -> bool:
 class RuleOutReport:
     parameter: PairSetParameter
     verdict: str                 # "ruled_out" | "survives"
-    method: str                  # "catalog" | "real_reflection" | "complex_search" | "full_sweep"
+    method: str                  # "real_reflection" | "complex_search" | "full_sweep"
     certificate: Optional[ChainCertificate]
-    witness_id: Optional[str]
     checked: int                 # stabilizer elements examined
-
-
-_E_SWEEP_CAP = 4000  # largest W(core) swept live for an E family
 
 
 def _core_sweep(p: PairSetParameter, st: StabilizerDescription) -> Iterator[SignedPerm]:
@@ -229,10 +174,6 @@ def _core_sweep(p: PairSetParameter, st: StabilizerDescription) -> Iterator[Sign
     frontier = [tables.identity]
     yield tables.identity
     while frontier:
-        if p.family in ("E6", "E7", "E8") and len(seen) > _E_SWEEP_CAP:
-            raise ScopeError(
-                "core Weyl group too large for a live sweep (%d+ elements)" % len(seen)
-            )
         nxt = []
         for w in frontier:
             for g in gens:
@@ -248,14 +189,15 @@ def _core_sweep(p: PairSetParameter, st: StabilizerDescription) -> Iterator[Sign
 def _star_sweep(p: PairSetParameter) -> Tuple[Optional[ChainCertificate], int]:
     """First sign violation on the stabilizer, or None after a full sweep.
 
-    Checks one chain per imaginary and real integral root, then walks the
-    theta-commuting elements of the core Weyl group, comparing epsilon with
-    det, and stops at the first violation.
+    Checks one chain per imaginary integral root (rule_out settles any
+    class with a real integral root first), then walks the theta-commuting
+    elements of the core Weyl group, comparing epsilon with det, and stops
+    at the first violation.
     """
     system = _ambient(p)
     st = stabilizer(p)
     checked = 0
-    for k in st.real.positive_index + st.imaginary.positive_index:
+    for k in st.imaginary.positive_index:
         word = canonical_reflection_word(k + 1, system)
         cert = chain_types(p, word)
         checked += 1
@@ -273,26 +215,9 @@ def _star_sweep(p: PairSetParameter) -> Tuple[Optional[ChainCertificate], int]:
 
 
 def rule_out(p: PairSetParameter) -> RuleOutReport:
-    """Decide the sign test for p's orbit: a stored or found witness with
-    epsilon != det rules it out; a clean full sweep certifies survival."""
-    from .parameters import class_of
-
-    entry_id = witness_data.witness_for_class(p.family, class_of(p).signature)
-    if entry_id is not None:
-        entry = witness_data.CATALOG[entry_id]
-        cert = chain_types(p, entry.word)
-        if cert.sign == cert.word_sign:
-            raise CertificateError(
-                "stored witness %s no longer violates the sign test" % entry_id
-            )
-        return RuleOutReport(
-            parameter=p,
-            verdict="ruled_out",
-            method="catalog",
-            certificate=cert,
-            witness_id=entry_id,
-            checked=1,
-        )
+    """Decide the sign test for p's orbit, live: a real integral reflection
+    or a swept stabilizer element with epsilon != det rules it out; a clean
+    full sweep certifies survival."""
     st = stabilizer(p)
     if st.real.positive_index:
         word = canonical_reflection_word(st.real.positive_index[0] + 1, _ambient(p))
@@ -304,7 +229,6 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
             verdict="ruled_out",
             method="real_reflection",
             certificate=cert,
-            witness_id=None,
             checked=1,
         )
     violation, checked = _star_sweep(p)
@@ -314,7 +238,6 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
             verdict="ruled_out",
             method="complex_search",
             certificate=violation,
-            witness_id=None,
             checked=checked,
         )
     return RuleOutReport(
@@ -322,7 +245,6 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
         verdict="survives",
         method="full_sweep",
         certificate=None,
-        witness_id=None,
         checked=checked,
     )
 
@@ -361,7 +283,8 @@ class ReplayReport:
 def replay_witness(witness_id: str) -> ReplayReport:
     """Recompute a stored witness chain and compare with its golden data.
 
-    Chain roots must match up to sign, tags and the imaginary count exactly.
+    The chain must violate the sign test (epsilon != det); chain roots must
+    match up to sign, tags and the imaginary count exactly.
     """
     from .parameters import make_parameter
 
@@ -373,6 +296,10 @@ def replay_witness(witness_id: str) -> ReplayReport:
     blocks, pairs = E_CLASS_REPS[(entry.family, entry.signature)]
     p = make_parameter(entry.family, int(entry.family[1]), chi=0, blocks=blocks, pairs=pairs)
     cert = chain_types(p, entry.word)
+    if cert.sign == cert.word_sign:
+        raise CertificateError(
+            "stored witness %s no longer violates the sign test" % witness_id
+        )
     if cert.imaginary_count != entry.imaginary_count:
         raise CertificateError(
             "witness %s: imaginary count %d, stored %d"

@@ -2,9 +2,12 @@
 
 Each entry fixes a Weyl word (printed order, 0-based simple indices) whose
 chain violates the sign test for one Cartan class, together with golden
-chain data where the full step list is pinned.  Words for the searched
-entries were found offline by sweeping the theta-commuting core Weyl group
-(scripts/search_stabilizer_witnesses.py) and frozen here.
+chain data where the full step list is pinned.  rule_out decides every
+class live and never reads this catalog: it is replay data for
+replay_witness and an independent cross-check in the tests.  The four
+searched words were found offline by a breadth-first sweep of the
+theta-commuting core Weyl group (a copy of the sweep in coherent), the
+script search_stabilizer_witnesses.py, last present at commit 1a782c6.
 """
 
 from __future__ import annotations
@@ -81,10 +84,10 @@ _TWELVE_GOLDEN = (
 )
 
 # --- searched witnesses ----------------------------------------------------
-# Found by scripts/search_stabilizer_witnesses.py: the shortest theta-fixed
-# element of the core Weyl group whose chain violates the sign test.  In all
-# four classes it is a product of four commuting core reflections, written
-# out through the canonical palindromic word of each reflection.
+# Found by the offline sweep: the shortest theta-fixed element of the core
+# Weyl group whose chain violates the sign test.  In all four classes it is
+# a product of four commuting core reflections, written out through the
+# canonical palindromic word of each reflection.
 _E7_510_WORD = (
     2, 3, 4, 5, 4, 3, 2, 3, 4, 5, 6, 5, 4, 3, 1, 2, 3, 4, 5, 6, 5, 4, 3, 2,
     1, 1, 3, 4, 5, 4, 3, 1,
@@ -226,11 +229,3 @@ CATALOG: Dict[str, WitnessEntry] = {
         _entry("E8-230", "E8", (2, 3, 0), _E8_230_WORD, 13, None, "searched"),
     )
 }
-
-BY_CLASS: Dict[Tuple[str, Tuple[int, int, int]], str] = {
-    (e.family, e.signature): e.witness_id for e in CATALOG.values()
-}
-
-
-def witness_for_class(family: str, signature: Tuple[int, int, int]) -> Optional[str]:
-    return BY_CLASS.get((family, signature))

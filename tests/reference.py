@@ -12,7 +12,9 @@ signature (one Gaussian solve per simple root), the stabilizer data (theta
 applied as a dense matrix to every integral root) and the length.  The
 library does all of this in doubled integer coordinates, on signed
 permutations of the positive roots and with one integer dual basis per
-system; tests compare the two.
+system; tests compare the two.  The membership tests for the integral Weyl
+group and for W(core)^theta (descent on dense matrices) have no library
+counterpart; tests use them to check stored witness words.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from cayley_lift.root_system import (
     scale,
     sub,
     vec,
+    word_matrix,
     zero,
 )
 
@@ -334,6 +337,47 @@ def matrix_descent(m: Matrix, system: RootSystem) -> WeylWord:
         else:
             raise ValueError("matrix is not in the Weyl group")
     return tuple(reversed(rev))
+
+
+def in_reflection_subgroup(m: Matrix, sub, system: RootSystem) -> bool:
+    """Membership in the reflection subgroup of a root subsystem, by descent."""
+    ident = identity_matrix(system.dim)
+    negatives = frozenset(neg(a) for a in sub.positive)
+    w = m
+    for _ in range(len(sub.positive) + 1):
+        if w == ident:
+            return True
+        beta = next((b for b in sub.positive if mat_apply(w, b) in negatives), None)
+        if beta is None:
+            return False
+        w = mat_mul(w, reflection_matrix(beta))
+    return w == ident
+
+
+def in_integral_weyl_group(p: PairSetParameter, word: Sequence[int]) -> bool:
+    """Whether the word's element lies in the integral Weyl group at rho/2."""
+    system = _system(p)
+    return in_reflection_subgroup(word_matrix(tuple(word), system), stabilizer(p).integral, system)
+
+
+def is_complex_fixed_member(p: PairSetParameter, word: Sequence[int]) -> bool:
+    """Whether the word's element lies in W(core)^theta.
+
+    The element must commute with theta, fix rho_real and rho_imaginary
+    pointwise, and lie in the integral Weyl group; fixing both dominant
+    vectors inside the integral group forces membership in the core.
+    """
+    system = _system(p)
+    st = stabilizer(p)
+    w = word_matrix(tuple(word), system)
+    th = theta(p)
+    if mat_mul(th, w) != mat_mul(w, th):
+        return False
+    if mat_apply(w, st.rho_real) != st.rho_real:
+        return False
+    if mat_apply(w, st.rho_imaginary) != st.rho_imaginary:
+        return False
+    return in_reflection_subgroup(w, st.integral, system)
 
 
 def sweep_elements(p: PairSetParameter, st: StabilizerDescription, system: RootSystem):

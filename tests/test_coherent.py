@@ -5,13 +5,12 @@ import random
 
 import pytest
 
+import reference
 from cayley_lift import witness_data
 from cayley_lift.coherent import (
     CertificateError,
     chain_types,
     count_small,
-    in_integral_weyl_group,
-    is_complex_fixed_member,
     matrix_to_word,
     random_equivalent_word,
     replay_witness,
@@ -110,17 +109,17 @@ def test_e6_survivor_core_size():
 def test_complex_fixed_membership():
     p = _e6_030_parameter()
     entry = witness_data.CATALOG["E6-030"]
-    assert is_complex_fixed_member(p, entry.word)
+    assert reference.is_complex_fixed_member(p, entry.word)
     # on the split parameter s35 moves rho_real, so it is not a member
     split = make_parameter("E6", 6)
-    assert not is_complex_fixed_member(split, (5, 4, 5))
+    assert not reference.is_complex_fixed_member(split, (5, 4, 5))
 
 
 def test_integral_weyl_membership():
     split = make_parameter("E6", 6)
-    assert in_integral_weyl_group(split, (5, 4, 5))
+    assert reference.in_integral_weyl_group(split, (5, 4, 5))
     # a reflection in a half-integral root does not belong
-    assert not in_integral_weyl_group(split, (1,))
+    assert not reference.in_integral_weyl_group(split, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +199,38 @@ def test_d5_rule_out_verdicts():
         assert (report.verdict, report.method) == D5_VERDICTS[c.render()]
 
 
-def test_e6_rule_out_uses_catalog():
+def test_e6_rule_out_decides_live():
     verdicts = {}
     for c, p in orbit_representatives("E6"):
         report = rule_out(p)
-        verdicts[c.render()] = (report.verdict, report.method, report.witness_id)
+        verdicts[c.render()] = (report.verdict, report.method, report.checked)
     assert verdicts == {
-        "(2,2,0)": ("survives", "full_sweep", None),
-        "(0,3,0)": ("ruled_out", "catalog", "E6-030"),
-        "(0,2,2)": ("ruled_out", "catalog", "E6-022-s35"),
-        "(0,1,4)": ("ruled_out", "catalog", "E6-014-s35"),
-        "(0,0,6)": ("ruled_out", "catalog", "E6-006-s35"),
+        "(2,2,0)": ("survives", "full_sweep", 9),
+        "(0,3,0)": ("ruled_out", "complex_search", 1),
+        "(0,2,2)": ("ruled_out", "real_reflection", 1),
+        "(0,1,4)": ("ruled_out", "real_reflection", 1),
+        "(0,0,6)": ("ruled_out", "real_reflection", 1),
     }
+
+
+def test_live_verdicts_match_the_catalog_on_every_e_class():
+    """The live sweep rules out exactly the 21 catalogued classes, each
+    with a certificate whose sign differs from det; the other four survive."""
+    catalogued = {(e.family, e.signature) for e in witness_data.CATALOG.values()}
+    ruled_out = set()
+    classes = 0
+    for family in ("E6", "E7", "E8"):
+        for c, p in orbit_representatives(family):
+            classes += 1
+            report = rule_out(p)
+            if report.verdict == "ruled_out":
+                ruled_out.add((family, c.signature))
+                assert report.certificate.sign != report.certificate.word_sign
+            else:
+                assert (report.verdict, report.certificate) == ("survives", None)
+    assert classes == 25
+    assert len(catalogued) == 21
+    assert ruled_out == catalogued
 
 
 def test_survey_matches_rule_out():
@@ -298,10 +317,13 @@ def test_replay_detects_corrupted_golden(monkeypatch):
         replay_witness("E6-030")
 
 
-def test_witness_for_class_lookup():
-    assert witness_data.witness_for_class("E6", (0, 3, 0)) == "E6-030"
-    assert witness_data.witness_for_class("E8", (6, 1, 0)) == "E8-610"
-    assert witness_data.witness_for_class("E6", (2, 2, 0)) is None
+def test_replay_detects_a_word_that_no_longer_violates(monkeypatch):
+    # the empty word has epsilon = det = +1; count and golden data agree with it
+    entry = witness_data.CATALOG["E6-030"]
+    bad = dataclasses.replace(entry, word=(), imaginary_count=0, golden=None)
+    monkeypatch.setitem(witness_data.CATALOG, "E6-030", bad)
+    with pytest.raises(CertificateError, match="no longer violates"):
+        replay_witness("E6-030")
 
 
 def test_searched_words_share_letters_between_e7_and_e8():

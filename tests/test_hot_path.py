@@ -69,6 +69,8 @@ HOT_PATHS = {
     "count_small A 6": lambda: count_small("A", 6),
     "count_small D 5": lambda: count_small("D", 5),
     "count_small E6": lambda: count_small("E6"),
+    "count_small E7": lambda: count_small("E7"),
+    "count_small E8": lambda: count_small("E8"),
     "lift_trivial D 6": lambda: lift_trivial("D", 6),
     "lift_trivial E7": lambda: lift_trivial("E7"),
     "verify_inversion D 5": lambda: verify_inversion(tower_poset("D", 5)),

@@ -4,17 +4,22 @@ Every top-level import of a module under src/cayley_lift must be used in
 that module or listed in its __all__, and internal consistency checks raise
 InvariantError (which the CLI maps to exit code 4), never a bare
 AssertionError and never through an assert statement, which python -O
-strips.
+strips.  Every repository path that README.md or a package source names
+must exist.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 from typing import List
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cayley_lift"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cayley_lift"
 MODULES = sorted(SRC.glob("*.py"))
+# A path that starts at one of the repository's top-level directories.
+REPO_PATH = re.compile(r"(?<![\w/.-])(?:scripts|tests|perfbench|src)/(?:[\w/.-]*[\w/])?")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -58,6 +63,12 @@ def assert_statements(tree: ast.Module) -> List[str]:
     return ["line %d" % node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
+def missing_paths(text: str, root: Path) -> List[str]:
+    """Repository paths named in text that do not exist under root."""
+    return ["line %d: %s" % (text.count("\n", 0, m.start()) + 1, m.group())
+            for m in REPO_PATH.finditer(text) if not (root / m.group()).exists()]
+
+
 def test_sources_are_found():
     assert {"cli.py", "root_system.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -77,6 +88,11 @@ def test_no_assert_statements():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def test_named_paths_exist():
+    found = {p.name: missing_paths(p.read_text(), ROOT) for p in [ROOT / "README.md"] + MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_checks_flag_what_they_should():
     tree = ast.parse(
         "from fractions import Fraction as Q\n"
@@ -93,3 +109,11 @@ def test_checks_flag_what_they_should():
     assert unused_imports(tree) == ["line 1: Q", "line 2: os"]
     assert bare_assertion_errors(tree) == ["line 6", "line 8"]
     assert assert_statements(tree) == ["line 10"]
+    text = (
+        "run `tests/test_hygiene.py` and see tests/golden/.\n"
+        "found by scripts/search.py, kept in (perfbench/nope.json) and nope/;\n"
+        "the experiments in `src/nope/`.\n"
+        "unittests/x.py and PYTHONPATH=src python are not paths\n"
+    )
+    assert missing_paths(text, ROOT) == [
+        "line 2: scripts/search.py", "line 2: perfbench/nope.json", "line 3: src/nope/"]

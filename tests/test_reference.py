@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from cayley_lift.cartan import involution_from_pairs, signature_from_involution
-from cayley_lift.coherent import _core_sweep, chain_types, matrix_to_word, stabilizer
+from cayley_lift.coherent import (
+    _core_sweep,
+    chain_types,
+    matrix_to_word,
+    random_equivalent_word,
+    stabilizer,
+)
 from cayley_lift.parameters import (
     enumerate_block,
     length,
@@ -204,6 +210,27 @@ def test_permutation_descent_matches_matrix_descent(case):
     expected = reference.matrix_descent(m, system)
     assert perm_to_word(w, system) == expected
     assert matrix_to_word(m, system) == expected
+
+
+@st.composite
+def block_parameter_and_word(draw):
+    family = draw(st.sampled_from(("A", "D")))
+    rank = draw(st.integers(3, 5))
+    system = build_root_system(family, rank)
+    p = draw(st.sampled_from(enumerate_block(family, rank)))
+    word = draw(st.lists(st.integers(0, system.rank - 1), min_size=1, max_size=12))
+    return system, p, tuple(word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_parameter_and_word(), st.randoms(use_true_random=False), st.integers(1, 24))
+def test_chain_sign_is_word_independent(case, rng, moves):
+    """The imaginary count m depends on the word, but (-1)^m does not: a
+    rewrite by identity moves gives the same element and the same sign."""
+    system, p, word = case
+    other = random_equivalent_word(system, word, rng, moves=moves)
+    assert word_matrix(other, system) == word_matrix(word, system)
+    assert chain_types(p, other).sign == chain_types(p, word).sign
 
 
 @pytest.mark.parametrize(
