@@ -108,56 +108,32 @@ def involution_from_pairs(
 # Integer linear algebra (exact, small matrices)
 # ---------------------------------------------------------------------------
 
-def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """Basis of the saturated integer kernel {x : mat @ x = 0}.
-
-    Column reduction by unimodular operations; the returned basis spans the
-    full lattice of integer solutions.
-    """
+def _gf2_kernel_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    m = [list(row) for row in mat]
-    u = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def col_sub(dst: int, src: int, q: int) -> None:
-        for r in range(rows):
-            m[r][dst] -= q * m[r][src]
-        for r in range(cols):
-            u[r][dst] -= q * u[r][src]
-
-    def col_swap(a: int, b: int) -> None:
-        for r in range(rows):
-            m[r][a], m[r][b] = m[r][b], m[r][a]
-        for r in range(cols):
-            u[r][a], u[r][b] = u[r][b], u[r][a]
-
-    frontier = 0
-    for r in range(rows):
-        live = [c for c in range(frontier, cols) if m[r][c] != 0]
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(m[r][c]))
-            small, big = live[0], live[1]
-            q = m[r][big] // m[r][small]
-            col_sub(big, small, q)
-            live = [c for c in live if m[r][c] != 0]
-        if live:
-            col_swap(frontier, live[0])
-            frontier += 1
-    return [tuple(u[r][c] for r in range(cols)) for c in range(frontier, cols)]
-
-
-def gf2_rank(vectors: Sequence[Sequence[int]]) -> int:
-    basis: List[int] = []
-    for v in vectors:
-        word = 0
-        for i, x in enumerate(v):
-            if x % 2:
-                word |= 1 << i
-        for b in basis:
-            word = min(word, word ^ b)
-        if word:
-            basis.append(word)
-    return len(basis)
+    m = [[mat[i][j] % 2 for j in range(cols)] for i in range(rows)]
+    pivots: Dict[int, int] = {}
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                m[i] = [(x + y) % 2 for x, y in zip(m[i], m[r])]
+        pivots[c] = r
+        r += 1
+    basis = []
+    free_cols = [c for c in range(cols) if c not in pivots]
+    for fc in free_cols:
+        v = [0] * cols
+        v[fc] = 1
+        for c, row in pivots.items():
+            if m[row][fc]:
+                v[c] = 1
+        basis.append(tuple(v))
+    return basis
 
 
 def smith_invariant_factors(mat: Sequence[Sequence[int]]) -> List[int]:
@@ -230,10 +206,13 @@ def smith_invariant_factors(mat: Sequence[Sequence[int]]) -> List[int]:
 def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[int, int, int]:
     """(compact, complex, split) torus signature of theta.
 
-    sigma = -theta acts on the root lattice; with L+- its eigenlattices,
-    the number of complex pairs is m = log2 [L : L+ (+) L-], computed as the
-    corank of the combined eigenlattice bases modulo 2.
+    sigma = -theta acts on the root lattice, which splits into r sign, s
+    trivial and m regular Z[sigma]-pieces (Reiner 1957).  Only the regular
+    pieces survive in sigma - 1 modulo 2, so m is its rank over GF(2), and
+    the trace of sigma, s - r, gives the rest.
     """
+    if not theta.is_involution():
+        raise InvariantError("theta is not an involution")
     n = system.rank
     rows, div = _dual_basis(system.doubled_simple)
     sigma_cols: List[List[int]] = []
@@ -243,19 +222,10 @@ def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[in
         if image not in system.index or any(c % div for c in col):
             raise InvariantError("sigma does not preserve the root lattice")
         sigma_cols.append([c // div for c in col])
-    t = [[sigma_cols[j][i] for j in range(n)] for i in range(n)]
-    t_minus = [[t[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    t_plus = [[t[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    k_plus = integer_kernel_basis(t_minus)   # sigma = +1, theta = -1
-    k_minus = integer_kernel_basis(t_plus)   # sigma = -1, theta = +1
-    if len(k_plus) + len(k_minus) != n:
-        raise InvariantError("eigenlattice ranks do not fill the lattice")
-    m = n - gf2_rank(list(k_plus) + list(k_minus))
-    r = len(k_minus) - m
-    s = len(k_plus) - m
-    if r < 0 or s < 0:
-        raise InvariantError("negative signature entry; not an involution?")
-    return (r, m, s)
+    trace = sum(sigma_cols[i][i] for i in range(n))
+    m = n - len(_gf2_kernel_basis(
+        [[sigma_cols[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]))
+    return ((n - trace) // 2 - m, m, (n + trace) // 2 - m)
 
 
 @dataclass(frozen=True)
@@ -558,34 +528,6 @@ def cartan_matrix(system: RootSystem) -> List[List[int]]:
             raise InvariantError("non-integer Cartan pairing")
         out.append([x // idot(a, a) for x in row])
     return out
-
-
-def _gf2_kernel_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    m = [[mat[i][j] % 2 for j in range(cols)] for i in range(rows)]
-    pivots: Dict[int, int] = {}
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                m[i] = [(x + y) % 2 for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    free_cols = [c for c in range(cols) if c not in pivots]
-    for fc in free_cols:
-        v = [0] * cols
-        v[fc] = 1
-        for c, row in pivots.items():
-            if m[row][fc]:
-                v[c] = 1
-        basis.append(tuple(v))
-    return basis
 
 
 @dataclass(frozen=True)

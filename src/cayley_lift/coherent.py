@@ -10,11 +10,13 @@ it with det(w) on the stabilizer of gamma's orbit decides whether gamma
 supports a sign-consistent family (it "survives") or is ruled out.
 
 Every Weyl group element here, and the involution theta, is a signed
-permutation of the ambient positive roots (root_system.WeylTables).  Chain
-roots are table lookups, theta-types compare a root's index with its image,
-the stabilizer sweep is one lazy breadth-first search over the core Weyl
-group that stops at the first violation, and words come from descent on
-the permutation.
+permutation of the ambient positive roots (root_system.WeylTables).  For a
+reduced word the chain roots are, up to sign, the positive roots that w
+sends negative (Bourbaki VI 1.6), so epsilon * det is the parity of w's
+non-imaginary inversions and the sign test reads the permutation directly.
+The stabilizer sweep is one lazy breadth-first search over the core Weyl
+group that stops at the first violation; only that element is turned into a
+word (by descent on the permutation) and chained, as its certificate.
 """
 
 from __future__ import annotations
@@ -186,31 +188,43 @@ def _core_sweep(p: PairSetParameter, st: StabilizerDescription) -> Iterator[Sign
         frontier = nxt
 
 
+def violates(w: SignedPerm, th: SignedPerm) -> bool:
+    """Whether epsilon(w) != det(w) against theta: an odd number of positive
+    roots that w sends negative and theta does not fix."""
+    return sum(1 for k, x in enumerate(w) if x < 0 and th[k] != k + 1) % 2 == 1
+
+
+def _certificate(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
+    """The chain of a word that must violate the sign test."""
+    cert = chain_types(p, word)
+    if cert.sign == cert.word_sign:
+        raise InvariantError("chain of %r did not violate the sign test" % (tuple(word),))
+    return cert
+
+
 def _star_sweep(p: PairSetParameter) -> Tuple[Optional[ChainCertificate], int]:
     """First sign violation on the stabilizer, or None after a full sweep.
 
-    Checks one chain per imaginary integral root (rule_out settles any
-    class with a real integral root first), then walks the theta-commuting
-    elements of the core Weyl group, comparing epsilon with det, and stops
-    at the first violation.
+    Tests the reflection in each imaginary integral root (rule_out settles
+    any class with a real integral root first), then the theta-commuting
+    elements of the core Weyl group after the identity, and stops at the
+    first violation.
     """
     system = _ambient(p)
+    tables = weyl_tables(system)
+    th = theta_perm(p)
     st = stabilizer(p)
     checked = 0
     for k in st.imaginary.positive_index:
-        word = canonical_reflection_word(k + 1, system)
-        cert = chain_types(p, word)
         checked += 1
-        if cert.sign != cert.word_sign:
-            return cert, checked
-    for w in _core_sweep(p, st):
-        word = perm_to_word(w, system)
-        if not word:
-            continue
-        cert = chain_types(p, word)
+        if violates(tables.reflections[k], th):
+            return _certificate(p, canonical_reflection_word(k + 1, system)), checked
+    sweep = _core_sweep(p, st)
+    next(sweep)  # the identity
+    for w in sweep:
         checked += 1
-        if cert.sign != cert.word_sign:
-            return cert, checked
+        if violates(w, th):
+            return _certificate(p, perm_to_word(w, system)), checked
     return None, checked
 
 
@@ -221,14 +235,11 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
     st = stabilizer(p)
     if st.real.positive_index:
         word = canonical_reflection_word(st.real.positive_index[0] + 1, _ambient(p))
-        cert = chain_types(p, word)
-        if cert.sign == cert.word_sign:
-            raise InvariantError("real-reflection chain did not violate the sign test")
         return RuleOutReport(
             parameter=p,
             verdict="ruled_out",
             method="real_reflection",
-            certificate=cert,
+            certificate=_certificate(p, word),
             checked=1,
         )
     violation, checked = _star_sweep(p)

@@ -458,10 +458,6 @@ class WeylTables:
         """The root with signed index s."""
         return self.system.positive_roots[s - 1] if s > 0 else self.negative[-s - 1]
 
-    def root_index(self, v: Vector) -> int:
-        """Signed index of the root v; KeyError if v is not a root."""
-        return self.index[_doubled(v)]
-
 
 @lru_cache(maxsize=None)
 def weyl_tables(system: RootSystem) -> WeylTables:
@@ -609,17 +605,23 @@ def decompose_to_chain(
 ) -> BetaChain:
     """Beta chain for s_alpha, from the canonical word or a supplied one.
 
-    A supplied word must be palindromic and compose to s_alpha.
+    A supplied word must be palindromic and compose to s_alpha: the product
+    of its letters' signed permutations is compared with alpha's.
     """
     if word is None:
-        word = canonical_reflection_word(alpha, system)
-    else:
-        word = tuple(word)
-        if word != tuple(reversed(word)):
-            raise WordError("word is not palindromic")
-        if word_matrix(word, system) != reflection_matrix(alpha):
-            raise WordError("word does not compose to the requested reflection")
-    return beta_chain_for_word(word, system)
+        return beta_chain_for_word(canonical_reflection_word(alpha, system), system)
+    word = tuple(word)
+    if word != tuple(reversed(word)):
+        raise WordError("word is not palindromic")
+    chain = beta_chain_for_word(word, system)  # rejects out-of-range letters
+    tables = weyl_tables(system)
+    w = tables.identity
+    for letter in word:
+        w = perm_mul(w, tables.reflections[tables.simple[letter]])
+    s = tables.index.get(_doubled(alpha), 0)
+    if not s or w != tables.reflections[abs(s) - 1]:
+        raise WordError("word does not compose to the requested reflection")
+    return chain
 
 
 # ---------------------------------------------------------------------------

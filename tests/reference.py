@@ -8,13 +8,16 @@ roots (by vector differences), the canonical reflection word (descent on
 vectors), the chain loop, the descent that turns a matrix into a reduced
 word, the breadth-first sweep of the core Weyl group, the Cartan involution
 theta (-Id times a product of dense reflection matrices), its torus
-signature (one Gaussian solve per simple root), the stabilizer data (theta
+signature (one Gaussian solve per simple root, then the integer
+eigenlattices of sigma = -theta and their index), the stabilizer data (theta
 applied as a dense matrix to every integral root) and the length.  The
 library does all of this in doubled integer coordinates, on signed
 permutations of the positive roots and with one integer dual basis per
-system; tests compare the two.  The membership tests for the integral Weyl
-group and for W(core)^theta (descent on dense matrices) have no library
-counterpart; tests use them to check stored witness words.
+system; it reads the sign test from the inversions of a permutation and the
+signature from a trace and one rank modulo 2.  Tests compare the two.  The
+membership tests for the integral Weyl group and for W(core)^theta (descent
+on dense matrices) have no library counterpart; tests use them to check
+stored witness words.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from cayley_lift.cartan import gf2_rank, integer_kernel_basis, root_type
+from cayley_lift.cartan import root_type
 from cayley_lift.parameters import PairSetParameter
 from cayley_lift.root_system import (
     Matrix,
@@ -244,10 +247,64 @@ def theta(p: PairSetParameter) -> Matrix:
     return involution_from_pairs(_system(p), pairs=p.pairs, blocks=p.blocks)
 
 
+def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """Basis of the saturated integer kernel {x : mat @ x = 0}.
+
+    Column reduction by unimodular operations; the returned basis spans the
+    full lattice of integer solutions.
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    m = [list(row) for row in mat]
+    u = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def col_sub(dst: int, src: int, q: int) -> None:
+        for r in range(rows):
+            m[r][dst] -= q * m[r][src]
+        for r in range(cols):
+            u[r][dst] -= q * u[r][src]
+
+    def col_swap(a: int, b: int) -> None:
+        for r in range(rows):
+            m[r][a], m[r][b] = m[r][b], m[r][a]
+        for r in range(cols):
+            u[r][a], u[r][b] = u[r][b], u[r][a]
+
+    frontier = 0
+    for r in range(rows):
+        live = [c for c in range(frontier, cols) if m[r][c] != 0]
+        while len(live) > 1:
+            live.sort(key=lambda c: abs(m[r][c]))
+            small, big = live[0], live[1]
+            q = m[r][big] // m[r][small]
+            col_sub(big, small, q)
+            live = [c for c in live if m[r][c] != 0]
+        if live:
+            col_swap(frontier, live[0])
+            frontier += 1
+    return [tuple(u[r][c] for r in range(cols)) for c in range(frontier, cols)]
+
+
+def gf2_rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank modulo 2 of the vectors."""
+    basis: List[int] = []
+    for v in vectors:
+        word = 0
+        for i, x in enumerate(v):
+            if x % 2:
+                word |= 1 << i
+        for b in basis:
+            word = min(word, word ^ b)
+        if word:
+            basis.append(word)
+    return len(basis)
+
+
 def signature(system: RootSystem, th: Matrix) -> Tuple[int, int, int]:
     """(compact, complex, split) torus signature of the involution matrix th:
     sigma = -th on the simple roots, one exact solve each, then the
-    eigenlattices of sigma."""
+    saturated integer eigenlattices L+ and L- of sigma; the number of complex
+    pairs is m = log2 [L : L+ (+) L-], the corank of their bases modulo 2."""
     n = system.rank
     cols = [_solve_in_basis(system.simple_roots, neg(mat_apply(th, a))) for a in system.simple_roots]
     if any(c.denominator != 1 for col in cols for c in col):

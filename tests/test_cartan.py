@@ -6,6 +6,7 @@ import pytest
 
 from cayley_lift.cartan import (
     E_CLASS_REPS,
+    Involution,
     cartan_classes,
     cartan_shape,
     cover_center_data,
@@ -15,6 +16,7 @@ from cayley_lift.cartan import (
     signature_from_involution,
 )
 from cayley_lift.root_system import (
+    InvariantError,
     build_root_system,
     identity_matrix,
     mat_apply,
@@ -111,6 +113,15 @@ def test_e_involutions_are_honest(family):
         assert mat_mul(theta, theta) == identity_matrix(system.dim)
         assert {mat_apply(theta, r) for r in roots} == roots
         assert signature_from_involution(system, inv) == c.signature
+
+
+def test_signature_rejects_a_non_involution():
+    # a 3-cycle of the coordinates permutes the A 2 roots but has order 3
+    system = build_root_system("A", 2)
+    cycle = Involution(family="A", dim=3, coords=(2, 3, 1))
+    assert not cycle.is_involution()
+    with pytest.raises(InvariantError, match="not an involution"):
+        signature_from_involution(system, cycle)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("A", 6), ("D", 4), ("D", 5), ("D", 6)])

@@ -6,8 +6,10 @@ count_small, lift_trivial and the tower check must never multiply a matrix
 or build a reflection matrix.  The Weyl tables, the integral system at
 rho/2, the stabilizer and the canonical reflection words work in doubled
 integer coordinates, so they must make no call into the fractions module.
-Calls are counted (through monkeypatch and sys.setprofile) on cold caches,
-not by timing.
+The stabilizer sign test reads each swept element's permutation, so
+rule_out builds a word and a chain only for the certificate of a violating
+element.  Calls are counted (through monkeypatch and sys.setprofile) on cold
+caches, not by timing.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import sys
 
 import pytest
 
-from cayley_lift import root_system
-from cayley_lift.coherent import count_small, stabilizer
+from cayley_lift import coherent, root_system
+from cayley_lift.coherent import count_small, rule_out, stabilizer
 from cayley_lift.klv_poset import tower_poset, verify_inversion
 from cayley_lift.lifting import lift_trivial
 from cayley_lift.parameters import orbit_representatives
@@ -81,6 +83,29 @@ HOT_PATHS = {
 def test_no_dense_matrices_on_hot_paths(matrix_calls, label):
     HOT_PATHS[label]()
     assert matrix_calls == {"mat_mul": 0, "reflection_matrix": 0}
+
+
+@pytest.mark.parametrize("family, rank", [("A", 6), ("D", 5), ("E6", None), ("E7", None), ("E8", None)])
+def test_rule_out_chains_only_its_certificate(monkeypatch, family, rank):
+    calls = {"chain_types": 0, "perm_to_word": 0}
+    for name in calls:
+        original = getattr(coherent, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(coherent, name, counted)
+    verdicts = set()
+    for _, p in orbit_representatives(family, rank):
+        calls.update(dict.fromkeys(calls, 0))
+        report = rule_out(p)
+        verdicts.add(report.verdict)
+        if report.verdict == "survives":
+            assert calls == {"chain_types": 0, "perm_to_word": 0}
+        else:
+            assert calls["chain_types"] == 1
+    assert verdicts == {"survives", "ruled_out"}
 
 
 def _fraction_calls(function, *args):

@@ -5,15 +5,17 @@ that module or listed in its __all__, and internal consistency checks raise
 InvariantError (which the CLI maps to exit code 4), never a bare
 AssertionError and never through an assert statement, which python -O
 strips.  Every repository path that README.md or a package source names
-must exist.
+must exist, and every function or method the package defines must be named
+somewhere else in src/, tests/ or perfbench/.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
-from typing import List
+from typing import List, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cayley_lift"
@@ -69,6 +71,18 @@ def missing_paths(text: str, root: Path) -> List[str]:
             for m in REPO_PATH.finditer(text) if not (root / m.group()).exists()]
 
 
+def unreferenced_functions(trees: Sequence[ast.Module], texts: Sequence[str]) -> List[str]:
+    """Functions and methods defined in trees whose name occurs in texts only
+    at its definitions; dunder methods are called implicitly and skipped."""
+    defined = Counter(
+        node.name for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    words = Counter(w for text in texts for w in re.findall(r"\w+", text))
+    return sorted(name for name, count in defined.items() if words[name] <= count)
+
+
 def test_sources_are_found():
     assert {"cli.py", "root_system.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -91,6 +105,11 @@ def test_no_assert_statements():
 def test_named_paths_exist():
     found = {p.name: missing_paths(p.read_text(), ROOT) for p in [ROOT / "README.md"] + MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_every_function_is_referenced():
+    sources = MODULES + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    assert unreferenced_functions([_parse(p) for p in MODULES], [p.read_text() for p in sources]) == []
 
 
 def test_checks_flag_what_they_should():
@@ -117,3 +136,20 @@ def test_checks_flag_what_they_should():
     )
     assert missing_paths(text, ROOT) == [
         "line 2: scripts/search.py", "line 2: perfbench/nope.json", "line 3: src/nope/"]
+    module = (
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n"
+        "    def used(self):\n"
+        "        pass\n"
+        "    def dead(self):\n"
+        "        pass\n"
+        "def tested():\n"
+        "    def inner():\n"
+        "        pass\n"
+        "    return inner\n"
+        "def orphan():\n"
+        "    pass\n"
+    )
+    test = "from m import tested\nassert tested()\nsuborphan = 1\n"
+    assert unreferenced_functions([ast.parse(module)], [module, test]) == ["dead", "orphan"]

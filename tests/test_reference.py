@@ -13,6 +13,7 @@ from cayley_lift.coherent import (
     matrix_to_word,
     random_equivalent_word,
     stabilizer,
+    violates,
 )
 from cayley_lift.parameters import (
     enumerate_block,
@@ -101,10 +102,13 @@ def test_stabilizer_matches_reference_on_class_representatives(family, rank):
 
 
 BLOCKS = [("A", 3), ("A", 5), ("D", 4), ("D", 5)]
+# Every block parameter of A 2-6 and D 3-6 checks theta and its signature.
+THETA_BLOCKS = [("A", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)]
 
 
 def _theta_cases():
-    cases = [(family, rank, p) for family, rank in BLOCKS for p in enumerate_block(family, rank)]
+    cases = [(family, rank, p) for family, rank in THETA_BLOCKS
+             for p in enumerate_block(family, rank)]
     cases += [(family, None, p) for family in ("E6", "E7", "E8")
               for _, p in orbit_representatives(family)]
     return cases
@@ -231,6 +235,31 @@ def test_chain_sign_is_word_independent(case, rng, moves):
     other = random_equivalent_word(system, word, rng, moves=moves)
     assert word_matrix(other, system) == word_matrix(word, system)
     assert chain_types(p, other).sign == chain_types(p, word).sign
+
+
+@st.composite
+def parameter_and_element(draw):
+    """A class or block parameter and a product of reflections in its group."""
+    family, rank = draw(st.sampled_from(GROUPS))
+    params = [p for _, p in orbit_representatives(family, rank)]
+    if family in ("A", "D"):
+        params += enumerate_block(family, rank)
+    system = build_root_system(family, rank)
+    tables = weyl_tables(system)
+    w = tables.identity
+    for k in draw(st.lists(st.integers(0, len(tables.reflections) - 1), max_size=8)):
+        w = perm_mul(w, tables.reflections[k])
+    return draw(st.sampled_from(params)), system, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(parameter_and_element())
+def test_sign_test_reads_the_permutation(case):
+    """epsilon != det is the parity of the non-imaginary inversions of w,
+    as the chain of a reduced word for w says."""
+    p, system, w = case
+    cert = chain_types(p, perm_to_word(w, system))
+    assert violates(w, theta_perm(p)) == (cert.sign != cert.word_sign)
 
 
 @pytest.mark.parametrize(

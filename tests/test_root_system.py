@@ -235,6 +235,29 @@ def test_decompose_to_chain_has_odd_palindromic_structure():
     assert word_matrix(chain.word, e8) == reflection_matrix(root)
 
 
+def test_decompose_to_chain_accepts_the_canonical_word():
+    for family, rank in (("A", 3), ("D", 4), ("E6", None)):
+        system = build_root_system(family, rank)
+        for root in system.positive_roots:
+            word = canonical_reflection_word(root, system)
+            assert decompose_to_chain(root, system, word) == decompose_to_chain(root, system)
+            assert decompose_to_chain(neg(root), system, word).word == word
+
+
+def test_decompose_to_chain_rejects_bad_words():
+    a3 = build_root_system("A", 3)
+    a0, a1 = a3.simple_roots[:2]
+    with pytest.raises(WordError, match="palindromic"):
+        decompose_to_chain(a0, a3, (0, 1))
+    # s_1 s_0 s_1 is the reflection in a0 + a1, not in a0
+    for alpha, word in ((a0, (1, 0, 1)), (a1, (0,)), (V(1, 1, 0, 0), (0,))):
+        with pytest.raises(WordError, match="compose"):
+            decompose_to_chain(alpha, a3, word)
+    for word in ((5,), (-1,), (0, 3, 0)):
+        with pytest.raises(WordError, match="out of range"):
+            decompose_to_chain(a0, a3, word)
+
+
 def test_word_validation():
     a3 = build_root_system("A", 3)
     with pytest.raises(WordError):
