@@ -27,10 +27,8 @@ from .root_system import (
     add,
     build_root_system,
     idot,
-    is_half_integral,
     mat_apply,
     neg,
-    pair_root,
     zero,
     ScopeError,
 )
@@ -292,18 +290,6 @@ E_CLASS_REPS: Dict[Tuple[str, Tuple[int, int, int]], Tuple[Tuple[Tuple[int, ...]
     ("E8", (0, 0, 8)): ((), ()),
 }
 
-_E_CLASS_ORDER: Dict[str, Tuple[Tuple[int, int, int], ...]] = {
-    "E6": ((2, 2, 0), (0, 3, 0), (0, 2, 2), (0, 1, 4), (0, 0, 6)),
-    "E7": (
-        (7, 0, 0), (5, 1, 0), (3, 2, 0), (1, 3, 0), (2, 2, 1),
-        (1, 2, 2), (0, 3, 1), (0, 2, 3), (0, 1, 5), (0, 0, 7),
-    ),
-    "E8": (
-        (8, 0, 0), (6, 1, 0), (4, 2, 0), (2, 3, 0), (0, 4, 0),
-        (2, 2, 2), (0, 3, 2), (0, 2, 4), (0, 1, 6), (0, 0, 8),
-    ),
-}
-
 # Cayley-transform edges between E classes (from more split to less split).
 _E_HASSE: Dict[str, Tuple[Tuple[Tuple[int, int, int], Tuple[int, int, int]], ...]] = {
     "E6": (
@@ -385,7 +371,7 @@ def cartan_shape(c: CartanClass) -> TorusShape:
 def cartan_classes(family: str, rank: Optional[int] = None) -> Tuple[CartanClass, ...]:
     if family in ("E6", "E7", "E8"):
         rk = int(family[1])
-        return tuple(CartanClass(family, rk, sig) for sig in _E_CLASS_ORDER[family])
+        return tuple(CartanClass(family, rk, sig) for fam, sig in E_CLASS_REPS if fam == family)
     system = build_root_system(family, rank)
     if family == "A":
         n = system.rank + 1
@@ -445,47 +431,18 @@ class HasseDiagram:
     edges: Tuple[Tuple[int, int], ...]  # (from, to) indices; one Cayley step
 
 
-def _class_moves(c: CartanClass) -> List[CartanClass]:
-    """Classes reachable from c by one Cayley transform on its representative."""
-    family = c.family
-    system = build_root_system(family, c.rank if family in ("A", "D") else None)
-    blocks, pairs = class_rep_data(c)
-    theta = involution_from_pairs(system, pairs=pairs, blocks=blocks)
-    used = {abs(x) for pair in pairs for x in pair} | {x for block in blocks for x in block}
-    n_slots = 6 if family == "E6" else system.dim
-    targets: List[CartanClass] = []
-    candidates: List[Tuple[int, int]] = []
-    for i in range(1, n_slots + 1):
-        for j in range(i + 1, n_slots + 1):
-            if (i + j) % 2 == 0 or i in used or j in used:
-                continue
-            candidates.append((i, j))
-            if family != "A":
-                candidates.append((-i, -j))
-    if family != "A":
-        plane_signs: Dict[Tuple[int, int], List[int]] = {}
-        for a, b in pairs:
-            plane_signs.setdefault((abs(a), abs(b)), []).append(1 if a > 0 else -1)
-        for (i, j), signs in plane_signs.items():
-            if len(signs) == 1:
-                candidates.append((-i, -j) if signs[0] > 0 else (i, j))
-    for cand in candidates:
-        root = pair_root(system.dim, cand)
-        if root not in system.index or not is_half_integral(system, root):
-            continue
-        if theta.apply(root) != tuple([-x for x in root]):
-            continue
-        new_pairs = tuple(pairs) + (cand,)
-        targets.append(classify_pairs(family, c.rank, new_pairs, blocks))
-    return targets
-
-
 def hasse_diagram(family: str, rank: Optional[int] = None) -> HasseDiagram:
+    """An edge from each class to the class of each parameter one Cayley
+    transform from its representative."""
+    from .parameters import cayley_moves, class_of, make_parameter  # parameters imports cartan
+
     classes = cartan_classes(family, rank)
     index = {c.signature: k for k, c in enumerate(classes)}
     edges = set()
     for k, c in enumerate(classes):
-        for target in _class_moves(c):
+        blocks, pairs = class_rep_data(c)
+        for q in cayley_moves(make_parameter(family, c.rank, blocks=blocks, pairs=pairs)):
+            target = class_of(q)
             if target.signature not in index:
                 raise InvariantError("Cayley move left the class list: %r" % (target,))
             edges.add((k, index[target.signature]))
@@ -555,14 +512,13 @@ def cover_center_data(family: str, rank: Optional[int] = None) -> CenterData:
     kernel = _gf2_kernel_basis(cmat)
     k = len(kernel)
 
-    if n <= 12:
-        count = 0
-        for mask in range(1 << n):
-            v = [(mask >> i) & 1 for i in range(n)]
-            if all(sum(cmat[i][j] * v[j] for j in range(n)) % 2 == 0 for i in range(n)):
-                count += 1
-        if count != 1 << k:
-            raise InvariantError("coset enumeration disagrees with the mod-2 kernel")
+    count = 0
+    for mask in range(1 << n):
+        v = [(mask >> i) & 1 for i in range(n)]
+        if all(sum(cmat[i][j] * v[j] for j in range(n)) % 2 == 0 for i in range(n)):
+            count += 1
+    if count != 1 << k:
+        raise InvariantError("coset enumeration disagrees with the mod-2 kernel")
     even_factors = sum(1 for d in smith_invariant_factors(cmat) if d % 2 == 0)
     if even_factors != k:
         raise InvariantError("Smith form parity disagrees with the mod-2 kernel")

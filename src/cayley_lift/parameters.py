@@ -167,32 +167,45 @@ def pseudospherical_params(family: str, rank: Optional[int] = None) -> Tuple[Pai
 
 
 def cayley(p: PairSetParameter, pair: Sequence[int]) -> PairSetParameter:
-    """Apply one Cayley transform, adding the (normalized) pair to p.
+    """Apply one Cayley transform: p with the (normalized) pair added.
 
-    The transform root must be real for p's involution: the pair must use
-    fresh slots, or complete an existing single-sign pair to both signs.
+    make_parameter decides whether the move is legal: the transform root
+    must be a half-integral root through slots that no block and no pair of
+    another plane uses, so that it is real for p's involution.  The pair
+    takes fresh slots, or outside family A completes a single-sign pair to
+    both signs.
     """
-    new = _normalize_pair(pair)
-    if p.family == "A" and new[0] < 0:
-        raise TransformError("signed pairs do not exist in family A")
-    used_in_blocks = {x for b in p.blocks for x in b}
-    plane = (abs(new[0]), abs(new[1]))
-    if used_in_blocks & set(plane):
-        raise TransformError("slots %r already used by a block" % (plane,))
-    same_plane = [q for q in p.pairs if (abs(q[0]), abs(q[1])) == plane]
-    other_overlap = [
-        q for q in p.pairs
-        if (abs(q[0]), abs(q[1])) != plane and {abs(q[0]), abs(q[1])} & set(plane)
-    ]
-    if other_overlap:
-        raise TransformError("slots %r overlap pair %r" % (plane, other_overlap[0]))
-    if new in same_plane:
-        raise TransformError("pair %r already present" % (new,))
-    if same_plane and p.family == "A":
-        raise TransformError("pair %r already present" % (plane,))
     return make_parameter(
-        p.family, p.rank, chi=p.chi, blocks=p.blocks, pairs=p.pairs + (new,)
+        p.family, p.rank, chi=p.chi, blocks=p.blocks, pairs=p.pairs + (tuple(pair),)
     )
+
+
+def cayley_moves(p: PairSetParameter) -> Tuple[PairSetParameter, ...]:
+    """Every parameter one Cayley transform from p.
+
+    The candidates are the pairs (i, j) through two slots that p leaves
+    free, and outside family A also (-i, -j) and the other sign of each
+    pair of p; cayley keeps the legal ones.  Free pairs with i + j even are
+    not tried: in these coordinates a pair root is half-integral at rho/2
+    exactly when i + j is odd.
+    """
+    signed = p.family != "A"
+    used = {abs(x) for q in p.pairs for x in q} | {x for b in p.blocks for x in b}
+    free = [i for i in range(1, _ambient_system(p.family, p.rank).dim + 1) if i not in used]
+    candidates: List[Pair] = []
+    for k, i in enumerate(free):
+        for j in free[k + 1:]:
+            if (i + j) % 2:
+                candidates += [(i, j), (-i, -j)] if signed else [(i, j)]
+    if signed:
+        candidates += [(-a, -b) for a, b in p.pairs]
+    moves: List[PairSetParameter] = []
+    for pair in candidates:
+        try:
+            moves.append(cayley(p, pair))
+        except TransformError:
+            continue
+    return tuple(moves)
 
 
 @lru_cache(maxsize=None)
@@ -238,41 +251,13 @@ def enumerate_block(family: str, rank: int, chi: int = 0) -> Tuple[PairSetParame
     """All parameters reachable from gamma(empty) by Cayley transforms (A/D)."""
     if family not in ("A", "D"):
         raise ScopeError("block enumeration is desk-scale only (families A and D)")
-    system = _ambient_system(family, rank)
-    n = system.dim
-    start = make_parameter(family, system.rank, chi=chi)
+    start = make_parameter(family, rank, chi=chi)
     seen: Dict[Tuple[Pair, ...], PairSetParameter] = {start.pairs: start}
     frontier = [start]
     while frontier:
-        nxt: List[PairSetParameter] = []
-        for p in frontier:
-            used = {abs(x) for q in p.pairs for x in q}
-            singles = [
-                q for q in p.pairs
-                if sum(1 for r in p.pairs if (abs(r[0]), abs(r[1])) == (abs(q[0]), abs(q[1]))) == 1
-            ]
-            moves: List[Pair] = []
-            for i in range(1, n + 1):
-                if i in used:
-                    continue
-                for j in range(i + 1, n + 1):
-                    if j in used or (i + j) % 2 == 0:
-                        continue
-                    moves.append((i, j))
-                    if family == "D":
-                        moves.append((-i, -j))
-            if family == "D":
-                for q in singles:
-                    moves.append((-q[0], -q[1]))
-            for mv in moves:
-                try:
-                    child = cayley(p, mv)
-                except TransformError:
-                    continue
-                if child.pairs not in seen:
-                    seen[child.pairs] = child
-                    nxt.append(child)
-        frontier = nxt
+        level = {q.pairs: q for p in frontier for q in cayley_moves(p) if q.pairs not in seen}
+        seen.update(level)
+        frontier = list(level.values())
     return tuple(sorted(seen.values(), key=lambda p: (len(p.pairs), p.pairs)))
 
 

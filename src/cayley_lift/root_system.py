@@ -406,6 +406,8 @@ def integral_system(lam: Vector, system: RootSystem) -> RootSubsystem:
     At lam = rho/2 this reads the doubled rho; another lam is scaled to
     integers, den * lam, with <lam, a^vee> = (den * lam . 2a) / 2den.
     """
+    if len(lam) != system.dim:
+        raise ValueError("dimension mismatch: %d vs %d" % (len(lam), system.dim))
     if lam == system.rho_half:
         return _integral_system(system, system.doubled_rho, 8)
     den = lcm(*(Q(x).denominator for x in lam))

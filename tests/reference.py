@@ -10,14 +10,16 @@ word, the breadth-first sweep of the core Weyl group, the Cartan involution
 theta (-Id times a product of dense reflection matrices), its torus
 signature (one Gaussian solve per simple root, then the integer
 eigenlattices of sigma = -theta and their index), the stabilizer data (theta
-applied as a dense matrix to every integral root) and the length.  The
-library does all of this in doubled integer coordinates, on signed
-permutations of the positive roots and with one integer dual basis per
-system; it reads the sign test from the inversions of a permutation and the
-signature from a trace and one rank modulo 2.  Tests compare the two.  The
-membership tests for the integral Weyl group and for W(core)^theta (descent
-on dense matrices) have no library counterpart; tests use them to check
-stored witness words.
+applied as a dense matrix to every integral root), the length and the
+Cayley moves (the pair roots, half-integral at rho/2, that the dense theta
+negates; the library lists them from make_parameter's slot checks).  Dense
+products here sum only the nonzero entries of each row.  The library does
+all of this in doubled integer coordinates, on signed permutations of the
+positive roots and with one integer dual basis per system; it reads the sign
+test from the inversions of a permutation and the signature from a trace and
+one rank modulo 2.  Tests compare the two.  The membership tests for the
+integral Weyl group and for W(core)^theta (descent on dense matrices) have
+no library counterpart; tests use them to check stored witness words.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from cayley_lift.root_system import (
     build_root_system,
     dot,
     identity_matrix,
-    mat_apply,
-    mat_mul,
     neg,
     pairing,
     reflect,
@@ -57,6 +57,20 @@ Subsystem = namedtuple("Subsystem", "roots positive simple")
 Stabilizer = namedtuple(
     "Stabilizer", "integral real imaginary complex_core rho_real rho_imaginary"
 )
+
+
+def mat_apply(m: Matrix, v: Vector) -> Vector:
+    """m v, summing only the nonzero entries of each row of m."""
+    return tuple(sum([x * v[j] for j, x in enumerate(row) if x], Q(0)) for row in m)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a b, summing only the nonzero entries of each row of a."""
+    width = range(len(b[0]))
+    return tuple(
+        tuple(sum([x * b[j][k] for j, x in enumerate(row) if x], Q(0)) for k in width)
+        for row in a
+    )
 
 
 def _solve_in_basis(basis: Sequence[Vector], v: Vector) -> Tuple[Q, ...]:
@@ -242,9 +256,29 @@ def involution_from_pairs(
     return m
 
 
+@lru_cache(maxsize=None)
 def theta(p: PairSetParameter) -> Matrix:
-    """p's involution as a dense matrix."""
+    """p's involution as a dense matrix, built once per parameter."""
     return involution_from_pairs(_system(p), pairs=p.pairs, blocks=p.blocks)
+
+
+def cayley_moves(p: PairSetParameter) -> List[Tuple[int, int]]:
+    """The pairs of p's Cayley transforms: every pair root, e_i - e_j for
+    (i, j) or e_i + e_j for (-i, -j), that is a root, half-integral at rho/2
+    and negated by p's dense involution."""
+    system = _system(p)
+    roots = set(all_roots(system))
+    th = theta(p)
+    e = [basis_vector(i, system.dim) for i in range(1, system.dim + 1)]
+    out = []
+    for i in range(1, system.dim + 1):
+        for j in range(i + 1, system.dim + 1):
+            for pair, root in (((i, j), sub(e[i - 1], e[j - 1])),
+                               ((-i, -j), add(e[i - 1], e[j - 1]))):
+                if (root in roots and pairing(system.rho_half, root).denominator == 2
+                        and mat_apply(th, root) == neg(root)):
+                    out.append(pair)
+    return out
 
 
 def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:

@@ -16,6 +16,7 @@ from cayley_lift.coherent import (
     violates,
 )
 from cayley_lift.parameters import (
+    cayley_moves,
     enumerate_block,
     length,
     make_parameter,
@@ -30,7 +31,6 @@ from cayley_lift.root_system import (
     canonical_reflection_word,
     half_integral_roots,
     integral_system,
-    mat_apply,
     perm_mul,
     perm_to_word,
     root_permutation,
@@ -124,7 +124,7 @@ def _check_theta(p):
     dense = reference.theta(p)
     assert th.is_involution()
     assert th.matrix == dense
-    assert [th.apply(a) for a in system.roots] == [mat_apply(dense, a) for a in system.roots]
+    assert [th.apply(a) for a in system.roots] == [reference.mat_apply(dense, a) for a in system.roots]
     assert theta_perm(p) == root_permutation(dense, system)
     assert signature_from_involution(system, th) == reference.signature(system, dense)
     assert _same_stabilizer(stabilizer(p), reference.stabilizer(p))
@@ -136,6 +136,20 @@ def _check_theta(p):
 )
 def test_theta_and_stabilizer_match_reference(family, rank, p):
     _check_theta(p)
+
+
+@pytest.mark.parametrize(
+    "family, rank, p", THETA_CASES,
+    ids=["%s%s-%s" % (f, r or "", p.render()) for f, r, p in THETA_CASES],
+)
+def test_cayley_moves_match_reference(family, rank, p):
+    """The moves make_parameter accepts are the real half-integral pair roots."""
+    added = []
+    for q in cayley_moves(p):
+        assert (q.chi, q.blocks, len(q.pairs)) == (p.chi, p.blocks, len(p.pairs) + 1)
+        assert set(p.pairs) < set(q.pairs)
+        added += set(q.pairs) - set(p.pairs)
+    assert sorted(added) == sorted(reference.cayley_moves(p))
 
 
 @pytest.mark.parametrize("family, rank", BLOCKS)

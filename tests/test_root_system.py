@@ -149,6 +149,13 @@ def test_positive_roots_partition_at_rho_half(family, rank):
     assert not (integral & half)
 
 
+@pytest.mark.parametrize("lam", [(Q(1),), (Q(1, 2),) * 5], ids=["short", "long"])
+def test_integral_system_rejects_a_weight_of_the_wrong_length(lam):
+    system = build_root_system("A", 3)  # four coordinates
+    with pytest.raises(ValueError, match="dimension mismatch: %d vs 4" % len(lam)):
+        integral_system(lam, system)
+
+
 def test_a_integral_roots_are_same_parity_pairs():
     system = build_root_system("A", 5)  # SL(6)
     integral = integral_system(system.rho_half, system).positive
