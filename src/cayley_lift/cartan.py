@@ -134,68 +134,6 @@ def _gf2_kernel_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
     return basis
 
 
-def smith_invariant_factors(mat: Sequence[Sequence[int]]) -> List[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    m = [list(row) for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    factors: List[int] = []
-    top = 0
-    while top < rows and top < cols:
-        pivot = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] != 0:
-                    if pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        m[top], m[i0] = m[i0], m[top]
-        for r in range(rows):
-            m[r][top], m[r][j0] = m[r][j0], m[r][top]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, rows):
-                if m[i][top] % m[top][top] != 0:
-                    q = m[i][top] // m[top][top]
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-                    m[top], m[i] = m[i], m[top]
-                    dirty = True
-            for i in range(top + 1, rows):
-                q = m[i][top] // m[top][top]
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-            for j in range(top + 1, cols):
-                if m[top][j] % m[top][top] != 0:
-                    q = m[top][j] // m[top][top]
-                    for r in range(rows):
-                        m[r][j] -= q * m[r][top]
-                        m[r][top], m[r][j] = m[r][j], m[r][top]
-                    dirty = True
-                else:
-                    q = m[top][j] // m[top][top]
-                    if q:
-                        for r in range(rows):
-                            m[r][j] -= q * m[r][top]
-            if not dirty:
-                stray = None
-                for i in range(top + 1, rows):
-                    for j in range(top + 1, cols):
-                        if m[i][j] % m[top][top] != 0:
-                            stray = (i, j)
-                            break
-                    if stray:
-                        break
-                if stray:
-                    i0 = stray[0]
-                    m[top] = [x + y for x, y in zip(m[top], m[i0])]
-                    dirty = True
-        factors.append(abs(m[top][top]))
-        top += 1
-    return [d for d in factors if d != 0]
-
-
 # ---------------------------------------------------------------------------
 # Signatures from the lattice action
 # ---------------------------------------------------------------------------
@@ -289,42 +227,6 @@ E_CLASS_REPS: Dict[Tuple[str, Tuple[int, int, int]], Tuple[Tuple[Tuple[int, ...]
     ("E8", (0, 1, 6)): ((), ((1, 2),)),
     ("E8", (0, 0, 8)): ((), ()),
 }
-
-# Cayley-transform edges between E classes (from more split to less split).
-_E_HASSE: Dict[str, Tuple[Tuple[Tuple[int, int, int], Tuple[int, int, int]], ...]] = {
-    "E6": (
-        ((0, 0, 6), (0, 1, 4)),
-        ((0, 1, 4), (0, 2, 2)),
-        ((0, 2, 2), (0, 3, 0)),
-        ((0, 3, 0), (2, 2, 0)),
-    ),
-    "E7": (
-        ((0, 0, 7), (0, 1, 5)),
-        ((0, 1, 5), (0, 2, 3)),
-        ((0, 2, 3), (0, 3, 1)),
-        ((0, 2, 3), (1, 2, 2)),
-        ((0, 3, 1), (1, 3, 0)),
-        ((1, 2, 2), (1, 3, 0)),
-        ((0, 3, 1), (2, 2, 1)),
-        ((1, 3, 0), (3, 2, 0)),
-        ((2, 2, 1), (3, 2, 0)),
-        ((3, 2, 0), (5, 1, 0)),
-        ((5, 1, 0), (7, 0, 0)),
-    ),
-    "E8": (
-        ((0, 0, 8), (0, 1, 6)),
-        ((0, 1, 6), (0, 2, 4)),
-        ((0, 2, 4), (0, 3, 2)),
-        ((0, 3, 2), (0, 4, 0)),
-        ((0, 3, 2), (2, 2, 2)),
-        ((0, 4, 0), (2, 3, 0)),
-        ((2, 2, 2), (2, 3, 0)),
-        ((2, 3, 0), (4, 2, 0)),
-        ((4, 2, 0), (6, 1, 0)),
-        ((6, 1, 0), (8, 0, 0)),
-    ),
-}
-
 
 def class_rep_data(c: CartanClass) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, int], ...]]:
     """(blocks, pairs) of the representative parameter for the class."""
@@ -433,7 +335,9 @@ class HasseDiagram:
 
 def hasse_diagram(family: str, rank: Optional[int] = None) -> HasseDiagram:
     """An edge from each class to the class of each parameter one Cayley
-    transform from its representative."""
+    transform from its representative, by the same rule for every family.
+    The tests compare the E6, E7 and E8 edges with the fixed table in
+    tests/reference.py."""
     from .parameters import cayley_moves, class_of, make_parameter  # parameters imports cartan
 
     classes = cartan_classes(family, rank)
@@ -446,14 +350,7 @@ def hasse_diagram(family: str, rank: Optional[int] = None) -> HasseDiagram:
             if target.signature not in index:
                 raise InvariantError("Cayley move left the class list: %r" % (target,))
             edges.add((k, index[target.signature]))
-    edge_tuple = tuple(sorted(edges))
-    if family in ("E6", "E7", "E8"):
-        expected = {
-            (index[a], index[b]) for a, b in _E_HASSE[family]
-        }
-        if set(edge_tuple) != expected:
-            raise InvariantError("computed %s Cayley diagram differs from the fixed one" % family)
-    return HasseDiagram(classes=classes, edges=edge_tuple)
+    return HasseDiagram(classes=classes, edges=tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,25 +400,14 @@ def cover_center_data(family: str, rank: Optional[int] = None) -> CenterData:
     """Center of the cover via the lattice quotient [2P^vee cap R^vee]/2R^vee.
 
     In simple-root coordinates the quotient is the kernel of the Cartan
-    matrix mod 2.  Cross-checked against coset enumeration and the parity of
-    the Smith invariant factors.
+    matrix mod 2, of order 2^k for k the dimension of that kernel, and the
+    center is (Z/2)^(k+1).  The representatives are the zero vector, then
+    the sums of simple roots over the nonzero kernel vectors in sorted order.
     """
     system = build_root_system(family, rank)
     n = system.rank
-    cmat = cartan_matrix(system)
-    kernel = _gf2_kernel_basis(cmat)
+    kernel = _gf2_kernel_basis(cartan_matrix(system))
     k = len(kernel)
-
-    count = 0
-    for mask in range(1 << n):
-        v = [(mask >> i) & 1 for i in range(n)]
-        if all(sum(cmat[i][j] * v[j] for j in range(n)) % 2 == 0 for i in range(n)):
-            count += 1
-    if count != 1 << k:
-        raise InvariantError("coset enumeration disagrees with the mod-2 kernel")
-    even_factors = sum(1 for d in smith_invariant_factors(cmat) if d % 2 == 0)
-    if even_factors != k:
-        raise InvariantError("Smith form parity disagrees with the mod-2 kernel")
 
     reps: List[Vector] = [zero(system.dim)]
     span: List[Tuple[int, ...]] = []

@@ -49,8 +49,14 @@ from .root_system import (
     weyl_tables,
     word_matrix,
 )
-from .cartan import COMPLEX, IMAGINARY, REAL
-from .parameters import PairSetParameter, _ambient_system, theta_perm
+from .cartan import COMPLEX, E_CLASS_REPS, IMAGINARY, REAL, genuine_central_character_count
+from .parameters import (
+    PairSetParameter,
+    _ambient_system,
+    make_parameter,
+    orbit_representatives,
+    theta_perm,
+)
 from . import witness_data
 
 
@@ -264,9 +270,6 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
 def count_small(family: str, rank: Optional[int] = None) -> int:
     """Number of genuine small representations at infinitesimal character
     rho/2: surviving orbits times genuine central characters."""
-    from .cartan import genuine_central_character_count
-    from .parameters import orbit_representatives
-
     survivors = 0
     for _, rep in orbit_representatives(family, rank):
         if rule_out(rep).verdict == "survives":
@@ -275,8 +278,6 @@ def count_small(family: str, rank: Optional[int] = None) -> int:
 
 
 def survey(family: str, rank: Optional[int] = None) -> Tuple[RuleOutReport, ...]:
-    from .parameters import orbit_representatives
-
     return tuple(rule_out(rep) for _, rep in orbit_representatives(family, rank))
 
 
@@ -297,13 +298,9 @@ def replay_witness(witness_id: str) -> ReplayReport:
     The chain must violate the sign test (epsilon != det); chain roots must
     match up to sign, tags and the imaginary count exactly.
     """
-    from .parameters import make_parameter
-
     if witness_id not in witness_data.CATALOG:
         raise ScopeError("unknown witness id %r" % witness_id)
     entry = witness_data.CATALOG[witness_id]
-    from .cartan import E_CLASS_REPS
-
     blocks, pairs = E_CLASS_REPS[(entry.family, entry.signature)]
     p = make_parameter(entry.family, int(entry.family[1]), chi=0, blocks=blocks, pairs=pairs)
     cert = chain_types(p, entry.word)

@@ -189,43 +189,31 @@ _E7_320_GOLDEN = (
 )
 
 
-def _entry(
-    witness_id: str,
-    family: str,
-    signature: Tuple[int, int, int],
-    word: WeylWord,
-    imaginary_count: int,
-    golden,
-    source: str,
-) -> WitnessEntry:
-    return WitnessEntry(witness_id, family, signature, word, imaginary_count, golden, source)
-
-
 CATALOG: Dict[str, WitnessEntry] = {
     e.witness_id: e
     for e in (
         # real-reflection witnesses (epsilon = +1, det = -1)
-        _entry("E6-022-s35", "E6", (0, 2, 2), _S35_WORD, 0, _S35_GOLDEN, "printed"),
-        _entry("E6-014-s35", "E6", (0, 1, 4), _S35_WORD, 0, _S35_GOLDEN, "printed"),
-        _entry("E6-006-s35", "E6", (0, 0, 6), _S35_WORD, 0, _S35_GOLDEN, "printed"),
-        _entry("E7-007-s35", "E7", (0, 0, 7), _S35_WORD, 0, _S35_GOLDEN, "printed"),
-        _entry("E7-015-s35", "E7", (0, 1, 5), _S35_WORD, 0, _S35_GOLDEN, "printed"),
-        _entry("E7-023-s35", "E7", (0, 2, 3), _S35_WORD, 0, _S35_GOLDEN, "printed"),
-        _entry("E7-122-s35", "E7", (1, 2, 2), _S35_WORD, 0, _S35_GOLDEN, "printed"),
-        _entry("E8-008-s57", "E8", (0, 0, 8), _S57_WORD, 0, _S57_GOLDEN, "printed"),
-        _entry("E8-016-s57", "E8", (0, 1, 6), _S57_WORD, 0, _S57_GOLDEN, "printed"),
-        _entry("E8-024-s57", "E8", (0, 2, 4), _S57_WORD, 0, _S57_GOLDEN, "printed"),
-        _entry("E8-032-s57", "E8", (0, 3, 2), _S57_WORD, 0, _S57_GOLDEN, "printed"),
-        _entry("E8-222-s57", "E8", (2, 2, 2), _S57_WORD, 0, _S57_GOLDEN, "printed"),
+        WitnessEntry("E6-022-s35", "E6", (0, 2, 2), _S35_WORD, 0, _S35_GOLDEN, "printed"),
+        WitnessEntry("E6-014-s35", "E6", (0, 1, 4), _S35_WORD, 0, _S35_GOLDEN, "printed"),
+        WitnessEntry("E6-006-s35", "E6", (0, 0, 6), _S35_WORD, 0, _S35_GOLDEN, "printed"),
+        WitnessEntry("E7-007-s35", "E7", (0, 0, 7), _S35_WORD, 0, _S35_GOLDEN, "printed"),
+        WitnessEntry("E7-015-s35", "E7", (0, 1, 5), _S35_WORD, 0, _S35_GOLDEN, "printed"),
+        WitnessEntry("E7-023-s35", "E7", (0, 2, 3), _S35_WORD, 0, _S35_GOLDEN, "printed"),
+        WitnessEntry("E7-122-s35", "E7", (1, 2, 2), _S35_WORD, 0, _S35_GOLDEN, "printed"),
+        WitnessEntry("E8-008-s57", "E8", (0, 0, 8), _S57_WORD, 0, _S57_GOLDEN, "printed"),
+        WitnessEntry("E8-016-s57", "E8", (0, 1, 6), _S57_WORD, 0, _S57_GOLDEN, "printed"),
+        WitnessEntry("E8-024-s57", "E8", (0, 2, 4), _S57_WORD, 0, _S57_GOLDEN, "printed"),
+        WitnessEntry("E8-032-s57", "E8", (0, 3, 2), _S57_WORD, 0, _S57_GOLDEN, "printed"),
+        WitnessEntry("E8-222-s57", "E8", (2, 2, 2), _S57_WORD, 0, _S57_GOLDEN, "printed"),
         # complex witnesses (epsilon = -1, det = +1)
-        _entry("E6-030", "E6", (0, 3, 0), _TWELVE_WORD, 3, _TWELVE_GOLDEN, "printed"),
-        _entry("E7-130", "E7", (1, 3, 0), _TWELVE_WORD, 3, _TWELVE_GOLDEN, "printed"),
-        _entry("E7-031", "E7", (0, 3, 1), _TWELVE_WORD, 3, _TWELVE_GOLDEN, "printed"),
-        _entry("E8-040", "E8", (0, 4, 0), _TWELVE_WORD, 3, _TWELVE_GOLDEN, "printed"),
-        _entry("E7-320", "E7", (3, 2, 0), _E7_320_WORD, 23, _E7_320_GOLDEN, "printed"),
-        _entry("E7-510", "E7", (5, 1, 0), _E7_510_WORD, 13, None, "searched"),
-        _entry("E8-610", "E8", (6, 1, 0), _E8_610_WORD, 53, None, "searched"),
-        _entry("E8-420", "E8", (4, 2, 0), _E8_420_WORD, 13, None, "searched"),
-        _entry("E8-230", "E8", (2, 3, 0), _E8_230_WORD, 13, None, "searched"),
+        WitnessEntry("E6-030", "E6", (0, 3, 0), _TWELVE_WORD, 3, _TWELVE_GOLDEN, "printed"),
+        WitnessEntry("E7-130", "E7", (1, 3, 0), _TWELVE_WORD, 3, _TWELVE_GOLDEN, "printed"),
+        WitnessEntry("E7-031", "E7", (0, 3, 1), _TWELVE_WORD, 3, _TWELVE_GOLDEN, "printed"),
+        WitnessEntry("E8-040", "E8", (0, 4, 0), _TWELVE_WORD, 3, _TWELVE_GOLDEN, "printed"),
+        WitnessEntry("E7-320", "E7", (3, 2, 0), _E7_320_WORD, 23, _E7_320_GOLDEN, "printed"),
+        WitnessEntry("E7-510", "E7", (5, 1, 0), _E7_510_WORD, 13, None, "searched"),
+        WitnessEntry("E8-610", "E8", (6, 1, 0), _E8_610_WORD, 53, None, "searched"),
+        WitnessEntry("E8-420", "E8", (4, 2, 0), _E8_420_WORD, 13, None, "searched"),
+        WitnessEntry("E8-230", "E8", (2, 3, 0), _E8_230_WORD, 13, None, "searched"),
     )
 }

@@ -12,8 +12,16 @@ signature (one Gaussian solve per simple root, then the integer
 eigenlattices of sigma = -theta and their index), the stabilizer data (theta
 applied as a dense matrix to every integral root), the length and the
 Cayley moves (the pair roots, half-integral at rho/2, that the dense theta
-negates; the library lists them from make_parameter's slot checks).  Dense
-products here sum only the nonzero entries of each row.  The library does
+negates; the library lists them from make_parameter's slot checks), theta as
+a signed permutation of the positive roots (the image of each root looked
+up among this module's own roots) and the root tags of a chain.  The
+reflection, identity and word matrices and their products are this
+module's own; dense products here sum only the nonzero entries of each row.
+Two answers of the cartan layer are checked only here, on every group the
+library accepts: the order of the center quotient, as the number of
+v in GF(2)^n with C v = 0 mod 2 found by trying all 2^n (C the Cartan
+matrix of this module's simple roots), and the E6/E7/E8 Cayley-transform
+edges, as a fixed table of signature pairs.  The library does
 all of this in doubled integer coordinates, on signed permutations of the
 positive roots and with one integer dual basis per system; it reads the sign
 test from the inversions of a permutation and the signature from a trace and
@@ -29,7 +37,6 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from cayley_lift.cartan import root_type
 from cayley_lift.parameters import PairSetParameter
 from cayley_lift.root_system import (
     Matrix,
@@ -41,15 +48,12 @@ from cayley_lift.root_system import (
     beta_root,
     build_root_system,
     dot,
-    identity_matrix,
     neg,
     pairing,
     reflect,
-    reflection_matrix,
     scale,
     sub,
     vec,
-    word_matrix,
     zero,
 )
 
@@ -71,6 +75,28 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum([x * b[j][k] for j, x in enumerate(row) if x], Q(0)) for k in width)
         for row in a
     )
+
+
+def identity_matrix(dim: int) -> Matrix:
+    return tuple(tuple(Q(int(i == j)) for j in range(dim)) for i in range(dim))
+
+
+@lru_cache(maxsize=None)
+def reflection_matrix(alpha: Vector) -> Matrix:
+    """s_alpha(x) = x - 2 (alpha, x) / (alpha, alpha) alpha, entry by entry."""
+    norm = sum(x * x for x in alpha)
+    return tuple(
+        tuple(Q(int(i == j)) - 2 * a * b / norm for j, b in enumerate(alpha))
+        for i, a in enumerate(alpha)
+    )
+
+
+def word_matrix(word: Sequence[int], system: RootSystem) -> Matrix:
+    """The product of the simple reflection matrices, left to right."""
+    m = identity_matrix(system.dim)
+    for letter in word:
+        m = mat_mul(m, reflection_matrix(system.simple_roots[letter]))
+    return m
 
 
 def _solve_in_basis(basis: Sequence[Vector], v: Vector) -> Tuple[Q, ...]:
@@ -140,6 +166,7 @@ def _e_simple_roots(family: str) -> Tuple[Vector, ...]:
     return head + tuple(chain[: int(family[1]) - 2])
 
 
+@lru_cache(maxsize=None)
 def build(family: str, rank: Optional[int] = None) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...], Vector]:
     """(simple roots, sorted positive roots, rho) as Fraction vectors."""
     if family in ("A", "D"):
@@ -224,6 +251,73 @@ def canonical_reflection_word(alpha: Vector, system: RootSystem) -> WeylWord:
             raise ValueError("height descent failed")
     core = system.simple_roots.index(cur)
     return tuple(prefix) + (core,) + tuple(reversed(prefix))
+
+
+@lru_cache(maxsize=None)
+def signed_index(family: str, rank: Optional[int] = None) -> Dict[Vector, int]:
+    """+-(k+1) for plus and minus the k-th of build's sorted positive roots."""
+    _, positives, _ = build(family, rank)
+    index = {a: k + 1 for k, a in enumerate(positives)}
+    index.update({neg(a): -(k + 1) for k, a in enumerate(positives)})
+    return index
+
+
+def theta_perm(p: PairSetParameter) -> Tuple[int, ...]:
+    """p's dense theta as a signed permutation of build's positive roots:
+    entry k is the signed index of theta applied to the k-th root."""
+    rank = p.rank if p.family in ("A", "D") else None
+    _, positives, _ = build(p.family, rank)
+    index = signed_index(p.family, rank)
+    th = theta(p)
+    return tuple(index[mat_apply(th, a)] for a in positives)
+
+
+def gf2_kernel_count(family: str, rank: Optional[int] = None) -> int:
+    """The number of v in GF(2)^n with C v = 0 mod 2, by trying all 2^n,
+    for C the Cartan matrix of build's simple roots."""
+    simples, _, _ = build(family, rank)
+    n = len(simples)
+    cartan = [[2 * sum(x * y for x, y in zip(a, b)) / sum(x * x for x in a) for b in simples]
+              for a in simples]
+    vectors = [[(mask >> j) & 1 for j in range(n)] for mask in range(1 << n)]
+    return sum(1 for v in vectors
+               if all(sum(c * x for c, x in zip(row, v)) % 2 == 0 for row in cartan))
+
+
+# Cayley-transform edges between E classes (from more split to less split).
+E_HASSE: Dict[str, Tuple[Tuple[Tuple[int, int, int], Tuple[int, int, int]], ...]] = {
+    "E6": (
+        ((0, 0, 6), (0, 1, 4)),
+        ((0, 1, 4), (0, 2, 2)),
+        ((0, 2, 2), (0, 3, 0)),
+        ((0, 3, 0), (2, 2, 0)),
+    ),
+    "E7": (
+        ((0, 0, 7), (0, 1, 5)),
+        ((0, 1, 5), (0, 2, 3)),
+        ((0, 2, 3), (0, 3, 1)),
+        ((0, 2, 3), (1, 2, 2)),
+        ((0, 3, 1), (1, 3, 0)),
+        ((1, 2, 2), (1, 3, 0)),
+        ((0, 3, 1), (2, 2, 1)),
+        ((1, 3, 0), (3, 2, 0)),
+        ((2, 2, 1), (3, 2, 0)),
+        ((3, 2, 0), (5, 1, 0)),
+        ((5, 1, 0), (7, 0, 0)),
+    ),
+    "E8": (
+        ((0, 0, 8), (0, 1, 6)),
+        ((0, 1, 6), (0, 2, 4)),
+        ((0, 2, 4), (0, 3, 2)),
+        ((0, 3, 2), (0, 4, 0)),
+        ((0, 3, 2), (2, 2, 2)),
+        ((0, 4, 0), (2, 3, 0)),
+        ((2, 2, 2), (2, 3, 0)),
+        ((2, 3, 0), (4, 2, 0)),
+        ((4, 2, 0), (6, 1, 0)),
+        ((6, 1, 0), (8, 0, 0)),
+    ),
+}
 
 
 def _system(p: PairSetParameter) -> RootSystem:
@@ -402,6 +496,12 @@ def chain_roots(word: Sequence[int], system: RootSystem) -> Tuple[Vector, ...]:
         steps.append(mat_apply(u, a))
         u = mat_mul(u, reflection_matrix(a))
     return tuple(steps)
+
+
+def root_type(th: Matrix, alpha: Vector) -> str:
+    """"im" if th fixes alpha, "real" if th negates it, "cx" otherwise."""
+    image = mat_apply(th, alpha)
+    return "im" if image == alpha else "real" if image == neg(alpha) else "cx"
 
 
 def chain_steps(p: PairSetParameter, word: Sequence[int], system: RootSystem):

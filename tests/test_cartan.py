@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import reference
 from cayley_lift.cartan import (
     E_CLASS_REPS,
     Involution,
@@ -22,6 +23,13 @@ from cayley_lift.root_system import (
     mat_apply,
     mat_mul,
     pairing,
+)
+
+
+IN_SCOPE = (
+    [("A", r) for r in range(1, 10)]
+    + [("D", r) for r in range(3, 9)]
+    + [("E6", None), ("E7", None), ("E8", None)]
 )
 
 
@@ -143,11 +151,7 @@ def test_d4_hasse_edges():
     assert h.edges == ((0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5), (5, 6))
 
 
-@pytest.mark.parametrize(
-    "family,rank",
-    [("A", r) for r in range(1, 10)] + [("D", r) for r in range(3, 9)]
-    + [("E6", None), ("E7", None), ("E8", None)],
-)
+@pytest.mark.parametrize("family,rank", IN_SCOPE)
 def test_hasse_edges_drop_real_rank_by_one(family, rank):
     h = hasse_diagram(family, rank)
     ranks = [cartan_shape(c).real_rank for c in h.classes]
@@ -161,20 +165,36 @@ def test_hasse_edges_drop_real_rank_by_one(family, rank):
     assert indices - {i for i, _ in h.edges} <= compact_indices
 
 
+@pytest.mark.parametrize("family", ["E6", "E7", "E8"])
+def test_e_hasse_edges_match_fixed_table(family):
+    h = hasse_diagram(family)
+    edges = [(h.classes[i].signature, h.classes[j].signature) for i, j in h.edges]
+    assert sorted(edges) == sorted(reference.E_HASSE[family])
+
+
 # ---------------------------------------------------------------------------
 # centers of the nonlinear cover
 # ---------------------------------------------------------------------------
 
+# From the classification: the quotient is 2 for SL(n), n even, and 1 for n
+# odd; 4 for Spin(n,n), n even, and 2 for n odd; 1, 2, 1 for E6, E7, E8.  A
+# quotient of order 2^k goes with the center (Z/2)^(k+1).
 @pytest.mark.parametrize(
     "family,rank,center_render,quotient",
     [
         ("A", 1, "Z/2 x Z/2", 2),       # SL(2)
         ("A", 3, "Z/2 x Z/2", 2),       # SL(4)
         ("A", 5, "Z/2 x Z/2", 2),       # SL(6)
+        ("A", 7, "Z/2 x Z/2", 2),       # SL(8)
+        ("A", 9, "Z/2 x Z/2", 2),       # SL(10)
         ("A", 2, "Z/2", 1),             # SL(3)
         ("A", 4, "Z/2", 1),             # SL(5)
+        ("A", 6, "Z/2", 1),             # SL(7)
+        ("A", 8, "Z/2", 1),             # SL(9)
         ("D", 4, "Z/2 x Z/2 x Z/2", 4),
         ("D", 6, "Z/2 x Z/2 x Z/2", 4),
+        ("D", 8, "Z/2 x Z/2 x Z/2", 4),
+        ("D", 3, "Z/2 x Z/2", 2),
         ("D", 5, "Z/2 x Z/2", 2),
         ("D", 7, "Z/2 x Z/2", 2),
         ("E6", None, "Z/2", 1),
@@ -205,8 +225,13 @@ def test_e7_quotient_representative():
     assert pairing(stray, e7.simple_roots[0]) % 2 == 1
 
 
+@pytest.mark.parametrize("family,rank", IN_SCOPE)
+def test_quotient_order_matches_brute_force_kernel_count(family, rank):
+    assert cover_center_data(family, rank).quotient_order == reference.gf2_kernel_count(family, rank)
+
+
 def test_nontrivial_quotient_reps_pair_evenly():
-    for family, rank in (("A", 3), ("A", 5), ("D", 4), ("D", 5), ("D", 6)):
+    for family, rank in IN_SCOPE:
         system = build_root_system(family, rank)
         data = cover_center_data(family, rank)
         for rep in data.quotient_reps:

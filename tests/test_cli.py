@@ -94,14 +94,18 @@ def test_non_integer_rank_is_an_argparse_usage_error(capsys):
 
 
 def test_internal_error_is_exit_code_4_without_traceback(capsys, monkeypatch):
-    # break one invariant: the computed E6 Cayley diagram no longer matches
-    monkeypatch.setitem(cartan._E_HASSE, "E6", ())
+    # break one invariant: a Cayley move from an E6 class lands on a class
+    # that is no longer listed (a filtered copy, so that the shared table
+    # keeps its order, which fixes the class order of later requests)
+    reps = {k: v for k, v in cartan.E_CLASS_REPS.items() if k != ("E6", (2, 2, 0))}
+    monkeypatch.setattr(cartan, "E_CLASS_REPS", reps)
     assert EXIT_INTERNAL == 4
     assert main(["cartans", "--family", "E6"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "internal error: computed E6 Cayley diagram differs from the fixed one\n"
+        "internal error: Cayley move left the class list: "
+        "CartanClass(family='E6', rank=6, signature=(2, 2, 0))\n"
     )
 
 

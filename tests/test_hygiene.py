@@ -6,7 +6,10 @@ InvariantError (which the CLI maps to exit code 4), never a bare
 AssertionError and never through an assert statement, which python -O
 strips.  Every repository path that README.md or a package source names
 must exist, and every function or method the package defines must be named
-somewhere else in src/, tests/ or perfbench/.
+somewhere else in src/, tests/ or perfbench/.  The exact-Fraction oracle in
+tests/reference.py takes none of the library's matrix, permutation or
+root-tagging helpers, so that a fault in one cannot show on both sides of a
+comparison.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cayley_lift"
 MODULES = sorted(SRC.glob("*.py"))
 # A path that starts at one of the repository's top-level directories.
+# Library helpers that tests/reference.py must compute for itself.
+ORACLE_OWN = frozenset({"root_type", "root_permutation", "reflection_matrix", "identity_matrix",
+                        "word_matrix", "mat_mul", "mat_apply", "matrix_to_word"})
 REPO_PATH = re.compile(r"(?<![\w/.-])(?:scripts|tests|perfbench|src)/(?:[\w/.-]*[\w/])?")
 
 
@@ -83,6 +89,13 @@ def unreferenced_functions(trees: Sequence[ast.Module], texts: Sequence[str]) ->
     return sorted(name for name, count in defined.items() if words[name] <= count)
 
 
+def library_helpers_used(tree: ast.Module) -> List[str]:
+    """The ORACLE_OWN helpers that tree imports from cayley_lift or a submodule."""
+    return ["line %d: %s" % (node.lineno, a.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cayley_lift"
+            for a in node.names if a.name in ORACLE_OWN]
+
+
 def test_sources_are_found():
     assert {"cli.py", "root_system.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -105,6 +118,10 @@ def test_no_assert_statements():
 def test_named_paths_exist():
     found = {p.name: missing_paths(p.read_text(), ROOT) for p in [ROOT / "README.md"] + MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_reference_computes_its_own_matrices():
+    assert library_helpers_used(_parse(ROOT / "tests" / "reference.py")) == []
 
 
 def test_every_function_is_referenced():
@@ -153,3 +170,12 @@ def test_checks_flag_what_they_should():
     )
     test = "from m import tested\nassert tested()\nsuborphan = 1\n"
     assert unreferenced_functions([ast.parse(module)], [module, test]) == ["dead", "orphan"]
+    oracle = ast.parse(
+        "from cayley_lift.root_system import add, mat_apply, word_matrix\n"
+        "from cayley_lift import root_type\n"
+        "from reference import mat_mul\n"
+        "def f():\n"
+        "    from cayley_lift.coherent import matrix_to_word\n"
+    )
+    assert library_helpers_used(oracle) == [
+        "line 1: mat_apply", "line 1: word_matrix", "line 2: root_type", "line 5: matrix_to_word"]

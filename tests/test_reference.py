@@ -125,7 +125,7 @@ def _check_theta(p):
     assert th.is_involution()
     assert th.matrix == dense
     assert [th.apply(a) for a in system.roots] == [reference.mat_apply(dense, a) for a in system.roots]
-    assert theta_perm(p) == root_permutation(dense, system)
+    assert theta_perm(p) == reference.theta_perm(p)
     assert signature_from_involution(system, th) == reference.signature(system, dense)
     assert _same_stabilizer(stabilizer(p), reference.stabilizer(p))
 
