@@ -12,7 +12,6 @@ root lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .root_system import (
     InvariantError,
     Matrix,
+    Record,
     RootSystem,
     Vector,
     _dual_basis,
@@ -48,8 +48,7 @@ def root_type(theta: Matrix, alpha: Vector) -> str:
     return COMPLEX
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Record):
     """An involutive isometry normalizing the root system, stored as a signed
     permutation of the ambient coordinates: coordinate k of theta(v) is
     v[c - 1] for c = coords[k] > 0, and -v[-c - 1] for c < 0."""
@@ -164,8 +163,7 @@ def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[in
     return ((n - trace) // 2 - m, m, (n + trace) // 2 - m)
 
 
-@dataclass(frozen=True)
-class TorusShape:
+class TorusShape(Record):
     compact: int
     complex_pairs: int
     split: int
@@ -178,8 +176,7 @@ class TorusShape:
         return "(%d,%d,%d)" % (self.compact, self.complex_pairs, self.split)
 
 
-@dataclass(frozen=True)
-class CartanClass:
+class CartanClass(Record):
     """Conjugacy class of Cartan subgroups.
 
     signature: E families (r, m, s); family A (real_rank,);
@@ -327,8 +324,7 @@ def classify_pairs(family: str, rank: int, pairs: Sequence[Tuple[int, int]],
     raise ScopeError("unknown family %r" % (family,))
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(Record):
     classes: Tuple[CartanClass, ...]
     edges: Tuple[Tuple[int, int], ...]  # (from, to) indices; one Cayley step
 
@@ -357,8 +353,7 @@ def hasse_diagram(family: str, rank: Optional[int] = None) -> HasseDiagram:
 # Center of the nonlinear cover
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     invariant_factors: Tuple[int, ...]
 
     @property
@@ -384,8 +379,7 @@ def cartan_matrix(system: RootSystem) -> List[List[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class CenterData:
+class CenterData(Record):
     """Center of the nonlinear double cover and its genuine quotient."""
 
     family: str

@@ -10,7 +10,6 @@ payloads carry schema "cayley-lift/1".
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional, Sequence
 
@@ -123,6 +122,8 @@ def _chi_range(args, family: str, rank: Optional[int]) -> Sequence[int]:
 def _emit(args, header_parts: List[str], payload: dict, text_lines: List[str]) -> None:
     out = sys.stdout
     if args.format == "json":
+        import json  # loaded only here: a text request never needs it
+
         payload = dict(payload)
         payload["schema"] = SCHEMA
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

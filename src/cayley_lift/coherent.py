@@ -22,7 +22,6 @@ word (by descent on the permutation) and chained, as its certificate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -30,6 +29,7 @@ from .root_system import (
     CertificateError,
     InvariantError,
     Matrix,
+    Record,
     RootSubsystem,
     RootSystem,
     ScopeError,
@@ -60,8 +60,7 @@ from .parameters import (
 from . import witness_data
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(Record):
     parameter: PairSetParameter
     word: WeylWord
     steps: Tuple[Tuple[Vector, str], ...]  # (beta_k, tag), consumption order
@@ -104,8 +103,7 @@ def chain_types(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
 # Stabilizer data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StabilizerDescription:
+class StabilizerDescription(Record):
     parameter: PairSetParameter
     integral: RootSubsystem            # Delta(rho/2)
     real: RootSubsystem                # real integral roots
@@ -163,8 +161,7 @@ def matrix_to_word(m: Matrix, system: RootSystem) -> WeylWord:
 # The sign test
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RuleOutReport:
+class RuleOutReport(Record):
     parameter: PairSetParameter
     verdict: str                 # "ruled_out" | "survives"
     method: str                  # "real_reflection" | "complex_search" | "full_sweep"
@@ -285,8 +282,7 @@ def survey(family: str, rank: Optional[int] = None) -> Tuple[RuleOutReport, ...]
 # Witness replay
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(Record):
     witness_id: str
     certificate: ChainCertificate
     golden_checked: bool

@@ -10,12 +10,11 @@ which is exactly what makes the two matrices inverse to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .root_system import InvariantError, ScopeError
+from .root_system import InvariantError, Record, ScopeError
 from .parameters import (
     PairSetParameter,
     contains,
@@ -30,8 +29,7 @@ def parameter_sort_key(p: PairSetParameter):
     return (len(p.elements()), p.blocks, p.pairs, p.chi)
 
 
-@dataclass(frozen=True)
-class ParameterPoset:
+class ParameterPoset(Record):
     """A finite set of parameters of one group and central character,
     ordered by containment of pair-and-block sets."""
 
@@ -151,8 +149,7 @@ def gamma_star_row_check(poset: ParameterPoset, gamma_star: PairSetParameter) ->
 # Formal integer combinations of parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormalIntegerCombination:
+class FormalIntegerCombination(Record):
     """An integer linear combination of parameters, kept in sorted order."""
 
     terms: Tuple[Tuple[PairSetParameter, int], ...]

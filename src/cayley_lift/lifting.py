@@ -10,11 +10,10 @@ the associated torus has a compact factor, 1 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Tuple
 
-from .root_system import ScopeError
+from .root_system import Record, ScopeError
 from .cartan import cartan_shape, genuine_central_character_count
 from .parameters import (
     PairSetParameter,
@@ -58,8 +57,7 @@ def lift_trivial(family: str, rank: Optional[int] = None, chi: int = 0) -> Forma
     return FormalIntegerCombination.from_pairs(terms)
 
 
-@dataclass(frozen=True)
-class CharacterCheck:
+class CharacterCheck(Record):
     chi: int
     lift: FormalIntegerCombination
     expected_support: Tuple[PairSetParameter, ...]
@@ -67,8 +65,7 @@ class CharacterCheck:
     coefficients_unit: bool   # every coefficient is +1 or -1
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     family: str
     rank: Optional[int]
     checks: Tuple[CharacterCheck, ...]

@@ -11,12 +11,12 @@ block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .root_system import (
+    Record,
     RootSystem,
     ScopeError,
     SignedPerm,
@@ -44,8 +44,7 @@ class TransformError(ValueError):
     """An illegal Cayley transform was requested."""
 
 
-@dataclass(frozen=True)
-class PairSetParameter:
+class PairSetParameter(Record):
     """A pseudospherical-origin parameter gamma(S) with a central character."""
 
     family: str
@@ -278,8 +277,7 @@ def orbit_representatives(
 # The distinguished subsets R_D of the integral simple roots, and their towers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RDSubset:
+class RDSubset(Record):
     """A subset S in R_D with the pair added by each of its simple roots."""
 
     simple_indices: Tuple[int, ...]   # 1-based indices among the alphas

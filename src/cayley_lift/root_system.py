@@ -14,7 +14,6 @@ and the public API.  There is no floating point anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -45,6 +44,62 @@ class InvariantError(AssertionError):
 
 class CertificateError(ValueError):
     """A replayed certificate diverged from its stored golden data."""
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    The fields are those of the base record, then the keys of the class's
+    own annotations, in order; the annotations are never evaluated (every
+    module postpones them).  A record is built from positional or keyword
+    field values, compares and hashes by the tuple of its fields, prints as
+    Name(field=value, ...) and refuses assignment and deletion.  Instances
+    keep a __dict__, so cached_property works on them.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError("%s() takes %d field values but %d were given"
+                            % (type(self).__qualname__, len(fields), len(args)))
+        values = self.__dict__
+        values.update(zip(fields, args))
+        for key in kwargs:
+            if key not in fields:
+                raise TypeError("%s() got an unexpected field %r" % (type(self).__qualname__, key))
+            if key in values:
+                raise TypeError("%s() got two values for field %r" % (type(self).__qualname__, key))
+        values.update(kwargs)
+        if len(values) < len(fields):
+            raise TypeError("%s() is missing fields %s" % (type(self).__qualname__, ", ".join(
+                repr(f) for f in fields if f not in values)))
+
+    def _values(self) -> Tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, self.__dict__[f]) for f in self._fields))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("cannot assign to field %r of %s" % (name, type(self).__qualname__))
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r of %s" % (name, type(self).__qualname__))
 
 
 def vec(*entries) -> Vector:
@@ -151,8 +206,7 @@ def reflection_matrix(alpha: Vector) -> Matrix:
 # Root system construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """A root system with the fixed simple system used throughout, stored
     in doubled integer coordinates; the Fraction vectors are views."""
 
@@ -346,8 +400,7 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
 # <rho/2, a^vee> = (2rho . 2a) / 8: a root is integral at rho/2 when that
 # integer dot product is 0 mod 8, half-integral when it is 4 mod 8.
 
-@dataclass(frozen=True)
-class RootSubsystem:
+class RootSubsystem(Record):
     """A reflection-closed set of roots of a system, held as ascending
     0-based positive-root indices; the root vectors are views."""
 
@@ -440,8 +493,7 @@ def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
     return tuple([a[j - 1] if j > 0 else -a[-j - 1] for j in b])
 
 
-@dataclass(frozen=True)
-class WeylTables:
+class WeylTables(Record):
     """Integer tables for the action of W on a system's positive roots."""
 
     system: RootSystem
@@ -540,8 +592,7 @@ def perm_to_word(w: SignedPerm, system: RootSystem) -> WeylWord:
 # Reflection words and beta chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BetaChain:
+class BetaChain(Record):
     """Chain roots beta_1..beta_N for a word, consumed rightmost letter first.
 
     beta_k = s_{beta_{k-1}} ... s_{beta_1}(a_k) where a_k is the positive root

@@ -12,10 +12,9 @@ script search_stabilizer_witnesses.py, last present at commit 1a782c6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .root_system import Vector, WeylWord, basis_vector, beta_root, sub
+from .root_system import Record, Vector, WeylWord, basis_vector, beta_root, sub
 
 IM = "im"
 RE = "real"
@@ -41,8 +40,7 @@ def _b(*positions: int) -> Vector:
     return beta_root(positions)
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+class WitnessEntry(Record):
     witness_id: str
     family: str
     signature: Tuple[int, int, int]

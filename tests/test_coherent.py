@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -299,9 +298,16 @@ def test_replay_unknown_id_is_scope_error():
         replay_witness("E9-000")
 
 
+def _tampered(entry, **changes):
+    """A copy of a catalog entry with some fields changed, built through the
+    WitnessEntry constructor, which rejects a field name it does not have."""
+    fields = {name: getattr(entry, name) for name in witness_data.WitnessEntry._fields}
+    return witness_data.WitnessEntry(**{**fields, **changes})
+
+
 def test_replay_detects_corrupted_count(monkeypatch):
     entry = witness_data.CATALOG["E6-030"]
-    bad = dataclasses.replace(entry, imaginary_count=entry.imaginary_count + 2)
+    bad = _tampered(entry, imaginary_count=entry.imaginary_count + 2)
     monkeypatch.setitem(witness_data.CATALOG, "E6-030", bad)
     with pytest.raises(CertificateError):
         replay_witness("E6-030")
@@ -311,7 +317,7 @@ def test_replay_detects_corrupted_golden(monkeypatch):
     entry = witness_data.CATALOG["E6-030"]
     steps = entry.golden
     tampered = (steps[1],) + (steps[0],) + steps[2:]
-    bad = dataclasses.replace(entry, golden=tampered)
+    bad = _tampered(entry, golden=tampered)
     monkeypatch.setitem(witness_data.CATALOG, "E6-030", bad)
     with pytest.raises(CertificateError):
         replay_witness("E6-030")
@@ -320,7 +326,7 @@ def test_replay_detects_corrupted_golden(monkeypatch):
 def test_replay_detects_a_word_that_no_longer_violates(monkeypatch):
     # the empty word has epsilon = det = +1; count and golden data agree with it
     entry = witness_data.CATALOG["E6-030"]
-    bad = dataclasses.replace(entry, word=(), imaginary_count=0, golden=None)
+    bad = _tampered(entry, word=(), imaginary_count=0, golden=None)
     monkeypatch.setitem(witness_data.CATALOG, "E6-030", bad)
     with pytest.raises(CertificateError, match="no longer violates"):
         replay_witness("E6-030")

@@ -5,7 +5,9 @@ submodule runs when one of its names, or the module itself, is first used.
 The cold-start tests start one fresh interpreter per CLI verb, with
 warnings turned into errors, and check which package modules actually ran:
 a module still waiting on its lazy loader has a type other than
-types.ModuleType, and asking for that type does not load it.
+types.ModuleType, and asking for that type does not load it.  They also
+check that no request loads dataclasses or inspect, and that only a JSON
+request loads json.
 """
 
 from __future__ import annotations
@@ -83,8 +85,9 @@ def test_readme_library_example_returns_what_it_states():
 # cold start: each verb runs only the modules it calls
 # ---------------------------------------------------------------------------
 
-# Prints, at interpreter exit, the package modules that ran.  The program
-# text after it is the request.
+# Prints, at interpreter exit, the package modules that ran and which of
+# HEAVY were loaded.  The program text after it is the request.
+HEAVY = ("dataclasses", "inspect", "json")  # a text request needs none of them
 REPORTER = """\
 import atexit, sys, types
 
@@ -93,8 +96,9 @@ def report():
     ran = sorted(name.partition(".")[2] for name, module in sys.modules.items()
                  if name.startswith("cayley_lift.") and type(module) is types.ModuleType)
     print("ran: " + " ".join(ran), file=sys.stderr)
+    print("loaded: " + " ".join(name for name in %r if name in sys.modules), file=sys.stderr)
 
-"""
+""" % (HEAVY,)
 RUN_CLI = 'import runpy\nrunpy.run_module("cayley_lift.cli", run_name="__main__", alter_sys=True)\n'
 
 SL4 = GROUPS["SL4"]
@@ -133,18 +137,26 @@ def test_requests_cover_every_verb():
 def test_each_verb_runs_only_the_modules_it_calls(verb):
     args, golden, modules = REQUESTS[verb]
     done = _python("-c", REPORTER + RUN_CLI, verb, *args, "--no-header")
-    assert (done.returncode, done.stderr) == (0, "ran: %s\n" % " ".join(sorted(modules)))
+    assert (done.returncode, done.stderr) == (0, "ran: %s\nloaded: \n" % " ".join(sorted(modules)))
     assert done.stdout == (GOLDEN / golden).read_text()
+
+
+def test_a_json_request_loads_json_and_nothing_else_heavy():
+    args, golden, modules = REQUESTS["count-small"]
+    done = _python("-c", REPORTER + RUN_CLI, "count-small", *args, "--no-header",
+                   "--format", "json")
+    assert (done.returncode, done.stderr) == (0, "ran: %s\nloaded: json\n" % " ".join(sorted(modules)))
+    assert done.stdout == (GOLDEN / golden.replace(".txt", ".json")).read_text()
 
 
 def test_importing_the_cli_runs_only_the_root_system():
     done = _python("-c", REPORTER + "import cayley_lift.cli\n")
-    assert (done.returncode, done.stderr) == (0, "ran: cli root_system\n")
+    assert (done.returncode, done.stderr) == (0, "ran: cli root_system\nloaded: \n")
 
 
 def test_importing_the_package_runs_no_submodule():
     done = _python("-c", REPORTER + "import cayley_lift\n")
-    assert (done.returncode, done.stderr) == (0, "ran: \n")
+    assert (done.returncode, done.stderr) == (0, "ran: \nloaded: \n")
 
 
 def test_python_m_emits_no_warning():
