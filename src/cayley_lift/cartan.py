@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .root_system import (
     InvariantError,
@@ -197,7 +198,8 @@ class CartanClass(Record):
 
 
 # Representative pair data for the E classes, keyed by (family, signature).
-E_CLASS_REPS: Dict[Tuple[str, Tuple[int, int, int]], Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, int], ...]]] = {
+# Read-only: the literal's order is the printed E class order.
+E_CLASS_REPS: Mapping[Tuple[str, Tuple[int, int, int]], Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, int], ...]]] = MappingProxyType({
     ("E6", (2, 2, 0)): (((1, 2, 3, 4),), ()),
     ("E6", (0, 3, 0)): ((), ((1, 2), (-1, -2), (3, 4))),
     ("E6", (0, 2, 2)): ((), ((1, 2), (-1, -2))),
@@ -223,7 +225,7 @@ E_CLASS_REPS: Dict[Tuple[str, Tuple[int, int, int]], Tuple[Tuple[Tuple[int, ...]
     ("E8", (0, 2, 4)): ((), ((1, 2), (-1, -2))),
     ("E8", (0, 1, 6)): ((), ((1, 2),)),
     ("E8", (0, 0, 8)): ((), ()),
-}
+})
 
 def class_rep_data(c: CartanClass) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, int], ...]]:
     """(blocks, pairs) of the representative parameter for the class."""

@@ -14,9 +14,12 @@ permutation of the ambient positive roots (root_system.WeylTables).  For a
 reduced word the chain roots are, up to sign, the positive roots that w
 sends negative (Bourbaki VI 1.6), so epsilon * det is the parity of w's
 non-imaginary inversions and the sign test reads the permutation directly.
-The stabilizer sweep is one lazy breadth-first search over the core Weyl
-group that stops at the first violation; only that element is turned into a
-word (by descent on the permutation) and chained, as its certificate.
+That parity is a character of the centralizer of theta (N(xy) is N(y)
+plus y^-1 N(x) mod 2), so it is tested on generators of the stabilizer
+only: a real integral reflection, the imaginary ones, then the Schreier
+generators of W(core)^theta from a breadth-first search over the
+W(core)-conjugates of theta, stopping at the first violation.  Only that generator is turned into a word (by
+descent on the permutation) and chained, as its certificate.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .root_system import (
     ScopeError,
     SignedPerm,
     Vector,
+    WeylTables,
     WeylWord,
     _doubled_sum,
     _integral_system,
@@ -42,6 +46,7 @@ from .root_system import (
     canonical_reflection_word,
     idot,
     neg,
+    perm_inv,
     perm_mul,
     perm_to_word,
     root_permutation,
@@ -166,28 +171,33 @@ class RuleOutReport(Record):
     verdict: str                 # "ruled_out" | "survives"
     method: str                  # "real_reflection" | "complex_search" | "full_sweep"
     certificate: Optional[ChainCertificate]
-    checked: int                 # stabilizer elements examined
+    checked: int                 # stabilizer generators tested
 
 
-def _core_sweep(p: PairSetParameter, st: StabilizerDescription) -> Iterator[SignedPerm]:
-    """theta-commuting elements of the core Weyl group, lazily, in
-    breadth-first order from the identity (which comes first)."""
-    tables = weyl_tables(_ambient(p))
-    th = theta_perm(p)
+def _schreier_generators(st: StabilizerDescription, th: SignedPerm,
+                         tables: WeylTables) -> Iterator[SignedPerm]:
+    """Generators of W(core)^theta, lazily, by Schreier's lemma.
+
+    A breadth-first search over the W(core)-conjugates x = u theta u^-1,
+    with steps x -> g x g for the core simple reflections g, keeps one u_x
+    per conjugate; each edge from x to an already known y gives the
+    generator u_y^-1 g u_x of theta's stabilizer.
+    """
     gens = [tables.reflections[k] for k in st.complex_core.simple_index]
-    seen = {tables.identity}
-    frontier = [tables.identity]
-    yield tables.identity
+    transversal = {th: tables.identity}
+    frontier = [th]
     while frontier:
         nxt = []
-        for w in frontier:
+        for x in frontier:
+            u = transversal[x]
             for g in gens:
-                c = perm_mul(w, g)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-                    if perm_mul(th, c) == perm_mul(c, th):
-                        yield c
+                y = perm_mul(perm_mul(g, x), g)
+                gu = perm_mul(g, u)
+                if y in transversal:
+                    yield perm_mul(perm_inv(transversal[y]), gu)
+                else:
+                    transversal[y] = gu
+                    nxt.append(y)
         frontier = nxt
 
 
@@ -197,70 +207,42 @@ def violates(w: SignedPerm, th: SignedPerm) -> bool:
     return sum(1 for k, x in enumerate(w) if x < 0 and th[k] != k + 1) % 2 == 1
 
 
-def _certificate(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
-    """The chain of a word that must violate the sign test."""
+def _ruled_out(p: PairSetParameter, method: str, word: Sequence[int], checked: int) -> RuleOutReport:
+    """The report for a word whose chain must violate the sign test."""
     cert = chain_types(p, word)
     if cert.sign == cert.word_sign:
         raise InvariantError("chain of %r did not violate the sign test" % (tuple(word),))
-    return cert
+    return RuleOutReport(parameter=p, verdict="ruled_out", method=method,
+                         certificate=cert, checked=checked)
 
 
-def _star_sweep(p: PairSetParameter) -> Tuple[Optional[ChainCertificate], int]:
-    """First sign violation on the stabilizer, or None after a full sweep.
+def rule_out(p: PairSetParameter) -> RuleOutReport:
+    """Decide the sign test for p's orbit, live.
 
-    Tests the reflection in each imaginary integral root (rule_out settles
-    any class with a real integral root first), then the theta-commuting
-    elements of the core Weyl group after the identity, and stops at the
-    first violation.
+    epsilon * det is a character of the theta-centralizer, so it is tested
+    on generators of the stabilizer alone: a real integral reflection, then
+    the imaginary integral reflections, then the Schreier generators of
+    W(core)^theta.  The first violation rules the class out; if none
+    violates, it survives.
     """
     system = _ambient(p)
+    st = stabilizer(p)
+    if st.real.positive_index:
+        word = canonical_reflection_word(st.real.positive_index[0] + 1, system)
+        return _ruled_out(p, "real_reflection", word, 1)
     tables = weyl_tables(system)
     th = theta_perm(p)
-    st = stabilizer(p)
     checked = 0
     for k in st.imaginary.positive_index:
         checked += 1
         if violates(tables.reflections[k], th):
-            return _certificate(p, canonical_reflection_word(k + 1, system)), checked
-    sweep = _core_sweep(p, st)
-    next(sweep)  # the identity
-    for w in sweep:
+            return _ruled_out(p, "complex_search", canonical_reflection_word(k + 1, system), checked)
+    for w in _schreier_generators(st, th, tables):
         checked += 1
         if violates(w, th):
-            return _certificate(p, perm_to_word(w, system)), checked
-    return None, checked
-
-
-def rule_out(p: PairSetParameter) -> RuleOutReport:
-    """Decide the sign test for p's orbit, live: a real integral reflection
-    or a swept stabilizer element with epsilon != det rules it out; a clean
-    full sweep certifies survival."""
-    st = stabilizer(p)
-    if st.real.positive_index:
-        word = canonical_reflection_word(st.real.positive_index[0] + 1, _ambient(p))
-        return RuleOutReport(
-            parameter=p,
-            verdict="ruled_out",
-            method="real_reflection",
-            certificate=_certificate(p, word),
-            checked=1,
-        )
-    violation, checked = _star_sweep(p)
-    if violation is not None:
-        return RuleOutReport(
-            parameter=p,
-            verdict="ruled_out",
-            method="complex_search",
-            certificate=violation,
-            checked=checked,
-        )
-    return RuleOutReport(
-        parameter=p,
-        verdict="survives",
-        method="full_sweep",
-        certificate=None,
-        checked=checked,
-    )
+            return _ruled_out(p, "complex_search", perm_to_word(w, system), checked)
+    return RuleOutReport(parameter=p, verdict="survives", method="full_sweep",
+                         certificate=None, checked=checked)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,8 @@ Gaussian solve per root), the simple-root coefficients, the integral and
 half-integral roots at rho/2 (by pairing), the subsystems and their simple
 roots (by vector differences), the canonical reflection word (descent on
 vectors), the chain loop, the descent that turns a matrix into a reduced
-word, the breadth-first sweep of the core Weyl group, the Cartan involution
+word, the breadth-first sweep of the core Weyl group with the sign test read
+off the chain of each element's reduced word, the Cartan involution
 theta (-Id times a product of dense reflection matrices), its torus
 signature (one Gaussian solve per simple root, then the integer
 eigenlattices of sigma = -theta and their index), the stabilizer data (theta
@@ -25,9 +26,11 @@ edges, as a fixed table of signature pairs.  The library does
 all of this in doubled integer coordinates, on signed permutations of the
 positive roots and with one integer dual basis per system; it reads the sign
 test from the inversions of a permutation and the signature from a trace and
-one rank modulo 2.  Tests compare the two.  The membership tests for the
-integral Weyl group and for W(core)^theta (descent on dense matrices) have
-no library counterpart; tests use them to check stored witness words.
+one rank modulo 2.  Tests compare the two.  The core sweep has no library
+counterpart: the library tests the sign only on generators of W(core)^theta,
+and tests compare its verdicts with the sweep's.  Neither do the membership
+tests for the integral Weyl group and for W(core)^theta (descent on dense
+matrices); tests use them to check stored witness words.
 """
 
 from __future__ import annotations
@@ -571,7 +574,7 @@ def is_complex_fixed_member(p: PairSetParameter, word: Sequence[int]) -> bool:
     return in_reflection_subgroup(w, st.integral, system)
 
 
-def sweep_elements(p: PairSetParameter, st: StabilizerDescription, system: RootSystem):
+def sweep_elements(p: PairSetParameter, st: Stabilizer, system: RootSystem):
     """theta-commuting elements of W(core) as matrices, breadth-first order."""
     th = theta(p)
     gens = [reflection_matrix(a) for a in st.complex_core.simple]
@@ -590,3 +593,25 @@ def sweep_elements(p: PairSetParameter, st: StabilizerDescription, system: RootS
                     ordered.append(c)
         frontier = nxt
     return [w for w in ordered if mat_mul(th, w) == mat_mul(w, th)]
+
+
+def violates(p: PairSetParameter, m: Matrix, system: RootSystem) -> bool:
+    """Whether epsilon != det for m: the parity of the imaginary chain roots
+    of m's reduced word against the parity of its length."""
+    word = matrix_descent(m, system)
+    imaginary = sum(1 for _, tag in chain_steps(p, word, system) if tag == "im")
+    return imaginary % 2 != len(word) % 2
+
+
+def rule_out(p: PairSetParameter) -> Tuple[str, str]:
+    """(verdict, method) of the sign test by the dense sweep: a real integral
+    root rules p out; otherwise each imaginary integral reflection and each
+    theta-commuting element of W(core) is tested."""
+    system = _system(p)
+    st = stabilizer(p)
+    if st.real.positive:
+        return "ruled_out", "real_reflection"
+    elements = [reflection_matrix(a) for a in st.imaginary.positive]
+    if any(violates(p, m, system) for m in elements + sweep_elements(p, st, system)):
+        return "ruled_out", "complex_search"
+    return "survives", "full_sweep"

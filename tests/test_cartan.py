@@ -66,6 +66,19 @@ def test_e_class_lists():
     assert len(E_CLASS_REPS) == 25
 
 
+def test_e_class_table_is_read_only():
+    """The E class order is the table literal's: a key can be neither
+    deleted nor re-added, so no edit can move it to the end."""
+    patch = pytest.MonkeyPatch()
+    with pytest.raises(TypeError):
+        patch.delitem(E_CLASS_REPS, ("E6", (2, 2, 0)))
+    with pytest.raises(TypeError):
+        patch.undo()  # re-adds the key it recorded
+    assert [c.render() for c in cartan_classes("E6")] == [
+        "(2,2,0)", "(0,3,0)", "(0,2,2)", "(0,1,4)", "(0,0,6)",
+    ]
+
+
 def test_split_class_position_and_shape():
     # A and D list the split class first; E families list it last.
     for family, rank in (("A", 4), ("A", 7), ("D", 4), ("D", 5)):

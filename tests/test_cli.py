@@ -95,8 +95,8 @@ def test_non_integer_rank_is_an_argparse_usage_error(capsys):
 
 def test_internal_error_is_exit_code_4_without_traceback(capsys, monkeypatch):
     # break one invariant: a Cayley move from an E6 class lands on a class
-    # that is no longer listed (a filtered copy, so that the shared table
-    # keeps its order, which fixes the class order of later requests)
+    # that is no longer listed (a filtered copy, as the shared table is
+    # read-only)
     reps = {k: v for k, v in cartan.E_CLASS_REPS.items() if k != ("E6", (2, 2, 0))}
     monkeypatch.setattr(cartan, "E_CLASS_REPS", reps)
     assert EXIT_INTERNAL == 4

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import islice
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
 from cayley_lift.cartan import involution_from_pairs, signature_from_involution
+from cayley_lift import coherent
 from cayley_lift.coherent import (
-    _core_sweep,
     chain_types,
     matrix_to_word,
     random_equivalent_word,
+    rule_out,
     stabilizer,
     violates,
 )
@@ -25,11 +30,13 @@ from cayley_lift.parameters import (
     theta_perm,
 )
 from cayley_lift.root_system import (
+    InvariantError,
     _reflection_perm,
     beta_chain_for_word,
     build_root_system,
     canonical_reflection_word,
     half_integral_roots,
+    idot,
     integral_system,
     perm_mul,
     perm_to_word,
@@ -276,14 +283,185 @@ def test_sign_test_reads_the_permutation(case):
     assert violates(w, theta_perm(p)) == (cert.sign != cert.word_sign)
 
 
-@pytest.mark.parametrize(
-    "family, rank, label",
-    [("A", 5, "i=2"), ("D", 5, "(0,2,+)"), ("E6", None, "(2,2,0)")],
-)
-def test_sweep_order_matches_reference(family, rank, label):
-    p = {c.render(): p for c, p in orbit_representatives(family, rank)}[label]
-    system = build_root_system(family, rank)
-    stab = stabilizer(p)
-    expected = [root_permutation(m, system) for m in reference.sweep_elements(p, stab, system)]
-    assert len(expected) > 1
-    assert list(_core_sweep(p, stab)) == expected
+# ---------------------------------------------------------------------------
+# The sign test on generators of the theta-centralizer
+# ---------------------------------------------------------------------------
+
+CORE_LIMIT = 5000
+
+
+def _closure(gens, identity):
+    """The group the signed permutations gens generate, breadth first."""
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                c = perm_mul(w, g)
+                if c not in group:
+                    group.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return group
+
+
+def _weyl_order(sub):
+    """|W| of a simply-laced root subsystem: each irreducible component is
+    A_r, D_r or E_r, told apart by its rank r and its number of positive roots."""
+    doubled = sub.system.doubled_positive
+    parts = []
+    for k in sub.simple_index:
+        linked = [c for c in parts if any(idot(doubled[k], doubled[j]) for j in c)]
+        parts = [c for c in parts if c not in linked] + [sum(linked, [k])]
+    order = 1
+    for c in parts:
+        r = len(c)
+        n = sum(1 for j in sub.positive_index if any(idot(doubled[j], doubled[k]) for k in c))
+        if n == r * (r + 1) // 2:
+            order *= factorial(r + 1)
+        elif n == r * (r - 1):
+            order *= 2 ** (r - 1) * factorial(r)
+        else:
+            order *= {36: 51840, 63: 2903040, 120: 696729600}[n]
+    return order
+
+
+def _core_centralizer(p, tables):
+    """The theta-commuting elements of W(core), from a breadth-first search
+    over all of W(core), which must have _weyl_order elements."""
+    th = theta_perm(p)
+    core = stabilizer(p).complex_core
+    group = _closure([tables.reflections[k] for k in core.simple_index], tables.identity)
+    assert len(group) == _weyl_order(core)
+    return frozenset(w for w in group if perm_mul(th, w) == perm_mul(w, th))
+
+
+@lru_cache(maxsize=None)
+def _small_core_classes():
+    """(label, p, W(core)^theta) for every class with no real integral root
+    whose W(core) has at most CORE_LIMIT elements, and the number of classes
+    with no real integral root."""
+    cases, unreal = [], 0
+    for family, rank in IN_SCOPE:
+        tables = weyl_tables(build_root_system(family, rank))
+        for c, p in orbit_representatives(family, rank):
+            st = stabilizer(p)
+            if st.real.positive_index:
+                continue
+            unreal += 1
+            if _weyl_order(st.complex_core) <= CORE_LIMIT:
+                label = "%s%s %s" % (family, rank or "", c.render())
+                cases.append((label, p, _core_centralizer(p, tables)))
+    return tuple(cases), unreal
+
+
+def _schreier_list(p, limit=None):
+    """The first limit (default all) Schreier generators for p, and the tables."""
+    tables = weyl_tables(build_root_system(p.family, p.rank if p.family in ("A", "D") else None))
+    gens = coherent._schreier_generators(stabilizer(p), theta_perm(p), tables)
+    return list(islice(gens, limit)), tables
+
+
+def _span_mismatches(cases):
+    """Labels of the cases whose Schreier generators do not generate W(core)^theta."""
+    out = []
+    for label, p, centralizer in cases:
+        gens, tables = _schreier_list(p)
+        if _closure(gens, tables.identity) != centralizer:
+            out.append(label)
+    return out
+
+
+def test_schreier_generators_span_the_core_centralizer():
+    cases, unreal = _small_core_classes()
+    assert (len(cases), unreal) == (49, 60)
+    assert _span_mismatches(cases) == []
+    assert max(len(centralizer) for _, _, centralizer in cases) == 24
+
+
+VERDICT_GROUPS = [("A", r) for r in range(1, 7)] + [("D", r) for r in range(3, 6)]
+
+
+@lru_cache(maxsize=None)
+def _reference_verdicts():
+    return tuple((c.render(), p, reference.rule_out(p))
+                 for family, rank in VERDICT_GROUPS for c, p in orbit_representatives(family, rank))
+
+
+def _verdict_mismatches():
+    """Classes whose live (verdict, method) differs from the dense sweep's;
+    an InvariantError from rule_out counts as a difference."""
+    out = []
+    for label, p, expected in _reference_verdicts():
+        try:
+            report = rule_out(p)
+            got = (report.verdict, report.method)
+        except InvariantError as exc:
+            got = ("InvariantError", str(exc))
+        if got != expected:
+            out.append((p.family, p.rank, label, got, expected))
+    return out
+
+
+def test_rule_out_matches_the_dense_sweep():
+    """The generators decide every class of A 1-6 and D 3-5 as the dense
+    reference does from every theta-commuting element of W(core)."""
+    assert len(_reference_verdicts()) == 34
+    assert {v for _, _, v in _reference_verdicts()} == {
+        ("ruled_out", "real_reflection"), ("ruled_out", "complex_search"), ("survives", "full_sweep")}
+    assert _verdict_mismatches() == []
+
+
+@st.composite
+def centralizer_pair(draw):
+    """A class with no real integral root and two products of its
+    imaginary integral reflections and first 200 Schreier generators."""
+    family, rank = draw(st.sampled_from(GROUPS))
+    params = [p for _, p in orbit_representatives(family, rank)
+              if not stabilizer(p).real.positive_index]
+    p = draw(st.sampled_from(params))
+    gens, tables = _schreier_list(p, 200)
+    gens += [tables.reflections[k] for k in stabilizer(p).imaginary.positive_index]
+    products = []
+    for _ in range(2):
+        w = tables.identity
+        for g in draw(st.lists(st.sampled_from(gens), max_size=6)):
+            w = perm_mul(w, g)
+        products.append(w)
+    return theta_perm(p), products[0], products[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(centralizer_pair())
+def test_sign_test_is_a_character_of_the_centralizer(case):
+    th, x, y = case
+    assert violates(perm_mul(x, y), th) == (violates(x, th) != violates(y, th))
+
+
+def test_the_comparisons_catch_injected_faults(monkeypatch):
+    """On A 1-6 and D 3-5, a generator set short of one generator spans too
+    little on some class, and a sign test flipped on one root changes some
+    verdict."""
+    cases, _ = _small_core_classes()
+    original = coherent._schreier_generators
+
+    def one_short(stab, th, tables):
+        # every copy of the first nontrivial generator: the reverse of an
+        # edge gives the inverse generator, so a single copy is redundant
+        dropped = None
+        for w in original(stab, th, tables):
+            if dropped is None and w != tables.identity:
+                dropped = w
+            if w != dropped:
+                yield w
+
+    monkeypatch.setattr(coherent, "_schreier_generators", one_short)
+    assert _span_mismatches([c for c in cases if (c[1].family, c[1].rank) in VERDICT_GROUPS])
+    monkeypatch.undo()
+
+    sign_test = coherent.violates
+    monkeypatch.setattr(coherent, "violates", lambda w, th: sign_test(w, th) != (w[0] < 0))
+    assert _verdict_mismatches()
+    monkeypatch.undo()
+    assert _verdict_mismatches() == []
