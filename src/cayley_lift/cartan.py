@@ -18,6 +18,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .root_system import (
+    Doubled,
     InvariantError,
     Matrix,
     Record,
@@ -25,12 +26,11 @@ from .root_system import (
     Vector,
     _dual_basis,
     _scaled_coefficients,
-    add,
+    _view,
     build_root_system,
     idot,
     mat_apply,
     neg,
-    zero,
     ScopeError,
 )
 
@@ -382,13 +382,18 @@ def cartan_matrix(system: RootSystem) -> List[List[int]]:
 
 
 class CenterData(Record):
-    """Center of the nonlinear double cover and its genuine quotient."""
+    """Center of the nonlinear double cover and its genuine quotient, with
+    the coset representatives held doubled; quotient_reps is their view."""
 
     family: str
     rank: int
     center: FiniteAbelianGroup        # Z of the cover
     quotient_order: int               # [2 P^vee cap R^vee : 2 R^vee]
-    quotient_reps: Tuple[Vector, ...]  # coset representatives, ambient coords
+    doubled_reps: Tuple[Doubled, ...]  # 2 * each coset representative
+
+    @cached_property
+    def quotient_reps(self) -> Tuple[Vector, ...]:
+        return tuple(map(_view, self.doubled_reps))
 
 
 @lru_cache(maxsize=None)
@@ -405,27 +410,22 @@ def cover_center_data(family: str, rank: Optional[int] = None) -> CenterData:
     kernel = _gf2_kernel_basis(cartan_matrix(system))
     k = len(kernel)
 
-    reps: List[Vector] = [zero(system.dim)]
-    span: List[Tuple[int, ...]] = []
-    for mask in range(1, 1 << k):
+    span: List[List[int]] = []
+    for mask in range(1 << k):
         coeffs = [0] * n
         for bit in range(k):
             if (mask >> bit) & 1:
                 coeffs = [(x + y) % 2 for x, y in zip(coeffs, kernel[bit])]
-        span.append(tuple(coeffs))
-    for coeffs in sorted(span):
-        v = zero(system.dim)
-        for i, c in enumerate(coeffs):
-            if c:
-                v = add(v, system.simple_roots[i])
-        reps.append(v)
+        span.append(coeffs)
+    columns = tuple(zip(*system.doubled_simple))
+    reps = tuple(tuple(idot(coeffs, column) for column in columns) for coeffs in sorted(span))
 
     return CenterData(
         family=family,
         rank=n,
         center=FiniteAbelianGroup(invariant_factors=(2,) * (k + 1)),
         quotient_order=1 << k,
-        quotient_reps=tuple(reps),
+        doubled_reps=reps,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .root_system import (
@@ -234,18 +235,18 @@ def _cmd_params(args) -> int:
     lines = []
     for chi in chis:
         for c, p in parameters.orbit_representatives(args.family, rank, chi):
+            length = Fraction(parameters.length(p), 2)  # length() is doubled
             entries.append(
                 {
                     "class": c.render(),
                     "shape": cartan.cartan_shape(c).render(),
-                    "length": str(parameters.length(p)),
+                    "length": str(length),
                     "parameter": parameters.parameter_to_json(p),
                 }
             )
             lines.append(
                 "chi%d %-10s shape %-10s length %-6s %s"
-                % (chi, c.render(), cartan.cartan_shape(c).render(), parameters.length(p),
-                   p.render())
+                % (chi, c.render(), cartan.cartan_shape(c).render(), length, p.render())
             )
     payload = {"family": args.family, "parameters": entries}
     _emit(args, _header(args), payload, lines)

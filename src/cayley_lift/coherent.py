@@ -10,23 +10,23 @@ it with det(w) on the stabilizer of gamma's orbit decides whether gamma
 supports a sign-consistent family (it "survives") or is ruled out.
 
 Every Weyl group element here, and the involution theta, is a signed
-permutation of the ambient positive roots (root_system.WeylTables).  For a
-reduced word the chain roots are, up to sign, the positive roots that w
-sends negative (Bourbaki VI 1.6), so epsilon * det is the parity of w's
-non-imaginary inversions and the sign test reads the permutation directly.
-That parity is a character of the centralizer of theta (N(xy) is N(y)
-plus y^-1 N(x) mod 2), so it is tested on generators of the stabilizer
-only: a real integral reflection, the imaginary ones, then the Schreier
-generators of W(core)^theta from a breadth-first search over the
-W(core)-conjugates of theta, stopping at the first violation.  Only that generator is turned into a word (by
-descent on the permutation) and chained, as its certificate.
+permutation of the ambient positive roots (root_system.WeylTables), and a
+certificate holds each chain root as its signed index; the root vectors
+are a view.  For a reduced word the chain roots are, up to sign, the
+positive roots that w sends negative (Bourbaki VI 1.6), so epsilon * det
+is the parity of w's non-imaginary inversions and the sign test reads the
+permutation.  That parity is a character of the centralizer of theta
+(N(xy) is N(y) plus y^-1 N(x) mod 2), so it is tested on generators of
+the stabilizer only: a real integral reflection, the imaginary ones, then
+one of each inverse pair of Schreier generators of W(core)^theta, stopping
+at the first violation, which alone becomes a word and a certificate.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .root_system import (
     CertificateError,
@@ -66,12 +66,22 @@ from . import witness_data
 
 
 class ChainCertificate(Record):
+    """The chain of a word against p's involution: the signed positive-root
+    index and the tag of each chain root, in consumption order; the
+    (beta_k, tag) pairs with root vectors are the steps view."""
+
     parameter: PairSetParameter
     word: WeylWord
-    steps: Tuple[Tuple[Vector, str], ...]  # (beta_k, tag), consumption order
+    indices: Tuple[int, ...]
+    tags: Tuple[str, ...]
     imaginary_count: int
     sign: int        # epsilon = (-1)^imaginary_count
     word_sign: int   # det of the word, (-1)^len
+
+    @cached_property
+    def steps(self) -> Tuple[Tuple[Vector, str], ...]:
+        root = weyl_tables(_ambient(self.parameter)).root
+        return tuple(zip(map(root, self.indices), self.tags))
 
 
 def _ambient(p: PairSetParameter) -> RootSystem:
@@ -81,23 +91,14 @@ def _ambient(p: PairSetParameter) -> RootSystem:
 def chain_types(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
     """Chain roots and their types for the word, against p's involution."""
     chain = beta_chain_for_word(tuple(word), _ambient(p))
-    th = theta_perm(p)
-    steps: List[Tuple[Vector, str]] = []
-    m = 0
-    for s, beta in zip(chain.indices, chain.steps):
-        k = abs(s)  # a root and its negative have the same type
-        if th[k - 1] == k:
-            tag = IMAGINARY
-            m += 1
-        elif th[k - 1] == -k:
-            tag = REAL
-        else:
-            tag = COMPLEX
-        steps.append((beta, tag))
+    th = theta_perm(p)  # a root and its negative have the same type
+    tags = tuple({k: IMAGINARY, -k: REAL}.get(th[k - 1], COMPLEX) for k in map(abs, chain.indices))
+    m = tags.count(IMAGINARY)
     return ChainCertificate(
         parameter=p,
         word=chain.word,
-        steps=tuple(steps),
+        indices=chain.indices,
+        tags=tags,
         imaginary_count=m,
         sign=-1 if m % 2 else 1,
         word_sign=-1 if len(chain.word) % 2 else 1,
@@ -181,23 +182,27 @@ def _schreier_generators(st: StabilizerDescription, th: SignedPerm,
     A breadth-first search over the W(core)-conjugates x = u theta u^-1,
     with steps x -> g x g for the core simple reflections g, keeps one u_x
     per conjugate; each edge from x to an already known y gives the
-    generator u_y^-1 g u_x of theta's stabilizer.
+    generator u_y^-1 g u_x of theta's stabilizer.  The same edge read from
+    y gives its inverse, so an edge is read only from the endpoint found
+    first, and an edge whose generator is the identity (u_y = g u_x, as on
+    every tree edge) yields nothing.
     """
     gens = [tables.reflections[k] for k in st.complex_core.simple_index]
-    transversal = {th: tables.identity}
+    transversal = {th: (0, tables.identity)}  # conjugate -> (discovery index, u)
     frontier = [th]
     while frontier:
         nxt = []
         for x in frontier:
-            u = transversal[x]
+            found, u = transversal[x]
             for g in gens:
                 y = perm_mul(perm_mul(g, x), g)
                 gu = perm_mul(g, u)
-                if y in transversal:
-                    yield perm_mul(perm_inv(transversal[y]), gu)
-                else:
-                    transversal[y] = gu
+                known = transversal.get(y)
+                if known is None:
+                    transversal[y] = (len(transversal), gu)
                     nxt.append(y)
+                elif known[0] >= found and known[1] != gu:
+                    yield perm_mul(perm_inv(known[1]), gu)
         frontier = nxt
 
 

@@ -11,8 +11,7 @@ which is exactly what makes the two matrices inverse to each other.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .root_system import InvariantError, Record, ScopeError
 from .parameters import (
@@ -21,7 +20,7 @@ from .parameters import (
     enumerate_block,
     length,
     rd_subsets,
-    tower_parameter,
+    tower_terms,
 )
 
 
@@ -51,17 +50,11 @@ def _dedup_sorted(params: Iterable[PairSetParameter]) -> Tuple[PairSetParameter,
 
 def tower_poset(family: str, rank: Optional[int] = None, chi: int = 0) -> ParameterPoset:
     """The union of all lifted-parameter towers c_{S'}(gamma(empty))."""
-    params: List[PairSetParameter] = []
-    lie_rank = None
-    for subset in rd_subsets(family, rank):
-        for size in range(len(subset.simple_indices) + 1):
-            for members in combinations(subset.simple_indices, size):
-                p = tower_parameter(family, rank, chi, subset, members)
-                params.append(p)
-                lie_rank = p.rank
-    if lie_rank is None:
+    params = [p for subset in rd_subsets(family, rank)
+              for _, p in tower_terms(family, rank, chi, subset)]
+    if not params:
         raise InvariantError("no tower parameter for %s" % family)
-    return ParameterPoset(family, lie_rank, chi, _dedup_sorted(params))
+    return ParameterPoset(family, params[0].rank, chi, _dedup_sorted(params))
 
 
 def block_poset(family: str, rank: int, chi: int = 0) -> ParameterPoset:
@@ -100,12 +93,12 @@ def M_entry(gamma: PairSetParameter, delta: PairSetParameter) -> int:
         )
     if not contains(gamma, delta):
         return 0
-    diff = length(delta) - length(gamma)
-    if diff.denominator != 1:
+    diff = length(delta) - length(gamma)  # doubled
+    if diff % 2:
         raise ScopeError(
-            "length difference %s is not an integer; closed form does not apply" % diff
+            "length difference %d/2 is not an integer; closed form does not apply" % diff
         )
-    return -1 if int(diff) % 2 else 1
+    return -1 if diff // 2 % 2 else 1
 
 
 def matrix_m(poset: ParameterPoset) -> Tuple[Tuple[int, ...], ...]:
@@ -193,11 +186,6 @@ def zuckerman_restricted(
     subset_index selects among rd_subsets(family, rank); the default takes
     the last (the full tower for groups with a single nonempty S).
     """
-    subsets = rd_subsets(family, rank)
-    subset = subsets[subset_index]
-    pairs = []
-    for size in range(len(subset.simple_indices) + 1):
-        for members in combinations(subset.simple_indices, size):
-            p = tower_parameter(family, rank, chi, subset, members)
-            pairs.append((p, -1 if size % 2 else 1))
-    return FormalIntegerCombination.from_pairs(pairs)
+    subset = rd_subsets(family, rank)[subset_index]
+    return FormalIntegerCombination.from_pairs(
+        (p, sign) for sign, p in tower_terms(family, rank, chi, subset))

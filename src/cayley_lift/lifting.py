@@ -10,7 +10,6 @@ the associated torus has a compact factor, 1 otherwise.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional, Tuple
 
 from .root_system import Record, ScopeError
@@ -22,6 +21,7 @@ from .parameters import (
     pi_RD,
     rd_subsets,
     tower_parameter,
+    tower_terms,
 )
 from .klv_poset import FormalIntegerCombination, in_tower_scope
 
@@ -40,12 +40,7 @@ def cartan_constant(p: PairSetParameter) -> int:
 
 def K_coefficient(family: str, rank: Optional[int], subset: RDSubset, chi: int = 0) -> int:
     """K_S: the alternating sum of C(H) over sub-subsets of S."""
-    total = 0
-    for size in range(len(subset.simple_indices) + 1):
-        for members in combinations(subset.simple_indices, size):
-            p = tower_parameter(family, rank, chi, subset, members)
-            total += (-1 if size % 2 else 1) * cartan_constant(p)
-    return total
+    return sum(sign * cartan_constant(p) for sign, p in tower_terms(family, rank, chi, subset))
 
 
 def lift_trivial(family: str, rank: Optional[int] = None, chi: int = 0) -> FormalIntegerCombination:

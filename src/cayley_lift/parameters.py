@@ -11,9 +11,9 @@ block.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import combinations
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .root_system import (
     Record,
@@ -226,17 +226,20 @@ def class_of(p: PairSetParameter) -> CartanClass:
 
 
 @lru_cache(maxsize=None)
-def length(p: PairSetParameter) -> Q:
-    """Half the number of positive roots moved out of the positive system by
-    theta, plus half the real rank of the associated Cartan subgroup."""
+def length(p: PairSetParameter) -> int:
+    """The length of p, doubled (the package's Doubled convention): the
+    number of positive roots moved out of the positive system by theta,
+    plus the real rank of the associated Cartan subgroup."""
     flips = sum(1 for k in theta_perm(p) if k < 0)
     r, m, s = signature_from_involution(_ambient_system(p.family, p.rank), theta(p))
-    return Q(flips, 2) + Q(m + s, 2)
+    return flips + m + s
 
 
-def split_length(family: str, rank: Optional[int] = None) -> Q:
+def split_length(family: str, rank: Optional[int] = None) -> int:
+    """The length of the split Cartan's parameters, doubled: the number of
+    positive roots plus the rank."""
     system = _ambient_system(family, rank or 0)
-    return Q(len(system.doubled_positive) + system.rank, 2)
+    return len(system.doubled_positive) + system.rank
 
 
 def contains(p1: PairSetParameter, p2: PairSetParameter) -> bool:
@@ -339,12 +342,18 @@ def tower_parameter(
     )
 
 
+def tower_terms(family: str, rank: Optional[int], chi: int,
+                subset: RDSubset) -> Iterator[Tuple[int, PairSetParameter]]:
+    """((-1)^|S'|, c_{S'}(gamma(empty))) for each S' inside subset, by size."""
+    for size in range(len(subset.simple_indices) + 1):
+        for members in combinations(subset.simple_indices, size):
+            yield -1 if size % 2 else 1, tower_parameter(family, rank, chi, subset, members)
+
+
 def pi_RD(family: str, rank: Optional[int] = None, chi: int = 0) -> Tuple[PairSetParameter, ...]:
     """The full-level parameters J(c_S(gamma(empty))) for S in R_D, fixed chi."""
-    out = []
-    for subset in rd_subsets(family, rank):
-        out.append(tower_parameter(family, rank, chi, subset, subset.simple_indices))
-    return tuple(out)
+    return tuple(tower_parameter(family, rank, chi, subset, subset.simple_indices)
+                 for subset in rd_subsets(family, rank))
 
 
 # ---------------------------------------------------------------------------

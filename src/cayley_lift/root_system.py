@@ -606,12 +606,17 @@ class BetaChain(Record):
     beta_k = s_{beta_{k-1}} ... s_{beta_1}(a_k) where a_k is the positive root
     of the k-th consumed letter; the ordered composition of the chain
     reflections equals the composition of the word's letters.  indices holds
-    the signed positive-root index of each step (see WeylTables).
+    the signed positive-root index of each step (see WeylTables); the root
+    vectors are the steps view.
     """
 
+    system: RootSystem
     word: WeylWord
-    steps: Tuple[Vector, ...]
     indices: Tuple[int, ...]
+
+    @cached_property
+    def steps(self) -> Tuple[Vector, ...]:
+        return tuple(map(weyl_tables(self.system).root, self.indices))
 
 
 def word_matrix(word: WeylWord, system: RootSystem) -> Matrix:
@@ -633,11 +638,7 @@ def beta_chain_for_word(word: WeylWord, system: RootSystem) -> BetaChain:
         k = tables.simple[letter]
         indices.append(u[k])
         u = perm_mul(u, tables.reflections[k])
-    return BetaChain(
-        word=tuple(word),
-        steps=tuple(tables.root(s) for s in indices),
-        indices=tuple(indices),
-    )
+    return BetaChain(system=system, word=tuple(word), indices=tuple(indices))
 
 
 def canonical_reflection_word(alpha: Union[Vector, int], system: RootSystem) -> WeylWord:

@@ -207,8 +207,8 @@ def test_e6_rule_out_decides_live():
         word = report.certificate.word if report.certificate else None
         verdicts[c.render()] = (report.verdict, report.method, report.checked, word)
     assert verdicts == {
-        "(2,2,0)": ("survives", "full_sweep", 23, None),
-        "(0,3,0)": ("ruled_out", "complex_search", 7, (4, 3, 2, 1, 3, 4, 3, 2, 1, 3, 2, 1)),
+        "(2,2,0)": ("survives", "full_sweep", 9, None),
+        "(0,3,0)": ("ruled_out", "complex_search", 2, (4, 3, 2, 1, 3, 4, 3, 2, 1, 3, 2, 1)),
         "(0,2,2)": ("ruled_out", "real_reflection", 1, (4, 5, 4)),
         "(0,1,4)": ("ruled_out", "real_reflection", 1, (0, 2, 3, 4, 3, 2, 0)),
         "(0,0,6)": ("ruled_out", "real_reflection", 1, (2, 3, 4, 5, 4, 3, 2)),

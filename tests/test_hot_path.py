@@ -1,11 +1,13 @@
-"""Dense Fraction matrices stay off the count, lift and tower paths, and
-Fraction arithmetic stays out of the integer root-system core.
+"""Dense Fraction matrices and Fraction arithmetic stay off the count,
+lift and tower paths, and out of the integer root-system core.
 
 Every Cartan involution is a signed permutation of the coordinates, so
 count_small, lift_trivial and the tower check must never multiply a matrix
 or build a reflection matrix.  The Weyl tables, the integral system at
 rho/2, the stabilizer and the canonical reflection words work in doubled
-integer coordinates, so they must make no call into the fractions module.
+integer coordinates, and chains, certificates, center representatives and
+lengths hold integers, so neither the core nor the whole count, lift,
+tower and verification paths may make a call into the fractions module.
 The stabilizer sign test reads each swept element's permutation, so
 rule_out builds a word and a chain only for the certificate of a violating
 element.  Calls are counted (through monkeypatch and sys.setprofile) on cold
@@ -22,7 +24,7 @@ import pytest
 from cayley_lift import coherent, root_system
 from cayley_lift.coherent import count_small, rule_out, stabilizer
 from cayley_lift.klv_poset import tower_poset, verify_inversion
-from cayley_lift.lifting import lift_trivial
+from cayley_lift.lifting import lift_trivial, verify_main_theorem
 from cayley_lift.parameters import orbit_representatives
 from cayley_lift.root_system import (
     build_root_system,
@@ -76,6 +78,7 @@ HOT_PATHS = {
     "lift_trivial D 6": lambda: lift_trivial("D", 6),
     "lift_trivial E7": lambda: lift_trivial("E7"),
     "verify_inversion D 5": lambda: verify_inversion(tower_poset("D", 5)),
+    "verify_main_theorem E7": lambda: verify_main_theorem("E7"),
 }
 
 
@@ -139,3 +142,9 @@ def test_integer_core_makes_no_fraction_calls(family, rank):
     assert calls == dict.fromkeys(calls, 0)
     signed_indices = range(1, len(weyl_tables(system).doubled) + 1)
     assert sum(_fraction_calls(canonical_reflection_word, s, system) for s in signed_indices) == 0
+
+
+@pytest.mark.parametrize("label", sorted(HOT_PATHS))
+def test_hot_paths_make_no_fraction_calls(label):
+    _clear_caches()
+    assert _fraction_calls(HOT_PATHS[label]) == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from cayley_lift import klv_poset
 from cayley_lift.klv_poset import (
     FormalIntegerCombination,
     M_entry,
@@ -62,6 +63,17 @@ def test_character_row_is_tower_scoped():
         M_entry(_a3(((1, 4),)), empty)
     # columns are unrestricted: m rows work on every block element
     assert m_entry(crossing, empty) == 1
+
+
+def test_character_entry_rejects_a_half_integral_length_difference(monkeypatch):
+    """No tower pair has an odd doubled length difference, so the branch is
+    reached through a stand-in length: the number of pairs, whose difference
+    here is -1, that is -1/2 undoubled."""
+    monkeypatch.setattr(klv_poset, "length", lambda p: len(p.pairs))
+    with pytest.raises(ScopeError) as info:
+        M_entry(_a3(((1, 2),)), _a3())
+    assert str(info.value) == (
+        "length difference -1/2 is not an integer; closed form does not apply")
 
 
 def test_sl2_edge_case():

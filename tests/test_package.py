@@ -13,6 +13,8 @@ request loads json.
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -163,3 +165,34 @@ def test_python_m_emits_no_warning():
     done = _python("-m", "cayley_lift.cli", "roots", *SL4, "--no-header")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (GOLDEN / "roots/SL4.txt").read_text()
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer
+# ---------------------------------------------------------------------------
+
+
+def _trace_child():
+    """perfbench/trace_child.py loaded as a module; its main does not run."""
+    path = README.parent / "perfbench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_tracer_finds_every_function_it_wraps():
+    """`--trace 1` wraps each LAYERS name of each module and reads the
+    lru_cache statistics of each CACHED function; a missing name or cache
+    would break every traced run."""
+    tracer = _trace_child()
+
+    def resolve(module, name):
+        return getattr(importlib.import_module("cayley_lift." + module), name, None)
+
+    wrapped = [(module, name) for module, names in tracer.LAYERS.items() for name in names]
+    assert len(wrapped) == 32
+    assert [m + "." + n for m, n in wrapped if not callable(resolve(m, n))] == []
+    assert len(tracer.CACHED) == 3
+    assert [name for name in tracer.CACHED
+            if not hasattr(resolve(*name.split(".")), "cache_info")] == []

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction as Q
 
 import pytest
 
@@ -135,38 +134,42 @@ def test_cayley_order_does_not_matter_for_disjoint_pairs():
 # ---------------------------------------------------------------------------
 
 def test_split_lengths():
-    assert split_length("A", 3) == Q(9, 2)
-    assert split_length("A", 5) == Q(10)
-    assert split_length("D", 4) == Q(8)
-    assert split_length("D", 6) == Q(18)
-    assert split_length("E6") == Q(21)
-    assert split_length("E7") == Q(35)
-    assert split_length("E8") == Q(64)
+    # doubled lengths: 2 * (9/2, 10, 8, 18, 21, 35, 64)
+    assert split_length("A", 3) == 9
+    assert split_length("A", 5) == 20
+    assert split_length("D", 4) == 16
+    assert split_length("D", 6) == 36
+    assert split_length("E6") == 42
+    assert split_length("E7") == 70
+    assert split_length("E8") == 128
 
 
 def test_sl4_length_table():
+    # doubled lengths: 2 * (9/2, 7/2, 7/2, 7/2, 3/2, 5/2, 1/2)
     expect = {
-        (): Q(9, 2),
-        ((1, 2),): Q(7, 2),
-        ((2, 3),): Q(7, 2),
-        ((3, 4),): Q(7, 2),
-        ((1, 4),): Q(3, 2),
-        ((1, 2), (3, 4)): Q(5, 2),
-        ((1, 4), (2, 3)): Q(1, 2),
+        (): 9,
+        ((1, 2),): 7,
+        ((2, 3),): 7,
+        ((3, 4),): 7,
+        ((1, 4),): 3,
+        ((1, 2), (3, 4)): 5,
+        ((1, 4), (2, 3)): 1,
     }
     for pairs, value in expect.items():
-        assert length(make_parameter("A", 3, pairs=pairs)) == value
+        doubled = length(make_parameter("A", 3, pairs=pairs))
+        assert type(doubled) is int and doubled == value
 
 
 def test_noncrossing_closed_form_and_crossing_counterexample():
-    # for non-crossing pair sets the length is split_length - sum |i - j|
+    # for non-crossing pair sets the length is split_length - sum |i - j|,
+    # doubled on both sides
     for pairs in (((1, 2),), ((1, 4), (2, 3)), ((1, 2), (3, 6), (4, 5))):
         p = make_parameter("A", 5, pairs=pairs)
-        assert length(p) == split_length("A", 5) - sum(abs(i - j) for i, j in pairs)
+        assert length(p) == split_length("A", 5) - 2 * sum(abs(i - j) for i, j in pairs)
     # the crossing configuration {1,4},{2,5} breaks the closed form
     p = make_parameter("A", 5, pairs=((1, 4), (2, 5)))
-    assert length(p) == Q(5)
-    assert split_length("A", 5) - sum(abs(i - j) for i, j in p.pairs) == Q(4)
+    assert length(p) == 10
+    assert split_length("A", 5) - 2 * sum(abs(i - j) for i, j in p.pairs) == 8
 
 
 def test_length_strictly_decreases_under_containment():

@@ -162,13 +162,13 @@ def test_cayley_moves_match_reference(family, rank, p):
 @pytest.mark.parametrize("family, rank", BLOCKS)
 def test_length_matches_reference_on_blocks(family, rank):
     block = enumerate_block(family, rank)
-    assert [length(p) for p in block] == [reference.length(p) for p in block]
+    assert [length(p) for p in block] == [2 * reference.length(p) for p in block]
 
 
 @pytest.mark.parametrize("family", ["E6", "E7", "E8"])
 def test_length_matches_reference_on_e_class_representatives(family):
     reps = [p for _, p in orbit_representatives(family)]
-    assert [length(p) for p in reps] == [reference.length(p) for p in reps]
+    assert [length(p) for p in reps] == [2 * reference.length(p) for p in reps]
 
 
 @st.composite
@@ -447,8 +447,8 @@ def test_the_comparisons_catch_injected_faults(monkeypatch):
     original = coherent._schreier_generators
 
     def one_short(stab, th, tables):
-        # every copy of the first nontrivial generator: the reverse of an
-        # edge gives the inverse generator, so a single copy is redundant
+        # every copy of the first nontrivial generator, since another edge
+        # can give the same generator again
         dropped = None
         for w in original(stab, th, tables):
             if dropped is None and w != tables.identity:
