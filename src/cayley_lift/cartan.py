@@ -12,7 +12,6 @@ root lattice.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -25,6 +24,7 @@ from .root_system import (
     RootSystem,
     Vector,
     _dual_basis,
+    _fraction,
     _scaled_coefficients,
     _view,
     build_root_system,
@@ -68,7 +68,8 @@ class Involution(Record):
     def matrix(self) -> Matrix:
         """theta as a dense matrix with exact 0 and +-1 entries."""
         return tuple(
-            tuple(Q(1 if c > 0 else -1) if abs(c) == j + 1 else Q(0) for j in range(self.dim))
+            tuple(_fraction(1 if c > 0 else -1) if abs(c) == j + 1 else _fraction(0)
+                  for j in range(self.dim))
             for c in self.coords
         )
 

@@ -11,19 +11,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .root_system import (
     CertificateError,
+    Doubled,
     InvariantError,
     ScopeError,
-    Vector,
+    _integral_system,
     build_root_system,
-    half_integral_roots,
-    integral_system,
+    is_half_integral,
+    rational,
     root_system_to_json,
-    vector_to_strings,
 )
 from . import cartan, coherent, klv_poset, lifting, parameters, witness_data
 
@@ -135,8 +134,9 @@ def _emit(args, header_parts: List[str], payload: dict, text_lines: List[str]) -
         out.write(line + "\n")
 
 
-def _vec(v: Vector) -> str:
-    return "(" + ", ".join(str(x) for x in v) + ")"
+def _vec(d: Doubled, den: int = 2) -> str:
+    """The rational vector d / den, as (x, y, ...)."""
+    return "(" + ", ".join(rational(x, den) for x in d) + ")"
 
 
 def _header(args, *extra: str) -> List[str]:
@@ -152,22 +152,22 @@ def _header(args, *extra: str) -> List[str]:
 def _cmd_roots(args) -> int:
     rank = _lie_rank(args)
     system = build_root_system(args.family, rank)
-    integral = integral_system(system.rho_half, system)
-    half = half_integral_roots(system)
+    integral = len(_integral_system(system, system.doubled_rho, 8).positive_index)
+    half = sum(is_half_integral(system, d) for d in system.doubled_positive)
     payload = root_system_to_json(system)
-    payload["integral_positive_count"] = len(integral.positive)
-    payload["half_integral_positive_count"] = len(half)
+    payload["integral_positive_count"] = integral
+    payload["half_integral_positive_count"] = half
     lines = [
         "family %s, Lie rank %d, ambient dimension %d" % (
             system.family, system.rank, system.dim),
-        "positive roots: %d" % len(system.positive_roots),
+        "positive roots: %d" % len(system.doubled_positive),
     ]
-    for k, a in enumerate(system.simple_roots):
-        lines.append("alpha_%d = %s" % (k + 1, _vec(a)))
-    lines.append("rho   = %s" % _vec(system.rho))
-    lines.append("rho/2 = %s" % _vec(system.rho_half))
-    lines.append("integral positive roots at rho/2: %d" % len(integral.positive))
-    lines.append("half-integral positive roots at rho/2: %d" % len(half))
+    for k, d in enumerate(system.doubled_simple):
+        lines.append("alpha_%d = %s" % (k + 1, _vec(d)))
+    lines.append("rho   = %s" % _vec(system.doubled_rho))
+    lines.append("rho/2 = %s" % _vec(system.doubled_rho, 4))
+    lines.append("integral positive roots at rho/2: %d" % integral)
+    lines.append("half-integral positive roots at rho/2: %d" % half)
     _emit(args, _header(args), payload, lines)
     return EXIT_OK
 
@@ -216,14 +216,14 @@ def _cmd_centers(args) -> int:
         "center_invariant_factors": list(data.center.invariant_factors),
         "center_order": data.center.order,
         "genuine_quotient_order": data.quotient_order,
-        "quotient_representatives": [list(vector_to_strings(v)) for v in data.quotient_reps],
+        "quotient_representatives": [[rational(x, 2) for x in d] for d in data.doubled_reps],
     }
     lines = [
         "center of the cover: %s (order %d)" % (data.center.render(), data.center.order),
         "genuine quotient order (= genuine central characters): %d" % data.quotient_order,
     ]
-    for v in data.quotient_reps:
-        lines.append("  coset representative %s" % _vec(v))
+    for d in data.doubled_reps:
+        lines.append("  coset representative %s" % _vec(d))
     _emit(args, _header(args), payload, lines)
     return EXIT_OK
 
@@ -235,12 +235,12 @@ def _cmd_params(args) -> int:
     lines = []
     for chi in chis:
         for c, p in parameters.orbit_representatives(args.family, rank, chi):
-            length = Fraction(parameters.length(p), 2)  # length() is doubled
+            length = rational(parameters.length(p), 2)  # length() is doubled
             entries.append(
                 {
                     "class": c.render(),
                     "shape": cartan.cartan_shape(c).render(),
-                    "length": str(length),
+                    "length": length,
                     "parameter": parameters.parameter_to_json(p),
                 }
             )
@@ -267,6 +267,7 @@ def _cmd_replay_witness(args) -> int:
     report = coherent.replay_witness(args.witness_id)
     cert = report.certificate
     entry = witness_data.CATALOG[args.witness_id]
+    steps = tuple(zip(cert.doubled_steps, cert.tags))
     payload = {
         "witness_id": report.witness_id,
         "family": entry.family,
@@ -274,8 +275,8 @@ def _cmd_replay_witness(args) -> int:
         "source": entry.source,
         "word": list(cert.word),
         "steps": [
-            {"root": list(vector_to_strings(root)), "type": tag}
-            for root, tag in cert.steps
+            {"root": [rational(x, 2) for x in d], "type": tag}
+            for d, tag in steps
         ],
         "imaginary_count": cert.imaginary_count,
         "epsilon": cert.sign,
@@ -287,8 +288,8 @@ def _cmd_replay_witness(args) -> int:
         % (report.witness_id, entry.family, "(%d,%d,%d)" % entry.signature, entry.source),
         "word length %d" % len(cert.word),
     ]
-    for k, (root, tag) in enumerate(cert.steps):
-        lines.append("beta_%-2d = %-32s (%s)" % (k + 1, _vec(root), tag))
+    for k, (d, tag) in enumerate(steps):
+        lines.append("beta_%-2d = %-32s (%s)" % (k + 1, _vec(d), tag))
     lines.append("m = %d, epsilon = %+d, det = %+d" % (
         cert.imaginary_count, cert.sign, cert.word_sign))
     lines.append("golden data checked: %s" % ("yes" if report.golden_checked else "no"))

@@ -30,6 +30,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .root_system import (
     CertificateError,
+    Doubled,
     InvariantError,
     Matrix,
     Record,
@@ -42,6 +43,7 @@ from .root_system import (
     WeylWord,
     _doubled_sum,
     _integral_system,
+    _view,
     beta_chain_for_word,
     canonical_reflection_word,
     idot,
@@ -79,9 +81,13 @@ class ChainCertificate(Record):
     word_sign: int   # det of the word, (-1)^len
 
     @cached_property
+    def doubled_steps(self) -> Tuple[Doubled, ...]:
+        """Twice each chain root, in consumption order."""
+        return tuple(map(weyl_tables(_ambient(self.parameter)).doubled_root, self.indices))
+
+    @cached_property
     def steps(self) -> Tuple[Tuple[Vector, str], ...]:
-        root = weyl_tables(_ambient(self.parameter)).root
-        return tuple(zip(map(root, self.indices), self.tags))
+        return tuple(zip(map(_view, self.doubled_steps), self.tags))
 
 
 def _ambient(p: PairSetParameter) -> RootSystem:
@@ -298,15 +304,16 @@ def replay_witness(witness_id: str) -> ReplayReport:
         )
     golden_checked = False
     if entry.golden is not None:
-        if len(entry.golden) != len(cert.steps):
+        if len(entry.golden) != len(cert.tags):
             raise CertificateError(
                 "witness %s: %d steps, stored %d"
-                % (witness_id, len(cert.steps), len(entry.golden))
+                % (witness_id, len(cert.tags), len(entry.golden))
             )
-        for k, ((root, tag), (groot, gtag)) in enumerate(zip(cert.steps, entry.golden)):
+        steps = zip(cert.doubled_steps, cert.tags)
+        for k, ((root, tag), (groot, gtag)) in enumerate(zip(steps, entry.golden)):
             if root != groot and root != neg(groot):
                 raise CertificateError(
-                    "witness %s: step %d root %r differs from stored %r"
+                    "witness %s: step %d root %r differs from stored %r (doubled)"
                     % (witness_id, k + 1, root, groot)
                 )
             if tag != gtag:

@@ -8,19 +8,23 @@ group tables and the reflection words are integer arithmetic.  Doubling
 keeps the lexicographic order, so the positive roots and every signed index
 are those of the rational vectors.  fractions.Fraction appears only at the
 edge: the vector views (simple_roots, positive_roots, rho, rho_half and the
-roots of subsystems and chains) are built on first use for input, output
-and the public API.  There is no floating point anywhere in this package.
+roots of subsystems and chains) are built on first use for input and the
+public API, through _fraction, which loads fractions on its first call;
+output is printed from the doubled integers.  There is no floating point
+anywhere in this package.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-Vector = Tuple[Q, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction as Q
+
+Vector = Tuple["Q", ...]
 Matrix = Tuple[Vector, ...]
 Doubled = Tuple[int, ...]  # 2v for a vector v of (1/2)Z^n
 WeylWord = Tuple[int, ...]  # 0-based indices into a system's simple roots
@@ -102,14 +106,22 @@ class Record:
         raise AttributeError("cannot delete field %r of %s" % (name, type(self).__qualname__))
 
 
+@lru_cache(maxsize=1024)  # views share one Fraction per value; bounded, as vec takes any input
+def _fraction(*args) -> Q:
+    """The package's one Fraction constructor; fractions loads on the first call."""
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
 def vec(*entries) -> Vector:
-    return tuple(Q(x) for x in entries)
+    return tuple(_fraction(x) for x in entries)
 
 
 def dot(x: Vector, y: Vector) -> Q:
     if len(x) != len(y):
         raise ValueError("dimension mismatch: %d vs %d" % (len(x), len(y)))
-    return sum((a * b for a, b in zip(x, y)), Q(0))
+    return sum((a * b for a, b in zip(x, y)), _fraction(0))
 
 
 def idot(x: Sequence[int], y: Sequence[int]) -> int:
@@ -134,12 +146,12 @@ def scale(c: Q, x: Vector) -> Vector:
 
 
 def zero(dim: int) -> Vector:
-    return (Q(0),) * dim
+    return (_fraction(0),) * dim
 
 
 def basis_vector(i: int, dim: int) -> Vector:
     """Standard basis vector e_i (1-based index)."""
-    return tuple(Q(1) if k == i - 1 else Q(0) for k in range(dim))
+    return tuple(_fraction(int(k == i - 1)) for k in range(dim))
 
 
 def pairing(lam: Vector, alpha: Vector) -> Q:
@@ -164,9 +176,6 @@ def pair_root(dim: int, pair: Tuple[int, int]) -> Doubled:
     return tuple(out)
 
 
-_fraction = lru_cache(maxsize=None)(Q)  # views share one Fraction per value
-
-
 def _view(d: Doubled, den: int = 2) -> Vector:
     """The rational vector d / den."""
     return tuple([_fraction(x, den) for x in d])
@@ -183,7 +192,7 @@ def _doubled(v: Vector) -> Tuple:
 # ---------------------------------------------------------------------------
 
 def identity_matrix(dim: int) -> Matrix:
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(dim)) for i in range(dim))
+    return tuple(tuple(_fraction(int(i == j)) for j in range(dim)) for i in range(dim))
 
 
 def mat_apply(m: Matrix, v: Vector) -> Vector:
@@ -255,16 +264,16 @@ class RootSystem(Record):
     def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:
         """Coordinates of v in the simple-root basis; ValueError off the span."""
         rows, div = _dual_basis(self.doubled_simple)
-        den = lcm(*(Q(x).denominator for x in v))
+        den = lcm(*(_fraction(x).denominator for x in v))
         scaled = tuple(int(x * den) for x in v)  # v = scaled / den
         coeffs = _scaled_coefficients(rows, scaled)  # den * div/2 times the coefficients
         span = [idot(coeffs, column) for column in zip(*self.doubled_simple)]
         if span != [div * x for x in scaled]:
             raise ValueError("vector is not in the span of the basis")
-        return tuple(Q(2 * c, den * div) for c in coeffs)
+        return tuple(_fraction(2 * c, den * div) for c in coeffs)
 
     def height(self, root: Vector) -> Q:
-        return sum(self.simple_coefficients(root), Q(0))
+        return sum(self.simple_coefficients(root), _fraction(0))
 
     def __hash__(self) -> int:  # computed once: the lru_caches below are keyed on the system
         return self._hash
@@ -323,7 +332,7 @@ def _e8_roots() -> List[Doubled]:
 def beta_root(minus_positions: Iterable[int]) -> Vector:
     """Half-integer root with entries -1/2 exactly at the listed positions."""
     minus = set(minus_positions)
-    v = tuple(Q(-1, 2) if k + 1 in minus else Q(1, 2) for k in range(8))
+    v = tuple(_fraction(-1 if k + 1 in minus else 1, 2) for k in range(8))
     if len(minus) % 2 != 0:
         raise ValueError("a half-integer root needs an even number of minus signs")
     return v
@@ -463,7 +472,7 @@ def integral_system(lam: Vector, system: RootSystem) -> RootSubsystem:
         raise ValueError("dimension mismatch: %d vs %d" % (len(lam), system.dim))
     if lam == system.rho_half:
         return _integral_system(system, system.doubled_rho, 8)
-    den = lcm(*(Q(x).denominator for x in lam))
+    den = lcm(*(_fraction(x).denominator for x in lam))
     return _integral_system(system, tuple(int(x * den) for x in lam), 2 * den)
 
 
@@ -512,13 +521,10 @@ class WeylTables(Record):
     reflections: Tuple[SignedPerm, ...]     # s_k for each positive root k
     identity: SignedPerm
 
-    @cached_property
-    def negative(self) -> Tuple[Vector, ...]:
-        return tuple(_view(tuple([-x for x in d])) for d in self.doubled)
-
-    def root(self, s: int) -> Vector:
-        """The root with signed index s."""
-        return self.system.positive_roots[s - 1] if s > 0 else self.negative[-s - 1]
+    def doubled_root(self, s: int) -> Doubled:
+        """Twice the root with signed index s."""
+        d = self.doubled[abs(s) - 1]
+        return d if s > 0 else tuple([-x for x in d])
 
 
 @lru_cache(maxsize=None)
@@ -616,7 +622,7 @@ class BetaChain(Record):
 
     @cached_property
     def steps(self) -> Tuple[Vector, ...]:
-        return tuple(map(weyl_tables(self.system).root, self.indices))
+        return tuple(map(_view, map(weyl_tables(self.system).doubled_root, self.indices)))
 
 
 def word_matrix(word: WeylWord, system: RootSystem) -> Matrix:
@@ -690,12 +696,14 @@ def decompose_to_chain(
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
-def vector_to_strings(v: Vector) -> List[str]:
-    return [str(x) for x in v]
+def rational(n: int, d: int = 1) -> str:
+    """str(Fraction(n, d)) for d > 0, from the integers alone."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
 
 
 def vector_from_strings(parts: Sequence[str]) -> Vector:
-    return tuple(Q(p) for p in parts)
+    return tuple(_fraction(p) for p in parts)
 
 
 def root_system_to_json(system: RootSystem) -> dict:
@@ -703,6 +711,6 @@ def root_system_to_json(system: RootSystem) -> dict:
         "schema": "cayley-lift/1",
         "family": system.family,
         "rank": system.rank,
-        "simple_roots": [vector_to_strings(a) for a in system.simple_roots],
-        "positive_roots": [vector_to_strings(a) for a in system.positive_roots],
+        "simple_roots": [[rational(x, 2) for x in d] for d in system.doubled_simple],
+        "positive_roots": [[rational(x, 2) for x in d] for d in system.doubled_positive],
     }

@@ -2,7 +2,8 @@
 
 Each entry fixes a Weyl word (printed order, 0-based simple indices) whose
 chain violates the sign test for one Cartan class, together with golden
-chain data where the full step list is pinned.  rule_out decides every
+chain data where the full step list is pinned: each chain root doubled, as
+in the root-system core, with its tag.  rule_out decides every
 class live and never reads this catalog: it is replay data for
 replay_witness and an independent cross-check in the tests.  The four
 searched words were found offline by a breadth-first sweep of the
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .root_system import Record, Vector, WeylWord, basis_vector, beta_root, sub
+from .root_system import Doubled, Record, WeylWord, pair_root
 
 IM = "im"
 RE = "real"
@@ -23,21 +24,18 @@ CX = "cx"
 _DIM = 8
 
 
-def _e(i: int) -> Vector:
-    return basis_vector(i, _DIM)
+def _pe(i: int, j: int) -> Doubled:
+    return pair_root(_DIM, (-i, -j))
 
 
-def _pe(i: int, j: int) -> Vector:
-    return tuple(a + b for a, b in zip(_e(i), _e(j)))
+def _me(i: int, j: int) -> Doubled:
+    """Doubled -e_i + e_j."""
+    return pair_root(_DIM, (j, i))
 
 
-def _me(i: int, j: int) -> Vector:
-    """-e_i + e_j."""
-    return sub(_e(j), _e(i))
-
-
-def _b(*positions: int) -> Vector:
-    return beta_root(positions)
+def _b(*positions: int) -> Doubled:
+    """Doubled half-integer root with entries -1/2 exactly at the positions."""
+    return tuple(-1 if k + 1 in positions else 1 for k in range(_DIM))
 
 
 class WitnessEntry(Record):
@@ -46,7 +44,7 @@ class WitnessEntry(Record):
     signature: Tuple[int, int, int]
     word: WeylWord                      # printed order, 0-based simple indices
     imaginary_count: int
-    golden: Optional[Tuple[Tuple[Vector, str], ...]]
+    golden: Optional[Tuple[Tuple[Doubled, str], ...]]  # doubled chain roots and tags
     source: str                         # "printed" | "searched"
 
 
@@ -73,7 +71,7 @@ _TWELVE_GOLDEN = (
     (_pe(2, 4), CX),
     (_pe(1, 2), IM),
     (_pe(1, 4), CX),
-    (sub(_e(2), _e(4)), CX),
+    (_me(4, 2), CX),
     (_pe(3, 4), RE),
     (_pe(2, 3), CX),
     (_pe(1, 3), CX),
@@ -183,7 +181,7 @@ _E7_320_GOLDEN = (
     (_pe(1, 2), IM),
     (_me(1, 4), IM),
     (_pe(2, 4), IM),
-    (sub(_e(1), _e(2)), IM),
+    (_me(2, 1), IM),
 )
 
 

@@ -22,6 +22,8 @@ from cayley_lift.root_system import (
     ScopeError,
     WordError,
     build_root_system,
+    neg,
+    rational,
     word_matrix,
 )
 
@@ -294,6 +296,20 @@ def test_replay_every_witness(witness_id):
     if witness_id.endswith("-s35") or witness_id.endswith("-s57"):
         assert cert.imaginary_count == 0
         assert all(tag == "real" for _, tag in cert.steps)
+
+
+@pytest.mark.parametrize("witness_id", sorted(witness_data.CATALOG))
+def test_doubled_chain_steps_render_as_the_fraction_steps(witness_id):
+    """The CLI prints each chain root from its doubled form; that is str()
+    of the Fraction step, and the golden data is stored doubled."""
+    cert = replay_witness(witness_id).certificate
+    assert [[rational(x, 2) for x in d] for d in cert.doubled_steps] == \
+        [[str(x) for x in root] for root, _ in cert.steps]
+    golden = witness_data.CATALOG[witness_id].golden
+    if golden is not None:  # each stored root is twice the step, up to sign
+        assert [(frozenset({d, neg(d)}), tag) for d, tag in golden] == \
+            [(frozenset({tuple(2 * x for x in r), tuple(-2 * x for x in r)}), tag)
+             for r, tag in cert.steps]
 
 
 def test_replay_unknown_id_is_scope_error():

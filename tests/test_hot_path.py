@@ -6,8 +6,9 @@ count_small, lift_trivial and the tower check must never multiply a matrix
 or build a reflection matrix.  The Weyl tables, the integral system at
 rho/2, the stabilizer and the canonical reflection words work in doubled
 integer coordinates, and chains, certificates, center representatives and
-lengths hold integers, so neither the core nor the whole count, lift,
-tower and verification paths may make a call into the fractions module.
+lengths hold integers, so the core and the whole count, lift, tower and
+verification paths make no call into the fractions module (and no cold CLI
+request even loads it: tests/test_package.py).
 The stabilizer sign test reads each swept element's permutation, so
 rule_out builds a word and a chain only for the certificate of a violating
 element.  Calls are counted (through monkeypatch and sys.setprofile) on cold

@@ -6,7 +6,8 @@ The cold-start tests start one fresh interpreter per CLI verb, with
 warnings turned into errors, and check which package modules actually ran:
 a module still waiting on its lazy loader has a type other than
 types.ModuleType, and asking for that type does not load it.  They also
-check that no request loads dataclasses or inspect, and that only a JSON
+check that no request loads dataclasses, inspect, fractions or decimal
+(every rational is printed from doubled integers), and that only a JSON
 request loads json.
 """
 
@@ -89,7 +90,7 @@ def test_readme_library_example_returns_what_it_states():
 
 # Prints, at interpreter exit, the package modules that ran and which of
 # HEAVY were loaded.  The program text after it is the request.
-HEAVY = ("dataclasses", "inspect", "json")  # a text request needs none of them
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "json")  # a text request needs none
 REPORTER = """\
 import atexit, sys, types
 
@@ -143,12 +144,22 @@ def test_each_verb_runs_only_the_modules_it_calls(verb):
     assert done.stdout == (GOLDEN / golden).read_text()
 
 
-def test_a_json_request_loads_json_and_nothing_else_heavy():
-    args, golden, modules = REQUESTS["count-small"]
-    done = _python("-c", REPORTER + RUN_CLI, "count-small", *args, "--no-header",
-                   "--format", "json")
+def _check_json_request(verb):
+    args, golden, modules = REQUESTS[verb]
+    done = _python("-c", REPORTER + RUN_CLI, verb, *args, "--no-header", "--format", "json")
     assert (done.returncode, done.stderr) == (0, "ran: %s\nloaded: json\n" % " ".join(sorted(modules)))
     assert done.stdout == (GOLDEN / golden.replace(".txt", ".json")).read_text()
+
+
+def test_a_json_request_loads_json_and_nothing_else_heavy():
+    _check_json_request("count-small")
+
+
+@pytest.mark.parametrize("verb", ["roots", "centers", "replay-witness"])
+def test_json_rationals_are_printed_without_fractions(verb):
+    """The verbs that print rationals (roots, rho, coset representatives,
+    chain roots) render them from doubled integers in JSON as in text."""
+    _check_json_request(verb)
 
 
 def test_importing_the_cli_runs_only_the_root_system():

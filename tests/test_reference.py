@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import islice
 from math import factorial
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from cayley_lift.cartan import involution_from_pairs, signature_from_involution
-from cayley_lift import coherent
+from cayley_lift.cartan import cover_center_data, involution_from_pairs, signature_from_involution
+from cayley_lift import cartan, coherent, parameters, root_system
 from cayley_lift.coherent import (
     chain_types,
     matrix_to_word,
@@ -31,6 +32,7 @@ from cayley_lift.parameters import (
 )
 from cayley_lift.root_system import (
     InvariantError,
+    RootSystem,
     _reflection_perm,
     beta_chain_for_word,
     build_root_system,
@@ -53,12 +55,16 @@ IN_SCOPE = (
 )
 
 
-@pytest.mark.parametrize("family, rank", IN_SCOPE)
-def test_positive_roots_and_coefficients_match_reference(family, rank):
+def _check_roots(family, rank):
     system = build_root_system(family, rank)
     assert (system.simple_roots, system.positive_roots, system.rho) == reference.build(family, rank)
     assert {v: system.simple_coefficients(v) for v in system.roots} == \
         reference.coefficient_table(system)
+
+
+@pytest.mark.parametrize("family, rank", IN_SCOPE)
+def test_positive_roots_and_coefficients_match_reference(family, rank):
+    _check_roots(family, rank)
 
 
 def _same_subsystem(sub, expected):
@@ -151,6 +157,10 @@ def test_theta_and_stabilizer_match_reference(family, rank, p):
 )
 def test_cayley_moves_match_reference(family, rank, p):
     """The moves make_parameter accepts are the real half-integral pair roots."""
+    _check_moves(p)
+
+
+def _check_moves(p):
     added = []
     for q in cayley_moves(p):
         assert (q.chi, q.blocks, len(q.pairs)) == (p.chi, p.blocks, len(p.pairs) + 1)
@@ -465,3 +475,70 @@ def test_the_comparisons_catch_injected_faults(monkeypatch):
     assert _verdict_mismatches()
     monkeypatch.undo()
     assert _verdict_mismatches() == []
+
+
+def _check_center(family, rank):
+    assert cover_center_data(family, rank).quotient_order == reference.gf2_kernel_count(family, rank)
+
+
+def _failures(check, cases):
+    """The cases on which check fails an assertion."""
+    out = []
+    for case in cases:
+        try:
+            check(*case)
+        except AssertionError:
+            out.append(case)
+    return out
+
+
+def _swap_first_two(original):
+    return lambda p: original(p)[1::-1] + original(p)[2:]
+
+
+def _drop_first(original):
+    return lambda *args: original(*args)[1:]
+
+
+def _negate_a_coordinate(original):
+    def build(family, rank=None):
+        s = original(family, rank)
+        first = (-s.doubled_positive[0][0],) + s.doubled_positive[0][1:]
+        return RootSystem(s.family, s.rank, s.dim, s.doubled_simple,
+                          (first,) + s.doubled_positive[1:], s.doubled_rho)
+    return build
+
+
+SMALL_THETA_CASES = [(p,) for f, r, p in THETA_CASES if (f, r) in (("A", 3), ("D", 4))]
+# fault: (module, function, faulty version, the comparison that must catch it, its cases)
+CORE_FAULTS = {
+    "theta_perm": (parameters, "theta_perm", _swap_first_two, _check_theta, SMALL_THETA_CASES),
+    "cayley_moves": (parameters, "cayley_moves", _drop_first, _check_moves, SMALL_THETA_CASES),
+    "gf2_kernel_basis": (cartan, "_gf2_kernel_basis", _drop_first, _check_center,
+                         [("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E7", None)]),
+    "build_root_system": (root_system, "build_root_system", _negate_a_coordinate, _check_roots,
+                          [("A", 3), ("D", 4), ("E6", None)]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CORE_FAULTS))
+def test_the_comparisons_catch_a_core_fault(monkeypatch, fault):
+    """One small fault in a core routine, installed wherever the package or
+    this module binds it, makes its oracle comparison fail on some case;
+    without the fault the same cases pass.  No faulty result outlives the
+    fault in a cache: each check asserts on the faulty routine's output
+    before it calls a cached routine that uses it, except for
+    cover_center_data, whose cache is cleared."""
+    module, name, make_fault, check, cases = CORE_FAULTS[fault]
+    original = getattr(module, name)
+    faulty = make_fault(original)
+    namespaces = [m for n, m in sys.modules.items() if n.startswith("cayley_lift.")]
+    for namespace in namespaces + [sys.modules[__name__]]:
+        for attr, value in list(vars(namespace).items()):
+            if value is original:
+                monkeypatch.setattr(namespace, attr, faulty)
+    cover_center_data.cache_clear()
+    assert _failures(check, cases)
+    monkeypatch.undo()
+    cover_center_data.cache_clear()
+    assert _failures(check, cases) == []

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayley_lift.cartan import cover_center_data
 from cayley_lift.root_system import (
     RootSystem,
     ScopeError,
@@ -22,6 +23,7 @@ from cayley_lift.root_system import (
     neg,
     pairing,
     perm_to_word,
+    rational,
     reflect,
     reflection_matrix,
     root_system_to_json,
@@ -286,6 +288,38 @@ def test_root_system_json_round_trip():
     positives = tuple(vector_from_strings(v) for v in payload["positive_roots"])
     assert simples == system.simple_roots
     assert set(positives) == set(system.positive_roots)
+
+
+def test_rational_is_str_of_fraction():
+    assert [rational(n, d) for d in (1, 2, 4, 8) for n in range(-64, 65)] == \
+        [str(Q(n, d)) for d in (1, 2, 4, 8) for n in range(-64, 65)]
+
+
+IN_SCOPE = (
+    [("A", r) for r in range(1, 10)]
+    + [("D", r) for r in range(3, 9)]
+    + [("E6", None), ("E7", None), ("E8", None)]
+)
+
+
+def _strings(vectors):
+    return [[str(x) for x in v] for v in vectors]
+
+
+def _rendered(doubled, den=2):
+    return [[rational(x, den) for x in d] for d in doubled]
+
+
+@pytest.mark.parametrize("family, rank", IN_SCOPE)
+def test_doubled_rendering_matches_the_fraction_views(family, rank):
+    """What the CLI prints from doubled integers is str() of each Fraction view."""
+    system = build_root_system(family, rank)
+    data = cover_center_data(family, rank)
+    doubled = [*system.doubled_simple, *system.doubled_positive, system.doubled_rho]
+    views = [*system.simple_roots, *system.positive_roots, system.rho]
+    assert _rendered(doubled) == _strings(views)
+    assert _rendered([system.doubled_rho], 4) == _strings([system.rho_half])
+    assert _rendered(data.doubled_reps) == _strings(data.quotient_reps)
 
 
 # ---------------------------------------------------------------------------
