@@ -9,8 +9,9 @@ payloads carry schema "cayley-lift/1".
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 from .root_system import (
@@ -44,47 +45,79 @@ exit codes:
 """
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cayley-lift",
-        description="Genuine small representations of nonlinear double covers "
-        "at infinitesimal character rho/2: exact combinatorial data.",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+# flag: (attribute, a tuple of choices, int, str or None for a switch, help)
+_FLAGS = {
+    "--family": ("family", ("A", "D", "E6", "E7", "E8"), "required"),
+    "--rank": ("rank", int, "SL(N) for family A, Spin(N,N) for family D; not for E"),
+    "--chi": ("chi", int, "restrict to one genuine central character"),
+    "--id": ("witness_id", str, "required: stored witness identifier, e.g. E7-320"),
+    "--format": ("format", ("text", "json"), "default text"),
+    "--no-header": ("no_header", None, "omit the comment header"),
+    "--help": ("help", None, "show this help and exit"),
+}
+_COMMON = ("--format", "--no-header", "--help")
+_GROUP = ("--family", "--rank")
+_CHI = _GROUP + ("--chi",)
 
-    def add(name: str, help_text: str, family: bool = True, chi: bool = False,
-            wid: bool = False):
-        cmd = sub.add_parser(name, help=help_text, epilog=_EPILOG,
-                             formatter_class=argparse.RawDescriptionHelpFormatter)
-        if family:
-            cmd.add_argument("--family", choices=("A", "D", "E6", "E7", "E8"),
-                             required=True)
-            cmd.add_argument("--rank", type=int, default=None,
-                             help="SL(N) for family A, Spin(N,N) for family D; "
-                             "not accepted for E families")
-        if chi:
-            cmd.add_argument("--chi", type=int, default=None,
-                             help="restrict to one genuine central character")
-        if wid:
-            cmd.add_argument("--id", required=True, dest="witness_id",
-                             help="stored witness identifier, e.g. E7-320")
-        cmd.add_argument("--format", choices=("text", "json"), default="text")
-        cmd.add_argument("--no-header", action="store_true")
-        return cmd
 
-    add("roots", "root system, rho/2, and its integral subsystem")
-    add("cartans", "Cartan classes, torus shapes, and the Cayley diagram")
-    add("centers", "center of the cover and its genuine quotient")
-    add("params", "orbit representatives with class, shape, and length", chi=True)
-    add("count-small", "number of genuine small representations")
-    add("replay-witness", "recompute a stored sign-test witness chain",
-        family=False, wid=True)
-    add("klv-check", "verify the closed-form change-of-basis inversion", chi=True)
-    add("lift", "lift of the trivial representation", chi=True)
-    add("verify", "whole-family check: lift support, coefficients, count")
-    return parser
+def _help(verb: Optional[str]) -> str:
+    """What -h prints: the verbs, or the flags of one verb, then the exit codes."""
+    if verb is None:
+        about, rows = "VERB is one of:", [(v, entry[1]) for v, entry in _VERBS.items()]
+    else:
+        about = _VERBS[verb][1]
+        rows = [(f + (" {%s}" % ",".join(kind) if type(kind) is tuple else " N" if kind is int
+                      else " ID" if kind else ""), text)
+                for f in _VERBS[verb][2] + _COMMON for _, kind, text in [_FLAGS[f]]]
+    return ("usage: cayley-lift %s [--flag value ...]\n%s\n" % (verb or "VERB", about)
+            + "".join("\n  %-26s%s" % row for row in rows) + "\n\n" + _EPILOG)
+
+
+def _is_flag(token: str) -> bool:
+    """As in argparse, "-" alone and negative numbers are values."""
+    return token[:1] == "-" and token != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", token)
+
+
+def _parse(argv: Sequence[str]):
+    """The request on a command line, as the attributes the verbs read, or the
+    help for -h/--help alone before the verb, or after it on a well-formed line.
+    A unique prefix names a flag; the last of a repeated flag wins."""
+    at = next((k for k, t in enumerate(argv) if t == "--" or not _is_flag(t)), len(argv))
+    if at and all(t == "-h" or "--help".startswith(t) for t in argv[:at]):
+        return _help(None)
+    if at or not argv or argv[0] not in _VERBS:
+        raise UsageError("a command line starts with a verb: %s" % ", ".join(_VERBS))
+    flags, tokens = _VERBS[argv[0]][2], iter(argv[1:])
+    args = SimpleNamespace(verb=argv[0], family=None, rank=None, chi=None, witness_id=None,
+                           format="text", no_header=False, help=False)
+    for token in tokens:
+        stem, eq, value = ("--help", "", "") if token == "-h" else token.partition("=")
+        found = [f for f in flags + _COMMON if len(stem) > 2 and f.startswith(stem)]
+        if len(found) != 1:
+            raise UsageError("ambiguous option: %s could match %s" % (stem, ", ".join(found))
+                             if found else "unrecognized argument: %s" % token)
+        flag, (attr, kind, _) = found[0], _FLAGS[found[0]]
+        if kind is None and eq:
+            raise UsageError("argument %s: ignored explicit argument %r" % (flag, value))
+        if kind is None:
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise UsageError("argument %s: expected one argument" % flag)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError("argument %s: invalid int value: %r" % (flag, value)) from None
+        elif type(kind) is tuple and value not in kind:
+            raise UsageError("argument %s: invalid choice: %r" % (flag, value))
+        setattr(args, attr, value)
+    if vars(args).pop("help"):
+        return _help(args.verb)
+    if getattr(args, _FLAGS[flags[0]][0]) is None:
+        raise UsageError("the following arguments are required: %s" % flags[0])
+    return args
 
 
 def _lie_rank(args) -> Optional[int]:
@@ -108,15 +141,12 @@ class UsageError(Exception):
 
 def _chi_range(args, family: str, rank: Optional[int]) -> Sequence[int]:
     count = cartan.genuine_central_character_count(family, rank)
-    chi = getattr(args, "chi", None)
-    if chi is None:
+    if args.chi is None:
         return range(count)
-    if not 0 <= chi < count:
-        raise ScopeError(
-            "chi %d out of range; %s has %d genuine central characters"
-            % (chi, family, count)
-        )
-    return (chi,)
+    if not 0 <= args.chi < count:
+        raise ScopeError("chi %d out of range; %s has %d genuine central characters"
+                         % (args.chi, family, count))
+    return (args.chi,)
 
 
 def _emit(args, header_parts: List[str], payload: dict, text_lines: List[str]) -> None:
@@ -139,13 +169,12 @@ def _vec(d: Doubled, den: int = 2) -> str:
     return "(" + ", ".join(rational(x, den) for x in d) + ")"
 
 
-def _header(args, *extra: str) -> List[str]:
+def _header(args) -> List[str]:
     parts = [args.verb]
-    if getattr(args, "family", None):
+    if args.family:
         parts.append("family=%s" % args.family)
         if args.rank is not None:
             parts.append("rank=%d" % args.rank)
-    parts.extend(extra)
     return parts
 
 
@@ -373,27 +402,27 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-_DISPATCH = {
-    "roots": _cmd_roots,
-    "cartans": _cmd_cartans,
-    "centers": _cmd_centers,
-    "params": _cmd_params,
-    "count-small": _cmd_count_small,
-    "replay-witness": _cmd_replay_witness,
-    "klv-check": _cmd_klv_check,
-    "lift": _cmd_lift,
-    "verify": _cmd_verify,
+# verb: (handler, help line, the flags it takes besides _COMMON, the first required)
+_VERBS = {
+    "roots": (_cmd_roots, "root system, rho/2, and its integral subsystem", _GROUP),
+    "cartans": (_cmd_cartans, "Cartan classes, torus shapes, and the Cayley diagram", _GROUP),
+    "centers": (_cmd_centers, "center of the cover and its genuine quotient", _GROUP),
+    "params": (_cmd_params, "orbit representatives with class, shape, and length", _CHI),
+    "count-small": (_cmd_count_small, "number of genuine small representations", _GROUP),
+    "replay-witness": (_cmd_replay_witness, "replay a stored sign-test witness chain", ("--id",)),
+    "klv-check": (_cmd_klv_check, "verify the closed-form change-of-basis inversion", _CHI),
+    "lift": (_cmd_lift, "lift of the trivial representation", _CHI),
+    "verify": (_cmd_verify, "whole-family check: lift support, coefficients, count", _GROUP),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _DISPATCH[args.verb](args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
+        return _VERBS[args.verb][0](args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

@@ -31,15 +31,19 @@ counterpart: the library tests the sign only on generators of W(core)^theta,
 and tests compare its verdicts with the sweep's.  Neither do the membership
 tests for the integral Weyl group and for W(core)^theta (descent on dense
 matrices); tests use them to check stored witness words.
+The command-line parser the CLI had before its flag table, built with
+argparse, is here too: tests run both parsers on the same command lines.
 """
 
 from __future__ import annotations
 
+import argparse
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from cayley_lift.cli import _EPILOG
 from cayley_lift.parameters import PairSetParameter
 from cayley_lift.root_system import (
     Matrix,
@@ -615,3 +619,46 @@ def rule_out(p: PairSetParameter) -> Tuple[str, str]:
     if any(violates(p, m, system) for m in elements + sweep_elements(p, st, system)):
         return "ruled_out", "complex_search"
     return "survives", "full_sweep"
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cayley-lift",
+        description="Genuine small representations of nonlinear double covers "
+        "at infinitesimal character rho/2: exact combinatorial data.",
+        epilog=_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def add(name: str, help_text: str, family: bool = True, chi: bool = False,
+            wid: bool = False):
+        cmd = sub.add_parser(name, help=help_text, epilog=_EPILOG,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
+        if family:
+            cmd.add_argument("--family", choices=("A", "D", "E6", "E7", "E8"),
+                             required=True)
+            cmd.add_argument("--rank", type=int, default=None,
+                             help="SL(N) for family A, Spin(N,N) for family D; "
+                             "not accepted for E families")
+        if chi:
+            cmd.add_argument("--chi", type=int, default=None,
+                             help="restrict to one genuine central character")
+        if wid:
+            cmd.add_argument("--id", required=True, dest="witness_id",
+                             help="stored witness identifier, e.g. E7-320")
+        cmd.add_argument("--format", choices=("text", "json"), default="text")
+        cmd.add_argument("--no-header", action="store_true")
+        return cmd
+
+    add("roots", "root system, rho/2, and its integral subsystem")
+    add("cartans", "Cartan classes, torus shapes, and the Cayley diagram")
+    add("centers", "center of the cover and its genuine quotient")
+    add("params", "orbit representatives with class, shape, and length", chi=True)
+    add("count-small", "number of genuine small representations")
+    add("replay-witness", "recompute a stored sign-test witness chain",
+        family=False, wid=True)
+    add("klv-check", "verify the closed-form change-of-basis inversion", chi=True)
+    add("lift", "lift of the trivial representation", chi=True)
+    add("verify", "whole-family check: lift support, coefficients, count")
+    return parser

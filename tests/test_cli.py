@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -70,13 +71,22 @@ def _edge_cases():
             for chi in (-1, count):
                 cases.append(((verb,) + flags + ("--chi", str(chi)), EXIT_SCOPE))
     cases.append((("replay-witness", "--id", "nope"), EXIT_SCOPE))
+    for line in ("", "frobnicate", "--bogus roots --family E6", "roots --chi 0",
+                 "count-small --id E6-030", "roots --family E6 extra", "roots --f E6",
+                 "roots --family E6 --no-header=x", "count-small --family A --rank",
+                 "replay-witness --id", "roots --family B", "roots --family E6 --format xml",
+                 "count-small --family D --rank five", "lift --family E7 --chi one",
+                 "count-small --rank 4", "replay-witness --format json",
+                 "--bogus -h", "roots -h --family E6 --rank five", "roots --help x"):
+        cases.append((tuple(line.split()), EXIT_USAGE))
     return cases
 
 
 EDGE_CASES = _edge_cases()
 
 
-@pytest.mark.parametrize("argv, code", EDGE_CASES, ids=[" ".join(a) for a, _ in EDGE_CASES])
+@pytest.mark.parametrize("argv, code", EDGE_CASES,
+                         ids=[" ".join(a) or "(no arguments)" for a, _ in EDGE_CASES])
 def test_malformed_requests_end_in_one_typed_stderr_line(capsys, argv, code):
     assert main(list(argv)) == code
     captured = capsys.readouterr()
@@ -87,10 +97,11 @@ def test_malformed_requests_end_in_one_typed_stderr_line(capsys, argv, code):
 
 
 def test_non_integer_rank_is_an_argparse_usage_error(capsys):
+    """The message keeps argparse's wording."""
     assert main(["count-small", "--family", "D", "--rank", "five"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --rank: invalid int value: 'five'" in captured.err
+    assert captured.err == "usage error: argument --rank: invalid int value: 'five'\n"
 
 
 def test_internal_error_is_exit_code_4_without_traceback(capsys, monkeypatch):
@@ -119,7 +130,7 @@ def test_value_errors_map_to_exit_codes_without_traceback(capsys, monkeypatch, e
     def fail(args):
         raise error
 
-    monkeypatch.setitem(cli._DISPATCH, "roots", fail)
+    monkeypatch.setitem(cli._VERBS, "roots", (fail,) + cli._VERBS["roots"][1:])
     assert main(["roots", "--family", "E6"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -128,6 +139,48 @@ def test_value_errors_map_to_exit_codes_without_traceback(capsys, monkeypatch, e
 
 def test_help_exits_cleanly(capsys):
     assert run(capsys, "--help")[0] == EXIT_OK
+
+
+VERB_HELP = {  # verb: its help line
+    "roots": "root system, rho/2, and its integral subsystem",
+    "cartans": "Cartan classes, torus shapes, and the Cayley diagram",
+    "centers": "center of the cover and its genuine quotient",
+    "params": "orbit representatives with class, shape, and length",
+    "count-small": "number of genuine small representations",
+    "replay-witness": "replay a stored sign-test witness chain",
+    "klv-check": "verify the closed-form change-of-basis inversion",
+    "lift": "lift of the trivial representation",
+    "verify": "whole-family check: lift support, coefficients, count",
+}
+COMMON_FLAGS = {"--format", "--no-header", "--help"}
+
+
+def test_help_lists_every_verb_and_the_exit_codes(capsys):
+    code, out = run(capsys, "--help")
+    assert code == EXIT_OK
+    listed = {line.split(None, 1)[0]: line.split(None, 1)[1] for line in out.splitlines()
+              if line.startswith("  ") and line.split(None, 1)[0] in VERB_HELP}
+    assert listed == VERB_HELP
+    assert out.endswith(cli._EPILOG)
+    assert "exit codes:\n  0  success" in out and "  4  internal error" in out
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_HELP))
+def test_verb_help_lists_exactly_the_flags_it_accepts(capsys, verb):
+    code, out = run(capsys, verb, "--help")
+    assert code == EXIT_OK
+    assert VERB_HELP[verb] in out and out.endswith(cli._EPILOG)
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  --")}
+    takes = {"--id"} if verb == "replay-witness" else {"--family", "--rank"}
+    assert listed == takes | COMMON_FLAGS | ({"--chi"} if verb in CHI_VERBS else set())
+
+
+def test_main_reads_sys_argv_without_arguments(capsys, monkeypatch):
+    """The [project.scripts] entry point calls main() with no argv."""
+    monkeypatch.setattr(sys, "argv", ["cayley-lift", "count-small", "--family", "E7",
+                                      "--no-header"])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out == "4\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ The cold-start tests start one fresh interpreter per CLI verb, with
 warnings turned into errors, and check which package modules actually ran:
 a module still waiting on its lazy loader has a type other than
 types.ModuleType, and asking for that type does not load it.  They also
-check that no request loads dataclasses, inspect, fractions or decimal
-(every rational is printed from doubled integers), and that only a JSON
-request loads json.
+check that no request, --help included, loads dataclasses, inspect,
+fractions or decimal (every rational is printed from doubled integers) or
+argparse, gettext or locale (the CLI reads its flags from one table), and
+that only a JSON request loads json.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def test_readme_library_example_returns_what_it_states():
 
 # Prints, at interpreter exit, the package modules that ran and which of
 # HEAVY were loaded.  The program text after it is the request.
-HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "json")  # a text request needs none
+HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale",
+         "json")  # a text request needs none
 REPORTER = """\
 import atexit, sys, types
 
@@ -132,8 +134,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_requests_cover_every_verb():
-    from cayley_lift.cli import _DISPATCH
-    assert set(REQUESTS) == set(_DISPATCH)
+    from cayley_lift.cli import _VERBS
+    assert set(REQUESTS) == set(_VERBS)
 
 
 @pytest.mark.parametrize("verb", sorted(REQUESTS))
@@ -160,6 +162,13 @@ def test_json_rationals_are_printed_without_fractions(verb):
     """The verbs that print rationals (roots, rho, coset representatives,
     chain roots) render them from doubled integers in JSON as in text."""
     _check_json_request(verb)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["count-small", "--help"]])
+def test_help_loads_nothing_heavy(argv):
+    done = _python("-c", REPORTER + RUN_CLI, *argv)
+    assert (done.returncode, done.stderr) == (0, "ran: root_system\nloaded: \n")
+    assert done.stdout.startswith("usage: cayley-lift ")
 
 
 def test_importing_the_cli_runs_only_the_root_system():

@@ -1,7 +1,10 @@
-"""The integer Weyl and root-system code against the exact-Fraction reference."""
+"""The integer Weyl and root-system code against the exact-Fraction reference,
+and the CLI's flag-table parser against the argparse parser it replaced."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 from functools import lru_cache
 from itertools import islice
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from cayley_lift.cartan import cover_center_data, involution_from_pairs, signature_from_involution
-from cayley_lift import cartan, coherent, parameters, root_system
+from cayley_lift import cartan, cli, coherent, parameters, root_system
 from cayley_lift.coherent import (
     chain_types,
     matrix_to_word,
@@ -509,6 +512,105 @@ def _negate_a_coordinate(original):
     return build
 
 
+# Command lines that both parsers read, one per verb and one per flag syntax,
+# and the malformed lines.  A line that asks for help but is malformed
+# otherwise is not listed: argparse printed the help when -h came before the
+# fault, where the flag table rejects the line (tests/test_cli.py).
+PARSE_LINES = [
+    "roots --family A --rank 4",
+    "cartans --family D --rank=5 --format json",
+    "centers --family=E7 --no-header",
+    "params --family A --rank 4 --chi 1",
+    "count-small --family E6 --format=text",
+    "replay-witness --id E6-030",
+    "klv-check --family D --rank 4 --chi=0 --no-header",
+    "lift --family E7 --chi 1 --format json --no-header",
+    "verify --family A --rank 10",
+    "count-small --fam A --r 4 --form json --no",
+    "roots --family A --family D --rank 3 --rank 5",
+    "roots --family E6 --format json --format text --no-header --no-header",
+    "lift --family A --rank -3 --chi -1",
+    "roots --family A --rank=-2",
+    "replay-witness --id=-x",
+    "replay-witness --id=",
+    "count-small --family E6 --rank 6",
+    "--help",
+    "-h",
+    "--he",
+    "-h frobnicate",
+    "-h --he",
+    "roots -h",
+    "count-small --help",
+    "replay-witness --id E6-030 --h",
+    # malformed
+    "",
+    "frobnicate",
+    "Roots --family A",
+    "--bogus roots --family E6",
+    "-- roots --family E6",
+    "roots --f A",
+    "roots --chi 0",
+    "count-small --id E6-030",
+    "roots --family A --rank 4 extra",
+    "roots extra --family E6",
+    "roots --family E6 -5",
+    "roots --family E6 --no-header=x",
+    "roots --family E6 --help=x",
+    "roots --family E6 --",
+    "count-small --family A --rank",
+    "replay-witness --id",
+    "replay-witness --id -x",
+    "replay-witness --id --no-header",
+    "roots --family B",
+    "roots --family=",
+    "roots --family E6 --format xml",
+    "count-small --family D --rank five",
+    "count-small --family D --rank 4.0",
+    "lift --family E7 --chi one",
+    "count-small --rank 4",
+    "replay-witness --format json",
+    "roots --family E6 -x",
+]
+PARSED = ("verb", "family", "rank", "chi", "witness_id", "format", "no_header")
+
+
+def _parsed(parse, argv):
+    """"help", "usage error" or the attribute values that parse gives argv;
+    parse either returns the help text or raises UsageError (the flag table),
+    or exits through SystemExit (argparse)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = parse(argv)
+    except cli.UsageError:
+        return "usage error"
+    except SystemExit as exc:
+        return "help" if exc.code == 0 else "usage error"
+    if isinstance(args, str):
+        return "help"
+    return tuple((name, type(getattr(args, name, None)), getattr(args, name, None))
+                 for name in PARSED)
+
+
+def _check_parse(line):
+    argv = line.split()
+    assert _parsed(cli._parse, argv) == _parsed(reference._build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("line", PARSE_LINES)
+def test_the_flag_table_parses_as_argparse_did(line):
+    _check_parse(line)
+
+
+def _drop_chi(verbs):
+    return {verb: entry[:2] + (tuple(f for f in entry[2] if f != "--chi"),)
+            for verb, entry in verbs.items()}
+
+
+def _skip_int_conversion(flags):
+    return {flag: (attr, str if kind is int else kind, text)
+            for flag, (attr, kind, text) in flags.items()}
+
+
 SMALL_THETA_CASES = [(p,) for f, r, p in THETA_CASES if (f, r) in (("A", 3), ("D", 4))]
 # fault: (module, function, faulty version, the comparison that must catch it, its cases)
 CORE_FAULTS = {
@@ -518,17 +620,21 @@ CORE_FAULTS = {
                          [("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E7", None)]),
     "build_root_system": (root_system, "build_root_system", _negate_a_coordinate, _check_roots,
                           [("A", 3), ("D", 4), ("E6", None)]),
+    "parse_drops_chi": (cli, "_VERBS", _drop_chi, _check_parse, [(l,) for l in PARSE_LINES]),
+    "parse_skips_int": (cli, "_FLAGS", _skip_int_conversion, _check_parse,
+                        [(l,) for l in PARSE_LINES]),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(CORE_FAULTS))
 def test_the_comparisons_catch_a_core_fault(monkeypatch, fault):
-    """One small fault in a core routine, installed wherever the package or
-    this module binds it, makes its oracle comparison fail on some case;
-    without the fault the same cases pass.  No faulty result outlives the
-    fault in a cache: each check asserts on the faulty routine's output
-    before it calls a cached routine that uses it, except for
-    cover_center_data, whose cache is cleared."""
+    """One small fault in a core routine or in the CLI's flag table (a verb
+    table without --chi, or ints read as free text), installed wherever the
+    package or this module binds it, makes its oracle comparison fail on
+    some case; without the fault the same cases pass.  No faulty result
+    outlives the fault in a cache: each check asserts on the faulty
+    routine's output before it calls a cached routine that uses it, except
+    for cover_center_data, whose cache is cleared."""
     module, name, make_fault, check, cases = CORE_FAULTS[fault]
     original = getattr(module, name)
     faulty = make_fault(original)
