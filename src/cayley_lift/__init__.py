@@ -9,21 +9,21 @@ import sys
 # Public names by home module.  A submodule runs on first use of one of its
 # names, or of the module itself, so each CLI verb executes only what it calls.
 _EXPORTS = {
-    "root_system": ("BetaChain", "CertificateError", "InvariantError", "RootSubsystem",
-                    "RootSystem", "ScopeError", "WordError", "build_root_system",
-                    "canonical_reflection_word", "decompose_to_chain", "integral_system",
-                    "half_integral_roots"),
+    "root_system": ("CertificateError", "InvariantError", "RootSubsystem", "RootSystem",
+                    "ScopeError", "WordError", "build_root_system", "canonical_reflection_word",
+                    "integral_system"),
+    "weyl": ("BetaChain",),
     "cartan": ("CartanClass", "CenterData", "FiniteAbelianGroup", "HasseDiagram", "Involution",
-               "TorusShape", "cartan_classes", "cartan_shape", "cover_center_data",
-               "genuine_central_character_count", "hasse_diagram", "involution_for_class",
-               "root_type"),
-    "parameters": ("PairSetParameter", "TransformError", "cayley", "class_of", "contains",
-                   "enumerate_block", "length", "make_parameter", "orbit_representatives",
-                   "pi_RD", "pseudospherical_params", "rd_subsets", "theta", "tower_parameter"),
+               "TorusShape", "TransformError", "cartan_classes", "cartan_shape",
+               "cover_center_data", "genuine_central_character_count", "hasse_diagram",
+               "involution_for_class", "root_type"),
+    "parameters": ("PairSetParameter", "cayley", "class_of", "contains", "enumerate_block",
+                   "length", "make_parameter", "orbit_representatives", "pi_RD", "rd_subsets",
+                   "theta", "tower_parameter"),
     "coherent": ("ChainCertificate", "RuleOutReport", "StabilizerDescription", "chain_types",
                  "count_small", "replay_witness", "rule_out", "stabilizer"),
-    "klv_poset": ("FormalIntegerCombination", "M_entry", "ParameterPoset", "block_poset",
-                  "m_entry", "tower_poset", "verify_inversion", "zuckerman_restricted"),
+    "klv_poset": ("FormalIntegerCombination", "M_entry", "ParameterPoset", "m_entry",
+                  "tower_poset", "verify_inversion"),
     "lifting": ("K_coefficient", "TheoremReport", "cartan_constant", "lift_trivial",
                 "verify_main_theorem"),
 }
@@ -50,65 +50,4 @@ def __getattr__(name: str):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-__all__ = [
-    "BetaChain",
-    "CartanClass",
-    "CenterData",
-    "CertificateError",
-    "ChainCertificate",
-    "FiniteAbelianGroup",
-    "FormalIntegerCombination",
-    "HasseDiagram",
-    "InvariantError",
-    "Involution",
-    "K_coefficient",
-    "M_entry",
-    "PairSetParameter",
-    "ParameterPoset",
-    "RootSubsystem",
-    "RootSystem",
-    "RuleOutReport",
-    "ScopeError",
-    "StabilizerDescription",
-    "TheoremReport",
-    "TorusShape",
-    "TransformError",
-    "WordError",
-    "block_poset",
-    "build_root_system",
-    "canonical_reflection_word",
-    "cartan_classes",
-    "cartan_constant",
-    "cartan_shape",
-    "cayley",
-    "chain_types",
-    "class_of",
-    "contains",
-    "count_small",
-    "cover_center_data",
-    "decompose_to_chain",
-    "enumerate_block",
-    "genuine_central_character_count",
-    "half_integral_roots",
-    "hasse_diagram",
-    "integral_system",
-    "involution_for_class",
-    "length",
-    "lift_trivial",
-    "m_entry",
-    "make_parameter",
-    "orbit_representatives",
-    "pi_RD",
-    "pseudospherical_params",
-    "rd_subsets",
-    "replay_witness",
-    "root_type",
-    "rule_out",
-    "stabilizer",
-    "theta",
-    "tower_parameter",
-    "tower_poset",
-    "verify_inversion",
-    "verify_main_theorem",
-    "zuckerman_restricted",
-]
+__all__ = sorted(_HOME)

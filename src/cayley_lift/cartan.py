@@ -49,6 +49,20 @@ def root_type(theta: Matrix, alpha: Vector) -> str:
     return COMPLEX
 
 
+class TransformError(ValueError):
+    """An illegal Cayley transform was requested."""
+
+
+def block_pairs(block: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
+    """The (odd slot, even slot) pairs of a quadruple block, matched in
+    sorted order; each stands for both transforms of its plane."""
+    odds = sorted(x for x in block if x % 2 == 1)
+    evens = sorted(x for x in block if x % 2 == 0)
+    if len(odds) != len(evens) or not block:
+        raise TransformError("block must balance odd and even slots: %r" % (block,))
+    return tuple(zip(odds, evens))
+
+
 class Involution(Record):
     """An involutive isometry normalizing the root system, stored as a signed
     permutation of the ambient coordinates: coordinate k of theta(v) is
@@ -82,17 +96,12 @@ def involution_from_pairs(
     """theta = (-Id) composed with the reflections named by the pair data.
 
     A positive pair (i, j) contributes the reflection in e_i - e_j, a negative
-    pair (-i, -j) the reflection in e_i + e_j.  A block of 2r slots matches
-    its odd-position members with its even-position members in sorted order
-    and contributes both reflections for each matched pair.
+    pair (-i, -j) the reflection in e_i + e_j.  A block contributes both
+    reflections for each of its block_pairs.
     """
     planes = [(abs(a), abs(b), a < 0) for a, b in pairs]
     for block in blocks:
-        odds = sorted(x for x in block if x % 2 == 1)
-        evens = sorted(x for x in block if x % 2 == 0)
-        if len(odds) != len(evens):
-            raise ValueError("block must balance odd and even slots: %r" % (block,))
-        for i, j in zip(odds, evens):
+        for i, j in block_pairs(block):
             planes += [(i, j, False), (i, j, True)]
     coords = [-(k + 1) for k in range(system.dim)]
     for i, j, signed in planes:
@@ -309,9 +318,7 @@ def classify_pairs(family: str, rank: int, pairs: Sequence[Tuple[int, int]],
         for a, b in pairs:
             planes.setdefault((abs(a), abs(b)), []).append(1 if a > 0 else -1)
         for block in blocks:
-            odds = sorted(x for x in block if x % 2 == 1)
-            evens = sorted(x for x in block if x % 2 == 0)
-            for i, j in zip(odds, evens):
+            for i, j in block_pairs(block):
                 planes.setdefault((i, j), []).extend([1, -1])
         single = [signs[0] for signs in planes.values() if len(signs) == 1]
         a_count = len(single)

@@ -10,7 +10,7 @@ it with det(w) on the stabilizer of gamma's orbit decides whether gamma
 supports a sign-consistent family (it "survives") or is ruled out.
 
 Every Weyl group element here, and the involution theta, is a signed
-permutation of the ambient positive roots (root_system.WeylTables), and a
+permutation of the ambient positive roots (weyl.WeylTables), and a
 certificate holds each chain root as its signed index; the root vectors
 are a view.  For a reduced word the chain roots are, up to sign, the
 positive roots that w sends negative (Bourbaki VI 1.6), so epsilon * det
@@ -24,7 +24,6 @@ at the first violation, which alone becomes a word and a certificate.
 
 from __future__ import annotations
 
-import random
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -37,22 +36,24 @@ from .root_system import (
     RootSubsystem,
     RootSystem,
     ScopeError,
-    SignedPerm,
     Vector,
-    WeylTables,
     WeylWord,
     _doubled_sum,
     _integral_system,
     _view,
-    beta_chain_for_word,
     canonical_reflection_word,
     idot,
     neg,
+    subsystem,
+)
+from .weyl import (
+    SignedPerm,
+    WeylTables,
+    beta_chain_for_word,
     perm_inv,
     perm_mul,
     perm_to_word,
     root_permutation,
-    subsystem,
     weyl_tables,
     word_matrix,
 )
@@ -267,10 +268,6 @@ def count_small(family: str, rank: Optional[int] = None) -> int:
     return survivors * genuine_central_character_count(family, rank)
 
 
-def survey(family: str, rank: Optional[int] = None) -> Tuple[RuleOutReport, ...]:
-    return tuple(rule_out(rep) for _, rep in orbit_representatives(family, rank))
-
-
 # ---------------------------------------------------------------------------
 # Witness replay
 # ---------------------------------------------------------------------------
@@ -323,49 +320,3 @@ def replay_witness(witness_id: str) -> ReplayReport:
                 )
         golden_checked = True
     return ReplayReport(witness_id=witness_id, certificate=cert, golden_checked=golden_checked)
-
-
-# ---------------------------------------------------------------------------
-# Word rewriting (identity moves), used by the invariance experiments
-# ---------------------------------------------------------------------------
-
-def _braid_order(system: RootSystem, i: int, j: int) -> int:
-    p = idot(system.doubled_simple[i], system.doubled_simple[j])
-    return 2 if p == 0 else 3  # simply laced
-
-
-def random_equivalent_word(
-    system: RootSystem, word: Sequence[int], rng: random.Random, moves: int = 20
-) -> WeylWord:
-    """Rewrite a word by random identity moves; the element is unchanged."""
-    w = list(word)
-    for _ in range(moves):
-        choice = rng.randrange(3)
-        if choice == 0:  # insert s_i s_i
-            i = rng.randrange(system.rank)
-            pos = rng.randrange(len(w) + 1)
-            w[pos:pos] = [i, i]
-        elif choice == 1:  # delete an adjacent equal pair
-            spots = [k for k in range(len(w) - 1) if w[k] == w[k + 1]]
-            if spots:
-                k = rng.choice(spots)
-                del w[k : k + 2]
-        else:  # braid move
-            spots2 = [
-                k for k in range(len(w) - 1)
-                if w[k] != w[k + 1] and _braid_order(system, w[k], w[k + 1]) == 2
-            ]
-            spots3 = [
-                k for k in range(len(w) - 2)
-                if w[k] == w[k + 2] and w[k] != w[k + 1]
-                and _braid_order(system, w[k], w[k + 1]) == 3
-            ]
-            pool = [("2", k) for k in spots2] + [("3", k) for k in spots3]
-            if pool:
-                kind, k = rng.choice(pool)
-                if kind == "2":
-                    w[k], w[k + 1] = w[k + 1], w[k]
-                else:
-                    i, j = w[k], w[k + 1]
-                    w[k : k + 3] = [j, i, j]
-    return tuple(w)

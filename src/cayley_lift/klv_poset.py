@@ -17,7 +17,6 @@ from .root_system import InvariantError, Record, ScopeError
 from .parameters import (
     PairSetParameter,
     contains,
-    enumerate_block,
     length,
     rd_subsets,
     tower_terms,
@@ -54,12 +53,6 @@ def tower_poset(family: str, rank: Optional[int] = None, chi: int = 0) -> Parame
               for _, p in tower_terms(family, rank, chi, subset)]
     if not params:
         raise InvariantError("no tower parameter for %s" % family)
-    return ParameterPoset(family, params[0].rank, chi, _dedup_sorted(params))
-
-
-def block_poset(family: str, rank: int, chi: int = 0) -> ParameterPoset:
-    """The full Cayley-transform block through gamma(empty) (families A, D)."""
-    params = enumerate_block(family, rank, chi)
     return ParameterPoset(family, params[0].rank, chi, _dedup_sorted(params))
 
 
@@ -126,18 +119,6 @@ def verify_inversion(poset: ParameterPoset) -> bool:
     return True
 
 
-def gamma_star_row_check(poset: ParameterPoset, gamma_star: PairSetParameter) -> bool:
-    """The M-row of a maximal parameter inverts m on an arbitrary block."""
-    for g in poset.elements:
-        expect = 1 if g == gamma_star else 0
-        total = sum(
-            M_entry(gamma_star, d) * m_entry(d, g) for d in poset.elements
-        )
-        if total != expect:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Formal integer combinations of parameters
 # ---------------------------------------------------------------------------
@@ -176,16 +157,3 @@ class FormalIntegerCombination(Record):
             chunks.append("%s %s%s" % (sign, coeff, p.render()))
         text = " ".join(chunks)
         return text[2:] if text.startswith("+ ") else text
-
-
-def zuckerman_restricted(
-    family: str, rank: Optional[int], chi: int, subset_index: int = -1
-) -> FormalIntegerCombination:
-    """The alternating sum over one tower: coefficient (-1)^(number of pairs).
-
-    subset_index selects among rd_subsets(family, rank); the default takes
-    the last (the full tower for groups with a single nonempty S).
-    """
-    subset = rd_subsets(family, rank)[subset_index]
-    return FormalIntegerCombination.from_pairs(
-        (p, sign) for sign, p in tower_terms(family, rank, chi, subset))

@@ -19,15 +19,16 @@ from .root_system import (
     Record,
     RootSystem,
     ScopeError,
-    SignedPerm,
     build_root_system,
     is_half_integral,
     pair_root,
-    weyl_tables,
 )
+from .weyl import SignedPerm, weyl_tables
 from .cartan import (
     CartanClass,
     Involution,
+    TransformError,
+    block_pairs,
     cartan_classes,
     class_rep_data,
     classify_pairs,
@@ -38,10 +39,6 @@ from .cartan import (
 
 Pair = Tuple[int, int]
 Block = Tuple[int, ...]
-
-
-class TransformError(ValueError):
-    """An illegal Cayley transform was requested."""
 
 
 class PairSetParameter(Record):
@@ -81,14 +78,6 @@ def _normalize_pair(pair: Sequence[int]) -> Pair:
 
 def _pair_sort_key(p: Pair) -> Tuple[int, int, int]:
     return (abs(p[0]), abs(p[1]), 0 if p[0] > 0 else 1)
-
-
-def block_pairs(block: Block) -> Tuple[Pair, ...]:
-    odds = sorted(x for x in block if x % 2 == 1)
-    evens = sorted(x for x in block if x % 2 == 0)
-    if len(odds) != len(evens) or not block:
-        raise TransformError("block must balance odd and even slots: %r" % (block,))
-    return tuple(zip(odds, evens))
 
 
 def _check_transform_root(system: RootSystem, p: Pair) -> None:
@@ -151,17 +140,6 @@ def make_parameter(
         chi=chi,
         blocks=norm_blocks,
         pairs=tuple(norm_pairs),
-    )
-
-
-def pseudospherical_params(family: str, rank: Optional[int] = None) -> Tuple[PairSetParameter, ...]:
-    """The pseudospherical parameters gamma(empty), one per central character."""
-    system = _ambient_system(family, rank or 0)
-    count = genuine_central_character_count(
-        family, system.rank if family in ("A", "D") else None
-    )
-    return tuple(
-        make_parameter(family, system.rank, chi=c) for c in range(count)
     )
 
 
@@ -233,13 +211,6 @@ def length(p: PairSetParameter) -> int:
     flips = sum(1 for k in theta_perm(p) if k < 0)
     r, m, s = signature_from_involution(_ambient_system(p.family, p.rank), theta(p))
     return flips + m + s
-
-
-def split_length(family: str, rank: Optional[int] = None) -> int:
-    """The length of the split Cartan's parameters, doubled: the number of
-    positive roots plus the rank."""
-    system = _ambient_system(family, rank or 0)
-    return len(system.doubled_positive) + system.rank
 
 
 def contains(p1: PairSetParameter, p2: PairSetParameter) -> bool:
@@ -369,13 +340,3 @@ def parameter_to_json(p: PairSetParameter) -> dict:
         "blocks": [list(b) for b in p.blocks],
         "pairs": [list(q) for q in p.pairs],
     }
-
-
-def parameter_from_json(data: dict) -> PairSetParameter:
-    return make_parameter(
-        data["family"],
-        data["rank"] if data["family"] in ("A", "D") else int(data["family"][1]),
-        chi=data.get("central_char", 0),
-        blocks=[tuple(b) for b in data.get("blocks", ())],
-        pairs=[tuple(q) for q in data.get("pairs", ())],
-    )

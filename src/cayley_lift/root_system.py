@@ -3,12 +3,13 @@
 Families: A (ambient n coordinates, roots e_i - e_j), D (roots +-e_i +- e_j),
 and E6/E7/E8 realized inside an 8-dimensional ambient space.  The core holds
 every vector doubled, 2v as a tuple of ints, so that the half-integer E8
-roots are integral: construction, the integral subsystems at rho/2, the Weyl
-group tables and the reflection words are integer arithmetic.  Doubling
+roots are integral: construction, the integral subsystems at rho/2 and the
+reflection words are integer arithmetic, as are the Weyl group tables of the
+weyl module, which builds on this one.  Doubling
 keeps the lexicographic order, so the positive roots and every signed index
 are those of the rational vectors.  fractions.Fraction appears only at the
 edge: the vector views (simple_roots, positive_roots, rho, rho_half and the
-roots of subsystems and chains) are built on first use for input and the
+roots of subsystems) are built on first use for input and the
 public API, through _fraction, which loads fractions on its first call;
 output is printed from the doubled integers.  There is no floating point
 anywhere in this package.
@@ -106,16 +107,12 @@ class Record:
         raise AttributeError("cannot delete field %r of %s" % (name, type(self).__qualname__))
 
 
-@lru_cache(maxsize=1024)  # views share one Fraction per value; bounded, as vec takes any input
+@lru_cache(maxsize=1024)  # views share one Fraction per value; bounded: callers pass user input
 def _fraction(*args) -> Q:
     """The package's one Fraction constructor; fractions loads on the first call."""
     from fractions import Fraction
 
     return Fraction(*args)
-
-
-def vec(*entries) -> Vector:
-    return tuple(_fraction(x) for x in entries)
 
 
 def dot(x: Vector, y: Vector) -> Q:
@@ -129,10 +126,6 @@ def idot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
 
-def add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
@@ -143,10 +136,6 @@ def neg(x: Vector) -> Vector:
 
 def scale(c: Q, x: Vector) -> Vector:
     return tuple(c * a for a in x)
-
-
-def zero(dim: int) -> Vector:
-    return (_fraction(0),) * dim
 
 
 def basis_vector(i: int, dim: int) -> Vector:
@@ -329,17 +318,8 @@ def _e8_roots() -> List[Doubled]:
     return roots
 
 
-def beta_root(minus_positions: Iterable[int]) -> Vector:
-    """Half-integer root with entries -1/2 exactly at the listed positions."""
-    minus = set(minus_positions)
-    v = tuple(_fraction(-1 if k + 1 in minus else 1, 2) for k in range(8))
-    if len(minus) % 2 != 0:
-        raise ValueError("a half-integer root needs an even number of minus signs")
-    return v
-
-
 def _e_simple_roots(family: str) -> Tuple[Doubled, ...]:
-    """Doubled: 2 * beta_root((2, ..., 7)), 2(e_1 + e_2), then 2(e_{i+1} - e_i)."""
+    """Doubled: (1/2)(1, -1, ..., -1, 1), e_1 + e_2, then e_{i+1} - e_i."""
     chain = tuple(pair_root(8, (i + 1, i)) for i in range(1, int(family[1]) - 1))
     return ((1, -1, -1, -1, -1, -1, -1, 1), pair_root(8, (-1, -2))) + chain
 
@@ -481,179 +461,19 @@ def is_half_integral(system: RootSystem, doubled: Doubled) -> bool:
     return idot(system.doubled_rho, doubled) % 8 == 4
 
 
-def half_integral_roots(system: RootSystem) -> Tuple[Vector, ...]:
-    """Positive roots pairing to Z + 1/2 against rho/2."""
-    return tuple(a for a, d in zip(system.positive_roots, system.doubled_positive)
-                 if is_half_integral(system, d))
-
-
 # ---------------------------------------------------------------------------
-# Weyl group elements as signed permutations of the positive roots
+# Reflection words
 # ---------------------------------------------------------------------------
-# w[k] = +-(j+1) means w maps positive root k to +-(positive root j).  W acts
-# faithfully on its roots, and every involution theta here permutes them, so
-# this one representation serves every family.
-
-SignedPerm = Tuple[int, ...]
-
-
-def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
-    """The product a.b of two signed permutations (b acts first)."""
-    return tuple([a[j - 1] if j > 0 else -a[-j - 1] for j in b])
-
-
-def perm_inv(a: SignedPerm) -> SignedPerm:
-    """The inverse of a signed permutation."""
-    out = [0] * len(a)
-    for k, j in enumerate(a, 1):
-        out[abs(j) - 1] = k if j > 0 else -k
-    return tuple(out)
-
-
-class WeylTables(Record):
-    """Integer tables for the action of W on a system's positive roots."""
-
-    system: RootSystem
-    doubled: Tuple[Doubled, ...]            # 2 * positive root k
-    index: Dict[Doubled, int]               # doubled root 2v -> +-(k+1)
-    simple: Tuple[int, ...]                 # positive-root index of each simple root
-    height: Tuple[int, ...]                 # height of positive root k
-    reflections: Tuple[SignedPerm, ...]     # s_k for each positive root k
-    identity: SignedPerm
-
-    def doubled_root(self, s: int) -> Doubled:
-        """Twice the root with signed index s."""
-        d = self.doubled[abs(s) - 1]
-        return d if s > 0 else tuple([-x for x in d])
-
-
-@lru_cache(maxsize=None)
-def weyl_tables(system: RootSystem) -> WeylTables:
-    """The system's WeylTables, built once in doubled integer coordinates.
-
-    Only the simple reflections are computed from coordinates; in order of
-    height every other one is a conjugate, s_beta = s_i s_gamma s_i for a
-    simple s_i with gamma = s_i(beta) of smaller height.
-    """
-    doubled, index = system.doubled_positive, system.index
-    height = tuple(idot(system.doubled_rho, d) // 4 for d in doubled)  # (rho, a)
-    simple = tuple(index[a] - 1 for a in system.doubled_simple)
-    reflections: List[Optional[SignedPerm]] = [None] * len(doubled)
-    for k in simple:
-        reflections[k] = _reflection_perm(doubled[k], doubled, index)
-    lowering = [reflections[k] for k in simple]
-    for k in sorted(range(len(doubled)), key=height.__getitem__):
-        if reflections[k] is None:
-            s = next(s for s in lowering if height[s[k] - 1] < height[k])
-            reflections[k] = perm_mul(perm_mul(s, reflections[s[k] - 1]), s)
-    return WeylTables(
-        system=system,
-        doubled=doubled,
-        index=index,
-        simple=simple,
-        height=height,
-        reflections=tuple(reflections),
-        identity=tuple(range(1, len(doubled) + 1)),
-    )
-
-
-def _reflection_perm(a, doubled, index) -> SignedPerm:
-    """s_a on the positive roots, all in doubled integer coordinates."""
-    aa = idot(a, a)
-    out = []
-    for d in doubled:
-        c = 2 * idot(d, a) // aa  # <d, a^vee>, an integer
-        out.append(index[tuple([x - c * y for x, y in zip(d, a)])])
-    return tuple(out)
-
-
-def root_permutation(m: Matrix, system: RootSystem) -> SignedPerm:
-    """The signed permutation of the positive roots induced by the matrix m.
-
-    Raises ValueError if m does not map every root to a root.
-    """
-    tables = weyl_tables(system)
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m]
-    out = []
-    for d in tables.doubled:
-        try:
-            out.append(tables.index[tuple(sum(x * d[j] for j, x in row) for row in rows)])
-        except KeyError:
-            raise ValueError("matrix does not permute the roots") from None
-    return tuple(out)
-
-
-def perm_to_word(w: SignedPerm, system: RootSystem) -> WeylWord:
-    """Reduced word (printed order) for w, by descent on the positive roots.
-
-    Repeatedly peels off, on the right, the first simple root that w sends
-    negative.  Raises ValueError if w is not in the Weyl group.
-    """
-    tables = weyl_tables(system)
-    rev: List[int] = []
-    for _ in range(len(w) + 1):
-        if w == tables.identity:
-            return tuple(reversed(rev))
-        i = next((i for i, k in enumerate(tables.simple) if w[k] < 0), None)
-        if i is None:
-            break
-        w = perm_mul(w, tables.reflections[tables.simple[i]])
-        rev.append(i)
-    raise ValueError("element is not in the Weyl group")
-
-
-# ---------------------------------------------------------------------------
-# Reflection words and beta chains
-# ---------------------------------------------------------------------------
-
-class BetaChain(Record):
-    """Chain roots beta_1..beta_N for a word, consumed rightmost letter first.
-
-    beta_k = s_{beta_{k-1}} ... s_{beta_1}(a_k) where a_k is the positive root
-    of the k-th consumed letter; the ordered composition of the chain
-    reflections equals the composition of the word's letters.  indices holds
-    the signed positive-root index of each step (see WeylTables); the root
-    vectors are the steps view.
-    """
-
-    system: RootSystem
-    word: WeylWord
-    indices: Tuple[int, ...]
-
-    @cached_property
-    def steps(self) -> Tuple[Vector, ...]:
-        return tuple(map(_view, map(weyl_tables(self.system).doubled_root, self.indices)))
-
-
-def word_matrix(word: WeylWord, system: RootSystem) -> Matrix:
-    """Matrix of the word read left to right (rightmost letter acts first)."""
-    m = identity_matrix(system.dim)
-    for letter in word:
-        m = mat_mul(m, reflection_matrix(system.simple_roots[letter]))
-    return m
-
-
-def beta_chain_for_word(word: WeylWord, system: RootSystem) -> BetaChain:
-    for letter in word:
-        if not 0 <= letter < system.rank:
-            raise WordError("letter %d out of range" % letter)
-    tables = weyl_tables(system)
-    u = tables.identity
-    indices: List[int] = []
-    for letter in reversed(word):
-        k = tables.simple[letter]
-        indices.append(u[k])
-        u = perm_mul(u, tables.reflections[k])
-    return BetaChain(system=system, word=tuple(word), indices=tuple(indices))
-
 
 def canonical_reflection_word(alpha: Union[Vector, int], system: RootSystem) -> WeylWord:
     """Deterministic palindromic word for the reflection s_alpha; alpha is a
-    root or its signed index (see WeylTables).
+    root or its signed index (see weyl.WeylTables).
 
     Repeatedly conjugates by the smallest-index simple reflection that strictly
     lowers the height of the conjugated (positive) root.
     """
+    from .weyl import weyl_tables  # weyl imports root_system
+
     tables = weyl_tables(system)
     s = alpha if isinstance(alpha, int) else tables.index.get(_doubled(alpha), 0)
     if not 0 < abs(s) <= len(tables.doubled):
@@ -668,30 +488,6 @@ def canonical_reflection_word(alpha: Union[Vector, int], system: RootSystem) -> 
     return tuple(prefix) + (tables.simple.index(k),) + tuple(reversed(prefix))
 
 
-def decompose_to_chain(
-    alpha: Vector, system: RootSystem, word: Optional[WeylWord] = None
-) -> BetaChain:
-    """Beta chain for s_alpha, from the canonical word or a supplied one.
-
-    A supplied word must be palindromic and compose to s_alpha: the product
-    of its letters' signed permutations is compared with alpha's.
-    """
-    if word is None:
-        return beta_chain_for_word(canonical_reflection_word(alpha, system), system)
-    word = tuple(word)
-    if word != tuple(reversed(word)):
-        raise WordError("word is not palindromic")
-    chain = beta_chain_for_word(word, system)  # rejects out-of-range letters
-    tables = weyl_tables(system)
-    w = tables.identity
-    for letter in word:
-        w = perm_mul(w, tables.reflections[tables.simple[letter]])
-    s = tables.index.get(_doubled(alpha), 0)
-    if not s or w != tables.reflections[abs(s) - 1]:
-        raise WordError("word does not compose to the requested reflection")
-    return chain
-
-
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
@@ -700,10 +496,6 @@ def rational(n: int, d: int = 1) -> str:
     """str(Fraction(n, d)) for d > 0, from the integers alone."""
     g = gcd(n, d)
     return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
-
-
-def vector_from_strings(parts: Sequence[str]) -> Vector:
-    return tuple(_fraction(p) for p in parts)
 
 
 def root_system_to_json(system: RootSystem) -> dict:

@@ -33,6 +33,12 @@ tests for the integral Weyl group and for W(core)^theta (descent on dense
 matrices); tests use them to check stored witness words.
 The command-line parser the CLI had before its flag table, built with
 argparse, is here too: tests run both parsers on the same command lines.
+So are the helpers that only the tests call: Fraction vectors from numbers
+or strings, the half-integer E8 roots, the word and chain of a reflection
+(checked on dense matrices), random rewrites of a word by identity moves,
+the full A/D block poset with its gamma* row check, one tower's Zuckerman
+sum, the pseudospherical parameters, the split length, a parameter read
+back from JSON, and the library's rule_out report for every class.
 """
 
 from __future__ import annotations
@@ -43,16 +49,31 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from cayley_lift import coherent
+from cayley_lift.cartan import genuine_central_character_count
 from cayley_lift.cli import _EPILOG
-from cayley_lift.parameters import PairSetParameter
+from cayley_lift.klv_poset import (
+    FormalIntegerCombination,
+    M_entry,
+    ParameterPoset,
+    m_entry,
+    parameter_sort_key,
+)
+from cayley_lift.parameters import (
+    PairSetParameter,
+    enumerate_block,
+    make_parameter,
+    orbit_representatives,
+    rd_subsets,
+    tower_terms,
+)
 from cayley_lift.root_system import (
     Matrix,
     RootSystem,
     Vector,
     WeylWord,
-    add,
+    WordError,
     basis_vector,
-    beta_root,
     build_root_system,
     dot,
     neg,
@@ -60,14 +81,37 @@ from cayley_lift.root_system import (
     reflect,
     scale,
     sub,
-    vec,
-    zero,
 )
 
 Subsystem = namedtuple("Subsystem", "roots positive simple")
+Chain = namedtuple("Chain", "word steps")
 Stabilizer = namedtuple(
     "Stabilizer", "integral real imaginary complex_core rho_real rho_imaginary"
 )
+
+
+def vec(*entries) -> Vector:
+    return tuple(Q(x) for x in entries)
+
+
+def vector_from_strings(parts: Sequence[str]) -> Vector:
+    return tuple(Q(p) for p in parts)
+
+
+def add(x: Vector, y: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def zero(dim: int) -> Vector:
+    return (Q(0),) * dim
+
+
+def beta_root(minus_positions: Iterable[int]) -> Vector:
+    """Half-integer root with entries -1/2 exactly at the listed positions."""
+    minus = set(minus_positions)
+    if len(minus) % 2 != 0:
+        raise ValueError("a half-integer root needs an even number of minus signs")
+    return tuple(Q(-1 if k + 1 in minus else 1, 2) for k in range(8))
 
 
 def mat_apply(m: Matrix, v: Vector) -> Vector:
@@ -98,7 +142,8 @@ def reflection_matrix(alpha: Vector) -> Matrix:
     )
 
 
-def word_matrix(word: Sequence[int], system: RootSystem) -> Matrix:
+@lru_cache(maxsize=None)
+def word_matrix(word: Tuple[int, ...], system: RootSystem) -> Matrix:
     """The product of the simple reflection matrices, left to right."""
     m = identity_matrix(system.dim)
     for letter in word:
@@ -258,6 +303,22 @@ def canonical_reflection_word(alpha: Vector, system: RootSystem) -> WeylWord:
             raise ValueError("height descent failed")
     core = system.simple_roots.index(cur)
     return tuple(prefix) + (core,) + tuple(reversed(prefix))
+
+
+def decompose_to_chain(alpha: Vector, system: RootSystem,
+                       word: Optional[Sequence[int]] = None) -> Chain:
+    """The word and chain roots for s_alpha, from this module's canonical
+    word or a supplied one, which must be palindromic, use only simple
+    roots of the system and compose to s_alpha (dense matrices)."""
+    word = canonical_reflection_word(alpha, system) if word is None else tuple(word)
+    if word != word[::-1]:
+        raise WordError("word is not palindromic")
+    for letter in word:
+        if not 0 <= letter < system.rank:
+            raise WordError("letter %d out of range" % letter)
+    if word_matrix(word, system) != reflection_matrix(alpha):
+        raise WordError("word does not compose to the requested reflection")
+    return Chain(word, chain_roots(word, system))
 
 
 @lru_cache(maxsize=None)
@@ -494,7 +555,8 @@ def length(p: PairSetParameter) -> Q:
     return Q(flips, 2) + Q(m + s, 2)
 
 
-def chain_roots(word: Sequence[int], system: RootSystem) -> Tuple[Vector, ...]:
+@lru_cache(maxsize=None)
+def chain_roots(word: Tuple[int, ...], system: RootSystem) -> Tuple[Vector, ...]:
     """beta_k = u(alpha_k), u the product of the letters consumed before."""
     u = identity_matrix(system.dim)
     steps: List[Vector] = []
@@ -619,6 +681,112 @@ def rule_out(p: PairSetParameter) -> Tuple[str, str]:
     if any(violates(p, m, system) for m in elements + sweep_elements(p, st, system)):
         return "ruled_out", "complex_search"
     return "survives", "full_sweep"
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests call, kept out of the library
+# ---------------------------------------------------------------------------
+
+def _braid_order(system: RootSystem, i: int, j: int) -> int:
+    return 2 if dot(system.simple_roots[i], system.simple_roots[j]) == 0 else 3  # simply laced
+
+
+def random_equivalent_word(
+    system: RootSystem, word: Sequence[int], rng, moves: int = 20
+) -> WeylWord:
+    """Rewrite a word by random identity moves; the element is unchanged."""
+    w = list(word)
+    for _ in range(moves):
+        choice = rng.randrange(3)
+        if choice == 0:  # insert s_i s_i
+            i = rng.randrange(system.rank)
+            pos = rng.randrange(len(w) + 1)
+            w[pos:pos] = [i, i]
+        elif choice == 1:  # delete an adjacent equal pair
+            spots = [k for k in range(len(w) - 1) if w[k] == w[k + 1]]
+            if spots:
+                k = rng.choice(spots)
+                del w[k : k + 2]
+        else:  # braid move
+            spots2 = [
+                k for k in range(len(w) - 1)
+                if w[k] != w[k + 1] and _braid_order(system, w[k], w[k + 1]) == 2
+            ]
+            spots3 = [
+                k for k in range(len(w) - 2)
+                if w[k] == w[k + 2] and w[k] != w[k + 1]
+                and _braid_order(system, w[k], w[k + 1]) == 3
+            ]
+            pool = [("2", k) for k in spots2] + [("3", k) for k in spots3]
+            if pool:
+                kind, k = rng.choice(pool)
+                if kind == "2":
+                    w[k], w[k + 1] = w[k + 1], w[k]
+                else:
+                    i, j = w[k], w[k + 1]
+                    w[k : k + 3] = [j, i, j]
+    return tuple(w)
+
+
+def survey(family: str, rank: Optional[int] = None):
+    """The library's rule_out report for each orbit representative."""
+    return tuple(coherent.rule_out(rep) for _, rep in orbit_representatives(family, rank))
+
+
+def block_poset(family: str, rank: int, chi: int = 0) -> ParameterPoset:
+    """The full Cayley-transform block through gamma(empty) (families A, D)."""
+    params = enumerate_block(family, rank, chi)
+    return ParameterPoset(family, params[0].rank, chi, tuple(sorted(params, key=parameter_sort_key)))
+
+
+def gamma_star_row_check(poset: ParameterPoset, gamma_star: PairSetParameter) -> bool:
+    """The M-row of a maximal parameter inverts m on an arbitrary block."""
+    for g in poset.elements:
+        expect = 1 if g == gamma_star else 0
+        total = sum(
+            M_entry(gamma_star, d) * m_entry(d, g) for d in poset.elements
+        )
+        if total != expect:
+            return False
+    return True
+
+
+def zuckerman_restricted(
+    family: str, rank: Optional[int], chi: int, subset_index: int = -1
+) -> FormalIntegerCombination:
+    """The alternating sum over one tower: coefficient (-1)^(number of pairs).
+
+    subset_index selects among rd_subsets(family, rank); the default takes
+    the last (the full tower for groups with a single nonempty S).
+    """
+    subset = rd_subsets(family, rank)[subset_index]
+    return FormalIntegerCombination.from_pairs(
+        (p, sign) for sign, p in tower_terms(family, rank, chi, subset))
+
+
+def pseudospherical_params(family: str, rank: Optional[int] = None) -> Tuple[PairSetParameter, ...]:
+    """The pseudospherical parameters gamma(empty), one per central character."""
+    family_rank = rank if family in ("A", "D") else None
+    lie_rank = len(build(family, family_rank)[0])
+    return tuple(make_parameter(family, lie_rank, chi=c)
+                 for c in range(genuine_central_character_count(family, family_rank)))
+
+
+def split_length(family: str, rank: Optional[int] = None) -> int:
+    """The length of the split Cartan's parameters, doubled: the number of
+    positive roots plus the rank."""
+    simples, positives, _ = build(family, rank if family in ("A", "D") else None)
+    return len(positives) + len(simples)
+
+
+def parameter_from_json(data: dict) -> PairSetParameter:
+    return make_parameter(
+        data["family"],
+        data["rank"] if data["family"] in ("A", "D") else int(data["family"][1]),
+        chi=data.get("central_char", 0),
+        blocks=[tuple(b) for b in data.get("blocks", ())],
+        pairs=[tuple(q) for q in data.get("pairs", ())],
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ from cayley_lift.cartan import (
     involution_for_class,
 )
 from cayley_lift.cli import EXIT_OK, main
-from cayley_lift.coherent import chain_types, random_equivalent_word, replay_witness
+from cayley_lift.coherent import chain_types, replay_witness
 from cayley_lift.klv_poset import tower_poset, verify_inversion
 from cayley_lift.lifting import K_coefficient, verify_main_theorem
 from cayley_lift.parameters import (
@@ -31,14 +31,14 @@ from cayley_lift.parameters import (
 )
 from cayley_lift.root_system import (
     build_root_system,
-    half_integral_roots,
     identity_matrix,
     integral_system,
     mat_apply,
     mat_mul,
     pairing,
-    word_matrix,
 )
+from cayley_lift.weyl import word_matrix
+from reference import half_integral_roots, random_equivalent_word
 
 ALL_FAMILIES = [("A", r) for r in range(1, 10)] + [("D", r) for r in range(3, 9)] + [
     ("E6", None),

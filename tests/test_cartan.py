@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -8,14 +9,19 @@ import reference
 from cayley_lift.cartan import (
     E_CLASS_REPS,
     Involution,
+    TransformError,
+    block_pairs,
     cartan_classes,
     cartan_shape,
+    classify_pairs,
     cover_center_data,
     genuine_central_character_count,
     hasse_diagram,
     involution_for_class,
+    involution_from_pairs,
     signature_from_involution,
 )
+from cayley_lift.parameters import make_parameter
 from cayley_lift.root_system import (
     InvariantError,
     build_root_system,
@@ -249,3 +255,26 @@ def test_nontrivial_quotient_reps_pair_evenly():
         data = cover_center_data(family, rank)
         for rep in data.quotient_reps:
             assert all(pairing(rep, a) % 2 == 0 for a in system.roots)
+
+
+# ---------------------------------------------------------------------------
+# quadruple blocks
+# ---------------------------------------------------------------------------
+
+def test_a_block_expands_to_sorted_odd_even_pairs():
+    assert block_pairs((4, 1, 3, 2)) == ((1, 2), (3, 4))
+    assert block_pairs((1, 6, 3, 8, 5, 2)) == ((1, 2), (3, 6), (5, 8))
+
+
+@pytest.mark.parametrize("block", [(1, 2, 3), (1, 3), ()])
+def test_every_block_expansion_rejects_an_unbalanced_block(block):
+    """make_parameter, the involution and the class of a block all read it
+    through block_pairs, so all three refuse it with one TransformError."""
+    system = build_root_system("D", 4)
+    message = re.escape("block must balance odd and even slots: %r" % (block,))
+    with pytest.raises(TransformError, match=message):
+        make_parameter("D", 4, blocks=(block,))
+    with pytest.raises(TransformError, match=message):
+        involution_from_pairs(system, blocks=(block,))
+    with pytest.raises(TransformError, match=message):
+        classify_pairs("D", 4, (), (block,))

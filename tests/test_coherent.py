@@ -11,11 +11,9 @@ from cayley_lift.coherent import (
     chain_types,
     count_small,
     matrix_to_word,
-    random_equivalent_word,
     replay_witness,
     rule_out,
     stabilizer,
-    survey,
 )
 from cayley_lift.parameters import make_parameter, orbit_representatives
 from cayley_lift.root_system import (
@@ -24,8 +22,9 @@ from cayley_lift.root_system import (
     build_root_system,
     neg,
     rational,
-    word_matrix,
 )
+from cayley_lift.weyl import word_matrix
+from reference import random_equivalent_word, survey
 
 
 # ---------------------------------------------------------------------------

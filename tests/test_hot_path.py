@@ -27,12 +27,8 @@ from cayley_lift.coherent import count_small, rule_out, stabilizer
 from cayley_lift.klv_poset import tower_poset, verify_inversion
 from cayley_lift.lifting import lift_trivial, verify_main_theorem
 from cayley_lift.parameters import orbit_representatives
-from cayley_lift.root_system import (
-    build_root_system,
-    canonical_reflection_word,
-    integral_system,
-    weyl_tables,
-)
+from cayley_lift.root_system import build_root_system, canonical_reflection_word, integral_system
+from cayley_lift.weyl import weyl_tables
 
 WATCHED = ("mat_mul", "reflection_matrix")
 

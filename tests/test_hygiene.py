@@ -6,7 +6,10 @@ InvariantError (which the CLI maps to exit code 4), never a bare
 AssertionError and never through an assert statement, which python -O
 strips.  Every repository path that README.md or a package source names
 must exist, and every function or method the package defines must be named
-somewhere else in src/, tests/ or perfbench/.  The exact-Fraction oracle in
+somewhere else in src/, tests/ or perfbench/; a top-level function must also
+be named elsewhere in src/, be public or be wrapped by the benchmark's tracer,
+so that no helper only the tests call sits in the package, compiled by every
+request that runs its module.  The exact-Fraction oracle in
 tests/reference.py takes none of the library's matrix, permutation or
 root-tagging helpers, so that a fault in one cannot show on both sides of a
 comparison.
@@ -27,6 +30,7 @@ MODULES = sorted(SRC.glob("*.py"))
 # Library helpers that tests/reference.py must compute for itself.
 ORACLE_OWN = frozenset({"root_type", "root_permutation", "reflection_matrix", "identity_matrix",
                         "word_matrix", "mat_mul", "mat_apply", "matrix_to_word"})
+TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
 REPO_PATH = re.compile(r"(?<![\w/.-])(?:scripts|tests|perfbench|src)/(?:[\w/.-]*[\w/])?")
 
 
@@ -34,13 +38,22 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _exported(tree: ast.Module) -> set:
+def _literal(tree: ast.Module, name: str):
+    """The literal value assigned to name at the top level of tree, or None."""
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def _exported(tree: ast.Module) -> set:
+    """The public names: those of the package's _EXPORTS table (its __all__
+    is sorted from it), else a literal __all__."""
+    table = _literal(tree, "_EXPORTS")
+    if table is not None:
+        return {name for names in table.values() for name in names}
+    return set(_literal(tree, "__all__") or ())
 
 
 def unused_imports(tree: ast.Module) -> List[str]:
@@ -89,6 +102,20 @@ def unreferenced_functions(trees: Sequence[ast.Module], texts: Sequence[str]) ->
     return sorted(name for name, count in defined.items() if words[name] <= count)
 
 
+def only_tested_helpers(trees: Sequence[ast.Module], texts: Sequence[str],
+                        kept: set) -> List[str]:
+    """Top-level functions of trees whose name occurs in texts (the package
+    sources) only at its definitions and is not in kept; a module's
+    __getattr__ is called implicitly and skipped."""
+    defined = Counter(node.name for tree in trees for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    top = {node.name for tree in trees for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+           and not (node.name.startswith("__") and node.name.endswith("__"))}
+    words = Counter(w for text in texts for w in re.findall(r"\w+", text))
+    return sorted(name for name in top if words[name] <= defined[name] and name not in kept)
+
+
 def library_helpers_used(tree: ast.Module) -> List[str]:
     """The ORACLE_OWN helpers that tree imports from cayley_lift or a submodule."""
     return ["line %d: %s" % (node.lineno, a.name) for node in ast.walk(tree)
@@ -127,6 +154,13 @@ def test_reference_computes_its_own_matrices():
 def test_every_function_is_referenced():
     sources = MODULES + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     assert unreferenced_functions([_parse(p) for p in MODULES], [p.read_text() for p in sources]) == []
+
+
+def test_no_helper_only_the_tests_call():
+    layers = _literal(_parse(TRACE_CHILD), "LAYERS")
+    kept = _exported(_parse(SRC / "__init__.py")) | {n for names in layers.values() for n in names}
+    assert only_tested_helpers([_parse(p) for p in MODULES], [p.read_text() for p in MODULES],
+                               kept) == []
 
 
 def test_checks_flag_what_they_should():
@@ -170,6 +204,9 @@ def test_checks_flag_what_they_should():
     )
     test = "from m import tested\nassert tested()\nsuborphan = 1\n"
     assert unreferenced_functions([ast.parse(module)], [module, test]) == ["dead", "orphan"]
+    assert only_tested_helpers([ast.parse(module)], [module], set()) == ["orphan", "tested"]
+    assert only_tested_helpers([ast.parse(module)], [module], {"tested"}) == ["orphan"]
+    assert _exported(ast.parse("_EXPORTS = {'m': ('f', 'g')}\n__all__ = sorted(_HOME)\n")) == {"f", "g"}
     oracle = ast.parse(
         "from cayley_lift.root_system import add, mat_apply, word_matrix\n"
         "from cayley_lift import root_type\n"

@@ -6,18 +6,16 @@ from cayley_lift import klv_poset
 from cayley_lift.klv_poset import (
     FormalIntegerCombination,
     M_entry,
-    block_poset,
-    gamma_star_row_check,
     in_tower_scope,
     m_entry,
     matrix_M,
     matrix_m,
     tower_poset,
     verify_inversion,
-    zuckerman_restricted,
 )
 from cayley_lift.parameters import make_parameter
 from cayley_lift.root_system import ScopeError
+from reference import block_poset, gamma_star_row_check, zuckerman_restricted
 
 
 def _a3(pairs=()):

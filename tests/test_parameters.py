@@ -16,16 +16,14 @@ from cayley_lift.parameters import (
     length,
     make_parameter,
     orbit_representatives,
-    parameter_from_json,
     parameter_to_json,
     pi_RD,
-    pseudospherical_params,
     rd_subsets,
-    split_length,
     theta,
     tower_parameter,
 )
 from cayley_lift.root_system import build_root_system, identity_matrix, mat_apply, mat_mul
+from reference import parameter_from_json, pseudospherical_params, split_length
 
 
 # ---------------------------------------------------------------------------

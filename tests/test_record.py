@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from cayley_lift import cartan, coherent, klv_poset, lifting, parameters, root_system, witness_data
+from cayley_lift import cartan, coherent, klv_poset, lifting, parameters, root_system, weyl, witness_data
 from cayley_lift.root_system import Record, RootSystem, build_root_system
 
 
@@ -25,8 +25,8 @@ def _parameter():
 SAMPLES = {
     "RootSystem": _a3,
     "RootSubsystem": lambda: root_system.integral_system(_a3().rho_half, _a3()),
-    "WeylTables": lambda: root_system.weyl_tables(_a3()),
-    "BetaChain": lambda: root_system.beta_chain_for_word((0, 1, 0), _a3()),
+    "WeylTables": lambda: weyl.weyl_tables(_a3()),
+    "BetaChain": lambda: weyl.beta_chain_for_word((0, 1, 0), _a3()),
     "Involution": lambda: cartan.involution_from_pairs(_a3(), pairs=((1, 2),)),
     "TorusShape": lambda: cartan.cartan_shape(cartan.cartan_classes("A", 3)[1]),
     "CartanClass": lambda: cartan.cartan_classes("E6")[0],

@@ -19,7 +19,6 @@ from cayley_lift import cartan, cli, coherent, parameters, root_system
 from cayley_lift.coherent import (
     chain_types,
     matrix_to_word,
-    random_equivalent_word,
     rule_out,
     stabilizer,
     violates,
@@ -36,13 +35,15 @@ from cayley_lift.parameters import (
 from cayley_lift.root_system import (
     InvariantError,
     RootSystem,
-    _reflection_perm,
-    beta_chain_for_word,
     build_root_system,
     canonical_reflection_word,
-    half_integral_roots,
     idot,
     integral_system,
+    is_half_integral,
+)
+from cayley_lift.weyl import (
+    _reflection_perm,
+    beta_chain_for_word,
     perm_mul,
     perm_to_word,
     root_permutation,
@@ -79,7 +80,9 @@ def test_integral_and_half_integral_roots_match_reference(family, rank):
     system = build_root_system(family, rank)
     integral = integral_system(system.rho_half, system)
     assert _same_subsystem(integral, reference.integral_system(system.rho_half, system))
-    assert half_integral_roots(system) == reference.half_integral_roots(system)
+    half = tuple(a for a, d in zip(system.positive_roots, system.doubled_positive)
+                 if is_half_integral(system, d))
+    assert half == reference.half_integral_roots(system)
     # any other weight goes through the same integer subsystem code
     lam = tuple(x / 3 for x in system.rho)
     assert _same_subsystem(integral_system(lam, system), reference.integral_system(lam, system))
@@ -266,7 +269,7 @@ def test_chain_sign_is_word_independent(case, rng, moves):
     """The imaginary count m depends on the word, but (-1)^m does not: a
     rewrite by identity moves gives the same element and the same sign."""
     system, p, word = case
-    other = random_equivalent_word(system, word, rng, moves=moves)
+    other = reference.random_equivalent_word(system, word, rng, moves=moves)
     assert word_matrix(other, system) == word_matrix(word, system)
     assert chain_types(p, other).sign == chain_types(p, word).sign
 

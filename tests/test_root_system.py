@@ -11,27 +11,21 @@ from cayley_lift.root_system import (
     ScopeError,
     WordError,
     basis_vector,
-    beta_root,
-    beta_chain_for_word,
     build_root_system,
     canonical_reflection_word,
-    decompose_to_chain,
     dot,
-    half_integral_roots,
     integral_system,
     mat_apply,
     neg,
     pairing,
-    perm_to_word,
     rational,
     reflect,
     reflection_matrix,
     root_system_to_json,
     sub,
-    vector_from_strings,
-    weyl_tables,
-    word_matrix,
 )
+from cayley_lift.weyl import beta_chain_for_word, perm_to_word, weyl_tables, word_matrix
+from reference import beta_root, decompose_to_chain, half_integral_roots, vector_from_strings
 
 
 def V(*xs):
@@ -245,6 +239,7 @@ def test_decompose_to_chain_has_odd_palindromic_structure():
     chain = decompose_to_chain(root, e8)
     assert len(chain.word) % 2 == 1
     assert word_matrix(chain.word, e8) == reflection_matrix(root)
+    assert beta_chain_for_word(canonical_reflection_word(root, e8), e8).steps == chain.steps
 
 
 def test_decompose_to_chain_accepts_the_canonical_word():
@@ -252,7 +247,9 @@ def test_decompose_to_chain_accepts_the_canonical_word():
         system = build_root_system(family, rank)
         for root in system.positive_roots:
             word = canonical_reflection_word(root, system)
-            assert decompose_to_chain(root, system, word) == decompose_to_chain(root, system)
+            chain = decompose_to_chain(root, system, word)
+            assert chain == decompose_to_chain(root, system)
+            assert beta_chain_for_word(word, system).steps == chain.steps
             assert decompose_to_chain(neg(root), system, word).word == word
 
 
