@@ -266,24 +266,24 @@ def class_rep_data(c: CartanClass) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[T
 
 
 def involution_for_class(c: CartanClass) -> Involution:
-    system = build_root_system(c.family, c.rank if c.family in ("A", "D") else None)
+    system = build_root_system(c.family, c.rank)
     blocks, pairs = class_rep_data(c)
     return involution_from_pairs(system, pairs=pairs, blocks=blocks)
 
 
 @lru_cache(maxsize=None)
 def cartan_shape(c: CartanClass) -> TorusShape:
-    system = build_root_system(c.family, c.rank if c.family in ("A", "D") else None)
+    system = build_root_system(c.family, c.rank)
     theta = involution_for_class(c)
     r, m, s = signature_from_involution(system, theta)
     return TorusShape(compact=r, complex_pairs=m, split=s)
 
 
 def cartan_classes(family: str, rank: Optional[int] = None) -> Tuple[CartanClass, ...]:
-    if family in ("E6", "E7", "E8"):
-        rk = int(family[1])
-        return tuple(CartanClass(family, rk, sig) for fam, sig in E_CLASS_REPS if fam == family)
     system = build_root_system(family, rank)
+    if family in ("E6", "E7", "E8"):
+        return tuple(CartanClass(family, system.rank, sig)
+                     for fam, sig in E_CLASS_REPS if fam == family)
     if family == "A":
         n = system.rank + 1
         return tuple(
@@ -327,7 +327,7 @@ def classify_pairs(family: str, rank: int, pairs: Sequence[Tuple[int, int]],
         t = sum(1 for s in single if s < 0) % 2 if chirality_defined else 0
         return CartanClass("D", n, (a_count, b_count, t))
     if family in ("E6", "E7", "E8"):
-        system = build_root_system(family, None)
+        system = build_root_system(family, rank)
         theta = involution_from_pairs(system, pairs=pairs, blocks=blocks)
         sig = signature_from_involution(system, theta)
         return CartanClass(family, system.rank, sig)
@@ -344,14 +344,14 @@ def hasse_diagram(family: str, rank: Optional[int] = None) -> HasseDiagram:
     transform from its representative, by the same rule for every family.
     The tests compare the E6, E7 and E8 edges with the fixed table in
     tests/reference.py."""
-    from .parameters import cayley_moves, class_of, make_parameter  # parameters imports cartan
+    from .parameters import cayley_moves, class_of, orbit_representatives  # parameters imports cartan
 
-    classes = cartan_classes(family, rank)
+    reps = orbit_representatives(family, rank)
+    classes = tuple(c for c, _ in reps)
     index = {c.signature: k for k, c in enumerate(classes)}
     edges = set()
-    for k, c in enumerate(classes):
-        blocks, pairs = class_rep_data(c)
-        for q in cayley_moves(make_parameter(family, c.rank, blocks=blocks, pairs=pairs)):
+    for k, (_, rep) in enumerate(reps):
+        for q in cayley_moves(rep):
             target = class_of(q)
             if target.signature not in index:
                 raise InvariantError("Cayley move left the class list: %r" % (target,))

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 from .root_system import (
+    SCHEMA,
     CertificateError,
     Doubled,
     InvariantError,
@@ -26,8 +27,6 @@ from .root_system import (
     root_system_to_json,
 )
 from . import cartan, coherent, klv_poset, lifting, parameters, witness_data
-
-SCHEMA = "cayley-lift/1"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -139,17 +138,17 @@ class UsageError(Exception):
     pass
 
 
-def _chi_range(args, family: str, rank: Optional[int]) -> Sequence[int]:
-    count = cartan.genuine_central_character_count(family, rank)
+def _chi_range(args, rank: Optional[int]) -> Sequence[int]:
+    count = cartan.genuine_central_character_count(args.family, rank)
     if args.chi is None:
         return range(count)
     if not 0 <= args.chi < count:
         raise ScopeError("chi %d out of range; %s has %d genuine central characters"
-                         % (args.chi, family, count))
+                         % (args.chi, args.family, count))
     return (args.chi,)
 
 
-def _emit(args, header_parts: List[str], payload: dict, text_lines: List[str]) -> None:
+def _emit(args, payload: dict, text_lines: List[str]) -> None:
     out = sys.stdout
     if args.format == "json":
         import json  # loaded only here: a text request never needs it
@@ -159,7 +158,7 @@ def _emit(args, header_parts: List[str], payload: dict, text_lines: List[str]) -
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     if not args.no_header:
-        out.write("# cayley-lift %s\n" % " ".join(header_parts))
+        out.write("# cayley-lift %s\n" % " ".join(_header(args)))
     for line in text_lines:
         out.write(line + "\n")
 
@@ -171,6 +170,8 @@ def _vec(d: Doubled, den: int = 2) -> str:
 
 def _header(args) -> List[str]:
     parts = [args.verb]
+    if args.witness_id:
+        parts.append("id=%s" % args.witness_id)
     if args.family:
         parts.append("family=%s" % args.family)
         if args.rank is not None:
@@ -178,8 +179,10 @@ def _header(args) -> List[str]:
     return parts
 
 
-def _cmd_roots(args) -> int:
-    rank = _lie_rank(args)
+# Each handler takes the request, the group's Lie rank (None for E) and the
+# central characters asked for, and returns (JSON payload, text lines, ok).
+
+def _cmd_roots(args, rank, chis):
     system = build_root_system(args.family, rank)
     integral = len(_integral_system(system, system.doubled_rho, 8).positive_index)
     half = sum(is_half_integral(system, d) for d in system.doubled_positive)
@@ -197,12 +200,11 @@ def _cmd_roots(args) -> int:
     lines.append("rho/2 = %s" % _vec(system.doubled_rho, 4))
     lines.append("integral positive roots at rho/2: %d" % integral)
     lines.append("half-integral positive roots at rho/2: %d" % half)
-    _emit(args, _header(args), payload, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def _cmd_cartans(args) -> int:
-    rank = _lie_rank(args)
+def _cmd_cartans(args, rank, chis):
+    reps = parameters.orbit_representatives(args.family, rank)
     diagram = cartan.hasse_diagram(args.family, rank)
     classes = diagram.classes
     payload = {
@@ -213,31 +215,27 @@ def _cmd_cartans(args) -> int:
                 "label": c.render(),
                 "signature": list(c.signature),
                 "shape": cartan.cartan_shape(c).render(),
-                "blocks": [list(b) for b in cartan.class_rep_data(c)[0]],
-                "pairs": [list(p) for p in cartan.class_rep_data(c)[1]],
+                "blocks": [list(b) for b in rep.blocks],
+                "pairs": [list(p) for p in rep.pairs],
             }
-            for c in classes
+            for c, rep in reps
         ],
         "cayley_edges": [
             [classes[i].render(), classes[j].render()] for i, j in diagram.edges
         ],
     }
     lines = ["%d Cartan classes" % len(classes)]
-    for c in classes:
-        blocks, pairs = cartan.class_rep_data(c)
-        rep = parameters.make_parameter(args.family, c.rank, 0, blocks, pairs)
+    for c, rep in reps:
         lines.append(
             "%-10s shape %-10s rep %s" % (c.render(), cartan.cartan_shape(c).render(), rep.render())
         )
     lines.append("Cayley edges (one real rank step each):")
     for i, j in diagram.edges:
         lines.append("  %s -> %s" % (classes[i].render(), classes[j].render()))
-    _emit(args, _header(args), payload, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def _cmd_centers(args) -> int:
-    rank = _lie_rank(args)
+def _cmd_centers(args, rank, chis):
     data = cartan.cover_center_data(args.family, rank)
     payload = {
         "family": data.family,
@@ -253,13 +251,10 @@ def _cmd_centers(args) -> int:
     ]
     for d in data.doubled_reps:
         lines.append("  coset representative %s" % _vec(d))
-    _emit(args, _header(args), payload, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def _cmd_params(args) -> int:
-    rank = _lie_rank(args)
-    chis = _chi_range(args, args.family, rank)
+def _cmd_params(args, rank, chis):
     entries = []
     lines = []
     for chi in chis:
@@ -277,22 +272,18 @@ def _cmd_params(args) -> int:
                 "chi%d %-10s shape %-10s length %-6s %s"
                 % (chi, c.render(), cartan.cartan_shape(c).render(), length, p.render())
             )
-    payload = {"family": args.family, "parameters": entries}
-    _emit(args, _header(args), payload, lines)
-    return EXIT_OK
+    return {"family": args.family, "parameters": entries}, lines, True
 
 
-def _cmd_count_small(args) -> int:
-    rank = _lie_rank(args)
+def _cmd_count_small(args, rank, chis):
     n = coherent.count_small(args.family, rank)
     payload = {"family": args.family, "count": n}
     if rank is not None:
         payload["lie_rank"] = rank
-    _emit(args, _header(args), payload, [str(n)])
-    return EXIT_OK
+    return payload, [str(n)], True
 
 
-def _cmd_replay_witness(args) -> int:
+def _cmd_replay_witness(args, rank, chis):
     report = coherent.replay_witness(args.witness_id)
     cert = report.certificate
     entry = witness_data.CATALOG[args.witness_id]
@@ -322,13 +313,10 @@ def _cmd_replay_witness(args) -> int:
     lines.append("m = %d, epsilon = %+d, det = %+d" % (
         cert.imaginary_count, cert.sign, cert.word_sign))
     lines.append("golden data checked: %s" % ("yes" if report.golden_checked else "no"))
-    _emit(args, ["replay-witness", "id=%s" % report.witness_id], payload, lines)
-    return EXIT_OK
+    return payload, lines, True
 
 
-def _cmd_klv_check(args) -> int:
-    rank = _lie_rank(args)
-    chis = _chi_range(args, args.family, rank)
+def _cmd_klv_check(args, rank, chis):
     results = []
     lines = []
     ok = True
@@ -341,14 +329,10 @@ def _cmd_klv_check(args) -> int:
             "chi%d: %d parameters, M.m = Id: %s" % (chi, len(poset.elements), good)
         )
     lines.append("PASS" if ok else "FAIL")
-    payload = {"family": args.family, "checks": results, "passed": ok}
-    _emit(args, _header(args), payload, lines)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return {"family": args.family, "checks": results, "passed": ok}, lines, ok
 
 
-def _cmd_lift(args) -> int:
-    rank = _lie_rank(args)
-    chis = _chi_range(args, args.family, rank)
+def _cmd_lift(args, rank, chis):
     out = []
     lines = []
     for chi in chis:
@@ -363,13 +347,10 @@ def _cmd_lift(args) -> int:
             }
         )
         lines.append("chi%d: %s" % (chi, combo.render()))
-    payload = {"family": args.family, "lifts": out}
-    _emit(args, _header(args), payload, lines)
-    return EXIT_OK
+    return {"family": args.family, "lifts": out}, lines, True
 
 
-def _cmd_verify(args) -> int:
-    rank = _lie_rank(args)
+def _cmd_verify(args, rank, chis):
     report = lifting.verify_main_theorem(args.family, rank)
     payload = {
         "family": report.family,
@@ -398,8 +379,7 @@ def _cmd_verify(args) -> int:
         % (report.support_total, report.small_count)
     )
     lines.append("PASS" if report.passed else "FAIL")
-    _emit(args, _header(args), payload, lines)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return payload, lines, report.passed
 
 
 # verb: (handler, help line, the flags it takes besides _COMMON, the first required)
@@ -422,7 +402,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(args, str):
             sys.stdout.write(args)
             return EXIT_OK
-        return _VERBS[args.verb][0](args)
+        handler, _, flags = _VERBS[args.verb]
+        rank = _lie_rank(args) if "--family" in flags else None
+        chis = _chi_range(args, rank) if "--chi" in flags else None
+        payload, lines, ok = handler(args, rank, chis)
+        _emit(args, payload, lines)
+        return EXIT_OK if ok else EXIT_CHECK_FAILED
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

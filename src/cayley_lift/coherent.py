@@ -41,6 +41,7 @@ from .root_system import (
     _doubled_sum,
     _integral_system,
     _view,
+    build_root_system,
     canonical_reflection_word,
     idot,
     neg,
@@ -60,7 +61,6 @@ from .weyl import (
 from .cartan import COMPLEX, E_CLASS_REPS, IMAGINARY, REAL, genuine_central_character_count
 from .parameters import (
     PairSetParameter,
-    _ambient_system,
     make_parameter,
     orbit_representatives,
     theta_perm,
@@ -92,7 +92,7 @@ class ChainCertificate(Record):
 
 
 def _ambient(p: PairSetParameter) -> RootSystem:
-    return _ambient_system(p.family, p.rank)
+    return build_root_system(p.family, p.rank)
 
 
 def chain_types(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
@@ -288,7 +288,7 @@ def replay_witness(witness_id: str) -> ReplayReport:
         raise ScopeError("unknown witness id %r" % witness_id)
     entry = witness_data.CATALOG[witness_id]
     blocks, pairs = E_CLASS_REPS[(entry.family, entry.signature)]
-    p = make_parameter(entry.family, int(entry.family[1]), chi=0, blocks=blocks, pairs=pairs)
+    p = make_parameter(entry.family, None, chi=0, blocks=blocks, pairs=pairs)
     cert = chain_types(p, entry.word)
     if cert.sign == cert.word_sign:
         raise CertificateError(

@@ -64,8 +64,7 @@ def _tower_shapes(family: str, rank: Optional[int]):
 
 def in_tower_scope(p: PairSetParameter) -> bool:
     """Whether p lies on a lifted-parameter tower (where the closed forms hold)."""
-    family_rank = p.rank if p.family in ("A", "D") else None
-    return (p.blocks, p.pairs) in _tower_shapes(p.family, family_rank)
+    return (p.blocks, p.pairs) in _tower_shapes(p.family, p.rank)
 
 
 def m_entry(gamma: PairSetParameter, delta: PairSetParameter) -> int:

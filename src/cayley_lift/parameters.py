@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .root_system import (
+    SCHEMA,
     Record,
     RootSystem,
     ScopeError,
@@ -23,7 +24,6 @@ from .root_system import (
     is_half_integral,
     pair_root,
 )
-from .weyl import SignedPerm, weyl_tables
 from .cartan import (
     CartanClass,
     Involution,
@@ -36,6 +36,9 @@ from .cartan import (
     involution_from_pairs,
     signature_from_involution,
 )
+
+if TYPE_CHECKING:
+    from .weyl import SignedPerm
 
 Pair = Tuple[int, int]
 Block = Tuple[int, ...]
@@ -57,12 +60,6 @@ class PairSetParameter(Record):
         parts = ["{%s}" % ",".join(str(x) for x in b) for b in self.blocks]
         parts += ["{%d,%d}" % p for p in self.pairs]
         return "gamma(%s)" % ",".join(parts)
-
-
-def _ambient_system(family: str, rank: int) -> RootSystem:
-    if family in ("E6", "E7", "E8"):
-        return build_root_system(family, None)  # the key every E caller uses
-    return build_root_system(family, rank)
 
 
 def _normalize_pair(pair: Sequence[int]) -> Pair:
@@ -90,15 +87,13 @@ def _check_transform_root(system: RootSystem, p: Pair) -> None:
 
 def make_parameter(
     family: str,
-    rank: int,
+    rank: Optional[int],
     chi: int = 0,
     blocks: Sequence[Sequence[int]] = (),
     pairs: Sequence[Sequence[int]] = (),
 ) -> PairSetParameter:
-    if family in ("E6", "E7", "E8") and rank != int(family[1]):
-        raise ScopeError("rank of %s is fixed" % family)
-    system = _ambient_system(family, rank)
-    if not 0 <= chi < genuine_central_character_count(family, system.rank if family in ("A", "D") else None):
+    system = build_root_system(family, rank)
+    if not 0 <= chi < genuine_central_character_count(family, rank):
         raise ScopeError("central character index %d out of range" % chi)
     norm_pairs = sorted((_normalize_pair(p) for p in pairs), key=_pair_sort_key)
     norm_blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
@@ -168,7 +163,7 @@ def cayley_moves(p: PairSetParameter) -> Tuple[PairSetParameter, ...]:
     """
     signed = p.family != "A"
     used = {abs(x) for q in p.pairs for x in q} | {x for b in p.blocks for x in b}
-    free = [i for i in range(1, _ambient_system(p.family, p.rank).dim + 1) if i not in used]
+    free = [i for i in range(1, build_root_system(p.family, p.rank).dim + 1) if i not in used]
     candidates: List[Pair] = []
     for k, i in enumerate(free):
         for j in free[k + 1:]:
@@ -187,15 +182,17 @@ def cayley_moves(p: PairSetParameter) -> Tuple[PairSetParameter, ...]:
 
 @lru_cache(maxsize=None)
 def theta(p: PairSetParameter) -> Involution:
-    system = _ambient_system(p.family, p.rank)
+    system = build_root_system(p.family, p.rank)
     return involution_from_pairs(system, pairs=p.pairs, blocks=p.blocks)
 
 
 @lru_cache(maxsize=None)
 def theta_perm(p: PairSetParameter) -> SignedPerm:
     """p's involution as a signed permutation of the positive roots."""
+    from .weyl import weyl_tables  # only theta_perm reads the Weyl tables
+
     th = theta(p)
-    tables = weyl_tables(_ambient_system(p.family, p.rank))
+    tables = weyl_tables(build_root_system(p.family, p.rank))
     return tuple([tables.index[th.apply(d)] for d in tables.doubled])
 
 
@@ -209,7 +206,7 @@ def length(p: PairSetParameter) -> int:
     number of positive roots moved out of the positive system by theta,
     plus the real rank of the associated Cartan subgroup."""
     flips = sum(1 for k in theta_perm(p) if k < 0)
-    r, m, s = signature_from_involution(_ambient_system(p.family, p.rank), theta(p))
+    r, m, s = signature_from_involution(build_root_system(p.family, p.rank), theta(p))
     return flips + m + s
 
 
@@ -238,13 +235,8 @@ def orbit_representatives(
     family: str, rank: Optional[int] = None, chi: int = 0
 ) -> Tuple[Tuple[CartanClass, PairSetParameter], ...]:
     """One parameter per cross-action orbit, indexed by its Cartan class."""
-    system = _ambient_system(family, rank or 0)
-    lie_rank = system.rank
-    out = []
-    for c in cartan_classes(family, None if family.startswith("E") else lie_rank):
-        blocks, pairs = class_rep_data(c)
-        out.append((c, make_parameter(family, lie_rank, chi=chi, blocks=blocks, pairs=pairs)))
-    return tuple(out)
+    return tuple((c, make_parameter(family, rank, chi, *class_rep_data(c)))
+                 for c in cartan_classes(family, rank))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +261,7 @@ def rd_subsets(family: str, rank: Optional[int] = None) -> Tuple[RDSubset, ...]:
         return (empty,)
     if family == "E7":
         return (empty, RDSubset((1, 3, 7), ((-1, -2), (3, 4), (5, 6))))
-    system = _ambient_system(family, rank or 0)
+    system = build_root_system(family, rank)
     if family == "A":
         n = system.rank + 1
         if n % 2 == 1:
@@ -307,10 +299,7 @@ def tower_parameter(
     family: str, rank: Optional[int], chi: int, subset: RDSubset, members: Sequence[int]
 ) -> PairSetParameter:
     """The parameter c_{S'}(gamma(empty)) for S' = members inside subset."""
-    system = _ambient_system(family, rank or 0)
-    return make_parameter(
-        family, system.rank, chi=chi, pairs=subset.image_pairs(members)
-    )
+    return make_parameter(family, rank, chi=chi, pairs=subset.image_pairs(members))
 
 
 def tower_terms(family: str, rank: Optional[int], chi: int,
@@ -333,7 +322,7 @@ def pi_RD(family: str, rank: Optional[int] = None, chi: int = 0) -> Tuple[PairSe
 
 def parameter_to_json(p: PairSetParameter) -> dict:
     return {
-        "schema": "cayley-lift/1",
+        "schema": SCHEMA,
         "family": p.family,
         "rank": p.rank,
         "central_char": p.chi,

@@ -34,6 +34,8 @@ WeylWord = Tuple[int, ...]  # 0-based indices into a system's simple roots
 MAX_A_AMBIENT = 10
 MAX_D_RANK = 8
 
+SCHEMA = "cayley-lift/1"  # the schema of every JSON payload
+
 
 class ScopeError(ValueError):
     """Requested computation is outside the supported desk-scale range."""
@@ -337,7 +339,9 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
     """Construct the root system with the fixed simple system.
 
     For family "A", rank is the Lie rank (ambient n = rank + 1 coordinates,
-    i.e. SL(n)); for "D", rank n; E6/E7/E8 take no rank argument.
+    i.e. SL(n)); for "D", rank n.  E6/E7/E8 take None or their own rank and
+    return one cached object either way; any other rank is a ScopeError.
+    This is the only place that knows an E group's rank.
     """
     if family == "A":
         if rank is None or rank < 1:
@@ -361,7 +365,9 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
             for i in range(1, n + 1) for j in range(i + 1, n + 1) for s in (1, -1)
         ))
     elif family in ("E6", "E7", "E8"):
-        if rank is not None and rank != int(family[1]):
+        if rank != int(family[1]):
+            if rank is None:
+                return build_root_system(family, int(family[1]))
             raise ScopeError("rank of %s is fixed" % family)
         simples = _e_simple_roots(family)
         height = [sum(column) for column in zip(*_dual_basis(simples)[0])]  # d * rho, as rows
@@ -500,7 +506,7 @@ def rational(n: int, d: int = 1) -> str:
 
 def root_system_to_json(system: RootSystem) -> dict:
     return {
-        "schema": "cayley-lift/1",
+        "schema": SCHEMA,
         "family": system.family,
         "rank": system.rank,
         "simple_roots": [[rational(x, 2) for x in d] for d in system.doubled_simple],

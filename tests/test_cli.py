@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cayley_lift import cartan, cli, parameters
+from cayley_lift import cartan, cli, klv_poset, lifting, parameters
 from cayley_lift.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -127,7 +127,7 @@ def test_internal_error_is_exit_code_4_without_traceback(capsys, monkeypatch):
      "internal error: matrix does not permute the roots\n"),
 ])
 def test_value_errors_map_to_exit_codes_without_traceback(capsys, monkeypatch, error, code, line):
-    def fail(args):
+    def fail(args, rank, chis):
         raise error
 
     monkeypatch.setitem(cli._VERBS, "roots", (fail,) + cli._VERBS["roots"][1:])
@@ -267,6 +267,34 @@ def test_params_text(capsys):
 def test_verify_passes(capsys):
     assert run(capsys, "verify", "--family", "D", "--rank", "4")[0] == EXIT_OK
     assert run(capsys, "verify", "--family", "E6")[0] == EXIT_OK
+
+
+def _failed(report):
+    """The report with its verdict turned and every other field kept."""
+    return type(report)(*(False if f == "passed" else getattr(report, f) for f in report._fields))
+
+
+@pytest.mark.parametrize("verb", ["klv-check", "verify"])
+def test_a_failed_check_prints_everything_and_exits_1(capsys, monkeypatch, verb):
+    real = lifting.verify_main_theorem
+    fakes = {"klv-check": (klv_poset, "verify_inversion", lambda poset: False),
+             "verify": (lifting, "verify_main_theorem", lambda *a: _failed(real(*a)))}
+    argv = (verb, "--family", "D", "--rank", "4")
+    good = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("text", "json")}
+    monkeypatch.setattr(*fakes[verb])
+    bad = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("text", "json")}
+    assert capsys.readouterr().err == ""
+    assert [code for code, _ in good.values()] == [EXIT_OK, EXIT_OK]
+    assert [code for code, _ in bad.values()] == [EXIT_CHECK_FAILED, EXIT_CHECK_FAILED]
+    # every line still prints; only the verdicts turn
+    text = good["text"][1].replace("M.m = Id: True", "M.m = Id: False")
+    assert text.endswith("PASS\n") and bad["text"][1] == text[:-len("PASS\n")] + "FAIL\n"
+    want = json.loads(good["json"][1])
+    for check in want["checks"] if verb == "klv-check" else ():
+        check["inversion"] = False
+    want["passed"] = False
+    assert json.loads(bad["json"][1]) == want
+    assert bad["json"][1].count("\n") == good["json"][1].count("\n")
 
 
 # ---------------------------------------------------------------------------

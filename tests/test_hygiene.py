@@ -9,7 +9,9 @@ must exist, and every function or method the package defines must be named
 somewhere else in src/, tests/ or perfbench/; a top-level function must also
 be named elsewhere in src/, be public or be wrapped by the benchmark's tracer,
 so that no helper only the tests call sits in the package, compiled by every
-request that runs its module.  The exact-Fraction oracle in
+request that runs its module.  Only root_system reads an E group's rank off
+its name (family[1]); every other module passes the rank it has to
+build_root_system.  The exact-Fraction oracle in
 tests/reference.py takes none of the library's matrix, permutation or
 root-tagging helpers, so that a fault in one cannot show on both sides of a
 comparison.
@@ -123,6 +125,14 @@ def library_helpers_used(tree: ast.Module) -> List[str]:
             for a in node.names if a.name in ORACLE_OWN]
 
 
+def family_rank_reads(tree: ast.Module) -> List[str]:
+    """Lines that index a name or attribute called family with 1."""
+    return ["line %d" % node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant) and node.slice.value == 1
+            and getattr(node.value, "id", getattr(node.value, "attr", None)) == "family"]
+
+
 def test_sources_are_found():
     assert {"cli.py", "root_system.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -145,6 +155,12 @@ def test_no_assert_statements():
 def test_named_paths_exist():
     found = {p.name: missing_paths(p.read_text(), ROOT) for p in [ROOT / "README.md"] + MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_the_root_system_reads_an_e_rank_off_its_name():
+    found = {p.name: family_rank_reads(_parse(p)) for p in MODULES if p.name != "root_system.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert family_rank_reads(_parse(SRC / "root_system.py")) != []
 
 
 def test_reference_computes_its_own_matrices():
@@ -179,6 +195,8 @@ def test_checks_flag_what_they_should():
     assert unused_imports(tree) == ["line 1: Q", "line 2: os"]
     assert bare_assertion_errors(tree) == ["line 6", "line 8"]
     assert assert_statements(tree) == ["line 10"]
+    reads = ast.parse("a = family[1]\nb = c.family[1]\nd = family[0]\ne = families[1]\n")
+    assert family_rank_reads(reads) == ["line 1", "line 2"]
     text = (
         "run `tests/test_hygiene.py` and see tests/golden/.\n"
         "found by scripts/search.py, kept in (perfbench/nope.json) and nope/;\n"

@@ -22,6 +22,7 @@ from cayley_lift.parameters import (
     theta,
     tower_parameter,
 )
+from cayley_lift import count_small, cover_center_data, hasse_diagram, lift_trivial, tower_poset
 from cayley_lift.root_system import build_root_system, identity_matrix, mat_apply, mat_mul
 from reference import parameter_from_json, pseudospherical_params, split_length
 
@@ -95,9 +96,18 @@ def test_overlapping_pairs_message(family, rank, pairs, shared):
 def test_e_rank_must_be_the_lie_rank(family):
     lie_rank = int(family[1])
     assert make_parameter(family, lie_rank).rank == lie_rank
+    assert make_parameter(family, None) == make_parameter(family, lie_rank)
     for rank in (lie_rank - 1, lie_rank + 1, 0):
         with pytest.raises(ScopeError, match="rank of %s is fixed" % family):
             make_parameter(family, rank)
+
+
+@pytest.mark.parametrize("family, rank", [("E6", 6), ("E7", 7), ("E8", 8)])
+@pytest.mark.parametrize("compute", [count_small, orbit_representatives, hasse_diagram,
+                                     tower_poset, lift_trivial, cover_center_data],
+                         ids=lambda f: f.__name__)
+def test_an_e_group_named_by_none_or_its_rank_gives_one_answer(family, rank, compute):
+    assert compute(family, None) == compute(family, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,22 @@ def test_scope_caps():
         build_root_system("B", 3)
 
 
+E_RANKS = {"E6": 6, "E7": 7, "E8": 8}
+
+
+@pytest.mark.parametrize("family", sorted(E_RANKS))
+def test_an_e_group_takes_none_or_its_own_rank(family):
+    """Every way of naming an E group reaches one cached object."""
+    rank = E_RANKS[family]
+    system = build_root_system(family)
+    assert system.rank == rank
+    assert build_root_system(family, rank) is system
+    assert build_root_system(family, None) is system
+    for wrong in (rank - 1, rank + 1, 0):
+        with pytest.raises(ScopeError, match="^rank of %s is fixed$" % family):
+            build_root_system(family, wrong)
+
+
 def test_all_roots_have_squared_length_two():
     for family, rank in (("A", 4), ("D", 5), ("E6", None), ("E7", None), ("E8", None)):
         system = build_root_system(family, rank)
