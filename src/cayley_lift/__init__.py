@@ -12,7 +12,6 @@ _EXPORTS = {
     "root_system": ("CertificateError", "InvariantError", "RootSubsystem", "RootSystem",
                     "ScopeError", "WordError", "build_root_system", "canonical_reflection_word",
                     "integral_system"),
-    "weyl": ("BetaChain",),
     "cartan": ("CartanClass", "CenterData", "FiniteAbelianGroup", "HasseDiagram", "Involution",
                "TorusShape", "TransformError", "cartan_classes", "cartan_shape",
                "cover_center_data", "genuine_central_character_count", "hasse_diagram",
@@ -41,7 +40,7 @@ def _lazy(name: str):
 
 
 # cli is left out: python -m warns about a module already in sys.modules.
-globals().update((name, _lazy(name)) for name in (*_EXPORTS, "witness_data"))
+globals().update((name, _lazy(name)) for name in (*_EXPORTS, "weyl", "witness_data"))
 
 
 def __getattr__(name: str):

@@ -412,9 +412,12 @@ def cover_center_data(family: str, rank: Optional[int] = None) -> CenterData:
     matrix mod 2, of order 2^k for k the dimension of that kernel, and the
     center is (Z/2)^(k+1).  The representatives are the zero vector, then
     the sums of simple roots over the nonzero kernel vectors in sorted order.
+    An E group named by None shares its rank's entry: one center per system.
     """
     system = build_root_system(family, rank)
     n = system.rank
+    if rank != n:
+        return cover_center_data(family, n)
     kernel = _gf2_kernel_basis(cartan_matrix(system))
     k = len(kernel)
 

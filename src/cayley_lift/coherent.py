@@ -9,10 +9,10 @@ parity of the imaginary count defines the sign epsilon_gamma(w); comparing
 it with det(w) on the stabilizer of gamma's orbit decides whether gamma
 supports a sign-consistent family (it "survives") or is ruled out.
 
-Every Weyl group element here, and the involution theta, is a signed
-permutation of the ambient positive roots (weyl.WeylTables), and a
-certificate holds each chain root as its signed index; the root vectors
-are a view.  For a reduced word the chain roots are, up to sign, the
+Every Weyl group element here (weyl.WeylTables), and the involution theta,
+is a signed permutation of the ambient positive roots (RootSystem.index),
+and a certificate holds each chain root as its signed index; the root
+vectors are a view.  For a reduced word the chain roots are, up to sign, the
 positive roots that w sends negative (Bourbaki VI 1.6), so epsilon * det
 is the parity of w's non-imaginary inversions and the sign test reads the
 permutation.  That parity is a character of the centralizer of theta
@@ -36,6 +36,7 @@ from .root_system import (
     RootSubsystem,
     RootSystem,
     ScopeError,
+    SignedPerm,
     Vector,
     WeylWord,
     _doubled_sum,
@@ -48,7 +49,6 @@ from .root_system import (
     subsystem,
 )
 from .weyl import (
-    SignedPerm,
     WeylTables,
     beta_chain_for_word,
     perm_inv,
@@ -97,18 +97,19 @@ def _ambient(p: PairSetParameter) -> RootSystem:
 
 def chain_types(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
     """Chain roots and their types for the word, against p's involution."""
-    chain = beta_chain_for_word(tuple(word), _ambient(p))
+    word = tuple(word)
+    indices = beta_chain_for_word(word, _ambient(p))
     th = theta_perm(p)  # a root and its negative have the same type
-    tags = tuple({k: IMAGINARY, -k: REAL}.get(th[k - 1], COMPLEX) for k in map(abs, chain.indices))
+    tags = tuple({k: IMAGINARY, -k: REAL}.get(th[k - 1], COMPLEX) for k in map(abs, indices))
     m = tags.count(IMAGINARY)
     return ChainCertificate(
         parameter=p,
-        word=chain.word,
-        indices=chain.indices,
+        word=word,
+        indices=indices,
         tags=tags,
         imaginary_count=m,
         sign=-1 if m % 2 else 1,
-        word_sign=-1 if len(chain.word) % 2 else 1,
+        word_sign=-1 if len(word) % 2 else 1,
     )
 
 

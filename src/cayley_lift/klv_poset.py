@@ -36,9 +36,6 @@ class ParameterPoset(Record):
     chi: int
     elements: Tuple[PairSetParameter, ...]
 
-    def index(self, p: PairSetParameter) -> int:
-        return self.elements.index(p)
-
 
 def _dedup_sorted(params: Iterable[PairSetParameter]) -> Tuple[PairSetParameter, ...]:
     seen = {}

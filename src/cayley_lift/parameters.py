@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .root_system import (
     SCHEMA,
     Record,
     RootSystem,
     ScopeError,
+    SignedPerm,
     build_root_system,
     is_half_integral,
     pair_root,
@@ -36,9 +37,6 @@ from .cartan import (
     involution_from_pairs,
     signature_from_involution,
 )
-
-if TYPE_CHECKING:
-    from .weyl import SignedPerm
 
 Pair = Tuple[int, int]
 Block = Tuple[int, ...]
@@ -189,11 +187,9 @@ def theta(p: PairSetParameter) -> Involution:
 @lru_cache(maxsize=None)
 def theta_perm(p: PairSetParameter) -> SignedPerm:
     """p's involution as a signed permutation of the positive roots."""
-    from .weyl import weyl_tables  # only theta_perm reads the Weyl tables
-
     th = theta(p)
-    tables = weyl_tables(build_root_system(p.family, p.rank))
-    return tuple([tables.index[th.apply(d)] for d in tables.doubled])
+    system = build_root_system(p.family, p.rank)
+    return tuple([system.index[th.apply(d)] for d in system.doubled_positive])
 
 
 def class_of(p: PairSetParameter) -> CartanClass:

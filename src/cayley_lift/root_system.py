@@ -29,6 +29,7 @@ Vector = Tuple["Q", ...]
 Matrix = Tuple[Vector, ...]
 Doubled = Tuple[int, ...]  # 2v for a vector v of (1/2)Z^n
 WeylWord = Tuple[int, ...]  # 0-based indices into a system's simple roots
+SignedPerm = Tuple[int, ...]  # w[k] = +-(j+1): positive root k -> +-(positive root j)
 
 # Desk-scale caps: ambient coordinates for A (SL(n)), rank n for D.
 MAX_A_AMBIENT = 10
@@ -473,17 +474,17 @@ def is_half_integral(system: RootSystem, doubled: Doubled) -> bool:
 
 def canonical_reflection_word(alpha: Union[Vector, int], system: RootSystem) -> WeylWord:
     """Deterministic palindromic word for the reflection s_alpha; alpha is a
-    root or its signed index (see weyl.WeylTables).
+    root or its signed index (see RootSystem.index).
 
     Repeatedly conjugates by the smallest-index simple reflection that strictly
     lowers the height of the conjugated (positive) root.
     """
     from .weyl import weyl_tables  # weyl imports root_system
 
-    tables = weyl_tables(system)
-    s = alpha if isinstance(alpha, int) else tables.index.get(_doubled(alpha), 0)
-    if not 0 < abs(s) <= len(tables.doubled):
+    s = alpha if isinstance(alpha, int) else system.index.get(_doubled(alpha), 0)
+    if not 0 < abs(s) <= len(system.doubled_positive):
         raise ValueError("not a root: %r" % (alpha,))
+    tables = weyl_tables(system)
     k = abs(s) - 1
     height, reflections = tables.height, tables.reflections
     prefix: List[int] = []

@@ -1,35 +1,33 @@
-"""Weyl group elements as signed permutations of the positive roots.
+"""The Weyl group as signed permutations of the positive roots, for the sign test.
 
-w[k] = +-(j+1) means w maps positive root k to +-(positive root j).  W acts
-faithfully on its roots, and every involution theta here permutes them, so
-this one representation serves every family.  The tables of a system
-(WeylTables) are integers built once, in the doubled coordinates of
-root_system; reduced words, beta-chains of words and the dense matrix of a
-word are read from them.  The root-system build needs none of it, so a
-request that only builds systems (roots, centers) never runs this module.
+w[k] = +-(j+1) means w maps positive root k to +-(positive root j), in the
+signed indices of RootSystem.index.  W acts faithfully on its roots, so this
+one representation serves every family.  The tables of a system (WeylTables)
+hold the reflections as such permutations, built once from the doubled
+coordinates of root_system; reduced words, the chain roots of a word and the
+dense matrix of a word are read from them.  theta on the roots needs only
+the system's index, so only coherent, and root_system's
+canonical_reflection_word at call time, run this module.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from .root_system import (
     Doubled,
     Matrix,
     Record,
     RootSystem,
-    Vector,
+    SignedPerm,
     WeylWord,
     WordError,
-    _view,
     identity_matrix,
     idot,
     mat_mul,
     reflection_matrix,
 )
-
-SignedPerm = Tuple[int, ...]
 
 
 def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
@@ -49,8 +47,6 @@ class WeylTables(Record):
     """Integer tables for the action of W on a system's positive roots."""
 
     system: RootSystem
-    doubled: Tuple[Doubled, ...]            # 2 * positive root k
-    index: Dict[Doubled, int]               # doubled root 2v -> +-(k+1)
     simple: Tuple[int, ...]                 # positive-root index of each simple root
     height: Tuple[int, ...]                 # height of positive root k
     reflections: Tuple[SignedPerm, ...]     # s_k for each positive root k
@@ -58,7 +54,7 @@ class WeylTables(Record):
 
     def doubled_root(self, s: int) -> Doubled:
         """Twice the root with signed index s."""
-        d = self.doubled[abs(s) - 1]
+        d = self.system.doubled_positive[abs(s) - 1]
         return d if s > 0 else tuple([-x for x in d])
 
 
@@ -83,8 +79,6 @@ def weyl_tables(system: RootSystem) -> WeylTables:
             reflections[k] = perm_mul(perm_mul(s, reflections[s[k] - 1]), s)
     return WeylTables(
         system=system,
-        doubled=doubled,
-        index=index,
         simple=simple,
         height=height,
         reflections=tuple(reflections),
@@ -107,12 +101,11 @@ def root_permutation(m: Matrix, system: RootSystem) -> SignedPerm:
 
     Raises ValueError if m does not map every root to a root.
     """
-    tables = weyl_tables(system)
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in m]
     out = []
-    for d in tables.doubled:
+    for d in system.doubled_positive:
         try:
-            out.append(tables.index[tuple(sum(x * d[j] for j, x in row) for row in rows)])
+            out.append(system.index[tuple(sum(x * d[j] for j, x in row) for row in rows)])
         except KeyError:
             raise ValueError("matrix does not permute the roots") from None
     return tuple(out)
@@ -137,29 +130,6 @@ def perm_to_word(w: SignedPerm, system: RootSystem) -> WeylWord:
     raise ValueError("element is not in the Weyl group")
 
 
-# ---------------------------------------------------------------------------
-# Beta chains
-# ---------------------------------------------------------------------------
-
-class BetaChain(Record):
-    """Chain roots beta_1..beta_N for a word, consumed rightmost letter first.
-
-    beta_k = s_{beta_{k-1}} ... s_{beta_1}(a_k) where a_k is the positive root
-    of the k-th consumed letter; the ordered composition of the chain
-    reflections equals the composition of the word's letters.  indices holds
-    the signed positive-root index of each step (see WeylTables); the root
-    vectors are the steps view.
-    """
-
-    system: RootSystem
-    word: WeylWord
-    indices: Tuple[int, ...]
-
-    @cached_property
-    def steps(self) -> Tuple[Vector, ...]:
-        return tuple(map(_view, map(weyl_tables(self.system).doubled_root, self.indices)))
-
-
 def word_matrix(word: WeylWord, system: RootSystem) -> Matrix:
     """Matrix of the word read left to right (rightmost letter acts first)."""
     m = identity_matrix(system.dim)
@@ -168,7 +138,18 @@ def word_matrix(word: WeylWord, system: RootSystem) -> Matrix:
     return m
 
 
-def beta_chain_for_word(word: WeylWord, system: RootSystem) -> BetaChain:
+# ---------------------------------------------------------------------------
+# Beta chains
+# ---------------------------------------------------------------------------
+
+def beta_chain_for_word(word: WeylWord, system: RootSystem) -> Tuple[int, ...]:
+    """Signed indices of the chain roots beta_1..beta_N of a word, consumed
+    rightmost letter first.
+
+    beta_k = s_{beta_{k-1}} ... s_{beta_1}(a_k) where a_k is the positive root
+    of the k-th consumed letter; the ordered composition of the chain
+    reflections equals the composition of the word's letters.
+    """
     for letter in word:
         if not 0 <= letter < system.rank:
             raise WordError("letter %d out of range" % letter)
@@ -179,4 +160,4 @@ def beta_chain_for_word(word: WeylWord, system: RootSystem) -> BetaChain:
         k = tables.simple[letter]
         indices.append(u[k])
         u = perm_mul(u, tables.reflections[k])
-    return BetaChain(system=system, word=tuple(word), indices=tuple(indices))
+    return tuple(indices)

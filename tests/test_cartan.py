@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
 import reference
+from cayley_lift import cartan
 from cayley_lift.cartan import (
     E_CLASS_REPS,
     Involution,
@@ -21,6 +23,7 @@ from cayley_lift.cartan import (
     involution_from_pairs,
     signature_from_involution,
 )
+from cayley_lift.lifting import verify_main_theorem
 from cayley_lift.parameters import make_parameter
 from cayley_lift.root_system import (
     InvariantError,
@@ -247,6 +250,21 @@ def test_e7_quotient_representative():
 @pytest.mark.parametrize("family,rank", IN_SCOPE)
 def test_quotient_order_matches_brute_force_kernel_count(family, rank):
     assert cover_center_data(family, rank).quotient_order == reference.gf2_kernel_count(family, rank)
+
+
+@pytest.mark.parametrize("compute", [verify_main_theorem, hasse_diagram], ids=lambda f: f.__name__)
+def test_the_e7_center_is_computed_once(monkeypatch, compute):
+    """Callers name E7 by None and by its rank 7; both share one center."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cayley_lift."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    computed = []
+    original = cartan.cartan_matrix
+    monkeypatch.setattr(cartan, "cartan_matrix", lambda system: computed.append(system) or original(system))
+    compute("E7")
+    assert computed == [build_root_system("E7")]
 
 
 def test_nontrivial_quotient_reps_pair_evenly():

@@ -137,7 +137,7 @@ def test_integer_core_makes_no_fraction_calls(family, rank):
         "stabilizer": sum(_fraction_calls(stabilizer, p) for p in reps),
     }
     assert calls == dict.fromkeys(calls, 0)
-    signed_indices = range(1, len(weyl_tables(system).doubled) + 1)
+    signed_indices = range(1, len(system.doubled_positive) + 1)
     assert sum(_fraction_calls(canonical_reflection_word, s, system) for s in signed_indices) == 0
 
 

@@ -11,7 +11,9 @@ be named elsewhere in src/, be public or be wrapped by the benchmark's tracer,
 so that no helper only the tests call sits in the package, compiled by every
 request that runs its module.  Only root_system reads an E group's rank off
 its name (family[1]); every other module passes the rank it has to
-build_root_system.  The exact-Fraction oracle in
+build_root_system.  Only the sign test reads the Weyl tables: coherent
+imports weyl at its top, root_system only inside canonical_reflection_word,
+and no other module at all.  The exact-Fraction oracle in
 tests/reference.py takes none of the library's matrix, permutation or
 root-tagging helpers, so that a fault in one cannot show on both sides of a
 comparison.
@@ -133,6 +135,34 @@ def family_rank_reads(tree: ast.Module) -> List[str]:
             and getattr(node.value, "id", getattr(node.value, "attr", None)) == "family"]
 
 
+def _imports_weyl(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name == "cayley_lift.weyl" for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    package = node.module == "cayley_lift" or (node.level == 1 and node.module is None)
+    return (node.module == "cayley_lift.weyl" or (node.level == 1 and node.module == "weyl")
+            or (package and any(a.name == "weyl" for a in node.names)))
+
+
+def weyl_imports(tree: ast.Module) -> List[str]:
+    """Imports of the weyl module, each with the function or class whose
+    body holds it, or <module> (a TYPE_CHECKING block included)."""
+    out = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+            elif _imports_weyl(child):
+                out.append("line %d: %s" % (child.lineno, scope))
+            else:
+                visit(child, scope)
+
+    visit(tree, "<module>")
+    return out
+
+
 def test_sources_are_found():
     assert {"cli.py", "root_system.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -161,6 +191,15 @@ def test_only_the_root_system_reads_an_e_rank_off_its_name():
     found = {p.name: family_rank_reads(_parse(p)) for p in MODULES if p.name != "root_system.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert family_rank_reads(_parse(SRC / "root_system.py")) != []
+
+
+def test_only_the_sign_test_imports_the_weyl_module():
+    """theta on the roots reads RootSystem.index, so parameters, cartan and
+    the verbs built on them (cartans, params, klv-check, lift) never run weyl."""
+    found = {p.name: [place.partition(": ")[2] for place in weyl_imports(_parse(p))]
+             for p in MODULES}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "coherent.py": ["<module>"], "root_system.py": ["canonical_reflection_word"]}
 
 
 def test_reference_computes_its_own_matrices():
@@ -232,5 +271,20 @@ def test_checks_flag_what_they_should():
         "def f():\n"
         "    from cayley_lift.coherent import matrix_to_word\n"
     )
+    imports = ast.parse(
+        "from .weyl import a\n"
+        "import cayley_lift.weyl\n"
+        "from . import cartan, weyl\n"
+        "from .weylish import b\n"
+        "if TYPE_CHECKING:\n"
+        "    from cayley_lift.weyl import c\n"
+        "def f():\n"
+        "    from cayley_lift import weyl\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        from .root_system import weyl_tables\n"
+    )
+    assert weyl_imports(imports) == ["line 1: <module>", "line 2: <module>", "line 3: <module>",
+                                     "line 6: <module>", "line 8: f"]
     assert library_helpers_used(oracle) == [
         "line 1: mat_apply", "line 1: word_matrix", "line 2: root_type", "line 5: matrix_to_word"]

@@ -38,7 +38,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # The public names, pinned: a name that joins or leaves the package's
 # __all__ (sorted from its _EXPORTS table) changes this list.
 PUBLIC = [
-    "BetaChain",
     "CartanClass",
     "CenterData",
     "CertificateError",
@@ -171,17 +170,16 @@ RUN_CLI = 'import runpy\nrunpy.run_module("cayley_lift.cli", run_name="__main__"
 SL4 = GROUPS["SL4"]
 BASE = {"root_system"}
 PARAMETERS = BASE | {"cartan", "parameters"}
-WEYL = PARAMETERS | {"weyl"}  # theta on the roots, read by length and the sign test
-COHERENT = WEYL | {"coherent"}
+COHERENT = PARAMETERS | {"weyl", "coherent"}  # only the sign test reads the Weyl tables
 REQUESTS = {  # verb: (arguments, golden transcript, modules run)
     "roots": (SL4, "roots/SL4.txt", BASE),
     "centers": (SL4, "centers/SL4.txt", BASE | {"cartan"}),
     "cartans": (SL4, "cartans/SL4.txt", PARAMETERS),
-    "params": (SL4, "params/SL4.txt", WEYL),
+    "params": (SL4, "params/SL4.txt", PARAMETERS),
     "count-small": (SL4, "count-small/SL4.txt", COHERENT),
     "replay-witness": (["--id", "E6-030"], "replay-witness/E6-030.txt",
                        COHERENT | {"witness_data"}),
-    "klv-check": (SL4, "klv-check/SL4.txt", WEYL | {"klv_poset"}),
+    "klv-check": (SL4, "klv-check/SL4.txt", PARAMETERS | {"klv_poset"}),
     "lift": (SL4, "lift/SL4.txt", PARAMETERS | {"klv_poset", "lifting"}),
     "verify": (SL4, "verify/SL4.txt", COHERENT | {"klv_poset", "lifting"}),
 }
