@@ -207,9 +207,11 @@ class CartanClass(Record):
         return "(%d,%d,%d)" % self.signature
 
 
+RepData = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, int], ...]]  # (blocks, pairs)
+
 # Representative pair data for the E classes, keyed by (family, signature).
 # Read-only: the literal's order is the printed E class order.
-E_CLASS_REPS: Mapping[Tuple[str, Tuple[int, int, int]], Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, int], ...]]] = MappingProxyType({
+E_CLASS_REPS: Mapping[Tuple[str, Tuple[int, int, int]], RepData] = MappingProxyType({
     ("E6", (2, 2, 0)): (((1, 2, 3, 4),), ()),
     ("E6", (0, 3, 0)): ((), ((1, 2), (-1, -2), (3, 4))),
     ("E6", (0, 2, 2)): ((), ((1, 2), (-1, -2))),
@@ -237,32 +239,45 @@ E_CLASS_REPS: Mapping[Tuple[str, Tuple[int, int, int]], Tuple[Tuple[Tuple[int, .
     ("E8", (0, 0, 8)): ((), ()),
 })
 
-def class_rep_data(c: CartanClass) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, int], ...]]:
+
+@lru_cache(maxsize=None)
+def _class_reps(family: str, rank: int) -> Mapping[Tuple[int, ...], RepData]:
+    """Signature -> (blocks, pairs) of a representative, for every Cartan
+    class of the group, in printed order.
+
+    E rows are the E_CLASS_REPS literal's.  A and D keep the first
+    candidate per classify_pairs signature; D rows are then sorted by
+    descending real rank, then signature.
+    """
+    system = build_root_system(family, rank)
+    if family in ("E6", "E7", "E8"):
+        return MappingProxyType({sig: data for (fam, sig), data in E_CLASS_REPS.items()
+                                 if fam == family})
+    up = [(2 * k + 1, 2 * k + 2) for k in range(system.dim // 2)]
+    reps: Dict[Tuple[int, ...], RepData] = {}
+    for planes in range(len(up) + 1):
+        # A: the first `planes` planes.  D: b of them in both signs, then
+        # single-sign ones, the last of these taken in either sign.
+        for b in range(planes + 1 if family == "D" else 1):
+            both = tuple(q for i, j in up[:b] for q in ((i, j), (-i, -j)))
+            single = tuple(up[b:planes])
+            for sign in (1, -1) if family == "D" and single else (1,):
+                pairs = both + single[:-1] + tuple((sign * i, sign * j) for i, j in single[-1:])
+                reps.setdefault(classify_pairs(family, rank, pairs).signature, ((), pairs))
+    if family == "D":
+        def real_rank(pairs: Tuple[Tuple[int, int], ...]) -> int:
+            r, m, s = signature_from_involution(system, involution_from_pairs(system, pairs))
+            return m + s
+        reps = dict(sorted(reps.items(), key=lambda item: (-real_rank(item[1][1]), item[0])))
+    return MappingProxyType(reps)
+
+
+def class_rep_data(c: CartanClass) -> RepData:
     """(blocks, pairs) of the representative parameter for the class."""
-    if c.family in ("E6", "E7", "E8"):
-        key = (c.family, c.signature)  # type: ignore[arg-type]
-        if key not in E_CLASS_REPS:
-            raise ScopeError("unknown %s class %r" % (c.family, c.signature))
-        return E_CLASS_REPS[key]
-    if c.family == "A":
-        n = c.rank + 1
-        k = (n - 1) - c.signature[0]
-        return ((), tuple((2 * t + 1, 2 * t + 2) for t in range(k)))
-    if c.family == "D":
-        a, b, t = c.signature
-        pairs: List[Tuple[int, int]] = []
-        for idx in range(b):
-            i = 2 * idx + 1
-            pairs.append((i, i + 1))
-            pairs.append((-i, -(i + 1)))
-        for idx in range(a):
-            i = 2 * (b + idx) + 1
-            if t and idx == a - 1:
-                pairs.append((-i, -(i + 1)))
-            else:
-                pairs.append((i, i + 1))
-        return ((), tuple(pairs))
-    raise ScopeError("unknown family %r" % (c.family,))
+    reps = _class_reps(c.family, c.rank)
+    if c.signature not in reps:
+        raise ScopeError("unknown %s class %r" % (c.family, c.signature))
+    return reps[c.signature]
 
 
 def involution_for_class(c: CartanClass) -> Involution:
@@ -280,30 +295,8 @@ def cartan_shape(c: CartanClass) -> TorusShape:
 
 
 def cartan_classes(family: str, rank: Optional[int] = None) -> Tuple[CartanClass, ...]:
-    system = build_root_system(family, rank)
-    if family in ("E6", "E7", "E8"):
-        return tuple(CartanClass(family, system.rank, sig)
-                     for fam, sig in E_CLASS_REPS if fam == family)
-    if family == "A":
-        n = system.rank + 1
-        return tuple(
-            CartanClass("A", system.rank, ((n - 1) - k,)) for k in range(n // 2 + 1)
-        )
-    if family == "D":
-        n = system.rank
-        out: List[CartanClass] = []
-        for planes in range(n // 2 + 1):
-            for b in range(planes + 1):
-                a = planes - b
-                # The orientation bit survives conjugacy only when every
-                # coordinate sits in a single-sign plane: an unused coordinate
-                # or a both-sign plane absorbs individual sign flips.
-                orientations = (0, 1) if (b == 0 and 2 * a == n and a >= 1) else (0,)
-                for t in orientations:
-                    out.append(CartanClass("D", n, (a, b, t)))
-        out.sort(key=lambda c: (-(cartan_shape(c).real_rank), c.signature))
-        return tuple(out)
-    raise ScopeError("unknown family %r" % (family,))
+    n = build_root_system(family, rank).rank
+    return tuple(CartanClass(family, n, sig) for sig in _class_reps(family, n))
 
 
 def classify_pairs(family: str, rank: int, pairs: Sequence[Tuple[int, int]],
@@ -323,6 +316,9 @@ def classify_pairs(family: str, rank: int, pairs: Sequence[Tuple[int, int]],
         single = [signs[0] for signs in planes.values() if len(signs) == 1]
         a_count = len(single)
         b_count = sum(1 for signs in planes.values() if len(signs) == 2)
+        # The orientation bit survives conjugacy only when every coordinate
+        # sits in a single-sign plane: an unused coordinate or a both-sign
+        # plane absorbs individual sign flips.
         chirality_defined = b_count == 0 and 2 * a_count == n and a_count >= 1
         t = sum(1 for s in single if s < 0) % 2 if chirality_defined else 0
         return CartanClass("D", n, (a_count, b_count, t))

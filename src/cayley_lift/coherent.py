@@ -58,7 +58,8 @@ from .weyl import (
     weyl_tables,
     word_matrix,
 )
-from .cartan import COMPLEX, E_CLASS_REPS, IMAGINARY, REAL, genuine_central_character_count
+from .cartan import (COMPLEX, IMAGINARY, REAL, CartanClass, class_rep_data,
+                     genuine_central_character_count)
 from .parameters import (
     PairSetParameter,
     make_parameter,
@@ -288,8 +289,8 @@ def replay_witness(witness_id: str) -> ReplayReport:
     if witness_id not in witness_data.CATALOG:
         raise ScopeError("unknown witness id %r" % witness_id)
     entry = witness_data.CATALOG[witness_id]
-    blocks, pairs = E_CLASS_REPS[(entry.family, entry.signature)]
-    p = make_parameter(entry.family, None, chi=0, blocks=blocks, pairs=pairs)
+    c = CartanClass(entry.family, build_root_system(entry.family, None).rank, entry.signature)
+    p = make_parameter(entry.family, None, 0, *class_rep_data(c))
     cert = chain_types(p, entry.word)
     if cert.sign == cert.word_sign:
         raise CertificateError(

@@ -76,6 +76,8 @@ def _pair_sort_key(p: Pair) -> Tuple[int, int, int]:
 
 
 def _check_transform_root(system: RootSystem, p: Pair) -> None:
+    if not all(1 <= abs(x) <= system.dim for x in p):
+        raise TransformError("pair %r has a slot outside 1..%d" % (p, system.dim))
     root = pair_root(system.dim, p)
     if root not in system.index:
         raise TransformError("no root for pair %r in %s" % (p, system.family))
@@ -95,13 +97,11 @@ def make_parameter(
         raise ScopeError("central character index %d out of range" % chi)
     norm_pairs = sorted((_normalize_pair(p) for p in pairs), key=_pair_sort_key)
     norm_blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-    if family == "A" and any(p[0] < 0 for p in norm_pairs):
-        raise TransformError("signed pairs do not exist in family A")
-    if family == "A" and norm_blocks:
-        raise TransformError("quadruple blocks do not exist in family A")
     used: Set[int] = set()
     for b in norm_blocks:
         for x in b:
+            if not 1 <= x <= system.dim:
+                raise TransformError("block %r has a slot outside 1..%d" % (b, system.dim))
             if x in used:
                 raise TransformError("slot %d reused" % x)
             used.add(x)

@@ -9,7 +9,9 @@ For every catalog id it stores the stdout of
 and the same with ``--format json`` as ``replay-witness/ID.json``.  For every
 verb in VERBS and group in GROUPS it stores the stdout of
 ``cayley-lift VERB FLAGS --no-header`` as ``VERB/GROUP.txt`` and ``.json``
-in the same way.  tests/test_golden.py asserts that the CLI still prints
+in the same way.  For every verb in VERBS on each of the 18 groups in
+ALL_GROUPS, in both formats, it stores the sha256 of that stdout in
+``digests.json``.  tests/test_golden.py asserts that the CLI still prints
 them byte for byte.  Regenerate only for an intended output change, and
 name that change in CHANGES.md.
 """
@@ -17,14 +19,17 @@ name that change in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 from pathlib import Path
-from typing import List
+from typing import Dict, List
 
 from cayley_lift import cli, witness_data
 
 ROOT = Path(__file__).resolve().parent
 DIRECTORY = ROOT / "replay-witness"
+DIGESTS = ROOT / "digests.json"
 FORMATS = {"txt": [], "json": ["--format", "json"]}
 VERBS = ("roots", "cartans", "centers", "params", "count-small", "klv-check", "lift", "verify")
 GROUPS = {
@@ -36,6 +41,12 @@ GROUPS = {
     "E7": ["--family", "E7"],
     "E8": ["--family", "E8"],
 }
+# Every group in scope: SL(2)..SL(10), Spin(3,3)..Spin(8,8), E6, E7, E8.
+ALL_GROUPS = dict(
+    [("SL%d" % n, ["--family", "A", "--rank", str(n)]) for n in range(2, 11)]
+    + [("Spin%d-%d" % (n, n), ["--family", "D", "--rank", str(n)]) for n in range(3, 9)]
+    + [(e, ["--family", e]) for e in ("E6", "E7", "E8")]
+)
 
 
 def _stdout(argv: List[str]) -> bytes:
@@ -58,6 +69,16 @@ def verb_transcript(verb: str, group: str, suffix: str) -> bytes:
     return _stdout([verb] + GROUPS[group] + FORMATS[suffix])
 
 
+def verb_digests() -> Dict[str, str]:
+    """sha256 of the stdout of each VERBS request on each of ALL_GROUPS,
+    keyed "VERB GROUP SUFFIX"."""
+    return {
+        "%s %s %s" % (verb, group, suffix):
+            hashlib.sha256(_stdout([verb] + argv + FORMATS[suffix])).hexdigest()
+        for verb in VERBS for group, argv in ALL_GROUPS.items() for suffix in FORMATS
+    }
+
+
 def main() -> None:
     DIRECTORY.mkdir(exist_ok=True)
     for witness_id in sorted(witness_data.CATALOG):
@@ -69,6 +90,7 @@ def main() -> None:
             for suffix in FORMATS:
                 path = ROOT / verb / ("%s.%s" % (group, suffix))
                 path.write_bytes(verb_transcript(verb, group, suffix))
+    DIGESTS.write_text(json.dumps(verb_digests(), indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

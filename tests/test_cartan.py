@@ -10,11 +10,13 @@ import reference
 from cayley_lift import cartan
 from cayley_lift.cartan import (
     E_CLASS_REPS,
+    CartanClass,
     Involution,
     TransformError,
     block_pairs,
     cartan_classes,
     cartan_shape,
+    class_rep_data,
     classify_pairs,
     cover_center_data,
     genuine_central_character_count,
@@ -27,6 +29,7 @@ from cayley_lift.lifting import verify_main_theorem
 from cayley_lift.parameters import make_parameter
 from cayley_lift.root_system import (
     InvariantError,
+    ScopeError,
     build_root_system,
     identity_matrix,
     mat_apply,
@@ -86,6 +89,25 @@ def test_e_class_table_is_read_only():
     assert [c.render() for c in cartan_classes("E6")] == [
         "(2,2,0)", "(0,3,0)", "(0,2,2)", "(0,1,4)", "(0,0,6)",
     ]
+
+
+@pytest.mark.parametrize("signature", [
+    ("A", 3, (-2,)),
+    ("A", 3, (7,)),
+    ("D", 4, (3, 0, 0)),
+    ("D", 4, (1, 0, 1)),
+    ("E7", 7, (9, 9, 9)),
+], ids=lambda s: "%s%d:%s" % (s[0][:1], s[1], ",".join(map(str, s[2]))))
+def test_a_signature_that_is_no_class_is_a_scope_error(signature):
+    c = CartanClass(*signature)
+    for reader in (class_rep_data, involution_for_class, cartan_shape):
+        with pytest.raises(ScopeError, match="unknown %s class" % c.family):
+            reader(c)
+
+
+def test_an_e_class_with_another_rank_is_a_scope_error():
+    with pytest.raises(ScopeError, match="rank of E6 is fixed"):
+        class_rep_data(CartanClass("E6", 7, (0, 0, 6)))
 
 
 def test_split_class_position_and_shape():

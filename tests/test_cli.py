@@ -107,9 +107,11 @@ def test_non_integer_rank_is_an_argparse_usage_error(capsys):
 def test_internal_error_is_exit_code_4_without_traceback(capsys, monkeypatch):
     # break one invariant: a Cayley move from an E6 class lands on a class
     # that is no longer listed (a filtered copy, as the shared table is
-    # read-only)
+    # read-only); the class map is read uncached while patched, so neither
+    # an earlier E6 map nor the filtered one outlives this test
     reps = {k: v for k, v in cartan.E_CLASS_REPS.items() if k != ("E6", (2, 2, 0))}
     monkeypatch.setattr(cartan, "E_CLASS_REPS", reps)
+    monkeypatch.setattr(cartan, "_class_reps", cartan._class_reps.__wrapped__)
     assert EXIT_INTERNAL == 4
     assert main(["cartans", "--family", "E6"]) == EXIT_INTERNAL
     captured = capsys.readouterr()

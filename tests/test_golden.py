@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from cayley_lift import witness_data
-from golden.generate import DIRECTORY, FORMATS, GROUPS, ROOT, VERBS, transcript, verb_transcript
+from golden.generate import (DIGESTS, DIRECTORY, FORMATS, GROUPS, ROOT, VERBS, transcript,
+                             verb_digests, verb_transcript)
 
 
 def test_every_catalog_id_has_transcripts():
@@ -32,3 +35,8 @@ def test_every_verb_and_group_has_transcripts():
 def test_verb_transcript(verb, group, suffix):
     golden = (ROOT / verb / ("%s.%s" % (group, suffix))).read_bytes()
     assert verb_transcript(verb, group, suffix) == golden
+
+
+def test_verb_digests_on_every_group():
+    """Every verb on all 18 groups, in both formats, against digests.json."""
+    assert verb_digests() == json.loads(DIGESTS.read_text())

@@ -23,8 +23,15 @@ from cayley_lift.parameters import (
     tower_parameter,
 )
 from cayley_lift import count_small, cover_center_data, hasse_diagram, lift_trivial, tower_poset
+from cayley_lift.cartan import cartan_classes
 from cayley_lift.root_system import build_root_system, identity_matrix, mat_apply, mat_mul
 from reference import parameter_from_json, pseudospherical_params, split_length
+
+IN_SCOPE = (
+    [("A", r) for r in range(1, 10)]
+    + [("D", r) for r in range(3, 9)]
+    + [("E6", None), ("E7", None), ("E8", None)]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +73,19 @@ def test_validation_errors():
         make_parameter("A", 4, chi=1)  # SL(5) has a single genuine character
     # but the mirror-image pair is fine in E7
     assert make_parameter("E7", 7, pairs=((7, 8),)).render() == "gamma({7,8})"
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_parameter("A", 3, pairs=[(5, 6)]), id="A-pair"),
+    pytest.param(lambda: make_parameter("D", 4, blocks=[(1, 2, 3, 40)]), id="D-block"),
+    pytest.param(lambda: make_parameter("D", 4, blocks=[(0, 1)]), id="D-block-slot-0"),
+    pytest.param(lambda: make_parameter("D", 4, blocks=[(-1, 2)]), id="D-block-negative-slot"),
+    pytest.param(lambda: cayley(make_parameter("A", 3), (5, 6)), id="A-cayley"),
+    pytest.param(lambda: cayley(make_parameter("D", 4), (-4, -5)), id="D-cayley"),
+])
+def test_slot_outside_the_ambient_dimension_is_a_transform_error(build):
+    with pytest.raises(TransformError, match="outside"):
+        build()
 
 
 # Messages of the pair-overlap check, pinned: the earliest pair (in
@@ -284,12 +304,16 @@ def test_e_theta_matches_class_involution():
 # ---------------------------------------------------------------------------
 
 def test_orbit_representatives_cover_every_class_once():
-    for family, rank in (("A", 4), ("D", 4), ("D", 5), ("E6", None), ("E7", None)):
-        reps = orbit_representatives(family, rank)
-        classes = [c.render() for c, _ in reps]
-        assert len(classes) == len(set(classes))
-        for c, p in reps:
-            assert class_of(p).render() == c.render()
+    """On all 18 groups and every genuine central character."""
+    for family, rank in IN_SCOPE:
+        for chi in range(cover_center_data(family, rank).quotient_order):
+            reps = orbit_representatives(family, rank, chi)
+            assert [c for c, _ in reps] == list(cartan_classes(family, rank))
+            classes = [c.render() for c, _ in reps]
+            assert len(classes) == len(set(classes))
+            for c, p in reps:
+                assert p.chi == chi
+                assert class_of(p) == c
 
 
 def test_d4_orbit_representative_renders():
