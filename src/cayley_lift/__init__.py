@@ -16,13 +16,12 @@ _EXPORTS = {
                "TorusShape", "TransformError", "cartan_classes", "cartan_shape",
                "cover_center_data", "genuine_central_character_count", "hasse_diagram",
                "involution_for_class", "root_type"),
-    "parameters": ("PairSetParameter", "cayley", "class_of", "contains", "enumerate_block",
-                   "length", "make_parameter", "orbit_representatives", "pi_RD", "rd_subsets",
-                   "theta", "tower_parameter"),
+    "parameters": ("PairSetParameter", "cayley", "class_of", "enumerate_block", "length",
+                   "make_parameter", "orbit_representatives", "theta", "tower_parameter"),
     "coherent": ("ChainCertificate", "RuleOutReport", "StabilizerDescription", "chain_types",
                  "count_small", "replay_witness", "rule_out", "stabilizer"),
-    "klv_poset": ("FormalIntegerCombination", "M_entry", "ParameterPoset", "m_entry",
-                  "tower_poset", "verify_inversion"),
+    "klv_poset": ("FormalIntegerCombination", "M_entry", "ParameterPoset", "contains",
+                  "m_entry", "pi_RD", "rd_subsets", "tower_poset", "verify_inversion"),
     "lifting": ("K_coefficient", "TheoremReport", "cartan_constant", "lift_trivial",
                 "verify_main_theorem"),
 }

@@ -247,7 +247,8 @@ def _class_reps(family: str, rank: int) -> Mapping[Tuple[int, ...], RepData]:
 
     E rows are the E_CLASS_REPS literal's.  A and D keep the first
     candidate per classify_pairs signature; D rows are then sorted by
-    descending real rank, then signature.
+    descending real rank (rank - a - 2b for the class (a, b, t)), then
+    signature.
     """
     system = build_root_system(family, rank)
     if family in ("E6", "E7", "E8"):
@@ -265,10 +266,7 @@ def _class_reps(family: str, rank: int) -> Mapping[Tuple[int, ...], RepData]:
                 pairs = both + single[:-1] + tuple((sign * i, sign * j) for i, j in single[-1:])
                 reps.setdefault(classify_pairs(family, rank, pairs).signature, ((), pairs))
     if family == "D":
-        def real_rank(pairs: Tuple[Tuple[int, int], ...]) -> int:
-            r, m, s = signature_from_involution(system, involution_from_pairs(system, pairs))
-            return m + s
-        reps = dict(sorted(reps.items(), key=lambda item: (-real_rank(item[1][1]), item[0])))
+        reps = dict(sorted(reps.items(), key=lambda item: (item[0][0] + 2 * item[0][1], item[0])))
     return MappingProxyType(reps)
 
 

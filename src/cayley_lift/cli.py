@@ -9,24 +9,14 @@ payloads carry schema "cayley-lift/1".
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
-from .root_system import (
-    SCHEMA,
-    CertificateError,
-    Doubled,
-    InvariantError,
-    ScopeError,
-    _integral_system,
-    build_root_system,
-    is_half_integral,
-    rational,
-    root_system_to_json,
-)
-from . import cartan, coherent, klv_poset, lifting, parameters, witness_data
+from .root_system import SCHEMA, CertificateError, InvariantError, ScopeError
+from . import cartan
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -148,24 +138,56 @@ def _chi_range(args, rank: Optional[int]) -> Sequence[int]:
     return (args.chi,)
 
 
+_ESCAPES = {c: "\\" + e for c, e in zip("\n\r\t\b\f", "nrtbf")}
+
+
+def _escape(match) -> str:
+    """json's ensure_ascii escape of a character outside printable ASCII."""
+    c = match.group()
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    n = ord(c)
+    if n < 0x10000:
+        return "\\u%04x" % n
+    n -= 0x10000  # beyond the BMP: a surrogate pair
+    return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
+
+
+def _json(value, indent: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, for
+    what a payload holds: dicts with str keys, lists, tuples, str, int,
+    bool and None.  Anything else raises TypeError."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        text = value.replace("\\", "\\\\").replace('"', '\\"')
+        if not (value.isascii() and value.isprintable()):
+            text = re.sub(r"[^ -~]", _escape, text)
+        return '"' + text + '"'
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("keys must be str, not %r" % (list(value),))
+        items = [_json(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
     out = sys.stdout
     if args.format == "json":
-        import json  # loaded only here: a text request never needs it
-
-        payload = dict(payload)
-        payload["schema"] = SCHEMA
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(_json({**payload, "schema": SCHEMA}) + "\n")
         return
     if not args.no_header:
         out.write("# cayley-lift %s\n" % " ".join(_header(args)))
     for line in text_lines:
         out.write(line + "\n")
-
-
-def _vec(d: Doubled, den: int = 2) -> str:
-    """The rational vector d / den, as (x, y, ...)."""
-    return "(" + ", ".join(rational(x, den) for x in d) + ")"
 
 
 def _header(args) -> List[str]:
@@ -179,220 +201,20 @@ def _header(args) -> List[str]:
     return parts
 
 
-# Each handler takes the request, the group's Lie rank (None for E) and the
-# central characters asked for, and returns (JSON payload, text lines, ok).
-
-def _cmd_roots(args, rank, chis):
-    system = build_root_system(args.family, rank)
-    integral = len(_integral_system(system, system.doubled_rho, 8).positive_index)
-    half = sum(is_half_integral(system, d) for d in system.doubled_positive)
-    payload = root_system_to_json(system)
-    payload["integral_positive_count"] = integral
-    payload["half_integral_positive_count"] = half
-    lines = [
-        "family %s, Lie rank %d, ambient dimension %d" % (
-            system.family, system.rank, system.dim),
-        "positive roots: %d" % len(system.doubled_positive),
-    ]
-    for k, d in enumerate(system.doubled_simple):
-        lines.append("alpha_%d = %s" % (k + 1, _vec(d)))
-    lines.append("rho   = %s" % _vec(system.doubled_rho))
-    lines.append("rho/2 = %s" % _vec(system.doubled_rho, 4))
-    lines.append("integral positive roots at rho/2: %d" % integral)
-    lines.append("half-integral positive roots at rho/2: %d" % half)
-    return payload, lines, True
-
-
-def _cmd_cartans(args, rank, chis):
-    reps = parameters.orbit_representatives(args.family, rank)
-    diagram = cartan.hasse_diagram(args.family, rank)
-    classes = diagram.classes
-    payload = {
-        "family": args.family,
-        "lie_rank": classes[0].rank,
-        "classes": [
-            {
-                "label": c.render(),
-                "signature": list(c.signature),
-                "shape": cartan.cartan_shape(c).render(),
-                "blocks": [list(b) for b in rep.blocks],
-                "pairs": [list(p) for p in rep.pairs],
-            }
-            for c, rep in reps
-        ],
-        "cayley_edges": [
-            [classes[i].render(), classes[j].render()] for i, j in diagram.edges
-        ],
-    }
-    lines = ["%d Cartan classes" % len(classes)]
-    for c, rep in reps:
-        lines.append(
-            "%-10s shape %-10s rep %s" % (c.render(), cartan.cartan_shape(c).render(), rep.render())
-        )
-    lines.append("Cayley edges (one real rank step each):")
-    for i, j in diagram.edges:
-        lines.append("  %s -> %s" % (classes[i].render(), classes[j].render()))
-    return payload, lines, True
-
-
-def _cmd_centers(args, rank, chis):
-    data = cartan.cover_center_data(args.family, rank)
-    payload = {
-        "family": data.family,
-        "lie_rank": data.rank,
-        "center_invariant_factors": list(data.center.invariant_factors),
-        "center_order": data.center.order,
-        "genuine_quotient_order": data.quotient_order,
-        "quotient_representatives": [[rational(x, 2) for x in d] for d in data.doubled_reps],
-    }
-    lines = [
-        "center of the cover: %s (order %d)" % (data.center.render(), data.center.order),
-        "genuine quotient order (= genuine central characters): %d" % data.quotient_order,
-    ]
-    for d in data.doubled_reps:
-        lines.append("  coset representative %s" % _vec(d))
-    return payload, lines, True
-
-
-def _cmd_params(args, rank, chis):
-    entries = []
-    lines = []
-    for chi in chis:
-        for c, p in parameters.orbit_representatives(args.family, rank, chi):
-            length = rational(parameters.length(p), 2)  # length() is doubled
-            entries.append(
-                {
-                    "class": c.render(),
-                    "shape": cartan.cartan_shape(c).render(),
-                    "length": length,
-                    "parameter": parameters.parameter_to_json(p),
-                }
-            )
-            lines.append(
-                "chi%d %-10s shape %-10s length %-6s %s"
-                % (chi, c.render(), cartan.cartan_shape(c).render(), length, p.render())
-            )
-    return {"family": args.family, "parameters": entries}, lines, True
-
-
-def _cmd_count_small(args, rank, chis):
-    n = coherent.count_small(args.family, rank)
-    payload = {"family": args.family, "count": n}
-    if rank is not None:
-        payload["lie_rank"] = rank
-    return payload, [str(n)], True
-
-
-def _cmd_replay_witness(args, rank, chis):
-    report = coherent.replay_witness(args.witness_id)
-    cert = report.certificate
-    entry = witness_data.CATALOG[args.witness_id]
-    steps = tuple(zip(cert.doubled_steps, cert.tags))
-    payload = {
-        "witness_id": report.witness_id,
-        "family": entry.family,
-        "class_signature": list(entry.signature),
-        "source": entry.source,
-        "word": list(cert.word),
-        "steps": [
-            {"root": [rational(x, 2) for x in d], "type": tag}
-            for d, tag in steps
-        ],
-        "imaginary_count": cert.imaginary_count,
-        "epsilon": cert.sign,
-        "det": cert.word_sign,
-        "golden_checked": report.golden_checked,
-    }
-    lines = [
-        "witness %s (%s class %s, %s)"
-        % (report.witness_id, entry.family, "(%d,%d,%d)" % entry.signature, entry.source),
-        "word length %d" % len(cert.word),
-    ]
-    for k, (d, tag) in enumerate(steps):
-        lines.append("beta_%-2d = %-32s (%s)" % (k + 1, _vec(d), tag))
-    lines.append("m = %d, epsilon = %+d, det = %+d" % (
-        cert.imaginary_count, cert.sign, cert.word_sign))
-    lines.append("golden data checked: %s" % ("yes" if report.golden_checked else "no"))
-    return payload, lines, True
-
-
-def _cmd_klv_check(args, rank, chis):
-    results = []
-    lines = []
-    ok = True
-    for chi in chis:
-        poset = klv_poset.tower_poset(args.family, rank, chi)
-        good = klv_poset.verify_inversion(poset)
-        ok = ok and good
-        results.append({"chi": chi, "elements": len(poset.elements), "inversion": good})
-        lines.append(
-            "chi%d: %d parameters, M.m = Id: %s" % (chi, len(poset.elements), good)
-        )
-    lines.append("PASS" if ok else "FAIL")
-    return {"family": args.family, "checks": results, "passed": ok}, lines, ok
-
-
-def _cmd_lift(args, rank, chis):
-    out = []
-    lines = []
-    for chi in chis:
-        combo = lifting.lift_trivial(args.family, rank, chi)
-        out.append(
-            {
-                "chi": chi,
-                "terms": [
-                    {"coefficient": c, "parameter": parameters.parameter_to_json(p)}
-                    for p, c in combo.terms
-                ],
-            }
-        )
-        lines.append("chi%d: %s" % (chi, combo.render()))
-    return {"family": args.family, "lifts": out}, lines, True
-
-
-def _cmd_verify(args, rank, chis):
-    report = lifting.verify_main_theorem(args.family, rank)
-    payload = {
-        "family": report.family,
-        "support_total": report.support_total,
-        "small_count": report.small_count,
-        "passed": report.passed,
-        "checks": [
-            {
-                "chi": c.chi,
-                "lift": c.lift.render(),
-                "support_matches": c.support_matches,
-                "coefficients_unit": c.coefficients_unit,
-            }
-            for c in report.checks
-        ],
-    }
-    lines = []
-    for c in report.checks:
-        lines.append("chi%d lift: %s" % (c.chi, c.lift.render()))
-        lines.append(
-            "chi%d support matches pi_RD: %s; coefficients all +-1: %s"
-            % (c.chi, c.support_matches, c.coefficients_unit)
-        )
-    lines.append(
-        "total support %d, independent small count %d"
-        % (report.support_total, report.small_count)
-    )
-    lines.append("PASS" if report.passed else "FAIL")
-    return payload, lines, report.passed
-
-
-# verb: (handler, help line, the flags it takes besides _COMMON, the first required)
+# verb: (handler module, help line, the flags it takes besides _COMMON, the first
+# required).  The module's run takes the request, the group's Lie rank (None
+# for E) and the central characters asked for, and returns (JSON payload, text
+# lines, ok); main imports it on dispatch, so a request compiles only its verb.
 _VERBS = {
-    "roots": (_cmd_roots, "root system, rho/2, and its integral subsystem", _GROUP),
-    "cartans": (_cmd_cartans, "Cartan classes, torus shapes, and the Cayley diagram", _GROUP),
-    "centers": (_cmd_centers, "center of the cover and its genuine quotient", _GROUP),
-    "params": (_cmd_params, "orbit representatives with class, shape, and length", _CHI),
-    "count-small": (_cmd_count_small, "number of genuine small representations", _GROUP),
-    "replay-witness": (_cmd_replay_witness, "replay a stored sign-test witness chain", ("--id",)),
-    "klv-check": (_cmd_klv_check, "verify the closed-form change-of-basis inversion", _CHI),
-    "lift": (_cmd_lift, "lift of the trivial representation", _CHI),
-    "verify": (_cmd_verify, "whole-family check: lift support, coefficients, count", _GROUP),
+    "roots": ("cmd_roots", "root system, rho/2, and its integral subsystem", _GROUP),
+    "cartans": ("cmd_cartans", "Cartan classes, torus shapes, and the Cayley diagram", _GROUP),
+    "centers": ("cmd_centers", "center of the cover and its genuine quotient", _GROUP),
+    "params": ("cmd_params", "orbit representatives with class, shape, and length", _CHI),
+    "count-small": ("cmd_count_small", "number of genuine small representations", _GROUP),
+    "replay-witness": ("cmd_replay_witness", "replay a stored sign-test witness chain", ("--id",)),
+    "klv-check": ("cmd_klv_check", "verify the closed-form change-of-basis inversion", _CHI),
+    "lift": ("cmd_lift", "lift of the trivial representation", _CHI),
+    "verify": ("cmd_verify", "whole-family check: lift support, coefficients, count", _GROUP),
 }
 
 
@@ -402,9 +224,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(args, str):
             sys.stdout.write(args)
             return EXIT_OK
-        handler, _, flags = _VERBS[args.verb]
+        module, _, flags = _VERBS[args.verb]
         rank = _lie_rank(args) if "--family" in flags else None
         chis = _chi_range(args, rank) if "--chi" in flags else None
+        handler = importlib.import_module("." + module, __package__).run
         payload, lines, ok = handler(args, rank, chis)
         _emit(args, payload, lines)
         return EXIT_OK if ok else EXIT_CHECK_FAILED

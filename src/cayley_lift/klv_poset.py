@@ -1,7 +1,9 @@
-"""Closed-form change-of-basis matrices on pair-set parameter posets.
+"""The lifted-parameter towers and their closed-form change-of-basis matrices.
 
-On the union of lifted-parameter towers the multiplicity matrix m and the
-inverse matrix M are given in closed form by containment of pair sets:
+The distinguished subsets R_D of the integral simple roots name the towers:
+for S in R_D the tower is every c_{S'}(gamma(empty)) with S' inside S.  On
+the union of these towers the multiplicity matrix m and the inverse matrix
+M are given in closed form by containment of pair sets:
 m(gamma, delta) = [delta's pairs contained in gamma's] and
 M(gamma, delta) = (-1)^(l(delta) - l(gamma)) on the same support.  Every
 interval of the containment order on these posets is a boolean lattice,
@@ -11,17 +13,93 @@ which is exactly what makes the two matrices inverse to each other.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .root_system import InvariantError, Record, ScopeError
-from .parameters import (
-    PairSetParameter,
-    contains,
-    length,
-    rd_subsets,
-    tower_terms,
-)
+from .root_system import InvariantError, Record, ScopeError, build_root_system
+from .parameters import Pair, PairSetParameter, length, tower_parameter
 
+
+# ---------------------------------------------------------------------------
+# The distinguished subsets R_D of the integral simple roots, and their towers
+# ---------------------------------------------------------------------------
+
+class RDSubset(Record):
+    """A subset S in R_D with the pair added by each of its simple roots."""
+
+    simple_indices: Tuple[int, ...]   # 1-based indices among the alphas
+    pair_images: Tuple[Pair, ...]     # parallel to simple_indices
+
+    def image_pairs(self, members: Sequence[int]) -> Tuple[Pair, ...]:
+        lookup = dict(zip(self.simple_indices, self.pair_images))
+        return tuple(lookup[i] for i in members)
+
+
+def rd_subsets(family: str, rank: Optional[int] = None) -> Tuple[RDSubset, ...]:
+    """The sets S (including the empty set) defining the lifted parameters."""
+    empty = RDSubset((), ())
+    if family in ("E6", "E8"):
+        return (empty,)
+    if family == "E7":
+        return (empty, RDSubset((1, 3, 7), ((-1, -2), (3, 4), (5, 6))))
+    system = build_root_system(family, rank)
+    if family == "A":
+        n = system.rank + 1
+        if n % 2 == 1:
+            return (empty,)
+        p = n // 2
+        return (
+            empty,
+            RDSubset(
+                tuple(2 * k + 1 for k in range(p)),
+                tuple((2 * k + 1, 2 * k + 2) for k in range(p)),
+            ),
+        )
+    if family == "D":
+        n = system.rank
+        p = n // 2
+        short = RDSubset(
+            (n - 1, n),
+            ((2 * p - 1, 2 * p), (-(2 * p - 1), -2 * p)),
+        )
+        if n % 2 == 1:
+            return (empty, short)
+        long_plus = RDSubset(
+            tuple(2 * k + 1 for k in range(p)),
+            tuple((2 * k + 1, 2 * k + 2) for k in range(p)),
+        )
+        long_minus = RDSubset(
+            tuple(2 * k + 1 for k in range(p - 1)) + (2 * p,),
+            tuple((2 * k + 1, 2 * k + 2) for k in range(p - 1)) + ((-(2 * p - 1), -2 * p),),
+        )
+        return (empty, short, long_plus, long_minus)
+    raise ScopeError("unknown family %r" % (family,))
+
+
+def tower_terms(family: str, rank: Optional[int], chi: int,
+                subset: RDSubset) -> Iterator[Tuple[int, PairSetParameter]]:
+    """((-1)^|S'|, c_{S'}(gamma(empty))) for each S' inside subset, by size."""
+    for size in range(len(subset.simple_indices) + 1):
+        for members in combinations(subset.simple_indices, size):
+            yield -1 if size % 2 else 1, tower_parameter(family, rank, chi, subset, members)
+
+
+def pi_RD(family: str, rank: Optional[int] = None, chi: int = 0) -> Tuple[PairSetParameter, ...]:
+    """The full-level parameters J(c_S(gamma(empty))) for S in R_D, fixed chi."""
+    return tuple(tower_parameter(family, rank, chi, subset, subset.simple_indices)
+                 for subset in rd_subsets(family, rank))
+
+
+def contains(p1: PairSetParameter, p2: PairSetParameter) -> bool:
+    """Whether p1's pair-and-block set contains p2's (same group and chi)."""
+    if (p1.family, p1.rank, p1.chi) != (p2.family, p2.rank, p2.chi):
+        return False
+    return p2.elements() <= p1.elements()
+
+
+# ---------------------------------------------------------------------------
+# Posets of tower parameters
+# ---------------------------------------------------------------------------
 
 def parameter_sort_key(p: PairSetParameter):
     return (len(p.elements()), p.blocks, p.pairs, p.chi)

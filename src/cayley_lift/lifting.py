@@ -14,16 +14,15 @@ from typing import Optional, Tuple
 
 from .root_system import Record, ScopeError
 from .cartan import cartan_shape, genuine_central_character_count
-from .parameters import (
-    PairSetParameter,
+from .parameters import PairSetParameter, class_of, tower_parameter
+from .klv_poset import (
+    FormalIntegerCombination,
     RDSubset,
-    class_of,
+    in_tower_scope,
     pi_RD,
     rd_subsets,
-    tower_parameter,
     tower_terms,
 )
-from .klv_poset import FormalIntegerCombination, in_tower_scope
 
 
 def cartan_constant(p: PairSetParameter) -> int:

@@ -12,8 +12,7 @@ block.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .root_system import (
     SCHEMA,
@@ -206,13 +205,6 @@ def length(p: PairSetParameter) -> int:
     return flips + m + s
 
 
-def contains(p1: PairSetParameter, p2: PairSetParameter) -> bool:
-    """Whether p1's pair-and-block set contains p2's (same group and chi)."""
-    if (p1.family, p1.rank, p1.chi) != (p2.family, p2.rank, p2.chi):
-        return False
-    return p2.elements() <= p1.elements()
-
-
 def enumerate_block(family: str, rank: int, chi: int = 0) -> Tuple[PairSetParameter, ...]:
     """All parameters reachable from gamma(empty) by Cayley transforms (A/D)."""
     if family not in ("A", "D"):
@@ -235,81 +227,12 @@ def orbit_representatives(
                  for c in cartan_classes(family, rank))
 
 
-# ---------------------------------------------------------------------------
-# The distinguished subsets R_D of the integral simple roots, and their towers
-# ---------------------------------------------------------------------------
-
-class RDSubset(Record):
-    """A subset S in R_D with the pair added by each of its simple roots."""
-
-    simple_indices: Tuple[int, ...]   # 1-based indices among the alphas
-    pair_images: Tuple[Pair, ...]     # parallel to simple_indices
-
-    def image_pairs(self, members: Sequence[int]) -> Tuple[Pair, ...]:
-        lookup = dict(zip(self.simple_indices, self.pair_images))
-        return tuple(lookup[i] for i in members)
-
-
-def rd_subsets(family: str, rank: Optional[int] = None) -> Tuple[RDSubset, ...]:
-    """The sets S (including the empty set) defining the lifted parameters."""
-    empty = RDSubset((), ())
-    if family in ("E6", "E8"):
-        return (empty,)
-    if family == "E7":
-        return (empty, RDSubset((1, 3, 7), ((-1, -2), (3, 4), (5, 6))))
-    system = build_root_system(family, rank)
-    if family == "A":
-        n = system.rank + 1
-        if n % 2 == 1:
-            return (empty,)
-        p = n // 2
-        return (
-            empty,
-            RDSubset(
-                tuple(2 * k + 1 for k in range(p)),
-                tuple((2 * k + 1, 2 * k + 2) for k in range(p)),
-            ),
-        )
-    if family == "D":
-        n = system.rank
-        p = n // 2
-        short = RDSubset(
-            (n - 1, n),
-            ((2 * p - 1, 2 * p), (-(2 * p - 1), -2 * p)),
-        )
-        if n % 2 == 1:
-            return (empty, short)
-        long_plus = RDSubset(
-            tuple(2 * k + 1 for k in range(p)),
-            tuple((2 * k + 1, 2 * k + 2) for k in range(p)),
-        )
-        long_minus = RDSubset(
-            tuple(2 * k + 1 for k in range(p - 1)) + (2 * p,),
-            tuple((2 * k + 1, 2 * k + 2) for k in range(p - 1)) + ((-(2 * p - 1), -2 * p),),
-        )
-        return (empty, short, long_plus, long_minus)
-    raise ScopeError("unknown family %r" % (family,))
-
-
 def tower_parameter(
     family: str, rank: Optional[int], chi: int, subset: RDSubset, members: Sequence[int]
 ) -> PairSetParameter:
-    """The parameter c_{S'}(gamma(empty)) for S' = members inside subset."""
+    """The parameter c_{S'}(gamma(empty)) for S' = members inside subset,
+    an RDSubset of klv_poset (which imports this module)."""
     return make_parameter(family, rank, chi=chi, pairs=subset.image_pairs(members))
-
-
-def tower_terms(family: str, rank: Optional[int], chi: int,
-                subset: RDSubset) -> Iterator[Tuple[int, PairSetParameter]]:
-    """((-1)^|S'|, c_{S'}(gamma(empty))) for each S' inside subset, by size."""
-    for size in range(len(subset.simple_indices) + 1):
-        for members in combinations(subset.simple_indices, size):
-            yield -1 if size % 2 else 1, tower_parameter(family, rank, chi, subset, members)
-
-
-def pi_RD(family: str, rank: Optional[int] = None, chi: int = 0) -> Tuple[PairSetParameter, ...]:
-    """The full-level parameters J(c_S(gamma(empty))) for S in R_D, fixed chi."""
-    return tuple(tower_parameter(family, rank, chi, subset, subset.simple_indices)
-                 for subset in rd_subsets(family, rank))
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,11 @@ def rational(n: int, d: int = 1) -> str:
     return str(n // g) if g == d else "%d/%d" % (n // g, d // g)
 
 
+def _vec(d: Doubled, den: int = 2) -> str:
+    """The rational vector d / den, as (x, y, ...)."""
+    return "(" + ", ".join(rational(x, den) for x in d) + ")"
+
+
 def root_system_to_json(system: RootSystem) -> dict:
     return {
         "schema": SCHEMA,

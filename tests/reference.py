@@ -58,14 +58,14 @@ from cayley_lift.klv_poset import (
     ParameterPoset,
     m_entry,
     parameter_sort_key,
+    rd_subsets,
+    tower_terms,
 )
 from cayley_lift.parameters import (
     PairSetParameter,
     enumerate_block,
     make_parameter,
     orbit_representatives,
-    rd_subsets,
-    tower_terms,
 )
 from cayley_lift.root_system import (
     Matrix,

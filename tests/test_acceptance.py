@@ -18,16 +18,14 @@ from cayley_lift.cartan import (
 )
 from cayley_lift.cli import EXIT_OK, main
 from cayley_lift.coherent import chain_types, replay_witness
-from cayley_lift.klv_poset import tower_poset, verify_inversion
+from cayley_lift.klv_poset import contains, rd_subsets, tower_poset, verify_inversion
 from cayley_lift.lifting import K_coefficient, verify_main_theorem
 from cayley_lift.parameters import (
     TransformError,
     cayley,
-    contains,
     enumerate_block,
     length,
     make_parameter,
-    rd_subsets,
 )
 from cayley_lift.root_system import (
     build_root_system,

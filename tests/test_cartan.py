@@ -69,6 +69,26 @@ def test_d_class_counts():
         assert len(cartan_classes("D", rank)) == count
 
 
+def test_d_real_rank_read_off_the_signature_is_the_involutions():
+    """The class list sorts D classes by rank - a - 2b; on all 53 classes of
+    D 3..8 that is m + s of the representative's own involution, and the
+    list runs in descending real rank."""
+    checked = 0
+    for rank in range(3, 9):
+        system = build_root_system("D", rank)
+        real_ranks = []
+        for c in cartan_classes("D", rank):
+            blocks, pairs = class_rep_data(c)
+            r, m, s = signature_from_involution(
+                system, involution_from_pairs(system, pairs=pairs, blocks=blocks))
+            a, b, t = c.signature
+            assert rank - a - 2 * b == m + s, c
+            real_ranks.append(m + s)
+            checked += 1
+        assert real_ranks == sorted(real_ranks, reverse=True)
+    assert checked == 53
+
+
 def test_e_class_lists():
     assert [c.render() for c in cartan_classes("E6")] == [
         "(2,2,0)", "(0,3,0)", "(0,2,2)", "(0,1,4)", "(0,0,6)",

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cayley_lift import cartan, cli, klv_poset, lifting, parameters
+from cayley_lift import cartan, cli, cmd_roots, klv_poset, lifting, parameters
 from cayley_lift.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -132,7 +132,7 @@ def test_value_errors_map_to_exit_codes_without_traceback(capsys, monkeypatch, e
     def fail(args, rank, chis):
         raise error
 
-    monkeypatch.setitem(cli._VERBS, "roots", (fail,) + cli._VERBS["roots"][1:])
+    monkeypatch.setattr(cmd_roots, "run", fail)
     assert main(["roots", "--family", "E6"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""

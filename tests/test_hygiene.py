@@ -13,7 +13,10 @@ request that runs its module.  Only root_system reads an E group's rank off
 its name (family[1]); every other module passes the rank it has to
 build_root_system.  Only the sign test reads the Weyl tables: coherent
 imports weyl at its top, root_system only inside canonical_reflection_word,
-and no other module at all.  The exact-Fraction oracle in
+and no other module at all.  No module imports cli, which python -m
+runs as __main__, so that no request compiles it twice, and cli defines
+no verb handler: each verb's handler is a module of its own, which the CLI
+imports on dispatch.  The exact-Fraction oracle in
 tests/reference.py takes none of the library's matrix, permutation or
 root-tagging helpers, so that a fault in one cannot show on both sides of a
 comparison.
@@ -135,14 +138,15 @@ def family_rank_reads(tree: ast.Module) -> List[str]:
             and getattr(node.value, "id", getattr(node.value, "attr", None)) == "family"]
 
 
-def _imports_weyl(node: ast.AST) -> bool:
+def _imports(node: ast.AST, name: str) -> bool:
+    """Whether node imports the package module called name."""
     if isinstance(node, ast.Import):
-        return any(a.name == "cayley_lift.weyl" for a in node.names)
+        return any(a.name == "cayley_lift." + name for a in node.names)
     if not isinstance(node, ast.ImportFrom):
         return False
     package = node.module == "cayley_lift" or (node.level == 1 and node.module is None)
-    return (node.module == "cayley_lift.weyl" or (node.level == 1 and node.module == "weyl")
-            or (package and any(a.name == "weyl" for a in node.names)))
+    return (node.module == "cayley_lift." + name or (node.level == 1 and node.module == name)
+            or (package and any(a.name == name for a in node.names)))
 
 
 def weyl_imports(tree: ast.Module) -> List[str]:
@@ -154,13 +158,24 @@ def weyl_imports(tree: ast.Module) -> List[str]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name)
-            elif _imports_weyl(child):
+            elif _imports(child, "weyl"):
                 out.append("line %d: %s" % (child.lineno, scope))
             else:
                 visit(child, scope)
 
     visit(tree, "<module>")
     return out
+
+
+def cli_imports(tree: ast.Module) -> List[str]:
+    """Lines that import the cli module."""
+    return ["line %d" % node.lineno for node in ast.walk(tree) if _imports(node, "cli")]
+
+
+def verb_handlers(tree: ast.Module) -> List[str]:
+    """The _cmd_ functions that tree defines."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
 
 
 def test_sources_are_found():
@@ -200,6 +215,12 @@ def test_only_the_sign_test_imports_the_weyl_module():
              for p in MODULES}
     assert {name: scopes for name, scopes in found.items() if scopes} == {
         "coherent.py": ["<module>"], "root_system.py": ["canonical_reflection_word"]}
+
+
+def test_no_module_imports_the_cli_and_the_cli_holds_no_handler():
+    found = {p.name: cli_imports(_parse(p)) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert verb_handlers(_parse(SRC / "cli.py")) == []
 
 
 def test_reference_computes_its_own_matrices():
@@ -286,5 +307,18 @@ def test_checks_flag_what_they_should():
     )
     assert weyl_imports(imports) == ["line 1: <module>", "line 2: <module>", "line 3: <module>",
                                      "line 6: <module>", "line 8: f"]
+    clis = ast.parse(
+        "from .cli import _vec\n"
+        "from . import cartan, cli\n"
+        "import cayley_lift.cli\n"
+        "from cayley_lift import cli\n"
+        "from .client import x\n"
+        "def f():\n"
+        "    from cayley_lift.cli import main\n"
+        "def _cmd_roots(args, rank, chis):\n"
+        "    pass\n"
+    )
+    assert cli_imports(clis) == ["line 1", "line 2", "line 3", "line 4", "line 7"]
+    assert verb_handlers(clis) == ["_cmd_roots"]
     assert library_helpers_used(oracle) == [
         "line 1: mat_apply", "line 1: word_matrix", "line 2: root_type", "line 5: matrix_to_word"]

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from cayley_lift.klv_poset import pi_RD, rd_subsets
 from cayley_lift.lifting import (
     K_coefficient,
     cartan_constant,
     lift_trivial,
     verify_main_theorem,
 )
-from cayley_lift.parameters import make_parameter, pi_RD, rd_subsets
+from cayley_lift.parameters import make_parameter
 from cayley_lift.root_system import ScopeError
 
 

@@ -5,11 +5,12 @@ submodule runs when one of its names, or the module itself, is first used.
 The cold-start tests start one fresh interpreter per CLI verb, with
 warnings turned into errors, and check which package modules actually ran:
 a module still waiting on its lazy loader has a type other than
-types.ModuleType, and asking for that type does not load it.  They also
-check that no request, --help included, loads dataclasses, inspect,
-fractions or decimal (every rational is printed from doubled integers) or
-argparse, gettext or locale (the CLI reads its flags from one table), and
-that only a JSON request loads json.
+types.ModuleType, and asking for that type does not load it.  Each verb
+runs its own handler module and no other.  They also check that no
+request, --help and --format json included, loads dataclasses, inspect,
+fractions or decimal (every rational is printed from doubled integers),
+argparse, gettext or locale (the CLI reads its flags from one table), or
+json (the CLI writes JSON itself).
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def test_readme_library_example_returns_what_it_states():
 # Prints, at interpreter exit, the package modules that ran and which of
 # HEAVY were loaded.  The program text after it is the request.
 HEAVY = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale",
-         "json")  # a text request needs none
+         "json")  # no request needs any
 REPORTER = """\
 import atexit, sys, types
 
@@ -171,7 +172,7 @@ SL4 = GROUPS["SL4"]
 BASE = {"root_system"}
 PARAMETERS = BASE | {"cartan", "parameters"}
 COHERENT = PARAMETERS | {"weyl", "coherent"}  # only the sign test reads the Weyl tables
-REQUESTS = {  # verb: (arguments, golden transcript, modules run)
+REQUESTS = {  # verb: (arguments, golden transcript, modules run besides its handler)
     "roots": (SL4, "roots/SL4.txt", BASE),
     "centers": (SL4, "centers/SL4.txt", BASE | {"cartan"}),
     "cartans": (SL4, "cartans/SL4.txt", PARAMETERS),
@@ -183,6 +184,11 @@ REQUESTS = {  # verb: (arguments, golden transcript, modules run)
     "lift": (SL4, "lift/SL4.txt", PARAMETERS | {"klv_poset", "lifting"}),
     "verify": (SL4, "verify/SL4.txt", COHERENT | {"klv_poset", "lifting"}),
 }
+
+
+def _ran(verb) -> str:
+    """The ran: line of a verb's request: its modules and its handler module."""
+    return "ran: " + " ".join(sorted(REQUESTS[verb][2] | {"cmd_" + verb.replace("-", "_")}))
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -198,24 +204,26 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 def test_requests_cover_every_verb():
     from cayley_lift.cli import _VERBS
     assert set(REQUESTS) == set(_VERBS)
+    assert {verb: entry[0] for verb, entry in _VERBS.items()} == {
+        verb: "cmd_" + verb.replace("-", "_") for verb in REQUESTS}
 
 
 @pytest.mark.parametrize("verb", sorted(REQUESTS))
 def test_each_verb_runs_only_the_modules_it_calls(verb):
-    args, golden, modules = REQUESTS[verb]
+    args, golden, _ = REQUESTS[verb]
     done = _python("-c", REPORTER + RUN_CLI, verb, *args, "--no-header")
-    assert (done.returncode, done.stderr) == (0, "ran: %s\nloaded: \n" % " ".join(sorted(modules)))
+    assert (done.returncode, done.stderr) == (0, _ran(verb) + "\nloaded: \n")
     assert done.stdout == (GOLDEN / golden).read_text()
 
 
 def _check_json_request(verb):
-    args, golden, modules = REQUESTS[verb]
+    args, golden, _ = REQUESTS[verb]
     done = _python("-c", REPORTER + RUN_CLI, verb, *args, "--no-header", "--format", "json")
-    assert (done.returncode, done.stderr) == (0, "ran: %s\nloaded: json\n" % " ".join(sorted(modules)))
+    assert (done.returncode, done.stderr) == (0, _ran(verb) + "\nloaded: \n")
     assert done.stdout == (GOLDEN / golden.replace(".txt", ".json")).read_text()
 
 
-def test_a_json_request_loads_json_and_nothing_else_heavy():
+def test_a_json_request_loads_nothing_heavy():
     _check_json_request("count-small")
 
 
@@ -228,6 +236,7 @@ def test_json_rationals_are_printed_without_fractions(verb):
 
 @pytest.mark.parametrize("argv", [["--help"], ["count-small", "--help"]])
 def test_help_loads_nothing_heavy(argv):
+    """Help is read off the flag table: no handler module runs."""
     done = _python("-c", REPORTER + RUN_CLI, *argv)
     assert (done.returncode, done.stderr) == (0, "ran: root_system\nloaded: \n")
     assert done.stdout.startswith("usage: cayley-lift ")
@@ -247,6 +256,17 @@ def test_python_m_emits_no_warning():
     done = _python("-m", "cayley_lift.cli", "roots", *SL4, "--no-header")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (GOLDEN / "roots/SL4.txt").read_text()
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_python_m_compiles_the_cli_once(fmt):
+    """python -m runs the CLI as __main__ (through runpy._run_module_as_main);
+    a module that imported it as cayley_lift.cli would compile it again."""
+    run_as_main = 'import runpy\nrunpy._run_module_as_main("cayley_lift.cli")\n'
+    done = _python("-c", REPORTER + run_as_main, "count-small", *SL4, "--no-header",
+                   "--format", "json" if fmt == "json" else "text")
+    assert (done.returncode, done.stderr) == (0, _ran("count-small") + "\nloaded: \n")
+    assert done.stdout == (GOLDEN / ("count-small/SL4." + fmt)).read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,15 @@ from cayley_lift.parameters import (
     TransformError,
     cayley,
     class_of,
-    contains,
     enumerate_block,
     length,
     make_parameter,
     orbit_representatives,
     parameter_to_json,
-    pi_RD,
-    rd_subsets,
     theta,
     tower_parameter,
 )
+from cayley_lift.klv_poset import contains, pi_RD, rd_subsets
 from cayley_lift import count_small, cover_center_data, hasse_diagram, lift_trivial, tower_poset
 from cayley_lift.cartan import cartan_classes
 from cayley_lift.root_system import build_root_system, identity_matrix, mat_apply, mat_mul

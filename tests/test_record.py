@@ -33,7 +33,7 @@ SAMPLES = {
     "FiniteAbelianGroup": lambda: cartan.cover_center_data("D", 4).center,
     "CenterData": lambda: cartan.cover_center_data("D", 4),
     "PairSetParameter": _parameter,
-    "RDSubset": lambda: parameters.rd_subsets("A", 3)[1],
+    "RDSubset": lambda: klv_poset.rd_subsets("A", 3)[1],
     "ChainCertificate": lambda: coherent.rule_out(parameters.make_parameter("A", 3)).certificate,
     "StabilizerDescription": lambda: coherent.stabilizer(_parameter()),
     "RuleOutReport": lambda: coherent.rule_out(_parameter()),

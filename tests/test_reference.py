@@ -1,10 +1,13 @@
 """The integer Weyl and root-system code against the exact-Fraction reference,
-and the CLI's flag-table parser against the argparse parser it replaced."""
+the CLI's flag-table parser against the argparse parser it replaced, and its
+JSON encoder against json.dumps, which it replaced."""
 
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
+import json
 import sys
 from functools import lru_cache
 from itertools import islice
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from golden.generate import ALL_GROUPS, DIGESTS
 from cayley_lift.cartan import cover_center_data, involution_from_pairs, signature_from_involution
 from cayley_lift import cartan, cli, coherent, parameters, root_system
 from cayley_lift.coherent import (
@@ -606,6 +610,59 @@ def test_the_flag_table_parses_as_argparse_did(line):
     _check_parse(line)
 
 
+# Values that exercise each rule of the encoder: every escaped character,
+# a control character alone and inside text, non-ASCII inside and beyond the
+# BMP, empty and nested containers, bool beside int, a tuple, unsorted keys.
+JSON_VALUES = (
+    ['"', "\\", "\n", "".join(map(chr, range(0x20))), "a\x00b\x1fc", "\x7f", "\u00e9", "\U0001d524"]
+    + [chr(c) for c in range(0x20)]
+    + [{"b": [], "a": {}, "c": [[], {}, [{}], {"e": []}]}, [True, 1, False, 0, None], (1, ("x", -2)),
+       {"z": {"y": [1, 2], "x": "\t"}, "\u00e9": 10 ** 20, "a": ()}, [], {}, "", 0, -7]
+)
+
+
+def _check_json(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", JSON_VALUES, ids=ascii)
+def test_the_json_encoder_writes_what_json_dumps_did(value):
+    _check_json(value)
+
+
+@pytest.mark.parametrize("value", [0.5, {1: "x"}, {None: 1}, {"a": {(1,): 2}}, {1, 2}, b"x"], ids=repr)
+def test_the_json_encoder_rejects_floats_other_types_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+JSON_REQUESTS = sorted(key for key in json.loads(DIGESTS.read_text()) if key.endswith(" json"))
+
+
+@pytest.mark.parametrize("request_key", JSON_REQUESTS)
+def test_the_json_encoder_writes_each_golden_payload_as_json_dumps_did(monkeypatch, request_key):
+    """The payload main hands to _emit, for each JSON request of
+    tests/golden/digests.json, written with the schema as _emit writes it."""
+    verb, group, _ = request_key.split()
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, lines: payloads.append(payload))
+    assert cli.main([verb] + ALL_GROUPS[group] + ["--format", "json"]) == cli.EXIT_OK
+    (payload,) = payloads
+    _check_json({**payload, "schema": root_system.SCHEMA})
+
+
+def _mutant(old, new):
+    """A fault that rewrites old to new, once, in the source of the function
+    it is given; the rewritten function calls itself where it recursed."""
+    def make(original):
+        source = inspect.getsource(original)
+        assert source.count(old) == 1, old
+        namespace = dict(vars(sys.modules[original.__module__]))
+        exec(compile(source.replace(old, new), "<fault>", "exec"), namespace)
+        return namespace[original.__name__]
+    return make
+
+
 def _drop_chi(verbs):
     return {verb: entry[:2] + (tuple(f for f in entry[2] if f != "--chi"),)
             for verb, entry in verbs.items()}
@@ -628,13 +685,18 @@ CORE_FAULTS = {
     "parse_drops_chi": (cli, "_VERBS", _drop_chi, _check_parse, [(l,) for l in PARSE_LINES]),
     "parse_skips_int": (cli, "_FLAGS", _skip_int_conversion, _check_parse,
                         [(l,) for l in PARSE_LINES]),
+    "json_unsorted_keys": (cli, "_json", _mutant("sorted(value.items())", "value.items()"),
+                           _check_json, [(v,) for v in JSON_VALUES]),
+    "json_item_separator": (cli, "_json", _mutant('("," + inner)', '(", " + inner)'),
+                            _check_json, [(v,) for v in JSON_VALUES]),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(CORE_FAULTS))
 def test_the_comparisons_catch_a_core_fault(monkeypatch, fault):
-    """One small fault in a core routine or in the CLI's flag table (a verb
-    table without --chi, or ints read as free text), installed wherever the
+    """One small fault in a core routine, in the CLI's flag table (a verb
+    table without --chi, or ints read as free text) or in its JSON encoder
+    (keys left unsorted, or ", " between items), installed wherever the
     package or this module binds it, makes its oracle comparison fail on
     some case; without the fault the same cases pass.  No faulty result
     outlives the fault in a cache: each check asserts on the faulty
