@@ -251,5 +251,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """The process entry point (`python -m cayley_lift.cli`, `cayley-lift`):
+    main, then what interpreter shutdown does that can be seen from outside,
+    in its order (the atexit handlers, then a flush of stdout and stderr),
+    then os._exit, which skips module teardown.  That is safe only while the
+    package starts no thread.  A reader that closed stdout early ends the
+    process with status 1, as an uncaught exception would, and no traceback;
+    any other failed flush falls back to sys.exit, and the interpreter
+    reports it as it always has."""
+    import atexit
+    import os
+
+    try:
+        code = main()
+    except BrokenPipeError:
+        code = 1
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

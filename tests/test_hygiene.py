@@ -16,7 +16,10 @@ imports weyl at its top, root_system only inside canonical_reflection_word,
 and no other module at all.  No module imports cli, which python -m
 runs as __main__, so that no request compiles it twice, and cli defines
 no verb handler: each verb's handler is a module of its own, which the CLI
-imports on dispatch.  The exact-Fraction oracle in
+imports on dispatch.  The __main__ block of cli only calls run(), which
+ends the process with os._exit; that skips the interpreter's wait for
+non-daemon threads, so no module imports threading, _thread,
+multiprocessing or concurrent.  The exact-Fraction oracle in
 tests/reference.py takes none of the library's matrix, permutation or
 root-tagging helpers, so that a fault in one cannot show on both sides of a
 comparison.
@@ -178,6 +181,28 @@ def verb_handlers(tree: ast.Module) -> List[str]:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
 
 
+def thread_imports(tree: ast.Module) -> List[str]:
+    """Lines that import a module that can start a thread or a process."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += ["line %d: %s" % (node.lineno, name) for name in names
+                if name.split(".")[0] in ("threading", "_thread", "multiprocessing", "concurrent")]
+    return out
+
+
+def main_block(tree: ast.Module) -> List[str]:
+    """The statements of the module's `if __name__ == "__main__":` block."""
+    return [ast.unparse(statement) for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+            for statement in node.body + node.orelse]
+
+
 def test_sources_are_found():
     assert {"cli.py", "root_system.py", "__init__.py"} <= {p.name for p in MODULES}
 
@@ -221,6 +246,15 @@ def test_no_module_imports_the_cli_and_the_cli_holds_no_handler():
     found = {p.name: cli_imports(_parse(p)) for p in MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert verb_handlers(_parse(SRC / "cli.py")) == []
+
+
+def test_no_module_can_start_a_thread():
+    found = {p.name: thread_imports(_parse(p)) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_cli_main_block_only_calls_run():
+    assert main_block(_parse(SRC / "cli.py")) == ["run()"]
 
 
 def test_reference_computes_its_own_matrices():
@@ -320,5 +354,20 @@ def test_checks_flag_what_they_should():
     )
     assert cli_imports(clis) == ["line 1", "line 2", "line 3", "line 4", "line 7"]
     assert verb_handlers(clis) == ["_cmd_roots"]
+    threads = ast.parse(
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import os, multiprocessing.pool\n"
+        "from . import threading_tools\n"
+        "def f():\n"
+        "    import _thread\n"
+        "if __name__ == '__main__':\n"
+        "    sys.exit(main())\n"
+        "else:\n"
+        "    run()\n"
+    )
+    assert thread_imports(threads) == ["line 1: threading", "line 2: concurrent.futures",
+                                       "line 3: multiprocessing.pool", "line 6: _thread"]
+    assert main_block(threads) == ["sys.exit(main())", "run()"]
     assert library_helpers_used(oracle) == [
         "line 1: mat_apply", "line 1: word_matrix", "line 2: root_type", "line 5: matrix_to_word"]

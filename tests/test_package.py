@@ -10,12 +10,17 @@ runs its own handler module and no other.  They also check that no
 request, --help and --format json included, loads dataclasses, inspect,
 fractions or decimal (every rational is printed from doubled integers),
 argparse, gettext or locale (the CLI reads its flags from one table), or
-json (the CLI writes JSON itself).
+json (the CLI writes JSON itself).  The child's stdout is buffered, as
+it is for any process writing to a pipe, so output that the CLI's fast
+exit (cli.run) failed to flush would be missing.  A fresh process exits
+with the code and the stderr line of main in process; a reader that closed
+stdout early gets status 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import ast
+import errno
 import importlib
 import importlib.util
 import os
@@ -191,14 +196,16 @@ def _ran(verb) -> str:
     return "ran: " + " ".join(sorted(REQUESTS[verb][2] | {"cmd_" + verb.replace("-", "_")}))
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter with warnings as errors and this package first
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """A fresh interpreter with warnings as errors, buffered stdout (no
+    PYTHONUNBUFFERED from the caller's environment) and this package first
     on its path."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE_ROOT)] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def test_requests_cover_every_verb():
@@ -231,6 +238,11 @@ def test_a_json_request_loads_nothing_heavy():
 def test_json_rationals_are_printed_without_fractions(verb):
     """The verbs that print rationals (roots, rho, coset representatives,
     chain roots) render them from doubled integers in JSON as in text."""
+    _check_json_request(verb)
+
+
+@pytest.mark.parametrize("verb", ["cartans", "params", "klv-check", "lift", "verify"])
+def test_every_other_verb_prints_its_golden_json_cold(verb):
     _check_json_request(verb)
 
 
@@ -267,6 +279,57 @@ def test_python_m_compiles_the_cli_once(fmt):
                    "--format", "json" if fmt == "json" else "text")
     assert (done.returncode, done.stderr) == (0, _ran("count-small") + "\nloaded: \n")
     assert done.stdout == (GOLDEN / ("count-small/SL4." + fmt)).read_text()
+
+
+# ---------------------------------------------------------------------------
+# the process entry point: cli.run ends the process with os._exit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-small", "--family", "B"],  # usage error, exit 2
+    ["count-small", "--family", "A", "--rank", "1"],  # out of scope, exit 3
+    ["--help"],
+    ["count-small", *SL4],
+])
+def test_a_process_exits_as_main_returns(argv, capsys):
+    from cayley_lift.cli import main
+    code = main(argv)
+    captured = capsys.readouterr()
+    done = _python("-m", "cayley_lift.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_final_flush_is_reported_as_by_the_interpreter():
+    """Buffered stdout on a full device: the flush fails after main returns,
+    and the interpreter reports it and exits 120, as without cli.run."""
+    with open("/dev/full", "w") as full:
+        done = _python("-m", "cayley_lift.cli", "roots", *SL4, stdout=full)
+    ignored, error = done.stderr.splitlines()
+    assert done.returncode == 120
+    assert ignored.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>' ")
+    assert error == "OSError: [Errno %d] %s" % (errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_with_status_1_and_no_traceback(flags):
+    """The reader of `cayley-lift ... | head -3` may exit before the CLI
+    writes: unbuffered, main's write fails; buffered, the final flush."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _python(*flags, "-m", "cayley_lift.cli", "replay-witness", "--id", "E6-030",
+                       "--no-header", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+def test_the_console_script_is_the_process_entry_point():
+    """Plain text: tomllib is missing on Python 3.10, which the package allows."""
+    pyproject = (README.parent / "pyproject.toml").read_text()
+    assert '\ncayley-lift = "cayley_lift.cli:run"\n' in pyproject
 
 
 # ---------------------------------------------------------------------------
