@@ -18,14 +18,15 @@ is the parity of w's non-imaginary inversions and the sign test reads the
 permutation.  That parity is a character of the centralizer of theta
 (N(xy) is N(y) plus y^-1 N(x) mod 2), so it is tested on generators of
 the stabilizer only: a real integral reflection, the imaginary ones, then
-one of each inverse pair of Schreier generators of W(core)^theta, stopping
-at the first violation, which alone becomes a word and a certificate.
+the Schreier generators of W(core)^theta, each read off the parity labels
+of two conjugates of theta, stopping at the first violation, which alone
+becomes a word and a certificate.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .root_system import (
     CertificateError,
@@ -51,7 +52,6 @@ from .root_system import (
 from .weyl import (
     WeylTables,
     beta_chain_for_word,
-    perm_inv,
     perm_mul,
     perm_to_word,
     root_permutation,
@@ -181,44 +181,48 @@ class RuleOutReport(Record):
     verdict: str                 # "ruled_out" | "survives"
     method: str                  # "real_reflection" | "complex_search" | "full_sweep"
     certificate: Optional[ChainCertificate]
-    checked: int                 # stabilizer generators tested
-
-
-def _schreier_generators(st: StabilizerDescription, th: SignedPerm,
-                         tables: WeylTables) -> Iterator[SignedPerm]:
-    """Generators of W(core)^theta, lazily, by Schreier's lemma.
-
-    A breadth-first search over the W(core)-conjugates x = u theta u^-1,
-    with steps x -> g x g for the core simple reflections g, keeps one u_x
-    per conjugate; each edge from x to an already known y gives the
-    generator u_y^-1 g u_x of theta's stabilizer.  The same edge read from
-    y gives its inverse, so an edge is read only from the endpoint found
-    first, and an edge whose generator is the identity (u_y = g u_x, as on
-    every tree edge) yields nothing.
-    """
-    gens = [tables.reflections[k] for k in st.complex_core.simple_index]
-    transversal = {th: (0, tables.identity)}  # conjugate -> (discovery index, u)
-    frontier = [th]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            found, u = transversal[x]
-            for g in gens:
-                y = perm_mul(perm_mul(g, x), g)
-                gu = perm_mul(g, u)
-                known = transversal.get(y)
-                if known is None:
-                    transversal[y] = (len(transversal), gu)
-                    nxt.append(y)
-                elif known[0] >= found and known[1] != gu:
-                    yield perm_mul(perm_inv(known[1]), gu)
-        frontier = nxt
+    checked: int                 # imaginary reflections tested + conjugates of theta labelled
 
 
 def violates(w: SignedPerm, th: SignedPerm) -> bool:
     """Whether epsilon(w) != det(w) against theta: an odd number of positive
     roots that w sends negative and theta does not fix."""
     return sum(1 for k, x in enumerate(w) if x < 0 and th[k] != k + 1) % 2 == 1
+
+
+def _core_violation(st: StabilizerDescription, th: SignedPerm,
+                    tables: WeylTables) -> Tuple[Optional[SignedPerm], int]:
+    """A violating element of W(core)^theta, or None, and the number of
+    W(core)-conjugates of theta labelled.
+
+    A breadth-first search over the conjugates x = u_x theta u_x^-1, with
+    steps x -> y = g x g for the core simple reflections g, labels each x
+    with pi(x) = violates(u_x, theta), by pi(y) = pi(x) XOR violates(g, x)
+    on a tree edge.  Any edge to a labelled y gives the Schreier generator
+    u_y^-1 g u_x of theta's stabilizer, which violates exactly when pi(y)
+    differs from that sum; only the first such one is built, from the steps.
+    """
+    gens = [tables.reflections[k] for k in st.complex_core.simple_index]
+    labels = {th: (False, ())}  # conjugate -> (pi, steps from theta, last first)
+    frontier = [th]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            pi, steps = labels[x]
+            for g in gens:
+                y = perm_mul(perm_mul(g, x), g)
+                pi_y = pi != violates(g, x)
+                known = labels.get(y)
+                if known is None:
+                    labels[y] = (pi_y, (g,) + steps)
+                    nxt.append(y)
+                elif known[0] != pi_y:
+                    w = tables.identity
+                    for h in known[1][::-1] + (g,) + steps:
+                        w = perm_mul(w, h)
+                    return w, len(labels)
+        frontier = nxt
+    return None, len(labels)
 
 
 def _ruled_out(p: PairSetParameter, method: str, word: Sequence[int], checked: int) -> RuleOutReport:
@@ -236,8 +240,10 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
     epsilon * det is a character of the theta-centralizer, so it is tested
     on generators of the stabilizer alone: a real integral reflection, then
     the imaginary integral reflections, then the Schreier generators of
-    W(core)^theta.  The first violation rules the class out; if none
-    violates, it survives.
+    W(core)^theta, read off the labels of theta's W(core)-orbit.  The first
+    violation rules the class out; if none violates, it survives.  checked
+    is 1 for a real reflection, else the imaginary reflections tested plus
+    the conjugates labelled, which for a survivor are the whole orbit.
     """
     system = _ambient(p)
     st = stabilizer(p)
@@ -251,12 +257,11 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
         checked += 1
         if violates(tables.reflections[k], th):
             return _ruled_out(p, "complex_search", canonical_reflection_word(k + 1, system), checked)
-    for w in _schreier_generators(st, th, tables):
-        checked += 1
-        if violates(w, th):
-            return _ruled_out(p, "complex_search", perm_to_word(w, system), checked)
+    w, labelled = _core_violation(st, th, tables)
+    if w is not None:
+        return _ruled_out(p, "complex_search", perm_to_word(w, system), checked + labelled)
     return RuleOutReport(parameter=p, verdict="survives", method="full_sweep",
-                         certificate=None, checked=checked)
+                         certificate=None, checked=checked + labelled)
 
 
 @lru_cache(maxsize=None)

@@ -35,14 +35,6 @@ def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
     return tuple([a[j - 1] if j > 0 else -a[-j - 1] for j in b])
 
 
-def perm_inv(a: SignedPerm) -> SignedPerm:
-    """The inverse of a signed permutation."""
-    out = [0] * len(a)
-    for k, j in enumerate(a, 1):
-        out[abs(j) - 1] = k if j > 0 else -k
-    return tuple(out)
-
-
 class WeylTables(Record):
     """Integer tables for the action of W on a system's positive roots."""
 

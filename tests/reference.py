@@ -28,7 +28,12 @@ positive roots and with one integer dual basis per system; it reads the sign
 test from the inversions of a permutation and the signature from a trace and
 one rank modulo 2.  Tests compare the two.  The core sweep has no library
 counterpart: the library tests the sign only on generators of W(core)^theta,
-and tests compare its verdicts with the sweep's.  Neither do the membership
+and tests compare its verdicts with the sweep's.  The Schreier generators of
+W(core)^theta, which the library streamed and tested one by one before it
+labelled theta's orbit with parities, are here, on this module's own
+signed-permutation product, inverse and descent; tests compare the library's
+verdict, method and certificate word with the first generator that violates
+the sign test.  Neither do the membership
 tests for the integral Weyl group and for W(core)^theta (descent on dense
 matrices); tests use them to check stored witness words.
 The command-line parser the CLI had before its flag table, built with
@@ -47,7 +52,7 @@ import argparse
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from cayley_lift import coherent
 from cayley_lift.cartan import genuine_central_character_count
@@ -70,6 +75,7 @@ from cayley_lift.parameters import (
 from cayley_lift.root_system import (
     Matrix,
     RootSystem,
+    SignedPerm,
     Vector,
     WeylWord,
     WordError,
@@ -82,6 +88,7 @@ from cayley_lift.root_system import (
     scale,
     sub,
 )
+from cayley_lift.weyl import WeylTables, weyl_tables
 
 Subsystem = namedtuple("Subsystem", "roots positive simple")
 Chain = namedtuple("Chain", "word steps")
@@ -681,6 +688,88 @@ def rule_out(p: PairSetParameter) -> Tuple[str, str]:
     if any(violates(p, m, system) for m in elements + sweep_elements(p, st, system)):
         return "ruled_out", "complex_search"
     return "survives", "full_sweep"
+
+
+def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
+    """a.b on signed indices, b acting first: k -> a(b(k)), a(-j) = -a(j)."""
+    return tuple((1 if j > 0 else -1) * a[abs(j) - 1] for j in b)
+
+
+def perm_inv(a: SignedPerm) -> SignedPerm:
+    """The signed permutation that sends a(k) back to k."""
+    back = {abs(j): (k if j > 0 else -k) for k, j in enumerate(a, 1)}
+    return tuple(back[k] for k in range(1, len(a) + 1))
+
+
+def perm_descent(w: SignedPerm, tables: WeylTables) -> WeylWord:
+    """Reduced word of w: peel off, on the right, the first simple root
+    that w sends negative."""
+    rev: List[int] = []
+    while w != tables.identity:
+        i = next(i for i, k in enumerate(tables.simple) if w[k] < 0)
+        w = perm_mul(w, tables.reflections[tables.simple[i]])
+        rev.append(i)
+    return tuple(reversed(rev))
+
+
+def perm_violates(w: SignedPerm, th: SignedPerm) -> bool:
+    """Whether an odd number of the positive roots that w sends negative are
+    not fixed by th."""
+    return sum(1 for k, j in enumerate(w) if j < 0 and th[k] != k + 1) % 2 == 1
+
+
+def schreier_generators(st: coherent.StabilizerDescription, th: SignedPerm,
+                        tables: WeylTables) -> Iterator[SignedPerm]:
+    """Generators of W(core)^theta, lazily, by Schreier's lemma.
+
+    A breadth-first search over the W(core)-conjugates x = u theta u^-1,
+    with steps x -> g x g for the core simple reflections g, keeps one u_x
+    per conjugate; each edge from x to an already known y gives the
+    generator u_y^-1 g u_x of theta's stabilizer.  The same edge read from
+    y gives its inverse, so an edge is read only from the endpoint found
+    first, and an edge whose generator is the identity (u_y = g u_x, as on
+    every tree edge) yields nothing.
+    """
+    gens = [tables.reflections[k] for k in st.complex_core.simple_index]
+    transversal = {th: (0, tables.identity)}  # conjugate -> (discovery index, u)
+    frontier = [th]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            found, u = transversal[x]
+            for g in gens:
+                y = perm_mul(perm_mul(g, x), g)
+                gu = perm_mul(g, u)
+                known = transversal.get(y)
+                if known is None:
+                    transversal[y] = (len(transversal), gu)
+                    nxt.append(y)
+                elif known[0] >= found and known[1] != gu:
+                    yield perm_mul(perm_inv(known[1]), gu)
+        frontier = nxt
+
+
+def generator_rule_out(p: PairSetParameter) -> Tuple[str, str, Optional[WeylWord]]:
+    """(verdict, method, certificate word) of the sign test on generators of
+    the stabilizer, each tested by its inversions against this module's
+    theta_perm: a real integral reflection, the imaginary integral
+    reflections, then the Schreier generators.  The first that violates
+    gives the word: its reflection's canonical word, or its descent."""
+    system = _system(p)
+    st = coherent.stabilizer(p)
+    tables = weyl_tables(system)
+    th = theta_perm(p)
+    if st.real.positive_index:
+        alpha = system.positive_roots[st.real.positive_index[0]]
+        return "ruled_out", "real_reflection", canonical_reflection_word(alpha, system)
+    for k in st.imaginary.positive_index:
+        if perm_violates(tables.reflections[k], th):
+            alpha = system.positive_roots[k]
+            return "ruled_out", "complex_search", canonical_reflection_word(alpha, system)
+    for w in schreier_generators(st, th, tables):
+        if perm_violates(w, th):
+            return "ruled_out", "complex_search", perm_descent(w, tables)
+    return "survives", "full_sweep", None
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ MODULES = sorted(SRC.glob("*.py"))
 # A path that starts at one of the repository's top-level directories.
 # Library helpers that tests/reference.py must compute for itself.
 ORACLE_OWN = frozenset({"root_type", "root_permutation", "reflection_matrix", "identity_matrix",
-                        "word_matrix", "mat_mul", "mat_apply", "matrix_to_word"})
+                        "word_matrix", "mat_mul", "mat_apply", "matrix_to_word",
+                        "perm_mul", "perm_inv"})
 TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
 REPO_PATH = re.compile(r"(?<![\w/.-])(?:scripts|tests|perfbench|src)/(?:[\w/.-]*[\w/])?")
 

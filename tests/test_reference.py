@@ -381,7 +381,7 @@ def _small_core_classes():
 def _schreier_list(p, limit=None):
     """The first limit (default all) Schreier generators for p, and the tables."""
     tables = weyl_tables(build_root_system(p.family, p.rank if p.family in ("A", "D") else None))
-    gens = coherent._schreier_generators(stabilizer(p), theta_perm(p), tables)
+    gens = reference.schreier_generators(stabilizer(p), theta_perm(p), tables)
     return list(islice(gens, limit)), tables
 
 
@@ -400,6 +400,68 @@ def test_schreier_generators_span_the_core_centralizer():
     assert (len(cases), unreal) == (49, 60)
     assert _span_mismatches(cases) == []
     assert max(len(centralizer) for _, _, centralizer in cases) == 24
+
+
+def test_orbit_times_centralizer_is_the_core_weyl_order():
+    """For each survivor among the small-core classes, checked less the
+    imaginary reflections is theta's W(core)-orbit, and the orbit times
+    W(core)^theta is W(core)."""
+    survivors = 0
+    for _, p, centralizer in _small_core_classes()[0]:
+        report = rule_out(p)
+        if report.verdict == "survives":
+            survivors += 1
+            orbit = report.checked - len(stabilizer(p).imaginary.positive_index)
+            assert orbit * len(centralizer) == _weyl_order(stabilizer(p).complex_core)
+    assert survivors == 32
+
+
+@lru_cache(maxsize=None)
+def _generator_verdicts():
+    """(group, class, p, the oracle's verdict, method and word) on every class."""
+    return tuple(("%s%s" % (family, rank or ""), c.render(), p, reference.generator_rule_out(p))
+                 for family, rank in IN_SCOPE for c, p in orbit_representatives(family, rank))
+
+
+def _generator_mismatches():
+    """Classes whose live verdict, method or certificate word differs from
+    the oracle's first violating generator, lazily; an InvariantError from
+    rule_out counts as a difference."""
+    for group, label, p, expected in _generator_verdicts():
+        try:
+            report = rule_out(p)
+            got = (report.verdict, report.method,
+                   report.certificate.word if report.certificate else None)
+        except InvariantError as exc:
+            got = ("InvariantError", str(exc), None)
+        if got != expected:
+            yield group, label, got, expected
+
+
+def test_rule_out_matches_the_schreier_generators_on_every_class():
+    """On all 112 classes of the 18 groups, the labels of theta's orbit give
+    the verdict, method and certificate word of the oracle's first
+    violating Schreier generator."""
+    verdicts = _generator_verdicts()
+    assert len(verdicts) == 112
+    assert len({v[:2] for _, _, _, v in verdicts}) == 3
+    assert list(_generator_mismatches()) == []
+
+
+def test_the_generator_comparison_catches_a_labelling_fault(monkeypatch):
+    """Labels read with |N(g)| = 1, the parity of g's own root alone where x
+    does not fix it, change some verdict or word; the imaginary reflections,
+    whose roots theta fixes, are still tested in full."""
+    sign_test = coherent.violates
+
+    def own_root_only(w, x):
+        k = next(k for k, j in enumerate(w) if j == -(k + 1))
+        return x[k] != k + 1 or sign_test(w, x)
+
+    monkeypatch.setattr(coherent, "violates", own_root_only)
+    assert next(_generator_mismatches(), None) is not None
+    monkeypatch.undo()
+    assert list(_generator_mismatches()) == []
 
 
 VERDICT_GROUPS = [("A", r) for r in range(1, 7)] + [("D", r) for r in range(3, 6)]
@@ -461,12 +523,41 @@ def test_sign_test_is_a_character_of_the_centralizer(case):
     assert violates(perm_mul(x, y), th) == (violates(x, th) != violates(y, th))
 
 
+@st.composite
+def reflection_products(draw):
+    """A class representative's theta, two random products a and b of
+    reflections, and b^-1 as the reversed product."""
+    family, rank = draw(st.sampled_from(GROUPS))
+    p = draw(st.sampled_from([p for _, p in orbit_representatives(family, rank)]))
+    tables = weyl_tables(build_root_system(family, rank))
+    out = []
+    for _ in range(2):
+        letters = draw(st.lists(st.sampled_from(tables.reflections), max_size=6))
+        for word in (letters, letters[::-1]):
+            w = tables.identity
+            for g in word:
+                w = perm_mul(w, g)
+            out.append(w)
+    a, _, b, b_inv = out
+    return theta_perm(p), a, b, b_inv
+
+
+@settings(max_examples=80, deadline=None)
+@given(reflection_products())
+def test_sign_test_is_a_cocycle_on_the_conjugates_of_theta(case):
+    """violates(ab, theta) = violates(b, theta) XOR violates(a, b theta b^-1),
+    the rule by which rule_out labels theta's W(core)-orbit."""
+    th, a, b, b_inv = case
+    conjugate = perm_mul(perm_mul(b, th), b_inv)
+    assert violates(perm_mul(a, b), th) == (violates(b, th) != violates(a, conjugate))
+
+
 def test_the_comparisons_catch_injected_faults(monkeypatch):
     """On A 1-6 and D 3-5, a generator set short of one generator spans too
     little on some class, and a sign test flipped on one root changes some
     verdict."""
     cases, _ = _small_core_classes()
-    original = coherent._schreier_generators
+    original = reference.schreier_generators
 
     def one_short(stab, th, tables):
         # every copy of the first nontrivial generator, since another edge
@@ -478,7 +569,7 @@ def test_the_comparisons_catch_injected_faults(monkeypatch):
             if w != dropped:
                 yield w
 
-    monkeypatch.setattr(coherent, "_schreier_generators", one_short)
+    monkeypatch.setattr(reference, "schreier_generators", one_short)
     assert _span_mismatches([c for c in cases if (c[1].family, c[1].rank) in VERDICT_GROUPS])
     monkeypatch.undo()
 
