@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
-from .root_system import InvariantError, Record, ScopeError, build_root_system
+from .root_system import Record, ScopeError, build_root_system
 from .parameters import Pair, PairSetParameter, length, tower_parameter
 
 
@@ -35,6 +35,7 @@ class RDSubset(Record):
         return tuple(lookup[i] for i in members)
 
 
+@lru_cache(maxsize=None)
 def rd_subsets(family: str, rank: Optional[int] = None) -> Tuple[RDSubset, ...]:
     """The sets S (including the empty set) defining the lifted parameters."""
     empty = RDSubset((), ())
@@ -42,38 +43,25 @@ def rd_subsets(family: str, rank: Optional[int] = None) -> Tuple[RDSubset, ...]:
         return (empty,)
     if family == "E7":
         return (empty, RDSubset((1, 3, 7), ((-1, -2), (3, 4), (5, 6))))
-    system = build_root_system(family, rank)
+    n = build_root_system(family, rank).dim  # raises for any other family
+    p = n // 2
+    long_plus = RDSubset(
+        tuple(2 * k + 1 for k in range(p)),
+        tuple((2 * k + 1, 2 * k + 2) for k in range(p)),
+    )
     if family == "A":
-        n = system.rank + 1
-        if n % 2 == 1:
-            return (empty,)
-        p = n // 2
-        return (
-            empty,
-            RDSubset(
-                tuple(2 * k + 1 for k in range(p)),
-                tuple((2 * k + 1, 2 * k + 2) for k in range(p)),
-            ),
-        )
-    if family == "D":
-        n = system.rank
-        p = n // 2
-        short = RDSubset(
-            (n - 1, n),
-            ((2 * p - 1, 2 * p), (-(2 * p - 1), -2 * p)),
-        )
-        if n % 2 == 1:
-            return (empty, short)
-        long_plus = RDSubset(
-            tuple(2 * k + 1 for k in range(p)),
-            tuple((2 * k + 1, 2 * k + 2) for k in range(p)),
-        )
-        long_minus = RDSubset(
-            tuple(2 * k + 1 for k in range(p - 1)) + (2 * p,),
-            tuple((2 * k + 1, 2 * k + 2) for k in range(p - 1)) + ((-(2 * p - 1), -2 * p),),
-        )
-        return (empty, short, long_plus, long_minus)
-    raise ScopeError("unknown family %r" % (family,))
+        return (empty,) if n % 2 else (empty, long_plus)
+    short = RDSubset(
+        (n - 1, n),
+        ((2 * p - 1, 2 * p), (-(2 * p - 1), -2 * p)),
+    )
+    if n % 2:
+        return (empty, short)
+    long_minus = RDSubset(
+        tuple(2 * k + 1 for k in range(p - 1)) + (2 * p,),
+        tuple((2 * k + 1, 2 * k + 2) for k in range(p - 1)) + ((-(2 * p - 1), -2 * p),),
+    )
+    return (empty, short, long_plus, long_minus)
 
 
 def tower_terms(family: str, rank: Optional[int], chi: int,
@@ -115,31 +103,19 @@ class ParameterPoset(Record):
     elements: Tuple[PairSetParameter, ...]
 
 
-def _dedup_sorted(params: Iterable[PairSetParameter]) -> Tuple[PairSetParameter, ...]:
-    seen = {}
-    for p in params:
-        seen[(p.blocks, p.pairs)] = p
-    return tuple(sorted(seen.values(), key=parameter_sort_key))
-
-
 def tower_poset(family: str, rank: Optional[int] = None, chi: int = 0) -> ParameterPoset:
     """The union of all lifted-parameter towers c_{S'}(gamma(empty))."""
-    params = [p for subset in rd_subsets(family, rank)
-              for _, p in tower_terms(family, rank, chi, subset)]
-    if not params:
-        raise InvariantError("no tower parameter for %s" % family)
-    return ParameterPoset(family, params[0].rank, chi, _dedup_sorted(params))
-
-
-@lru_cache(maxsize=None)
-def _tower_shapes(family: str, rank: Optional[int]):
-    poset = tower_poset(family, rank, 0)
-    return frozenset((p.blocks, p.pairs) for p in poset.elements)
+    params = sorted({p for subset in rd_subsets(family, rank)
+                     for _, p in tower_terms(family, rank, chi, subset)}, key=parameter_sort_key)
+    return ParameterPoset(family, params[0].rank, chi, tuple(params))
 
 
 def in_tower_scope(p: PairSetParameter) -> bool:
-    """Whether p lies on a lifted-parameter tower (where the closed forms hold)."""
-    return (p.blocks, p.pairs) in _tower_shapes(p.family, p.rank)
+    """Whether p lies on a lifted-parameter tower (where the closed forms
+    hold): p has no block and every pair of p is a pair of one S in R_D."""
+    pairs = set(p.pairs)
+    return not p.blocks and any(pairs.issubset(s.pair_images)
+                                for s in rd_subsets(p.family, p.rank))
 
 
 def m_entry(gamma: PairSetParameter, delta: PairSetParameter) -> int:

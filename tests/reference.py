@@ -16,8 +16,10 @@ Cayley moves (the pair roots, half-integral at rho/2, that the dense theta
 negates; the library lists them from make_parameter's slot checks), theta as
 a signed permutation of the positive roots (the image of each root looked
 up among this module's own roots) and the root tags of a chain.  The
-reflection, identity and word matrices and their products are this
-module's own; dense products here sum only the nonzero entries of each row.
+reflection, identity and word matrices and their products, and the Fraction
+vector helpers (difference, multiple, dot product, basis vector, pairing,
+reflection), are this module's own; dense products here sum only the
+nonzero entries of each row.
 Two answers of the cartan layer are checked only here, on every group the
 library accepts: the order of the center quotient, as the number of
 v in GF(2)^n with C v = 0 mod 2 found by trying all 2^n (C the Cartan
@@ -42,7 +44,9 @@ So are the helpers that only the tests call: Fraction vectors from numbers
 or strings, the half-integer E8 roots, the word and chain of a reflection
 (checked on dense matrices), random rewrites of a word by identity moves,
 the full A/D block poset with its gamma* row check, one tower's Zuckerman
-sum, the pseudospherical parameters, the split length, a parameter read
+sum, tower scope as membership of the chi = 0 tower poset (the library
+reads it off the R_D pairs; tests compare the two), the pseudospherical
+parameters, the split length, a parameter read
 back from JSON, and the library's rule_out report for every class.
 """
 
@@ -64,6 +68,7 @@ from cayley_lift.klv_poset import (
     m_entry,
     parameter_sort_key,
     rd_subsets,
+    tower_poset,
     tower_terms,
 )
 from cayley_lift.parameters import (
@@ -79,14 +84,8 @@ from cayley_lift.root_system import (
     Vector,
     WeylWord,
     WordError,
-    basis_vector,
     build_root_system,
-    dot,
     neg,
-    pairing,
-    reflect,
-    scale,
-    sub,
 )
 from cayley_lift.weyl import WeylTables, weyl_tables
 
@@ -107,6 +106,33 @@ def vector_from_strings(parts: Sequence[str]) -> Vector:
 
 def add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
+
+
+def sub(x: Vector, y: Vector) -> Vector:
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def scale(c: Q, x: Vector) -> Vector:
+    return tuple(c * a for a in x)
+
+
+def dot(x: Vector, y: Vector) -> Q:
+    return sum([a * b for a, b in zip(x, y)], Q(0))
+
+
+def basis_vector(i: int, dim: int) -> Vector:
+    """The standard basis vector e_i (1-based index)."""
+    return tuple(Q(int(k == i - 1)) for k in range(dim))
+
+
+def pairing(lam: Vector, alpha: Vector) -> Q:
+    """<lam, alpha^vee> = 2 (lam, alpha) / (alpha, alpha)."""
+    return 2 * dot(lam, alpha) / dot(alpha, alpha)
+
+
+def reflect(alpha: Vector, v: Vector) -> Vector:
+    """v reflected in the hyperplane orthogonal to alpha."""
+    return sub(v, scale(pairing(v, alpha), alpha))
 
 
 def zero(dim: int) -> Vector:
@@ -851,6 +877,17 @@ def zuckerman_restricted(
     subset = rd_subsets(family, rank)[subset_index]
     return FormalIntegerCombination.from_pairs(
         (p, sign) for sign, p in tower_terms(family, rank, chi, subset))
+
+
+@lru_cache(maxsize=None)
+def _tower_shapes(family: str, rank: int) -> frozenset:
+    return frozenset((p.blocks, p.pairs) for p in tower_poset(family, rank, 0).elements)
+
+
+def in_tower_scope(p: PairSetParameter) -> bool:
+    """Whether p's blocks and pairs are those of an element of the chi = 0
+    tower poset: the library's definition before it read the R_D pairs."""
+    return (p.blocks, p.pairs) in _tower_shapes(p.family, p.rank)
 
 
 def pseudospherical_params(family: str, rank: Optional[int] = None) -> Tuple[PairSetParameter, ...]:

@@ -27,16 +27,16 @@ from cayley_lift.parameters import (
     length,
     make_parameter,
 )
-from cayley_lift.root_system import (
-    build_root_system,
+from cayley_lift.root_system import build_root_system, integral_system
+from reference import (
+    half_integral_roots,
     identity_matrix,
-    integral_system,
     mat_apply,
     mat_mul,
     pairing,
+    random_equivalent_word,
+    word_matrix,
 )
-from cayley_lift.weyl import word_matrix
-from reference import half_integral_roots, random_equivalent_word
 
 ALL_FAMILIES = [("A", r) for r in range(1, 10)] + [("D", r) for r in range(3, 9)] + [
     ("E6", None),

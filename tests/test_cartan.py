@@ -27,15 +27,8 @@ from cayley_lift.cartan import (
 )
 from cayley_lift.lifting import verify_main_theorem
 from cayley_lift.parameters import make_parameter
-from cayley_lift.root_system import (
-    InvariantError,
-    ScopeError,
-    build_root_system,
-    identity_matrix,
-    mat_apply,
-    mat_mul,
-    pairing,
-)
+from cayley_lift.root_system import InvariantError, ScopeError, build_root_system
+from reference import identity_matrix, mat_apply, mat_mul, pairing
 
 
 IN_SCOPE = (

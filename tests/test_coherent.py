@@ -23,8 +23,7 @@ from cayley_lift.root_system import (
     neg,
     rational,
 )
-from cayley_lift.weyl import word_matrix
-from reference import random_equivalent_word, survey
+from reference import random_equivalent_word, survey, word_matrix
 
 
 # ---------------------------------------------------------------------------

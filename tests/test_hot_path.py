@@ -11,8 +11,10 @@ verification paths make no call into the fractions module (and no cold CLI
 request even loads it: tests/test_package.py).
 The stabilizer sign test reads each swept element's permutation, so
 rule_out builds a word and a chain only for the certificate of a violating
-element.  Calls are counted (through monkeypatch and sys.setprofile) on cold
-caches, not by timing.
+element.  Per central character, the tower check builds each tower
+parameter once, and the lift each term of each K_S and each full-level
+parameter once.  Calls are counted (through monkeypatch and
+sys.setprofile) on cold caches, not by timing.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import sys
 
 import pytest
 
-from cayley_lift import coherent, root_system
+from cayley_lift import coherent, parameters, root_system
+from cayley_lift.cartan import genuine_central_character_count
 from cayley_lift.coherent import count_small, rule_out, stabilizer
-from cayley_lift.klv_poset import tower_poset, verify_inversion
+from cayley_lift.klv_poset import rd_subsets, tower_poset, verify_inversion
 from cayley_lift.lifting import lift_trivial, verify_main_theorem
 from cayley_lift.parameters import orbit_representatives
 from cayley_lift.root_system import build_root_system, canonical_reflection_word, integral_system
@@ -45,25 +48,29 @@ def _clear_caches():
                 value.cache_clear()
 
 
-@pytest.fixture
-def matrix_calls(monkeypatch):
-    """Clear every package lru_cache, then count calls to WATCHED in every
-    package namespace that binds them."""
+def _count_calls(monkeypatch, module, names):
+    """Clear every package lru_cache, then count calls to each of names (of
+    module) in every package namespace that binds it."""
     modules = _package_modules()
     _clear_caches()
-    calls = {name: 0 for name in WATCHED}
-    for name in WATCHED:
-        original = getattr(root_system, name)
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
-        for module in modules:
-            for attr, value in list(vars(module).items()):
+        for m in modules:
+            for attr, value in list(vars(m).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+                    monkeypatch.setattr(m, attr, counted)
     return calls
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    return _count_calls(monkeypatch, root_system, WATCHED)
 
 
 HOT_PATHS = {
@@ -83,6 +90,33 @@ HOT_PATHS = {
 def test_no_dense_matrices_on_hot_paths(matrix_calls, label):
     HOT_PATHS[label]()
     assert matrix_calls == {"mat_mul": 0, "reflection_matrix": 0}
+
+
+# make_parameter calls, over every central character, of tower_poset with
+# verify_inversion and of lift_trivial.
+TOWER_BUILDS = {"D 4": ("D", 4, 52, 68), "D 6": ("D", 6, 84, 100),
+                "SL(6)": ("A", 5, 18, 22), "E7": ("E7", None, 18, 22)}
+
+
+@pytest.mark.parametrize("label", sorted(TOWER_BUILDS))
+def test_tower_work_builds_each_tower_parameter_once(monkeypatch, label):
+    """On cold caches, tower_poset and verify_inversion build each term
+    (S, S') of each tower once per chi: the scope of M_entry is read off the
+    R_D pairs, not off a second chi = 0 poset.  lift_trivial builds, per
+    chi, each term of each K_S once and each parameter of pi_RD once."""
+    family, rank, poset_builds, lift_builds = TOWER_BUILDS[label]
+    chis = range(genuine_central_character_count(family, rank))
+    subsets = rd_subsets(family, rank)
+    terms = sum(2 ** len(s.simple_indices) for s in subsets)
+    calls = _count_calls(monkeypatch, parameters, ["make_parameter"])
+    for chi in chis:
+        assert verify_inversion(tower_poset(family, rank, chi))
+    assert calls["make_parameter"] == poset_builds == len(chis) * terms
+    _clear_caches()
+    calls["make_parameter"] = 0
+    for chi in chis:
+        lift_trivial(family, rank, chi)
+    assert calls["make_parameter"] == lift_builds == len(chis) * (terms + len(subsets))
 
 
 @pytest.mark.parametrize("family, rank", [("A", 6), ("D", 5), ("E6", None), ("E7", None), ("E8", None)])

@@ -20,9 +20,10 @@ imports on dispatch.  The __main__ block of cli only calls run(), which
 ends the process with os._exit; that skips the interpreter's wait for
 non-daemon threads, so no module imports threading, _thread,
 multiprocessing or concurrent.  The exact-Fraction oracle in
-tests/reference.py takes none of the library's matrix, permutation or
-root-tagging helpers, so that a fault in one cannot show on both sides of a
-comparison.
+tests/reference.py takes none of the library's matrix, permutation,
+Fraction-vector or root-tagging helpers, so that a fault in one cannot show
+on both sides of a comparison; the acceptance gate takes those it uses from
+the oracle.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cayley_lift"
 MODULES = sorted(SRC.glob("*.py"))
 # A path that starts at one of the repository's top-level directories.
-# Library helpers that tests/reference.py must compute for itself.
+# Library helpers that tests/reference.py must compute for itself, and that
+# the acceptance gate must take from it.
 ORACLE_OWN = frozenset({"root_type", "root_permutation", "reflection_matrix", "identity_matrix",
                         "word_matrix", "mat_mul", "mat_apply", "matrix_to_word",
-                        "perm_mul", "perm_inv"})
+                        "perm_mul", "perm_inv", "dot", "sub", "scale", "basis_vector",
+                        "pairing", "reflect"})
 TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
 REPO_PATH = re.compile(r"(?<![\w/.-])(?:scripts|tests|perfbench|src)/(?:[\w/.-]*[\w/])?")
 
@@ -262,6 +265,10 @@ def test_reference_computes_its_own_matrices():
     assert library_helpers_used(_parse(ROOT / "tests" / "reference.py")) == []
 
 
+def test_the_acceptance_gate_takes_its_matrices_from_the_reference():
+    assert library_helpers_used(_parse(ROOT / "tests" / "test_acceptance.py")) == []
+
+
 def test_every_function_is_referenced():
     sources = MODULES + sorted((ROOT / "tests").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     assert unreferenced_functions([_parse(p) for p in MODULES], [p.read_text() for p in sources]) == []
@@ -321,7 +328,7 @@ def test_checks_flag_what_they_should():
     assert only_tested_helpers([ast.parse(module)], [module], {"tested"}) == ["orphan"]
     assert _exported(ast.parse("_EXPORTS = {'m': ('f', 'g')}\n__all__ = sorted(_HOME)\n")) == {"f", "g"}
     oracle = ast.parse(
-        "from cayley_lift.root_system import add, mat_apply, word_matrix\n"
+        "from cayley_lift.root_system import add, mat_apply, pairing, word_matrix\n"
         "from cayley_lift import root_type\n"
         "from reference import mat_mul\n"
         "def f():\n"
@@ -371,4 +378,5 @@ def test_checks_flag_what_they_should():
                                        "line 3: multiprocessing.pool", "line 6: _thread"]
     assert main_block(threads) == ["sys.exit(main())", "run()"]
     assert library_helpers_used(oracle) == [
-        "line 1: mat_apply", "line 1: word_matrix", "line 2: root_type", "line 5: matrix_to_word"]
+        "line 1: mat_apply", "line 1: pairing", "line 1: word_matrix", "line 2: root_type",
+        "line 5: matrix_to_word"]

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import permutations
+
 import pytest
+
+import reference
 
 from cayley_lift import klv_poset
 from cayley_lift.klv_poset import (
@@ -13,7 +18,8 @@ from cayley_lift.klv_poset import (
     tower_poset,
     verify_inversion,
 )
-from cayley_lift.parameters import make_parameter
+from cayley_lift.cartan import TransformError, genuine_central_character_count
+from cayley_lift.parameters import cayley_moves, make_parameter, orbit_representatives
 from cayley_lift.root_system import ScopeError
 from reference import block_poset, gamma_star_row_check, zuckerman_restricted
 
@@ -61,6 +67,80 @@ def test_character_row_is_tower_scoped():
         M_entry(_a3(((1, 4),)), empty)
     # columns are unrestricted: m rows work on every block element
     assert m_entry(crossing, empty) == 1
+
+
+GROUPS = ([("A", r) for r in range(1, 10)] + [("D", r) for r in range(3, 9)]
+          + [("E6", None), ("E7", None), ("E8", None)])
+
+
+def _crossing(family, rank):
+    """The parameters make_parameter accepts among: a pair of one nonempty S
+    in R_D with a pair of another, and all the pairs of one S with a pair of
+    another that S lacks."""
+    subsets = [s.pair_images for s in klv_poset.rd_subsets(family, rank) if s.pair_images]
+    shapes = set()
+    for s, t in permutations(subsets, 2):
+        shapes |= {frozenset((a, b)) for a in s for b in t if a != b}
+        shapes |= {frozenset(s + (b,)) for b in t if b not in s}
+    out = []
+    for pairs in sorted(shapes, key=sorted):
+        try:
+            out.append(make_parameter(family, rank, pairs=pairs))
+        except TransformError:
+            continue
+    return out
+
+
+@lru_cache(maxsize=None)
+def _scope_cases():
+    """On each of the 18 groups: every tower parameter of every central
+    character, every Cayley move from one (families A and D), every class
+    representative and every parameter that crosses two subsets."""
+    cases = []
+    for family, rank in GROUPS:
+        tower = [p for chi in range(genuine_central_character_count(family, rank))
+                 for p in tower_poset(family, rank, chi).elements]
+        moves = [q for p in tower for q in cayley_moves(p)] if family in ("A", "D") else []
+        reps = [p for _, p in orbit_representatives(family, rank)]
+        cases += tower + moves + reps + _crossing(family, rank)
+    return tuple(cases)
+
+
+def _scope_mismatches():
+    return [p.render() for p in _scope_cases()
+            if in_tower_scope(p) != reference.in_tower_scope(p)]
+
+
+def test_tower_scope_is_membership_of_the_tower_poset():
+    """Reading the scope off the R_D pairs agrees with membership of the
+    chi = 0 tower poset on both sides of the scope, blocks included."""
+    cases = _scope_cases()
+    assert _scope_mismatches() == []
+    verdicts = [reference.in_tower_scope(p) for p in cases]
+    assert len(cases) == 2975 and verdicts.count(True) == 1038
+    assert sum(1 for p in cases if p.blocks) == 9
+    assert [p.render() for p in _crossing("D", 6) if not in_tower_scope(p)] == [
+        "gamma({1,2},{3,4},{5,6},{-5,-6})", "gamma({1,2},{5,6},{-5,-6})",
+        "gamma({3,4},{5,6},{-5,-6})"]
+
+
+def test_the_scope_comparison_catches_a_dropped_pair(monkeypatch):
+    """Without the last pair of long_minus (even D), its full-level
+    parameter falls out of scope and the comparison fails."""
+    assert _scope_mismatches() == []  # the oracle's posets are built first
+    original = klv_poset.rd_subsets
+
+    def short_long_minus(family, rank=None):
+        subsets = original(family, rank)
+        if family != "D" or len(subsets) < 4:
+            return subsets
+        last = subsets[3]
+        return subsets[:3] + (klv_poset.RDSubset(last.simple_indices[:-1], last.pair_images[:-1]),)
+
+    monkeypatch.setattr(klv_poset, "rd_subsets", short_long_minus)
+    assert _scope_mismatches() != []
+    monkeypatch.undo()
+    assert _scope_mismatches() == []
 
 
 def test_character_entry_rejects_a_half_integral_length_difference(monkeypatch):

@@ -22,8 +22,15 @@ from cayley_lift.parameters import (
 from cayley_lift.klv_poset import contains, pi_RD, rd_subsets
 from cayley_lift import count_small, cover_center_data, hasse_diagram, lift_trivial, tower_poset
 from cayley_lift.cartan import cartan_classes
-from cayley_lift.root_system import build_root_system, identity_matrix, mat_apply, mat_mul
-from reference import parameter_from_json, pseudospherical_params, split_length
+from cayley_lift.root_system import build_root_system
+from reference import (
+    identity_matrix,
+    mat_apply,
+    mat_mul,
+    parameter_from_json,
+    pseudospherical_params,
+    split_length,
+)
 
 IN_SCOPE = (
     [("A", r) for r in range(1, 10)]

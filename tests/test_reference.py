@@ -312,15 +312,16 @@ def test_sign_test_reads_the_permutation(case):
 CORE_LIMIT = 5000
 
 
-def _closure(gens, identity):
-    """The group the signed permutations gens generate, breadth first."""
+def _closure(gens, identity, mul=perm_mul):
+    """The group the signed permutations gens generate under the product
+    mul, breadth first."""
     group = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for w in frontier:
             for g in gens:
-                c = perm_mul(w, g)
+                c = mul(w, g)
                 if c not in group:
                     group.add(c)
                     nxt.append(c)
@@ -402,18 +403,29 @@ def test_schreier_generators_span_the_core_centralizer():
     assert max(len(centralizer) for _, _, centralizer in cases) == 24
 
 
+def _orbit(p):
+    """theta's W(core)-orbit as rule_out labelled it: checked less the
+    imaginary reflections."""
+    return rule_out(p).checked - len(stabilizer(p).imaginary.positive_index)
+
+
+def _small_core_orbit_failures():
+    """The small-core survivors whose orbit times W(core)^theta is not
+    |W(core)|, and the number of small-core survivors."""
+    failures, survivors = [], 0
+    for label, p, centralizer in _small_core_classes()[0]:
+        if rule_out(p).verdict == "survives":
+            survivors += 1
+            if _orbit(p) * len(centralizer) != _weyl_order(stabilizer(p).complex_core):
+                failures.append(label)
+    return failures, survivors
+
+
 def test_orbit_times_centralizer_is_the_core_weyl_order():
     """For each survivor among the small-core classes, checked less the
     imaginary reflections is theta's W(core)-orbit, and the orbit times
     W(core)^theta is W(core)."""
-    survivors = 0
-    for _, p, centralizer in _small_core_classes()[0]:
-        report = rule_out(p)
-        if report.verdict == "survives":
-            survivors += 1
-            orbit = report.checked - len(stabilizer(p).imaginary.positive_index)
-            assert orbit * len(centralizer) == _weyl_order(stabilizer(p).complex_core)
-    assert survivors == 32
+    assert _small_core_orbit_failures() == ([], 32)
 
 
 @lru_cache(maxsize=None)
@@ -462,6 +474,91 @@ def test_the_generator_comparison_catches_a_labelling_fault(monkeypatch):
     assert next(_generator_mismatches(), None) is not None
     monkeypatch.undo()
     assert list(_generator_mismatches()) == []
+
+
+@lru_cache(maxsize=None)
+def _survivor_centralizers():
+    """(label, p, the group that the oracle's Schreier generators generate
+    under the oracle's own product) for each class the oracle finds
+    surviving, on the 18 groups."""
+    out = []
+    for group, label, p, (verdict, _, _) in _generator_verdicts():
+        if verdict == "survives":
+            tables = weyl_tables(build_root_system(p.family, p.rank))
+            gens = set(reference.schreier_generators(stabilizer(p), reference.theta_perm(p), tables))
+            centralizer = _closure(gens, tables.identity, reference.perm_mul)
+            out.append(("%s %s" % (group, label), p, frozenset(centralizer)))
+    return tuple(out)
+
+
+def _coverage_failures():
+    """The survivors whose centralizer holds an element that does not
+    commute with theta, or whose labelled orbit times the centralizer's
+    order is not |W(core)|."""
+    out = []
+    for label, p, centralizer in _survivor_centralizers():
+        th = reference.theta_perm(p)
+        if any(reference.perm_mul(th, w) != reference.perm_mul(w, th) for w in centralizer) \
+                or _orbit(p) * len(centralizer) != _weyl_order(stabilizer(p).complex_core):
+            out.append(label)
+    return out
+
+
+def test_every_survivor_search_covers_the_core_centralizer():
+    """A survivor's verdict rests on the search covering all of
+    W(core)^theta.  On all 36 survivors of the 18 groups, four of them with
+    |W(core)| over CORE_LIMIT, the oracle's Schreier generators generate a
+    group that commutes with theta element by element, and theta's orbit as
+    rule_out labelled it, times that group's order, is |W(core)|."""
+    cases = _survivor_centralizers()
+    assert len(cases) == 36
+    assert [label for label, p, _ in cases
+            if _weyl_order(stabilizer(p).complex_core) > CORE_LIMIT] == [
+        "A9 i=5", "A9 i=4", "D8 (4,0,+)", "D8 (4,0,-)"]
+    assert max(len(centralizer) for _, _, centralizer in cases) == 192
+    assert _coverage_failures() == []
+
+
+def test_every_certificate_lies_in_the_group_it_certifies():
+    """A ruled-out verdict rests on its certificate.  On all 76 ruled-out
+    classes of the 18 groups, the certificate word's element lies in the
+    integral Weyl group, and one found by the core stage (after every
+    imaginary reflection passed) lies in W(core)^theta."""
+    ruled_out, core_stage, failures = 0, 0, []
+    for group, label, p, _ in _generator_verdicts():
+        report = rule_out(p)
+        if report.verdict == "survives":
+            continue
+        ruled_out += 1
+        word = report.certificate.word
+        # W(core)^theta membership includes integral membership
+        if report.method == "complex_search" and \
+                report.checked > len(stabilizer(p).imaginary.positive_index):
+            core_stage += 1
+            if not reference.is_complex_fixed_member(p, word):
+                failures.append((group, label, "core"))
+        elif not reference.in_integral_weyl_group(p, word):
+            failures.append((group, label, "integral"))
+    assert (ruled_out, core_stage) == (76, 24)
+    assert failures == []
+
+
+def test_the_coverage_check_catches_an_orbit_cut_short(monkeypatch):
+    """An orbit search that counts at most 200 labelled conjugates, as one
+    cut off there would on a survivor, passes the small-core check (whose
+    survivors' orbits have at most 192 elements) and fails the coverage
+    check on the survivor of A 9 whose orbit has 600."""
+    search = coherent._core_violation
+
+    def cut_at_200(st, th, tables):
+        w, labelled = search(st, th, tables)
+        return w, min(labelled, 200)
+
+    monkeypatch.setattr(coherent, "_core_violation", cut_at_200)
+    assert _small_core_orbit_failures() == ([], 32)
+    assert _coverage_failures() == ["A9 i=5"]
+    monkeypatch.undo()
+    assert _coverage_failures() == []
 
 
 VERDICT_GROUPS = [("A", r) for r in range(1, 7)] + [("D", r) for r in range(3, 6)]
