@@ -9,21 +9,22 @@ import sys
 # Public names by home module.  A submodule runs on first use of one of its
 # names, or of the module itself, so each CLI verb executes only what it calls.
 _EXPORTS = {
-    "root_system": ("CertificateError", "InvariantError", "RootSubsystem", "RootSystem",
-                    "ScopeError", "WordError", "build_root_system", "canonical_reflection_word",
-                    "integral_system"),
-    "cartan": ("CartanClass", "CenterData", "FiniteAbelianGroup", "HasseDiagram", "Involution",
-               "TorusShape", "TransformError", "cartan_classes", "cartan_shape",
-               "cover_center_data", "genuine_central_character_count", "hasse_diagram",
-               "involution_for_class", "root_type"),
-    "parameters": ("PairSetParameter", "cayley", "class_of", "enumerate_block", "length",
-                   "make_parameter", "orbit_representatives", "theta", "tower_parameter"),
+    "root_system": ("CertificateError", "InvariantError", "RootSystem", "ScopeError",
+                    "WordError", "build_root_system"),
+    "cartan": ("CartanClass", "CenterData", "FiniteAbelianGroup", "Involution", "TorusShape",
+               "TransformError", "cartan_classes", "cartan_shape", "cover_center_data",
+               "genuine_central_character_count", "involution_for_class"),
+    "parameters": ("PairSetParameter", "class_of", "length", "make_parameter",
+                   "orbit_representatives", "theta", "tower_parameter"),
+    "cayley_graph": ("HasseDiagram", "cayley", "enumerate_block", "hasse_diagram"),
     "coherent": ("ChainCertificate", "RuleOutReport", "StabilizerDescription", "chain_types",
                  "count_small", "replay_witness", "rule_out", "stabilizer"),
     "klv_poset": ("FormalIntegerCombination", "M_entry", "ParameterPoset", "contains",
                   "m_entry", "pi_RD", "rd_subsets", "tower_poset", "verify_inversion"),
     "lifting": ("K_coefficient", "TheoremReport", "cartan_constant", "lift_trivial",
                 "verify_main_theorem"),
+    "weyl": ("RootSubsystem", "canonical_reflection_word"),
+    "dense": ("integral_system", "root_type"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
@@ -39,7 +40,7 @@ def _lazy(name: str):
 
 
 # cli is left out: python -m warns about a module already in sys.modules.
-globals().update((name, _lazy(name)) for name in (*_EXPORTS, "weyl", "witness_data"))
+globals().update((name, _lazy(name)) for name in (*_EXPORTS, "witness_data", "e_classes"))
 
 
 def __getattr__(name: str):

@@ -1,11 +1,11 @@
 """The cartans verb: Cartan classes, torus shapes, and the Cayley diagram."""
 
-from . import cartan, parameters
+from . import cartan, cayley_graph, parameters
 
 
 def run(args, rank, chis):
     reps = parameters.orbit_representatives(args.family, rank)
-    diagram = cartan.hasse_diagram(args.family, rank)
+    diagram = cayley_graph.hasse_diagram(args.family, rank)
     classes = diagram.classes
     payload = {
         "family": args.family,

@@ -1,17 +1,17 @@
 """The roots verb: the root system, rho/2, and its integral subsystem."""
 
 from .root_system import (
-    _integral_system,
     _vec,
     build_root_system,
     is_half_integral,
+    is_integral,
     root_system_to_json,
 )
 
 
 def run(args, rank, chis):
     system = build_root_system(args.family, rank)
-    integral = len(_integral_system(system, system.doubled_rho, 8).positive_index)
+    integral = sum(is_integral(system, d) for d in system.doubled_positive)
     half = sum(is_half_integral(system, d) for d in system.doubled_positive)
     payload = root_system_to_json(system)
     payload["integral_positive_count"] = integral

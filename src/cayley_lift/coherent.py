@@ -34,29 +34,26 @@ from .root_system import (
     InvariantError,
     Matrix,
     Record,
-    RootSubsystem,
     RootSystem,
     ScopeError,
     SignedPerm,
     Vector,
     WeylWord,
-    _doubled_sum,
-    _integral_system,
-    _view,
     build_root_system,
-    canonical_reflection_word,
     idot,
     neg,
-    subsystem,
 )
 from .weyl import (
+    RootSubsystem,
     WeylTables,
+    _doubled_sum,
+    _integral_system,
     beta_chain_for_word,
+    canonical_reflection_word,
     perm_mul,
     perm_to_word,
-    root_permutation,
+    subsystem,
     weyl_tables,
-    word_matrix,
 )
 from .cartan import (COMPLEX, IMAGINARY, REAL, CartanClass, class_rep_data,
                      genuine_central_character_count)
@@ -89,7 +86,8 @@ class ChainCertificate(Record):
 
     @cached_property
     def steps(self) -> Tuple[Tuple[Vector, str], ...]:
-        return tuple(zip(map(_view, self.doubled_steps), self.tags))
+        from .dense import view
+        return tuple(zip(map(view, self.doubled_steps), self.tags))
 
 
 def _ambient(p: PairSetParameter) -> RootSystem:
@@ -162,6 +160,8 @@ def stabilizer(p: PairSetParameter) -> StabilizerDescription:
 
 def matrix_to_word(m: Matrix, system: RootSystem) -> WeylWord:
     """Reduced word (printed order) for a Weyl group element given as a matrix."""
+    from .dense import root_permutation, word_matrix
+
     try:
         word = perm_to_word(root_permutation(m, system), system)
     except ValueError:

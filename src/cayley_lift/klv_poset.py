@@ -64,12 +64,18 @@ def rd_subsets(family: str, rank: Optional[int] = None) -> Tuple[RDSubset, ...]:
     return (empty, short, long_plus, long_minus)
 
 
+def _sub_subsets(subset: RDSubset) -> Iterator[Tuple[int, ...]]:
+    """Each S' inside subset, by size."""
+    for size in range(len(subset.simple_indices) + 1):
+        yield from combinations(subset.simple_indices, size)
+
+
 def tower_terms(family: str, rank: Optional[int], chi: int,
                 subset: RDSubset) -> Iterator[Tuple[int, PairSetParameter]]:
-    """((-1)^|S'|, c_{S'}(gamma(empty))) for each S' inside subset, by size."""
-    for size in range(len(subset.simple_indices) + 1):
-        for members in combinations(subset.simple_indices, size):
-            yield -1 if size % 2 else 1, tower_parameter(family, rank, chi, subset, members)
+    """((-1)^|S'|, c_{S'}(gamma(empty))) for each S' inside subset, by size;
+    the last term is c_S(gamma(empty))."""
+    for members in _sub_subsets(subset):
+        yield -1 if len(members) % 2 else 1, tower_parameter(family, rank, chi, subset, members)
 
 
 def pi_RD(family: str, rank: Optional[int] = None, chi: int = 0) -> Tuple[PairSetParameter, ...]:
@@ -104,9 +110,13 @@ class ParameterPoset(Record):
 
 
 def tower_poset(family: str, rank: Optional[int] = None, chi: int = 0) -> ParameterPoset:
-    """The union of all lifted-parameter towers c_{S'}(gamma(empty))."""
-    params = sorted({p for subset in rd_subsets(family, rank)
-                     for _, p in tower_terms(family, rank, chi, subset)}, key=parameter_sort_key)
+    """The union of all lifted-parameter towers c_{S'}(gamma(empty)).  Towers
+    share terms (gamma(empty) is in every one), so each parameter is built
+    once, from one (S, S') with its pair set."""
+    terms = {frozenset(subset.image_pairs(members)): (subset, members)
+             for subset in rd_subsets(family, rank) for members in _sub_subsets(subset)}
+    params = sorted((tower_parameter(family, rank, chi, *term) for term in terms.values()),
+                    key=parameter_sort_key)
     return ParameterPoset(family, params[0].rank, chi, tuple(params))
 
 

@@ -37,18 +37,26 @@ def cartan_constant(p: PairSetParameter) -> int:
     return 2 if shape.compact >= 1 else 1
 
 
+def _tower_sum(family: str, rank: Optional[int], subset: RDSubset,
+               chi: int) -> Tuple[PairSetParameter, int]:
+    """c_S(gamma(empty)), the last term of S's tower, and K_S."""
+    k = 0
+    for sign, p in tower_terms(family, rank, chi, subset):
+        k += sign * cartan_constant(p)
+    return p, k
+
+
 def K_coefficient(family: str, rank: Optional[int], subset: RDSubset, chi: int = 0) -> int:
     """K_S: the alternating sum of C(H) over sub-subsets of S."""
-    return sum(sign * cartan_constant(p) for sign, p in tower_terms(family, rank, chi, subset))
+    return _tower_sum(family, rank, subset, chi)[1]
 
 
 def lift_trivial(family: str, rank: Optional[int] = None, chi: int = 0) -> FormalIntegerCombination:
     """The lift of the trivial representation at one central character:
-    K_S c_S(gamma(empty)) summed over S in R_D.  pi_RD lists the
-    c_S(gamma(empty)) in the order of rd_subsets, so the two zip."""
+    K_S c_S(gamma(empty)) summed over S in R_D, with c_S(gamma(empty)) the
+    last term of the tower that K_S sums over."""
     return FormalIntegerCombination.from_pairs(
-        (p, K_coefficient(family, rank, subset, chi))
-        for subset, p in zip(rd_subsets(family, rank), pi_RD(family, rank, chi)))
+        _tower_sum(family, rank, subset, chi) for subset in rd_subsets(family, rank))
 
 
 class CharacterCheck(Record):
@@ -69,8 +77,9 @@ class TheoremReport(Record):
 
 
 def verify_main_theorem(family: str, rank: Optional[int] = None) -> TheoremReport:
-    """Whole-family check: each character's lift is supported exactly on the
-    full-level parameters, with nonzero coefficients, and the total support
+    """Whole-family check: each character's lift, whose support lift_trivial
+    reads off the tops of the towers, is supported exactly on the full-level
+    parameters that pi_RD lists, with coefficients +-1, and the total support
     size equals the independently computed number of small representations."""
     from .coherent import count_small
 

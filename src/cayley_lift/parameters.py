@@ -6,7 +6,8 @@ transform through e_i - e_j, a signed pair {-i,-j} one through e_i + e_j;
 a quadruple block {i1..i_{2r}} abbreviates both transforms for each of its
 matched (odd slot, even slot) pairs.  All transform roots pair to Z + 1/2
 against rho/2, which is what makes the moves available in the genuine
-block.
+block.  make_parameter checks a whole pair set; the cayley_graph module
+adds one transform at a time.
 """
 
 from __future__ import annotations
@@ -135,48 +136,6 @@ def make_parameter(
     )
 
 
-def cayley(p: PairSetParameter, pair: Sequence[int]) -> PairSetParameter:
-    """Apply one Cayley transform: p with the (normalized) pair added.
-
-    make_parameter decides whether the move is legal: the transform root
-    must be a half-integral root through slots that no block and no pair of
-    another plane uses, so that it is real for p's involution.  The pair
-    takes fresh slots, or outside family A completes a single-sign pair to
-    both signs.
-    """
-    return make_parameter(
-        p.family, p.rank, chi=p.chi, blocks=p.blocks, pairs=p.pairs + (tuple(pair),)
-    )
-
-
-def cayley_moves(p: PairSetParameter) -> Tuple[PairSetParameter, ...]:
-    """Every parameter one Cayley transform from p.
-
-    The candidates are the pairs (i, j) through two slots that p leaves
-    free, and outside family A also (-i, -j) and the other sign of each
-    pair of p; cayley keeps the legal ones.  Free pairs with i + j even are
-    not tried: in these coordinates a pair root is half-integral at rho/2
-    exactly when i + j is odd.
-    """
-    signed = p.family != "A"
-    used = {abs(x) for q in p.pairs for x in q} | {x for b in p.blocks for x in b}
-    free = [i for i in range(1, build_root_system(p.family, p.rank).dim + 1) if i not in used]
-    candidates: List[Pair] = []
-    for k, i in enumerate(free):
-        for j in free[k + 1:]:
-            if (i + j) % 2:
-                candidates += [(i, j), (-i, -j)] if signed else [(i, j)]
-    if signed:
-        candidates += [(-a, -b) for a, b in p.pairs]
-    moves: List[PairSetParameter] = []
-    for pair in candidates:
-        try:
-            moves.append(cayley(p, pair))
-        except TransformError:
-            continue
-    return tuple(moves)
-
-
 @lru_cache(maxsize=None)
 def theta(p: PairSetParameter) -> Involution:
     system = build_root_system(p.family, p.rank)
@@ -203,20 +162,6 @@ def length(p: PairSetParameter) -> int:
     flips = sum(1 for k in theta_perm(p) if k < 0)
     r, m, s = signature_from_involution(build_root_system(p.family, p.rank), theta(p))
     return flips + m + s
-
-
-def enumerate_block(family: str, rank: int, chi: int = 0) -> Tuple[PairSetParameter, ...]:
-    """All parameters reachable from gamma(empty) by Cayley transforms (A/D)."""
-    if family not in ("A", "D"):
-        raise ScopeError("block enumeration is desk-scale only (families A and D)")
-    start = make_parameter(family, rank, chi=chi)
-    seen: Dict[Tuple[Pair, ...], PairSetParameter] = {start.pairs: start}
-    frontier = [start]
-    while frontier:
-        level = {q.pairs: q for p in frontier for q in cayley_moves(p) if q.pairs not in seen}
-        seen.update(level)
-        frontier = list(level.values())
-    return tuple(sorted(seen.values(), key=lambda p: (len(p.pairs), p.pairs)))
 
 
 def orbit_representatives(

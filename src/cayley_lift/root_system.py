@@ -3,16 +3,15 @@
 Families: A (ambient n coordinates, roots e_i - e_j), D (roots +-e_i +- e_j),
 and E6/E7/E8 realized inside an 8-dimensional ambient space.  The core holds
 every vector doubled, 2v as a tuple of ints, so that the half-integer E8
-roots are integral: construction, the integral subsystems at rho/2 and the
-reflection words are integer arithmetic, as are the Weyl group tables of the
-weyl module, which builds on this one.  Doubling
-keeps the lexicographic order, so the positive roots and every signed index
-are those of the rational vectors.  fractions.Fraction appears only at the
-edge: the vector views (simple_roots, positive_roots, rho, rho_half and the
-roots of subsystems) are built on first use for input and the
-public API, through _fraction, which loads fractions on its first call;
-output is printed from the doubled integers.  There is no floating point
-anywhere in this package.
+roots are integral: construction and the integral roots at rho/2 are
+integer arithmetic, as are the Weyl group tables, the integral subsystems
+and the reflection words of the weyl module, which builds on this one.
+Doubling keeps the lexicographic order, so the positive roots and every
+signed index are those of the rational vectors.  fractions.Fraction appears
+only at the edge, in the dense module, which no CLI request runs: the
+vector views (simple_roots, positive_roots, rho, rho_half and the roots of
+subsystems) import it on first use; output is printed from the doubled
+integers.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from fractions import Fraction as Q
@@ -110,53 +109,13 @@ class Record:
         raise AttributeError("cannot delete field %r of %s" % (name, type(self).__qualname__))
 
 
-@lru_cache(maxsize=1024)  # views share one Fraction per value; bounded: callers pass user input
-def _fraction(*args) -> Q:
-    """The package's one Fraction constructor; fractions loads on the first call."""
-    from fractions import Fraction
-
-    return Fraction(*args)
-
-
-def dot(x: Vector, y: Vector) -> Q:
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch: %d vs %d" % (len(x), len(y)))
-    return sum((a * b for a, b in zip(x, y)), _fraction(0))
-
-
 def idot(x: Sequence[int], y: Sequence[int]) -> int:
     """Integer dot product; on doubled vectors it is 4 times the inner product."""
     return sum(map(mul, x, y))
 
 
-def sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def neg(x: Vector) -> Vector:
     return tuple(-a for a in x)
-
-
-def scale(c: Q, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
-def basis_vector(i: int, dim: int) -> Vector:
-    """Standard basis vector e_i (1-based index)."""
-    return tuple(_fraction(int(k == i - 1)) for k in range(dim))
-
-
-def pairing(lam: Vector, alpha: Vector) -> Q:
-    """<lam, alpha^vee> = 2(lam, alpha)/(alpha, alpha)."""
-    nn = dot(alpha, alpha)
-    if nn == 0:
-        raise ValueError("pairing against the zero vector")
-    return 2 * dot(lam, alpha) / nn
-
-
-def reflect(alpha: Vector, v: Vector) -> Vector:
-    """Reflection of v in the hyperplane orthogonal to alpha."""
-    return sub(v, scale(pairing(v, alpha), alpha))
 
 
 def pair_root(dim: int, pair: Tuple[int, int]) -> Doubled:
@@ -168,39 +127,9 @@ def pair_root(dim: int, pair: Tuple[int, int]) -> Doubled:
     return tuple(out)
 
 
-def _view(d: Doubled, den: int = 2) -> Vector:
-    """The rational vector d / den."""
-    return tuple([_fraction(x, den) for x in d])
-
-
 def _doubled(v: Vector) -> Tuple:
     """2v; the entries equal (and hash like) ints for v in (1/2)Z^n."""
     return tuple([2 * x for x in v])
-
-
-# ---------------------------------------------------------------------------
-# Matrices (dense, exact), for reflections and words.  Involutions are
-# signed permutations of the coordinates (cartan.Involution).
-# ---------------------------------------------------------------------------
-
-def identity_matrix(dim: int) -> Matrix:
-    return tuple(tuple(_fraction(int(i == j)) for j in range(dim)) for i in range(dim))
-
-
-def mat_apply(m: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, tuple(col)) for col in bt) for row in a)
-
-
-@lru_cache(maxsize=None)
-def reflection_matrix(alpha: Vector) -> Matrix:
-    dim = len(alpha)
-    cols = [reflect(alpha, basis_vector(j + 1, dim)) for j in range(dim)]
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +158,28 @@ class RootSystem(Record):
 
     @cached_property
     def simple_roots(self) -> Tuple[Vector, ...]:
-        return tuple(_view(d) for d in self.doubled_simple)
+        from .dense import view
+        return tuple(map(view, self.doubled_simple))
 
     @cached_property
     def positive_roots(self) -> Tuple[Vector, ...]:
-        return tuple(_view(d) for d in self.doubled_positive)
+        from .dense import view
+        return tuple(map(view, self.doubled_positive))
 
     @cached_property
     def rho(self) -> Vector:
-        return _view(self.doubled_rho)
+        from .dense import view
+        return view(self.doubled_rho)
 
     @cached_property
     def rho_half(self) -> Vector:
-        return _view(self.doubled_rho, 4)
+        from .dense import view
+        return view(self.doubled_rho, 4)
 
     @cached_property
     def roots(self) -> Tuple[Vector, ...]:
-        return tuple(_view(d) for d in sorted(self.index))
+        from .dense import view
+        return tuple(map(view, sorted(self.index)))
 
     def is_root(self, v: Vector) -> bool:
         return _doubled(v) in self.index
@@ -255,17 +189,12 @@ class RootSystem(Record):
 
     def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:
         """Coordinates of v in the simple-root basis; ValueError off the span."""
-        rows, div = _dual_basis(self.doubled_simple)
-        den = lcm(*(_fraction(x).denominator for x in v))
-        scaled = tuple(int(x * den) for x in v)  # v = scaled / den
-        coeffs = _scaled_coefficients(rows, scaled)  # den * div/2 times the coefficients
-        span = [idot(coeffs, column) for column in zip(*self.doubled_simple)]
-        if span != [div * x for x in scaled]:
-            raise ValueError("vector is not in the span of the basis")
-        return tuple(_fraction(2 * c, den * div) for c in coeffs)
+        from .dense import simple_coefficients
+        return simple_coefficients(self, v)
 
     def height(self, root: Vector) -> Q:
-        return sum(self.simple_coefficients(root), _fraction(0))
+        from .dense import height
+        return height(self, root)
 
     def __hash__(self) -> int:  # computed once: the lru_caches below are keyed on the system
         return self._hash
@@ -391,108 +320,19 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# Integral and half-integral subsystems at a weight
+# Integral and half-integral roots at rho/2
 # ---------------------------------------------------------------------------
 # <rho/2, a^vee> = (2rho . 2a) / 8: a root is integral at rho/2 when that
 # integer dot product is 0 mod 8, half-integral when it is 4 mod 8.
 
-class RootSubsystem(Record):
-    """A reflection-closed set of roots of a system, held as ascending
-    0-based positive-root indices; the root vectors are views."""
-
-    system: RootSystem
-    positive_index: Tuple[int, ...]
-    simple_index: Tuple[int, ...]
-
-    @cached_property
-    def positive(self) -> Tuple[Vector, ...]:
-        return tuple(self.system.positive_roots[k] for k in self.positive_index)
-
-    @cached_property
-    def simple(self) -> Tuple[Vector, ...]:
-        return tuple(self.system.positive_roots[k] for k in self.simple_index)
-
-    @cached_property
-    def roots(self) -> Tuple[Vector, ...]:
-        return tuple(sorted(self.positive + tuple(neg(a) for a in self.positive)))
-
-    @cached_property
-    def rho(self) -> Vector:
-        """Half the sum of the positive roots."""
-        return _view(_doubled_sum(self), 4)
-
-
-def _doubled_sum(sub: RootSubsystem) -> Doubled:
-    """Sum of the doubled positive roots of sub: 4 times its rho."""
-    doubled = sub.system.doubled_positive
-    return tuple(sum(doubled[k][i] for k in sub.positive_index) for i in range(sub.system.dim))
-
-
-def subsystem(system: RootSystem, positive_index: Iterable[int]) -> RootSubsystem:
-    """The subsystem with the given positive roots (closed under reflections);
-    its simple roots are the positive roots a with no positive b such that
-    a - b is a positive root, found by index lookups of doubled differences."""
-    pos = tuple(sorted(set(positive_index)))
-    doubled, index = system.doubled_positive, system.index
-    members = {k + 1 for k in pos}
-    simple = tuple(a for a in pos if not any(
-        index.get(tuple([x - y for x, y in zip(doubled[a], doubled[b])])) in members
-        for b in pos if b != a
-    ))
-    return RootSubsystem(system=system, positive_index=pos, simple_index=simple)
-
-
-@lru_cache(maxsize=None)
-def _integral_system(system: RootSystem, weight: Tuple[int, ...], modulus: int) -> RootSubsystem:
-    """Roots a with (weight . 2a) = 0 mod modulus."""
-    return subsystem(system, (k for k, d in enumerate(system.doubled_positive)
-                              if idot(weight, d) % modulus == 0))
-
-
-def integral_system(lam: Vector, system: RootSystem) -> RootSubsystem:
-    """Roots with integral pairing against lam, with positives and simples.
-
-    At lam = rho/2 this reads the doubled rho; another lam is scaled to
-    integers, den * lam, with <lam, a^vee> = (den * lam . 2a) / 2den.
-    """
-    if len(lam) != system.dim:
-        raise ValueError("dimension mismatch: %d vs %d" % (len(lam), system.dim))
-    if lam == system.rho_half:
-        return _integral_system(system, system.doubled_rho, 8)
-    den = lcm(*(_fraction(x).denominator for x in lam))
-    return _integral_system(system, tuple(int(x * den) for x in lam), 2 * den)
+def is_integral(system: RootSystem, doubled: Doubled) -> bool:
+    """Whether the root doubled/2 pairs to an integer against rho/2."""
+    return idot(system.doubled_rho, doubled) % 8 == 0
 
 
 def is_half_integral(system: RootSystem, doubled: Doubled) -> bool:
     """Whether the root doubled/2 pairs to Z + 1/2 against rho/2."""
     return idot(system.doubled_rho, doubled) % 8 == 4
-
-
-# ---------------------------------------------------------------------------
-# Reflection words
-# ---------------------------------------------------------------------------
-
-def canonical_reflection_word(alpha: Union[Vector, int], system: RootSystem) -> WeylWord:
-    """Deterministic palindromic word for the reflection s_alpha; alpha is a
-    root or its signed index (see RootSystem.index).
-
-    Repeatedly conjugates by the smallest-index simple reflection that strictly
-    lowers the height of the conjugated (positive) root.
-    """
-    from .weyl import weyl_tables  # weyl imports root_system
-
-    s = alpha if isinstance(alpha, int) else system.index.get(_doubled(alpha), 0)
-    if not 0 < abs(s) <= len(system.doubled_positive):
-        raise ValueError("not a root: %r" % (alpha,))
-    tables = weyl_tables(system)
-    k = abs(s) - 1
-    height, reflections = tables.height, tables.reflections
-    prefix: List[int] = []
-    while height[k] > 1:
-        i = next(i for i, s in enumerate(tables.simple) if height[reflections[s][k] - 1] < height[k])
-        prefix.append(i)
-        k = reflections[tables.simple[i]][k] - 1
-    return tuple(prefix) + (tables.simple.index(k),) + tuple(reversed(prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -518,3 +358,19 @@ def root_system_to_json(system: RootSystem) -> dict:
         "simple_roots": [[rational(x, 2) for x in d] for d in system.doubled_simple],
         "positive_roots": [[rational(x, 2) for x in d] for d in system.doubled_positive],
     }
+
+
+# ---------------------------------------------------------------------------
+# Forwarded names
+# ---------------------------------------------------------------------------
+# Names that perfbench/trace_child.py wraps in this module, and the modules
+# that now hold them; nothing in the package reads them here.
+_FORWARDED = {"mat_mul": "dense", "mat_apply": "dense", "reflection_matrix": "dense",
+              "integral_system": "dense", "canonical_reflection_word": "weyl"}
+
+
+def __getattr__(name: str):
+    if name in _FORWARDED:
+        from importlib import import_module
+        return getattr(import_module("." + _FORWARDED[name], __package__), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -1,33 +1,24 @@
-"""The Weyl group as signed permutations of the positive roots, for the sign test.
+"""The Weyl group as signed permutations of the positive roots, and its
+reflection subgroups, for the sign test.
 
 w[k] = +-(j+1) means w maps positive root k to +-(positive root j), in the
 signed indices of RootSystem.index.  W acts faithfully on its roots, so this
 one representation serves every family.  The tables of a system (WeylTables)
 hold the reflections as such permutations, built once from the doubled
-coordinates of root_system; reduced words, the chain roots of a word and the
-dense matrix of a word are read from them.  theta on the roots needs only
-the system's index, so only coherent, and root_system's
-canonical_reflection_word at call time, run this module.
+coordinates of root_system; reduced words, reflection words and the chain
+roots of a word are read from them.  The root subsystems (the integral one
+at rho/2 and its real, imaginary and core parts) are held as positive-root
+indices.  theta on the roots needs only the system's index, so only the
+sign test (coherent) runs this module.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Iterable, List, Optional, Tuple, Union
 
-from .root_system import (
-    Doubled,
-    Matrix,
-    Record,
-    RootSystem,
-    SignedPerm,
-    WeylWord,
-    WordError,
-    identity_matrix,
-    idot,
-    mat_mul,
-    reflection_matrix,
-)
+from .root_system import (Doubled, Record, RootSystem, SignedPerm, Vector, WeylWord, WordError,
+                          _doubled, idot, neg)
 
 
 def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
@@ -88,21 +79,6 @@ def _reflection_perm(a, doubled, index) -> SignedPerm:
     return tuple(out)
 
 
-def root_permutation(m: Matrix, system: RootSystem) -> SignedPerm:
-    """The signed permutation of the positive roots induced by the matrix m.
-
-    Raises ValueError if m does not map every root to a root.
-    """
-    rows = [[(j, x) for j, x in enumerate(row) if x] for row in m]
-    out = []
-    for d in system.doubled_positive:
-        try:
-            out.append(system.index[tuple(sum(x * d[j] for j, x in row) for row in rows)])
-        except KeyError:
-            raise ValueError("matrix does not permute the roots") from None
-    return tuple(out)
-
-
 def perm_to_word(w: SignedPerm, system: RootSystem) -> WeylWord:
     """Reduced word (printed order) for w, by descent on the positive roots.
 
@@ -122,12 +98,87 @@ def perm_to_word(w: SignedPerm, system: RootSystem) -> WeylWord:
     raise ValueError("element is not in the Weyl group")
 
 
-def word_matrix(word: WeylWord, system: RootSystem) -> Matrix:
-    """Matrix of the word read left to right (rightmost letter acts first)."""
-    m = identity_matrix(system.dim)
-    for letter in word:
-        m = mat_mul(m, reflection_matrix(system.simple_roots[letter]))
-    return m
+# ---------------------------------------------------------------------------
+# Root subsystems
+# ---------------------------------------------------------------------------
+
+class RootSubsystem(Record):
+    """A reflection-closed set of roots of a system, held as ascending
+    0-based positive-root indices; the root vectors are views."""
+
+    system: RootSystem
+    positive_index: Tuple[int, ...]
+    simple_index: Tuple[int, ...]
+
+    @cached_property
+    def positive(self) -> Tuple[Vector, ...]:
+        return tuple(self.system.positive_roots[k] for k in self.positive_index)
+
+    @cached_property
+    def simple(self) -> Tuple[Vector, ...]:
+        return tuple(self.system.positive_roots[k] for k in self.simple_index)
+
+    @cached_property
+    def roots(self) -> Tuple[Vector, ...]:
+        return tuple(sorted(self.positive + tuple(neg(a) for a in self.positive)))
+
+    @cached_property
+    def rho(self) -> Vector:
+        """Half the sum of the positive roots."""
+        from .dense import view
+        return view(_doubled_sum(self), 4)
+
+
+def _doubled_sum(sub: RootSubsystem) -> Doubled:
+    """Sum of the doubled positive roots of sub: 4 times its rho."""
+    doubled = sub.system.doubled_positive
+    return tuple(sum(doubled[k][i] for k in sub.positive_index) for i in range(sub.system.dim))
+
+
+def subsystem(system: RootSystem, positive_index: Iterable[int]) -> RootSubsystem:
+    """The subsystem with the given positive roots (closed under reflections);
+    its simple roots are the positive roots a with no positive b such that
+    a - b is a positive root, found by index lookups of doubled differences."""
+    pos = tuple(sorted(set(positive_index)))
+    doubled, index = system.doubled_positive, system.index
+    members = {k + 1 for k in pos}
+    simple = tuple(a for a in pos if not any(
+        index.get(tuple([x - y for x, y in zip(doubled[a], doubled[b])])) in members
+        for b in pos if b != a
+    ))
+    return RootSubsystem(system=system, positive_index=pos, simple_index=simple)
+
+
+@lru_cache(maxsize=None)
+def _integral_system(system: RootSystem, weight: Tuple[int, ...], modulus: int) -> RootSubsystem:
+    """Roots a with (weight . 2a) = 0 mod modulus."""
+    return subsystem(system, (k for k, d in enumerate(system.doubled_positive)
+                              if idot(weight, d) % modulus == 0))
+
+
+# ---------------------------------------------------------------------------
+# Reflection words
+# ---------------------------------------------------------------------------
+
+def canonical_reflection_word(alpha: Union[Vector, int], system: RootSystem) -> WeylWord:
+    """Deterministic palindromic word for the reflection s_alpha; alpha is a
+    root or its signed index (see RootSystem.index).
+
+    Repeatedly conjugates by the smallest-index simple reflection that strictly
+    lowers the height of the conjugated (positive) root.
+    """
+    s = alpha if isinstance(alpha, int) else system.index.get(_doubled(alpha), 0)
+    if not 0 < abs(s) <= len(system.doubled_positive):
+        raise ValueError("not a root: %r" % (alpha,))
+    tables = weyl_tables(system)
+    k = abs(s) - 1
+    height, reflections = tables.height, tables.reflections
+    prefix: List[int] = []
+    while height[k] > 1:
+        i = next(i for i, s in enumerate(tables.simple) if height[reflections[s][k] - 1] < height[k])
+        prefix.append(i)
+        k = reflections[tables.simple[i]][k] - 1
+    return tuple(prefix) + (tables.simple.index(k),) + tuple(reversed(prefix))
 
 
 # ---------------------------------------------------------------------------

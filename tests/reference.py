@@ -71,9 +71,9 @@ from cayley_lift.klv_poset import (
     tower_poset,
     tower_terms,
 )
+from cayley_lift.cayley_graph import enumerate_block
 from cayley_lift.parameters import (
     PairSetParameter,
-    enumerate_block,
     make_parameter,
     orbit_representatives,
 )

@@ -20,14 +20,14 @@ from cayley_lift.cli import EXIT_OK, main
 from cayley_lift.coherent import chain_types, replay_witness
 from cayley_lift.klv_poset import contains, rd_subsets, tower_poset, verify_inversion
 from cayley_lift.lifting import K_coefficient, verify_main_theorem
+from cayley_lift.cayley_graph import cayley, enumerate_block
+from cayley_lift.dense import integral_system
 from cayley_lift.parameters import (
     TransformError,
-    cayley,
-    enumerate_block,
     length,
     make_parameter,
 )
-from cayley_lift.root_system import build_root_system, integral_system
+from cayley_lift.root_system import build_root_system
 from reference import (
     half_integral_roots,
     identity_matrix,

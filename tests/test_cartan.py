@@ -9,7 +9,6 @@ import pytest
 import reference
 from cayley_lift import cartan
 from cayley_lift.cartan import (
-    E_CLASS_REPS,
     CartanClass,
     Involution,
     TransformError,
@@ -20,11 +19,12 @@ from cayley_lift.cartan import (
     classify_pairs,
     cover_center_data,
     genuine_central_character_count,
-    hasse_diagram,
     involution_for_class,
     involution_from_pairs,
     signature_from_involution,
 )
+from cayley_lift.cayley_graph import hasse_diagram
+from cayley_lift.e_classes import E_CLASS_REPS
 from cayley_lift.lifting import verify_main_theorem
 from cayley_lift.parameters import make_parameter
 from cayley_lift.root_system import InvariantError, ScopeError, build_root_system

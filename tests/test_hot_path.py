@@ -11,9 +11,9 @@ verification paths make no call into the fractions module (and no cold CLI
 request even loads it: tests/test_package.py).
 The stabilizer sign test reads each swept element's permutation, so
 rule_out builds a word and a chain only for the certificate of a violating
-element.  Per central character, the tower check builds each tower
-parameter once, and the lift each term of each K_S and each full-level
-parameter once.  Calls are counted (through monkeypatch and
+element.  Per central character, the tower check builds each distinct
+tower parameter once, and the lift each term of each K_S once (the
+full-level parameter is the last term of its tower).  Calls are counted (through monkeypatch and
 sys.setprofile) on cold caches, not by timing.
 """
 
@@ -24,14 +24,15 @@ import sys
 
 import pytest
 
-from cayley_lift import coherent, parameters, root_system
+from cayley_lift import coherent, dense, parameters
 from cayley_lift.cartan import genuine_central_character_count
 from cayley_lift.coherent import count_small, rule_out, stabilizer
 from cayley_lift.klv_poset import rd_subsets, tower_poset, verify_inversion
 from cayley_lift.lifting import lift_trivial, verify_main_theorem
 from cayley_lift.parameters import orbit_representatives
-from cayley_lift.root_system import build_root_system, canonical_reflection_word, integral_system
-from cayley_lift.weyl import weyl_tables
+from cayley_lift.dense import integral_system
+from cayley_lift.root_system import build_root_system
+from cayley_lift.weyl import canonical_reflection_word, weyl_tables
 
 WATCHED = ("mat_mul", "reflection_matrix")
 
@@ -70,7 +71,7 @@ def _count_calls(monkeypatch, module, names):
 
 @pytest.fixture
 def matrix_calls(monkeypatch):
-    return _count_calls(monkeypatch, root_system, WATCHED)
+    return _count_calls(monkeypatch, dense, WATCHED)
 
 
 HOT_PATHS = {
@@ -94,29 +95,33 @@ def test_no_dense_matrices_on_hot_paths(matrix_calls, label):
 
 # make_parameter calls, over every central character, of tower_poset with
 # verify_inversion and of lift_trivial.
-TOWER_BUILDS = {"D 4": ("D", 4, 52, 68), "D 6": ("D", 6, 84, 100),
-                "SL(6)": ("A", 5, 18, 22), "E7": ("E7", None, 18, 22)}
+TOWER_BUILDS = {"D 4": ("D", 4, 28, 52), "D 6": ("D", 6, 52, 84),
+                "SL(6)": ("A", 5, 16, 18), "E7": ("E7", None, 16, 18)}
 
 
 @pytest.mark.parametrize("label", sorted(TOWER_BUILDS))
 def test_tower_work_builds_each_tower_parameter_once(monkeypatch, label):
-    """On cold caches, tower_poset and verify_inversion build each term
-    (S, S') of each tower once per chi: the scope of M_entry is read off the
-    R_D pairs, not off a second chi = 0 poset.  lift_trivial builds, per
-    chi, each term of each K_S once and each parameter of pi_RD once."""
+    """On cold caches, tower_poset and verify_inversion build each distinct
+    tower parameter once per chi, though towers share terms (gamma(empty)
+    is in every one): the scope of M_entry is read off the R_D pairs, not
+    off a second chi = 0 poset.  lift_trivial builds, per chi, each term of
+    each K_S once, and reads c_S(gamma(empty)) off the last one."""
     family, rank, poset_builds, lift_builds = TOWER_BUILDS[label]
     chis = range(genuine_central_character_count(family, rank))
     subsets = rd_subsets(family, rank)
     terms = sum(2 ** len(s.simple_indices) for s in subsets)
     calls = _count_calls(monkeypatch, parameters, ["make_parameter"])
+    distinct = 0
     for chi in chis:
-        assert verify_inversion(tower_poset(family, rank, chi))
-    assert calls["make_parameter"] == poset_builds == len(chis) * terms
+        poset = tower_poset(family, rank, chi)
+        assert verify_inversion(poset)
+        distinct += len(poset.elements)
+    assert calls["make_parameter"] == poset_builds == distinct < len(chis) * terms
     _clear_caches()
     calls["make_parameter"] = 0
     for chi in chis:
         lift_trivial(family, rank, chi)
-    assert calls["make_parameter"] == lift_builds == len(chis) * (terms + len(subsets))
+    assert calls["make_parameter"] == lift_builds == len(chis) * terms
 
 
 @pytest.mark.parametrize("family, rank", [("A", 6), ("D", 5), ("E6", None), ("E7", None), ("E8", None)])

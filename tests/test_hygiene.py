@@ -12,8 +12,9 @@ so that no helper only the tests call sits in the package, compiled by every
 request that runs its module.  Only root_system reads an E group's rank off
 its name (family[1]); every other module passes the rank it has to
 build_root_system.  Only the sign test reads the Weyl tables: coherent
-imports weyl at its top, root_system only inside canonical_reflection_word,
-and no other module at all.  No module imports cli, which python -m
+and dense import weyl at their top, and no other module at all.  No module
+imports dense, the Fraction edge that no CLI request runs, at its top: the
+vector views and coherent's matrix_to_word import it when they are called.  No module imports cli, which python -m
 runs as __main__, so that no request compiles it twice, and cli defines
 no verb handler: each verb's handler is a module of its own, which the CLI
 imports on dispatch.  The __main__ block of cli only calls run(), which
@@ -156,16 +157,16 @@ def _imports(node: ast.AST, name: str) -> bool:
             or (package and any(a.name == name for a in node.names)))
 
 
-def weyl_imports(tree: ast.Module) -> List[str]:
-    """Imports of the weyl module, each with the function or class whose
-    body holds it, or <module> (a TYPE_CHECKING block included)."""
+def module_imports(tree: ast.Module, name: str) -> List[str]:
+    """Imports of the package module called name, each with the function or
+    class whose body holds it, or <module> (a TYPE_CHECKING block included)."""
     out = []
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name)
-            elif _imports(child, "weyl"):
+            elif _imports(child, name):
                 out.append("line %d: %s" % (child.lineno, scope))
             else:
                 visit(child, scope)
@@ -237,13 +238,31 @@ def test_only_the_root_system_reads_an_e_rank_off_its_name():
     assert family_rank_reads(_parse(SRC / "root_system.py")) != []
 
 
+def _importers(name: str) -> dict:
+    """Module file -> the scopes of its imports of the package module name."""
+    found = {p.name: [place.partition(": ")[2] for place in module_imports(_parse(p), name)]
+             for p in MODULES}
+    return {module: scopes for module, scopes in found.items() if scopes}
+
+
 def test_only_the_sign_test_imports_the_weyl_module():
     """theta on the roots reads RootSystem.index, so parameters, cartan and
     the verbs built on them (cartans, params, klv-check, lift) never run weyl."""
-    found = {p.name: [place.partition(": ")[2] for place in weyl_imports(_parse(p))]
-             for p in MODULES}
-    assert {name: scopes for name, scopes in found.items() if scopes} == {
-        "coherent.py": ["<module>"], "root_system.py": ["canonical_reflection_word"]}
+    assert _importers("weyl") == {"coherent.py": ["<module>"], "dense.py": ["<module>"]}
+
+
+def test_no_module_imports_the_dense_module_at_its_top():
+    """Every CLI verb runs only modules that import dense inside the view or
+    routine that needs it, so no request compiles the Fraction edge."""
+    assert {module: scopes for module, scopes in _importers("dense").items()
+            if "<module>" in scopes} == {}
+    assert _importers("dense") == {
+        "cartan.py": ["matrix", "quotient_reps"],
+        "coherent.py": ["steps", "matrix_to_word"],
+        "root_system.py": ["simple_roots", "positive_roots", "rho", "rho_half", "roots",
+                           "simple_coefficients", "height"],
+        "weyl.py": ["rho"],
+    }
 
 
 def test_no_module_imports_the_cli_and_the_cli_holds_no_handler():
@@ -347,8 +366,8 @@ def test_checks_flag_what_they_should():
         "    def g(self):\n"
         "        from .root_system import weyl_tables\n"
     )
-    assert weyl_imports(imports) == ["line 1: <module>", "line 2: <module>", "line 3: <module>",
-                                     "line 6: <module>", "line 8: f"]
+    assert module_imports(imports, "weyl") == [
+        "line 1: <module>", "line 2: <module>", "line 3: <module>", "line 6: <module>", "line 8: f"]
     clis = ast.parse(
         "from .cli import _vec\n"
         "from . import cartan, cli\n"

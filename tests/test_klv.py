@@ -19,7 +19,8 @@ from cayley_lift.klv_poset import (
     verify_inversion,
 )
 from cayley_lift.cartan import TransformError, genuine_central_character_count
-from cayley_lift.parameters import cayley_moves, make_parameter, orbit_representatives
+from cayley_lift.cayley_graph import cayley_moves
+from cayley_lift.parameters import make_parameter, orbit_representatives
 from cayley_lift.root_system import ScopeError
 from reference import block_poset, gamma_star_row_check, zuckerman_restricted
 

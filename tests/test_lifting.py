@@ -109,3 +109,26 @@ def test_verify_checks_cover_every_genuine_character():
     assert [c.chi for c in report.checks] == list(
         range(genuine_central_character_count("D", 4))
     )
+
+
+def test_verify_catches_a_wrong_full_level_parameter(monkeypatch):
+    """The lift reads its support off the tops of the towers and verify
+    compares it with pi_RD, so a fault in pi_RD (gamma({1,2}) in place of
+    D 4's last full-level parameter, wherever pi_RD is bound) fails every
+    character's support check and the whole report."""
+    from cayley_lift import klv_poset, lifting
+
+    original = klv_poset.pi_RD
+
+    def wrong(family, rank=None, chi=0):
+        return original(family, rank, chi)[:-1] + (
+            make_parameter(family, rank, chi, pairs=((1, 2),)),)
+
+    assert verify_main_theorem("D", 4).passed
+    for module in (klv_poset, lifting):
+        monkeypatch.setattr(module, "pi_RD", wrong)
+    report = verify_main_theorem("D", 4)
+    assert [c.support_matches for c in report.checks] == [False] * 4
+    assert not report.passed
+    assert report.checks[0].lift == lift_trivial("D", 4)
+    assert report.checks[0].expected_support[-1].render() == "gamma({1,2})"

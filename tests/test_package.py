@@ -14,7 +14,9 @@ json (the CLI writes JSON itself).  The child's stdout is buffered, as
 it is for any process writing to a pipe, so output that the CLI's fast
 exit (cli.run) failed to flush would be missing.  A fresh process exits
 with the code and the stderr line of main in process; a reader that closed
-stdout early gets status 1 and no traceback.
+stdout early gets status 1 and no traceback.  Each request compiles the
+source of every module it runs, so the AST nodes of those modules are
+held to a budget per verb.
 """
 
 from __future__ import annotations
@@ -180,11 +182,11 @@ COHERENT = PARAMETERS | {"weyl", "coherent"}  # only the sign test reads the Wey
 REQUESTS = {  # verb: (arguments, golden transcript, modules run besides its handler)
     "roots": (SL4, "roots/SL4.txt", BASE),
     "centers": (SL4, "centers/SL4.txt", BASE | {"cartan"}),
-    "cartans": (SL4, "cartans/SL4.txt", PARAMETERS),
+    "cartans": (SL4, "cartans/SL4.txt", PARAMETERS | {"cayley_graph"}),
     "params": (SL4, "params/SL4.txt", PARAMETERS),
     "count-small": (SL4, "count-small/SL4.txt", COHERENT),
     "replay-witness": (["--id", "E6-030"], "replay-witness/E6-030.txt",
-                       COHERENT | {"witness_data"}),
+                       COHERENT | {"witness_data", "e_classes"}),  # an E6 witness
     "klv-check": (SL4, "klv-check/SL4.txt", PARAMETERS | {"klv_poset"}),
     "lift": (SL4, "lift/SL4.txt", PARAMETERS | {"klv_poset", "lifting"}),
     "verify": (SL4, "verify/SL4.txt", COHERENT | {"klv_poset", "lifting"}),
@@ -279,6 +281,83 @@ def test_python_m_compiles_the_cli_once(fmt):
                    "--format", "json" if fmt == "json" else "text")
     assert (done.returncode, done.stderr) == (0, _ran("count-small") + "\nloaded: \n")
     assert done.stdout == (GOLDEN / ("count-small/SL4." + fmt)).read_text()
+
+
+# ---------------------------------------------------------------------------
+# compile budget: each cold request compiles the source of every package
+# module it runs (nothing writes bytecode), so code that no request runs
+# stays out of the modules the requests run
+# ---------------------------------------------------------------------------
+
+SRC = PACKAGE_ROOT / "cayley_lift"
+
+
+def _nodes(modules) -> int:
+    """The AST nodes of the named package modules."""
+    return sum(sum(1 for _ in ast.walk(ast.parse((SRC / (name + ".py")).read_text())))
+               for name in modules)
+
+
+# Per verb, at most the AST nodes of the modules its golden request runs
+# (its ran: line) when pinned, plus 2%.
+COMPILE_BUDGETS = {"cartans": 8310, "centers": 5871, "count-small": 10378, "klv-check": 8845,
+                   "lift": 9379, "params": 7270, "replay-witness": 13068, "roots": 2954,
+                   "verify": 12645}
+
+
+@pytest.mark.parametrize("verb", sorted(REQUESTS))
+def test_each_verb_compiles_within_its_budget(verb):
+    """The ran: line is the one test_each_verb_runs_only_the_modules_it_calls
+    checks in a fresh process."""
+    assert set(COMPILE_BUDGETS) == set(REQUESTS)
+    assert _nodes(_ran(verb).split()[1:]) <= COMPILE_BUDGETS[verb]
+
+
+# The benchmark's tower requests (CLI ranks: A 6 is SL(6)), each with the AST
+# nodes of the modules it ran while these modules still held the dense layer,
+# the Cayley graph and the E class table, and its budget as above.
+TOWER = {
+    "klv-check --family A --rank 6": (11260, 8845),
+    "klv-check --family D --rank 4": (11260, 8845),
+    "klv-check --family D --rank 5": (11260, 8845),
+    "klv-check --family D --rank 7": (11260, 8845),
+    "lift --family D --rank 6": (11749, 9379),
+    "lift --family E7": (11749, 10060),
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(TOWER))
+def test_every_tower_request_compiles_at_least_15_percent_less(request_line):
+    before, budget = TOWER[request_line]
+    done = _python("-c", REPORTER + RUN_CLI, *request_line.split(), "--no-header")
+    assert done.returncode == 0
+    ran = done.stderr.splitlines()[0]
+    assert ran.startswith("ran: ")
+    assert _nodes(ran.split()[1:]) <= min(budget, 0.85 * before)
+
+
+def test_the_tracer_reads_the_moved_names_through_their_old_modules():
+    """perfbench/trace_child.py wraps these names in root_system and cartan;
+    each resolves to the one function of its new home, the lru_cache of
+    reflection_matrix included, and no other name resolves."""
+    from cayley_lift import cartan, cayley_graph, dense, root_system, weyl
+
+    homes = {"dense": dense, "weyl": weyl, "cayley_graph": cayley_graph}
+    for module in (root_system, cartan):
+        assert module._FORWARDED
+        for name, home in module._FORWARDED.items():
+            assert getattr(module, name) is getattr(homes[home], name), name
+    assert set(root_system._FORWARDED) == {"mat_mul", "mat_apply", "reflection_matrix",
+                                           "integral_system", "canonical_reflection_word"}
+    assert set(cartan._FORWARDED) == {"hasse_diagram", "root_type"}
+    assert root_system.mat_mul is dense.mat_mul
+    cached = root_system.reflection_matrix
+    assert hasattr(cached, "cache_info") and not hasattr(cached.__wrapped__, "cache_info")
+    for module, name in [(root_system, "nonexistent"), (root_system, "dot"),
+                         (root_system, "word_matrix"), (cartan, "nonexistent"),
+                         (cartan, "cayley_moves")]:
+        with pytest.raises(AttributeError, match=name):
+            getattr(module, name)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ from cayley_lift.parameters import (
     PairSetParameter,
     ScopeError,
     TransformError,
-    cayley,
     class_of,
-    enumerate_block,
     length,
     make_parameter,
     orbit_representatives,
@@ -19,6 +17,8 @@ from cayley_lift.parameters import (
     theta,
     tower_parameter,
 )
+from cayley_lift import cayley_graph
+from cayley_lift.cayley_graph import cayley, enumerate_block
 from cayley_lift.klv_poset import contains, pi_RD, rd_subsets
 from cayley_lift import count_small, cover_center_data, hasse_diagram, lift_trivial, tower_poset
 from cayley_lift.cartan import cartan_classes
@@ -160,6 +160,61 @@ def test_cayley_order_does_not_matter_for_disjoint_pairs():
     a = cayley(cayley(p0, (1, 2)), (-3, -4))
     b = cayley(cayley(p0, (-3, -4)), (1, 2))
     assert a == b
+
+
+def _cayley_by_make_parameter(p, pair):
+    """cayley before it trusted p: make_parameter checks p's pairs again."""
+    return make_parameter(p.family, p.rank, chi=p.chi, blocks=p.blocks,
+                          pairs=p.pairs + (tuple(pair),))
+
+
+def _cayley_mismatches(groups):
+    """(representative, pair, cayley's outcome, make_parameter's) wherever
+    the two differ, for every pair (i, j), (-i, -j), (j, i) and (i, -j) of
+    slots and a few malformed or out-of-range ones, on each class
+    representative; an
+    outcome is the parameter or the TransformError's message."""
+    def outcome(build, p, pair):
+        try:
+            return build(p, pair)
+        except TransformError as error:
+            return str(error)
+
+    out = []
+    for family, rank in groups:
+        dim = build_root_system(family, rank).dim
+        pairs = [(0, 1), (1, 1), (-2, 2), (1,), (1, 2, 3), (1, dim + 1)] + [
+            q for i in range(1, dim + 1) for j in range(i + 1, dim + 1)
+            for q in ((i, j), (-i, -j), (j, i), (i, -j))]
+        for _, p in orbit_representatives(family, rank):
+            for pair in pairs:
+                new, old = outcome(cayley, p, pair), outcome(_cayley_by_make_parameter, p, pair)
+                if new != old:
+                    out.append((p.render(), pair, new, old))
+    return out
+
+
+def test_cayley_checks_only_the_new_pair_as_make_parameter_would():
+    """On every class representative of all 18 groups, every move gives
+    the parameter or the error that make_parameter gives on all the pairs."""
+    assert _cayley_mismatches(IN_SCOPE) == []
+
+
+def test_the_cayley_comparison_catches_a_skipped_half_integrality_check(monkeypatch):
+    original = cayley_graph._check_transform_root
+
+    def skip_half_integrality(system, pair):
+        try:
+            original(system, pair)
+        except TransformError as error:
+            if "half-integral" not in str(error):
+                raise
+
+    groups = [("A", 3), ("D", 4), ("E6", None)]
+    monkeypatch.setattr(cayley_graph, "_check_transform_root", skip_half_integrality)
+    assert _cayley_mismatches(groups)
+    monkeypatch.undo()
+    assert _cayley_mismatches(groups) == []
 
 
 # ---------------------------------------------------------------------------

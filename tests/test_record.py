@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from cayley_lift import cartan, coherent, klv_poset, lifting, parameters, root_system, weyl, witness_data
+from cayley_lift import (cartan, cayley_graph, coherent, dense, klv_poset, lifting, parameters, weyl,
+                         witness_data)
 from cayley_lift.root_system import Record, RootSystem, build_root_system
 
 
@@ -24,12 +25,12 @@ def _parameter():
 # One sample per record type, by class name.
 SAMPLES = {
     "RootSystem": _a3,
-    "RootSubsystem": lambda: root_system.integral_system(_a3().rho_half, _a3()),
+    "RootSubsystem": lambda: dense.integral_system(_a3().rho_half, _a3()),
     "WeylTables": lambda: weyl.weyl_tables(_a3()),
     "Involution": lambda: cartan.involution_from_pairs(_a3(), pairs=((1, 2),)),
     "TorusShape": lambda: cartan.cartan_shape(cartan.cartan_classes("A", 3)[1]),
     "CartanClass": lambda: cartan.cartan_classes("E6")[0],
-    "HasseDiagram": lambda: cartan.hasse_diagram("A", 3),
+    "HasseDiagram": lambda: cayley_graph.hasse_diagram("A", 3),
     "FiniteAbelianGroup": lambda: cartan.cover_center_data("D", 4).center,
     "CenterData": lambda: cartan.cover_center_data("D", 4),
     "PairSetParameter": _parameter,

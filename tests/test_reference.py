@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from golden.generate import ALL_GROUPS, DIGESTS
 from cayley_lift.cartan import cover_center_data, involution_from_pairs, signature_from_involution
-from cayley_lift import cartan, cli, coherent, parameters, root_system
+from cayley_lift import cartan, cayley_graph, cli, coherent, dense, parameters, root_system
 from cayley_lift.coherent import (
     chain_types,
     matrix_to_word,
@@ -27,9 +27,9 @@ from cayley_lift.coherent import (
     stabilizer,
     violates,
 )
+from cayley_lift.cayley_graph import cayley_moves, enumerate_block
+from cayley_lift.dense import integral_system, root_permutation, word_matrix
 from cayley_lift.parameters import (
-    cayley_moves,
-    enumerate_block,
     length,
     make_parameter,
     orbit_representatives,
@@ -40,19 +40,16 @@ from cayley_lift.root_system import (
     InvariantError,
     RootSystem,
     build_root_system,
-    canonical_reflection_word,
     idot,
-    integral_system,
     is_half_integral,
 )
 from cayley_lift.weyl import (
     _reflection_perm,
     beta_chain_for_word,
+    canonical_reflection_word,
     perm_mul,
     perm_to_word,
-    root_permutation,
     weyl_tables,
-    word_matrix,
 )
 
 GROUPS = [("A", 5), ("D", 5), ("E6", None), ("E7", None), ("E8", None)]
@@ -238,7 +235,7 @@ def test_chains_match_reference(case, data):
     _, p = data.draw(st.sampled_from(orbit_representatives(family, rank)))
     steps = reference.chain_steps(p, word, system)
     roots = map(weyl_tables(system).doubled_root, beta_chain_for_word(word, system))
-    assert tuple(map(root_system._view, roots)) == tuple(beta for beta, _ in steps)
+    assert tuple(map(dense.view, roots)) == tuple(beta for beta, _ in steps)
     cert = chain_types(p, word)
     assert cert.steps == steps
     assert cert.imaginary_count == sum(1 for _, tag in steps if tag == "im")
@@ -865,7 +862,7 @@ SMALL_THETA_CASES = [(p,) for f, r, p in THETA_CASES if (f, r) in (("A", 3), ("D
 # fault: (module, function, faulty version, the comparison that must catch it, its cases)
 CORE_FAULTS = {
     "theta_perm": (parameters, "theta_perm", _swap_first_two, _check_theta, SMALL_THETA_CASES),
-    "cayley_moves": (parameters, "cayley_moves", _drop_first, _check_moves, SMALL_THETA_CASES),
+    "cayley_moves": (cayley_graph, "cayley_moves", _drop_first, _check_moves, SMALL_THETA_CASES),
     "gf2_kernel_basis": (cartan, "_gf2_kernel_basis", _drop_first, _check_center,
                          [("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E7", None)]),
     "build_root_system": (root_system, "build_root_system", _negate_a_coordinate, _check_roots,

@@ -6,26 +6,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayley_lift.cartan import cover_center_data
+from cayley_lift.dense import (
+    basis_vector,
+    dot,
+    integral_system,
+    mat_apply,
+    mat_mul,
+    pairing,
+    reflect,
+    reflection_matrix,
+    sub,
+    view,
+    word_matrix,
+)
 from cayley_lift.root_system import (
     RootSystem,
     ScopeError,
     WordError,
-    basis_vector,
     build_root_system,
-    canonical_reflection_word,
-    dot,
-    integral_system,
-    mat_apply,
     neg,
-    pairing,
     rational,
-    reflect,
-    reflection_matrix,
     root_system_to_json,
-    sub,
-    _view,
 )
-from cayley_lift.weyl import beta_chain_for_word, perm_to_word, weyl_tables, word_matrix
+from cayley_lift.weyl import beta_chain_for_word, canonical_reflection_word, perm_to_word, weyl_tables
 from reference import beta_root, decompose_to_chain, half_integral_roots, vector_from_strings
 
 
@@ -35,7 +38,7 @@ def V(*xs):
 
 def _chain_roots(word, system):
     """The chain roots of a word, read off their signed indices."""
-    return tuple(map(_view, map(weyl_tables(system).doubled_root, beta_chain_for_word(word, system))))
+    return tuple(map(view, map(weyl_tables(system).doubled_root, beta_chain_for_word(word, system))))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +218,6 @@ def test_word_matrix_is_left_to_right_product():
     lhs = word_matrix(w, e7)
     s2 = reflection_matrix(e7.simple_roots[2])
     s3 = reflection_matrix(e7.simple_roots[3])
-    from cayley_lift.root_system import mat_mul
-
     assert lhs == mat_mul(mat_mul(s2, s3), s2)
 
 
