@@ -11,18 +11,19 @@ import sys
 _EXPORTS = {
     "root_system": ("CertificateError", "InvariantError", "RootSystem", "ScopeError",
                     "WordError", "build_root_system"),
-    "cartan": ("CartanClass", "CenterData", "FiniteAbelianGroup", "Involution", "TorusShape",
-               "TransformError", "cartan_classes", "cartan_shape", "cover_center_data",
-               "genuine_central_character_count", "involution_for_class"),
+    "cartan": ("CartanClass", "Involution", "TorusShape", "TransformError", "cartan_classes",
+               "cartan_shape", "involution_for_class"),
+    "center": ("CenterData", "FiniteAbelianGroup", "cover_center_data",
+               "genuine_central_character_count"),
     "parameters": ("PairSetParameter", "class_of", "length", "make_parameter",
                    "orbit_representatives", "theta", "tower_parameter"),
     "cayley_graph": ("HasseDiagram", "cayley", "enumerate_block", "hasse_diagram"),
     "coherent": ("ChainCertificate", "RuleOutReport", "StabilizerDescription", "chain_types",
                  "count_small", "replay_witness", "rule_out", "stabilizer"),
-    "klv_poset": ("FormalIntegerCombination", "M_entry", "ParameterPoset", "contains",
-                  "m_entry", "pi_RD", "rd_subsets", "tower_poset", "verify_inversion"),
-    "lifting": ("K_coefficient", "TheoremReport", "cartan_constant", "lift_trivial",
-                "verify_main_theorem"),
+    "klv_poset": ("M_entry", "ParameterPoset", "contains", "m_entry", "pi_RD", "rd_subsets",
+                  "tower_poset", "verify_inversion"),
+    "lifting": ("FormalIntegerCombination", "K_coefficient", "cartan_constant", "lift_trivial"),
+    "theorem": ("TheoremReport", "verify_main_theorem"),
     "weyl": ("RootSubsystem", "canonical_reflection_word"),
     "dense": ("integral_system", "root_type"),
 }

@@ -1,4 +1,4 @@
-"""Cartan involutions, Cartan-subgroup classes, and the cover's center.
+"""Cartan involutions and Cartan-subgroup classes.
 
 An involution theta is stored as a signed permutation of the ambient
 coordinates: every theta built here is -Id composed with reflections in
@@ -7,12 +7,14 @@ Conjugacy classes of Cartan subgroups are labelled by a signature: for E
 families the triple (r, m, s) of compact / complex / split torus factors,
 for A the real rank, for D the plane census plus an orientation bit.
 Signatures are computed exactly from the action of sigma = -theta on the
-root lattice.
+root lattice, in simple-root coordinates from an integer dual basis.  The
+cover's center is the center module.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -23,12 +25,11 @@ from .root_system import (
     Record,
     RootSystem,
     Vector,
-    _dual_basis,
-    _scaled_coefficients,
     build_root_system,
     idot,
     ScopeError,
 )
+from .center import _gf2_kernel_basis
 
 # Root type tags, as printed in chain certificates.
 IMAGINARY = "im"
@@ -102,40 +103,37 @@ def involution_from_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Integer linear algebra (exact, small matrices)
-# ---------------------------------------------------------------------------
-
-def _gf2_kernel_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    m = [[mat[i][j] % 2 for j in range(cols)] for i in range(rows)]
-    pivots: Dict[int, int] = {}
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                m[i] = [(x + y) % 2 for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    free_cols = [c for c in range(cols) if c not in pivots]
-    for fc in free_cols:
-        v = [0] * cols
-        v[fc] = 1
-        for c, row in pivots.items():
-            if m[row][fc]:
-                v[c] = 1
-        basis.append(tuple(v))
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # Signatures from the lattice action
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _dual_basis(simples: Tuple[Doubled, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """Rows d*omega_i, integer for the least d, and the divisor 2d, where
+    omega_i = sum_k (C^-1)_ik alpha_k (C: the Gram = Cartan matrix) pairs to
+    delta_ij with alpha_j: v in the span has coefficients (2v . d*omega_i) / 2d.
+    C^-1 comes from fraction-free Gauss-Jordan elimination on [C | I].
+    """
+    r = len(simples)
+    aug = [[idot(a, b) // 4 for b in simples] + [int(i == j) for j in range(r)]
+           for i, a in enumerate(simples)]
+    for c in range(r):
+        piv = next(i for i in range(c, r) if aug[i][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        for i in range(r):
+            if i != c and aug[i][c]:
+                f, p = aug[i][c], aug[c][c]
+                aug[i] = [p * x - f * y for x, y in zip(aug[i], aug[c])]
+    # Row i reads aug[i][i] * (C^-1)_i, so omega_i = w_i / (2 aug[i][i]).
+    ws = [[idot(aug[i][r:], column) for column in zip(*simples)] for i in range(r)]
+    dens = [2 * aug[i][i] for i in range(r)]
+    d = lcm(*(abs(den) // gcd(den, *w) for w, den in zip(ws, dens)))
+    return tuple(tuple(d * x // den for x in w) for w, den in zip(ws, dens)), 2 * d
+
+
+def _scaled_coefficients(rows: Sequence[Tuple[int, ...]], doubled: Sequence[int]) -> Tuple[int, ...]:
+    """2d times the simple-root coefficients of v = doubled/2, for (rows, 2d) = _dual_basis."""
+    return tuple(idot(row, doubled) for row in rows)
+
 
 @lru_cache(maxsize=None)
 def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[int, int, int]:
@@ -290,98 +288,12 @@ def classify_pairs(family: str, rank: int, pairs: Sequence[Tuple[int, int]],
 
 
 # ---------------------------------------------------------------------------
-# Center of the nonlinear cover
-# ---------------------------------------------------------------------------
-
-class FiniteAbelianGroup(Record):
-    invariant_factors: Tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
-    def render(self) -> str:
-        if not self.invariant_factors:
-            return "1"
-        return " x ".join("Z/%d" % d for d in self.invariant_factors)
-
-
-def cartan_matrix(system: RootSystem) -> List[List[int]]:
-    out = []
-    for a in system.doubled_simple:
-        row = [2 * idot(a, b) for b in system.doubled_simple]  # (a, a) times <b, a^vee>
-        if any(x % idot(a, a) for x in row):
-            raise InvariantError("non-integer Cartan pairing")
-        out.append([x // idot(a, a) for x in row])
-    return out
-
-
-class CenterData(Record):
-    """Center of the nonlinear double cover and its genuine quotient, with
-    the coset representatives held doubled; quotient_reps is their view."""
-
-    family: str
-    rank: int
-    center: FiniteAbelianGroup        # Z of the cover
-    quotient_order: int               # [2 P^vee cap R^vee : 2 R^vee]
-    doubled_reps: Tuple[Doubled, ...]  # 2 * each coset representative
-
-    @cached_property
-    def quotient_reps(self) -> Tuple[Vector, ...]:
-        from .dense import view
-        return tuple(map(view, self.doubled_reps))
-
-
-@lru_cache(maxsize=None)
-def cover_center_data(family: str, rank: Optional[int] = None) -> CenterData:
-    """Center of the cover via the lattice quotient [2P^vee cap R^vee]/2R^vee.
-
-    In simple-root coordinates the quotient is the kernel of the Cartan
-    matrix mod 2, of order 2^k for k the dimension of that kernel, and the
-    center is (Z/2)^(k+1).  The representatives are the zero vector, then
-    the sums of simple roots over the nonzero kernel vectors in sorted order.
-    An E group named by None shares its rank's entry: one center per system.
-    """
-    system = build_root_system(family, rank)
-    n = system.rank
-    if rank != n:
-        return cover_center_data(family, n)
-    kernel = _gf2_kernel_basis(cartan_matrix(system))
-    k = len(kernel)
-
-    span: List[List[int]] = []
-    for mask in range(1 << k):
-        coeffs = [0] * n
-        for bit in range(k):
-            if (mask >> bit) & 1:
-                coeffs = [(x + y) % 2 for x, y in zip(coeffs, kernel[bit])]
-        span.append(coeffs)
-    columns = tuple(zip(*system.doubled_simple))
-    reps = tuple(tuple(idot(coeffs, column) for column in columns) for coeffs in sorted(span))
-
-    return CenterData(
-        family=family,
-        rank=n,
-        center=FiniteAbelianGroup(invariant_factors=(2,) * (k + 1)),
-        quotient_order=1 << k,
-        doubled_reps=reps,
-    )
-
-
-def genuine_central_character_count(family: str, rank: Optional[int] = None) -> int:
-    """Number of genuine central characters with a fixed infinitesimal type."""
-    return cover_center_data(family, rank).quotient_order
-
-
-# ---------------------------------------------------------------------------
 # Forwarded names
 # ---------------------------------------------------------------------------
 # Names that perfbench/trace_child.py wraps in this module, and the modules
 # that now hold them; nothing in the package reads them here.
-_FORWARDED = {"hasse_diagram": "cayley_graph", "root_type": "dense"}
+_FORWARDED = {"hasse_diagram": "cayley_graph", "root_type": "dense",
+              "cover_center_data": "center"}
 
 
 def __getattr__(name: str):

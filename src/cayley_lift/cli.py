@@ -16,23 +16,13 @@ from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 from .root_system import SCHEMA, CertificateError, InvariantError, ScopeError
-from . import cartan
+from . import cartan, center
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SCOPE = 3
 EXIT_INTERNAL = 4
-
-_EPILOG = """\
-exit codes:
-  0  success (all checks passed)
-  1  a verification or replay check failed
-  2  usage error
-  3  request outside the implemented scope
-  4  internal error: an invariant of the computation failed
-"""
-
 
 # flag: (attribute, a tuple of choices, int, str or None for a switch, help)
 _FLAGS = {
@@ -50,16 +40,9 @@ _CHI = _GROUP + ("--chi",)
 
 
 def _help(verb: Optional[str]) -> str:
-    """What -h prints: the verbs, or the flags of one verb, then the exit codes."""
-    if verb is None:
-        about, rows = "VERB is one of:", [(v, entry[1]) for v, entry in _VERBS.items()]
-    else:
-        about = _VERBS[verb][1]
-        rows = [(f + (" {%s}" % ",".join(kind) if type(kind) is tuple else " N" if kind is int
-                      else " ID" if kind else ""), text)
-                for f in _VERBS[verb][2] + _COMMON for _, kind, text in [_FLAGS[f]]]
-    return ("usage: cayley-lift %s [--flag value ...]\n%s\n" % (verb or "VERB", about)
-            + "".join("\n  %-26s%s" % row for row in rows) + "\n\n" + _EPILOG)
+    """What -h prints, from the help module."""
+    from .cli_help import usage
+    return usage(verb, _VERBS, _FLAGS, _COMMON)
 
 
 def _is_flag(token: str) -> bool:
@@ -129,7 +112,7 @@ class UsageError(Exception):
 
 
 def _chi_range(args, rank: Optional[int]) -> Sequence[int]:
-    count = cartan.genuine_central_character_count(args.family, rank)
+    count = center.genuine_central_character_count(args.family, rank)
     if args.chi is None:
         return range(count)
     if not 0 <= args.chi < count:
@@ -138,67 +121,17 @@ def _chi_range(args, rank: Optional[int]) -> Sequence[int]:
     return (args.chi,)
 
 
-_ESCAPES = {c: "\\" + e for c, e in zip("\n\r\t\b\f", "nrtbf")}
-
-
-def _escape(match) -> str:
-    """json's ensure_ascii escape of a character outside printable ASCII."""
-    c = match.group()
-    if c in _ESCAPES:
-        return _ESCAPES[c]
-    n = ord(c)
-    if n < 0x10000:
-        return "\\u%04x" % n
-    n -= 0x10000  # beyond the BMP: a surrogate pair
-    return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
-
-
-def _json(value, indent: str = "\n") -> str:
-    """value as json.dumps(value, indent=2, sort_keys=True) writes it, for
-    what a payload holds: dicts with str keys, lists, tuples, str, int,
-    bool and None.  Anything else raises TypeError."""
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        text = value.replace("\\", "\\\\").replace('"', '\\"')
-        if not (value.isascii() and value.isprintable()):
-            text = re.sub(r"[^ -~]", _escape, text)
-        return '"' + text + '"'
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("keys must be str, not %r" % (list(value),))
-        items = [_json(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
-        ends = "{}"
-    elif isinstance(value, (list, tuple)):
-        items, ends = [_json(v, inner) for v in value], "[]"
-    else:
-        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
-    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
-
-
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
     out = sys.stdout
     if args.format == "json":
-        out.write(_json({**payload, "schema": SCHEMA}) + "\n")
+        from .cli_json import dumps
+        out.write(dumps({**payload, "schema": SCHEMA}) + "\n")
         return
     if not args.no_header:
-        out.write("# cayley-lift %s\n" % " ".join(_header(args)))
+        from .cli_help import header
+        out.write(header(args))
     for line in text_lines:
         out.write(line + "\n")
-
-
-def _header(args) -> List[str]:
-    parts = [args.verb]
-    if args.witness_id:
-        parts.append("id=%s" % args.witness_id)
-    if args.family:
-        parts.append("family=%s" % args.family)
-        if args.rank is not None:
-            parts.append("rank=%d" % args.rank)
-    return parts
 
 
 # verb: (handler module, help line, the flags it takes besides _COMMON, the first

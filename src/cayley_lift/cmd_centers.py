@@ -1,11 +1,11 @@
 """The centers verb: the center of the cover and its genuine quotient."""
 
 from .root_system import _vec, rational
-from . import cartan
+from . import center
 
 
 def run(args, rank, chis):
-    data = cartan.cover_center_data(args.family, rank)
+    data = center.cover_center_data(args.family, rank)
     payload = {
         "family": data.family,
         "lie_rank": data.rank,

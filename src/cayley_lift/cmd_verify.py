@@ -1,10 +1,10 @@
 """The verify verb: the whole-family check of lift support, coefficients and count."""
 
-from . import lifting
+from . import theorem
 
 
 def run(args, rank, chis):
-    report = lifting.verify_main_theorem(args.family, rank)
+    report = theorem.verify_main_theorem(args.family, rank)
     payload = {
         "family": report.family,
         "support_total": report.support_total,

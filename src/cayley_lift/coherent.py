@@ -55,8 +55,8 @@ from .weyl import (
     subsystem,
     weyl_tables,
 )
-from .cartan import (COMPLEX, IMAGINARY, REAL, CartanClass, class_rep_data,
-                     genuine_central_character_count)
+from .cartan import COMPLEX, IMAGINARY, REAL, CartanClass, class_rep_data
+from .center import genuine_central_character_count
 from .parameters import (
     PairSetParameter,
     make_parameter,

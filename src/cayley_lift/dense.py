@@ -15,9 +15,8 @@ from functools import lru_cache
 from math import lcm
 from typing import TYPE_CHECKING, Tuple
 
-from .root_system import (Doubled, Matrix, RootSystem, SignedPerm, Vector, WeylWord, _dual_basis,
-                          _scaled_coefficients, idot, neg)
-from .cartan import COMPLEX, IMAGINARY, REAL
+from .root_system import Doubled, Matrix, RootSystem, SignedPerm, Vector, WeylWord, idot, neg
+from .cartan import COMPLEX, IMAGINARY, REAL, _dual_basis, _scaled_coefficients
 from .weyl import RootSubsystem, _integral_system
 
 if TYPE_CHECKING:

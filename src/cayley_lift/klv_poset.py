@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .root_system import Record, ScopeError, build_root_system
 from .parameters import Pair, PairSetParameter, length, tower_parameter
@@ -177,43 +177,3 @@ def verify_inversion(poset: ParameterPoset) -> bool:
             if entry != (1 if i == j else 0):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Formal integer combinations of parameters
-# ---------------------------------------------------------------------------
-
-class FormalIntegerCombination(Record):
-    """An integer linear combination of parameters, kept in sorted order."""
-
-    terms: Tuple[Tuple[PairSetParameter, int], ...]
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[Tuple[PairSetParameter, int]]) -> "FormalIntegerCombination":
-        acc: Dict[PairSetParameter, int] = {}
-        for p, c in pairs:
-            acc[p] = acc.get(p, 0) + c
-        kept = [(p, c) for p, c in acc.items() if c != 0]
-        kept.sort(key=lambda t: parameter_sort_key(t[0]))
-        return FormalIntegerCombination(tuple(kept))
-
-    def coefficient(self, p: PairSetParameter) -> int:
-        for q, c in self.terms:
-            if q == p:
-                return c
-        return 0
-
-    def support(self) -> Tuple[PairSetParameter, ...]:
-        return tuple(p for p, _ in self.terms)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for p, c in self.terms:
-            sign = "+" if c >= 0 else "-"
-            mag = abs(c)
-            coeff = "" if mag == 1 else "%d*" % mag
-            chunks.append("%s %s%s" % (sign, coeff, p.render()))
-        text = " ".join(chunks)
-        return text[2:] if text.startswith("+ ") else text

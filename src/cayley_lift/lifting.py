@@ -10,19 +10,48 @@ the associated torus has a compact factor, 1 otherwise.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .root_system import Record, ScopeError
-from .cartan import cartan_shape, genuine_central_character_count
+from .cartan import cartan_shape
 from .parameters import PairSetParameter, class_of
-from .klv_poset import (
-    FormalIntegerCombination,
-    RDSubset,
-    in_tower_scope,
-    pi_RD,
-    rd_subsets,
-    tower_terms,
-)
+from .klv_poset import RDSubset, in_tower_scope, parameter_sort_key, rd_subsets, tower_terms
+
+
+class FormalIntegerCombination(Record):
+    """An integer linear combination of parameters, kept in sorted order."""
+
+    terms: Tuple[Tuple[PairSetParameter, int], ...]
+
+    @staticmethod
+    def from_pairs(pairs: Iterable[Tuple[PairSetParameter, int]]) -> "FormalIntegerCombination":
+        acc: Dict[PairSetParameter, int] = {}
+        for p, c in pairs:
+            acc[p] = acc.get(p, 0) + c
+        kept = [(p, c) for p, c in acc.items() if c != 0]
+        kept.sort(key=lambda t: parameter_sort_key(t[0]))
+        return FormalIntegerCombination(tuple(kept))
+
+    def coefficient(self, p: PairSetParameter) -> int:
+        for q, c in self.terms:
+            if q == p:
+                return c
+        return 0
+
+    def support(self) -> Tuple[PairSetParameter, ...]:
+        return tuple(p for p, _ in self.terms)
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        chunks = []
+        for p, c in self.terms:
+            sign = "+" if c >= 0 else "-"
+            mag = abs(c)
+            coeff = "" if mag == 1 else "%d*" % mag
+            chunks.append("%s %s%s" % (sign, coeff, p.render()))
+        text = " ".join(chunks)
+        return text[2:] if text.startswith("+ ") else text
 
 
 def cartan_constant(p: PairSetParameter) -> int:
@@ -57,60 +86,3 @@ def lift_trivial(family: str, rank: Optional[int] = None, chi: int = 0) -> Forma
     last term of the tower that K_S sums over."""
     return FormalIntegerCombination.from_pairs(
         _tower_sum(family, rank, subset, chi) for subset in rd_subsets(family, rank))
-
-
-class CharacterCheck(Record):
-    chi: int
-    lift: FormalIntegerCombination
-    expected_support: Tuple[PairSetParameter, ...]
-    support_matches: bool
-    coefficients_unit: bool   # every coefficient is +1 or -1
-
-
-class TheoremReport(Record):
-    family: str
-    rank: Optional[int]
-    checks: Tuple[CharacterCheck, ...]
-    support_total: int
-    small_count: int
-    passed: bool
-
-
-def verify_main_theorem(family: str, rank: Optional[int] = None) -> TheoremReport:
-    """Whole-family check: each character's lift, whose support lift_trivial
-    reads off the tops of the towers, is supported exactly on the full-level
-    parameters that pi_RD lists, with coefficients +-1, and the total support
-    size equals the independently computed number of small representations."""
-    from .coherent import count_small
-
-    checks = []
-    count = genuine_central_character_count(family, rank)
-    for chi in range(count):
-        combo = lift_trivial(family, rank, chi)
-        expected = pi_RD(family, rank, chi)
-        support_matches = (set(combo.support()) == set(expected)
-                           and len(combo.support()) == len(expected))
-        unit = all(abs(c) == 1 for _, c in combo.terms)
-        checks.append(
-            CharacterCheck(
-                chi=chi,
-                lift=combo,
-                expected_support=expected,
-                support_matches=support_matches,
-                coefficients_unit=unit,
-            )
-        )
-    support_total = sum(len(c.lift.support()) for c in checks)
-    small = count_small(family, rank)
-    passed = (
-        all(c.support_matches and c.coefficients_unit for c in checks)
-        and support_total == small
-    )
-    return TheoremReport(
-        family=family,
-        rank=rank,
-        checks=tuple(checks),
-        support_total=support_total,
-        small_count=small,
-        passed=passed,
-    )

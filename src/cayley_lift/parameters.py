@@ -33,10 +33,10 @@ from .cartan import (
     cartan_classes,
     class_rep_data,
     classify_pairs,
-    genuine_central_character_count,
     involution_from_pairs,
     signature_from_involution,
 )
+from .center import genuine_central_character_count
 
 Pair = Tuple[int, int]
 Block = Tuple[int, ...]

@@ -6,6 +6,8 @@ every vector doubled, 2v as a tuple of ints, so that the half-integer E8
 roots are integral: construction and the integral roots at rho/2 are
 integer arithmetic, as are the Weyl group tables, the integral subsystems
 and the reflection words of the weyl module, which builds on this one.
+The positive roots need no basis solve: A and D list theirs, and an E root
+is positive when its last nonzero coordinate is (Bourbaki, Planche VII).
 Doubling keeps the lexicographic order, so the positive roots and every
 signed index are those of the rational vectors.  fractions.Fraction appears
 only at the edge, in the dense module, which no CLI request runs: the
@@ -17,7 +19,7 @@ integers.  There is no floating point anywhere in this package.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -204,35 +206,6 @@ class RootSystem(Record):
         return hash((self.family, self.rank, self.doubled_simple, self.doubled_positive))
 
 
-@lru_cache(maxsize=None)
-def _dual_basis(simples: Tuple[Doubled, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-    """Rows d*omega_i, integer for the least d, and the divisor 2d, where
-    omega_i = sum_k (C^-1)_ik alpha_k (C: the Gram = Cartan matrix) pairs to
-    delta_ij with alpha_j: v in the span has coefficients (2v . d*omega_i) / 2d.
-    C^-1 comes from fraction-free Gauss-Jordan elimination on [C | I].
-    """
-    r = len(simples)
-    aug = [[idot(a, b) // 4 for b in simples] + [int(i == j) for j in range(r)]
-           for i, a in enumerate(simples)]
-    for c in range(r):
-        piv = next(i for i in range(c, r) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        for i in range(r):
-            if i != c and aug[i][c]:
-                f, p = aug[i][c], aug[c][c]
-                aug[i] = [p * x - f * y for x, y in zip(aug[i], aug[c])]
-    # Row i reads aug[i][i] * (C^-1)_i, so omega_i = w_i / (2 aug[i][i]).
-    ws = [[idot(aug[i][r:], column) for column in zip(*simples)] for i in range(r)]
-    dens = [2 * aug[i][i] for i in range(r)]
-    d = lcm(*(abs(den) // gcd(den, *w) for w, den in zip(ws, dens)))
-    return tuple(tuple(d * x // den for x in w) for w, den in zip(ws, dens)), 2 * d
-
-
-def _scaled_coefficients(rows: Sequence[Tuple[int, ...]], doubled: Sequence[int]) -> Tuple[int, ...]:
-    """2d times the simple-root coefficients of v = doubled/2, for (rows, 2d) = _dual_basis."""
-    return tuple(idot(row, doubled) for row in rows)
-
-
 def _e8_roots() -> List[Doubled]:
     roots: List[Doubled] = []
     for i in range(8):
@@ -300,9 +273,12 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
                 return build_root_system(family, int(family[1]))
             raise ScopeError("rank of %s is fixed" % family)
         simples = _e_simple_roots(family)
-        height = [sum(column) for column in zip(*_dual_basis(simples)[0])]  # d * rho, as rows
         members = [v for v in _e8_roots() if _in_e_subspace(family, v)]
-        positives = tuple(sorted(v for v in members if idot(height, v) > 0))
+        # Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Planche VII: for
+        # these simple roots an E8 root is positive exactly when its last
+        # nonzero coordinate is.  E6 and E7 take their simple roots from E8's,
+        # so their positive roots are E8's that lie in their subspace.
+        positives = tuple(sorted(v for v in members if next(x for x in reversed(v) if x) > 0))
         expected = {"E6": 36, "E7": 63, "E8": 120}[family]
         if len(positives) != expected or 2 * len(positives) != len(members):
             raise InvariantError("positive system extraction failed for %s" % family)

@@ -59,10 +59,9 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from cayley_lift import coherent
-from cayley_lift.cartan import genuine_central_character_count
-from cayley_lift.cli import _EPILOG
+from cayley_lift.center import genuine_central_character_count
+from cayley_lift.cli_help import EPILOG
 from cayley_lift.klv_poset import (
-    FormalIntegerCombination,
     M_entry,
     ParameterPoset,
     m_entry,
@@ -72,6 +71,7 @@ from cayley_lift.klv_poset import (
     tower_terms,
 )
 from cayley_lift.cayley_graph import enumerate_block
+from cayley_lift.lifting import FormalIntegerCombination
 from cayley_lift.parameters import (
     PairSetParameter,
     make_parameter,
@@ -920,14 +920,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cayley-lift",
         description="Genuine small representations of nonlinear double covers "
         "at infinitesimal character rho/2: exact combinatorial data.",
-        epilog=_EPILOG,
+        epilog=EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name: str, help_text: str, family: bool = True, chi: bool = False,
             wid: bool = False):
-        cmd = sub.add_parser(name, help=help_text, epilog=_EPILOG,
+        cmd = sub.add_parser(name, help=help_text, epilog=EPILOG,
                              formatter_class=argparse.RawDescriptionHelpFormatter)
         if family:
             cmd.add_argument("--family", choices=("A", "D", "E6", "E7", "E8"),

@@ -11,15 +11,12 @@ import time
 from fractions import Fraction as Q
 
 from cayley_lift import witness_data
-from cayley_lift.cartan import (
-    cartan_classes,
-    cover_center_data,
-    involution_for_class,
-)
+from cayley_lift.cartan import cartan_classes, involution_for_class
+from cayley_lift.center import cover_center_data
 from cayley_lift.cli import EXIT_OK, main
 from cayley_lift.coherent import chain_types, replay_witness
 from cayley_lift.klv_poset import contains, rd_subsets, tower_poset, verify_inversion
-from cayley_lift.lifting import K_coefficient, verify_main_theorem
+from cayley_lift.lifting import K_coefficient
 from cayley_lift.cayley_graph import cayley, enumerate_block
 from cayley_lift.dense import integral_system
 from cayley_lift.parameters import (
@@ -28,6 +25,7 @@ from cayley_lift.parameters import (
     make_parameter,
 )
 from cayley_lift.root_system import build_root_system
+from cayley_lift.theorem import verify_main_theorem
 from reference import (
     half_integral_roots,
     identity_matrix,

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 import reference
-from cayley_lift import cartan
+from cayley_lift import center
 from cayley_lift.cartan import (
     CartanClass,
     Involution,
@@ -17,17 +17,16 @@ from cayley_lift.cartan import (
     cartan_shape,
     class_rep_data,
     classify_pairs,
-    cover_center_data,
-    genuine_central_character_count,
     involution_for_class,
     involution_from_pairs,
     signature_from_involution,
 )
 from cayley_lift.cayley_graph import hasse_diagram
+from cayley_lift.center import cover_center_data, genuine_central_character_count
 from cayley_lift.e_classes import E_CLASS_REPS
-from cayley_lift.lifting import verify_main_theorem
 from cayley_lift.parameters import make_parameter
 from cayley_lift.root_system import InvariantError, ScopeError, build_root_system
+from cayley_lift.theorem import verify_main_theorem
 from reference import identity_matrix, mat_apply, mat_mul, pairing
 
 
@@ -296,8 +295,8 @@ def test_the_e7_center_is_computed_once(monkeypatch, compute):
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
     computed = []
-    original = cartan.cartan_matrix
-    monkeypatch.setattr(cartan, "cartan_matrix", lambda system: computed.append(system) or original(system))
+    original = center.cartan_matrix
+    monkeypatch.setattr(center, "cartan_matrix", lambda system: computed.append(system) or original(system))
     compute("E7")
     assert computed == [build_root_system("E7")]
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cayley_lift import cartan, cli, cmd_roots, e_classes, klv_poset, lifting, parameters
+from cayley_lift import cartan, center, cli_help, cmd_roots, e_classes, klv_poset, parameters, theorem
 from cayley_lift.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -67,7 +67,7 @@ def _edge_cases():
         cases.append(((verb, "--family", "E6", "--rank", "6"), EXIT_USAGE))
     for verb in CHI_VERBS:
         for flags, family, rank in CHI_GROUPS:
-            count = cartan.genuine_central_character_count(family, rank)
+            count = center.genuine_central_character_count(family, rank)
             for chi in (-1, count):
                 cases.append(((verb,) + flags + ("--chi", str(chi)), EXIT_SCOPE))
     cases.append((("replay-witness", "--id", "nope"), EXIT_SCOPE))
@@ -163,7 +163,7 @@ def test_help_lists_every_verb_and_the_exit_codes(capsys):
     listed = {line.split(None, 1)[0]: line.split(None, 1)[1] for line in out.splitlines()
               if line.startswith("  ") and line.split(None, 1)[0] in VERB_HELP}
     assert listed == VERB_HELP
-    assert out.endswith(cli._EPILOG)
+    assert out.endswith(cli_help.EPILOG)
     assert "exit codes:\n  0  success" in out and "  4  internal error" in out
 
 
@@ -171,7 +171,7 @@ def test_help_lists_every_verb_and_the_exit_codes(capsys):
 def test_verb_help_lists_exactly_the_flags_it_accepts(capsys, verb):
     code, out = run(capsys, verb, "--help")
     assert code == EXIT_OK
-    assert VERB_HELP[verb] in out and out.endswith(cli._EPILOG)
+    assert VERB_HELP[verb] in out and out.endswith(cli_help.EPILOG)
     listed = {line.split()[0] for line in out.splitlines() if line.startswith("  --")}
     takes = {"--id"} if verb == "replay-witness" else {"--family", "--rank"}
     assert listed == takes | COMMON_FLAGS | ({"--chi"} if verb in CHI_VERBS else set())
@@ -278,9 +278,9 @@ def _failed(report):
 
 @pytest.mark.parametrize("verb", ["klv-check", "verify"])
 def test_a_failed_check_prints_everything_and_exits_1(capsys, monkeypatch, verb):
-    real = lifting.verify_main_theorem
+    real = theorem.verify_main_theorem
     fakes = {"klv-check": (klv_poset, "verify_inversion", lambda poset: False),
-             "verify": (lifting, "verify_main_theorem", lambda *a: _failed(real(*a)))}
+             "verify": (theorem, "verify_main_theorem", lambda *a: _failed(real(*a)))}
     argv = (verb, "--family", "D", "--rank", "4")
     good = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("text", "json")}
     monkeypatch.setattr(*fakes[verb])

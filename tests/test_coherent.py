@@ -262,7 +262,7 @@ def test_count_small_at_classical_desk_ranks():
 
 
 def test_count_small_is_orbits_times_characters():
-    from cayley_lift.cartan import genuine_central_character_count
+    from cayley_lift.center import genuine_central_character_count
 
     for family, rank in (("A", 3), ("A", 4), ("D", 4), ("D", 5)):
         survivors = [r for r in survey(family, rank) if r.verdict == "survives"]

@@ -17,7 +17,8 @@ imports dense, the Fraction edge that no CLI request runs, at its top: the
 vector views and coherent's matrix_to_word import it when they are called.  No module imports cli, which python -m
 runs as __main__, so that no request compiles it twice, and cli defines
 no verb handler: each verb's handler is a module of its own, which the CLI
-imports on dispatch.  The __main__ block of cli only calls run(), which
+imports on dispatch.  cli imports its help module (help text and comment
+header) and its JSON writer only inside the functions that write them.  The __main__ block of cli only calls run(), which
 ends the process with os._exit; that skips the interpreter's wait for
 non-daemon threads, so no module imports threading, _thread,
 multiprocessing or concurrent.  The exact-Fraction oracle in
@@ -257,12 +258,21 @@ def test_no_module_imports_the_dense_module_at_its_top():
     assert {module: scopes for module, scopes in _importers("dense").items()
             if "<module>" in scopes} == {}
     assert _importers("dense") == {
-        "cartan.py": ["matrix", "quotient_reps"],
+        "cartan.py": ["matrix"],
+        "center.py": ["quotient_reps"],
         "coherent.py": ["steps", "matrix_to_word"],
         "root_system.py": ["simple_roots", "positive_roots", "rho", "rho_half", "roots",
                            "simple_coefficients", "height"],
         "weyl.py": ["rho"],
     }
+
+
+def test_only_the_cli_imports_its_help_and_json_modules_when_it_writes_them():
+    """A text request with --no-header compiles neither: the help module
+    loads for help and for the comment header, the JSON writer for --format
+    json."""
+    assert _importers("cli_help") == {"cli.py": ["_help", "_emit"]}
+    assert _importers("cli_json") == {"cli.py": ["_emit"]}
 
 
 def test_no_module_imports_the_cli_and_the_cli_holds_no_handler():

@@ -9,7 +9,6 @@ import reference
 
 from cayley_lift import klv_poset
 from cayley_lift.klv_poset import (
-    FormalIntegerCombination,
     M_entry,
     in_tower_scope,
     m_entry,
@@ -18,8 +17,10 @@ from cayley_lift.klv_poset import (
     tower_poset,
     verify_inversion,
 )
-from cayley_lift.cartan import TransformError, genuine_central_character_count
+from cayley_lift.cartan import TransformError
+from cayley_lift.center import genuine_central_character_count
 from cayley_lift.cayley_graph import cayley_moves
+from cayley_lift.lifting import FormalIntegerCombination
 from cayley_lift.parameters import make_parameter, orbit_representatives
 from cayley_lift.root_system import ScopeError
 from reference import block_poset, gamma_star_row_check, zuckerman_restricted

@@ -7,10 +7,10 @@ from cayley_lift.lifting import (
     K_coefficient,
     cartan_constant,
     lift_trivial,
-    verify_main_theorem,
 )
 from cayley_lift.parameters import make_parameter
 from cayley_lift.root_system import ScopeError
+from cayley_lift.theorem import verify_main_theorem
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_verify_main_theorem_light(family, rank, total):
 
 
 def test_verify_checks_cover_every_genuine_character():
-    from cayley_lift.cartan import genuine_central_character_count
+    from cayley_lift.center import genuine_central_character_count
 
     report = verify_main_theorem("D", 4)
     assert [c.chi for c in report.checks] == list(
@@ -116,7 +116,7 @@ def test_verify_catches_a_wrong_full_level_parameter(monkeypatch):
     compares it with pi_RD, so a fault in pi_RD (gamma({1,2}) in place of
     D 4's last full-level parameter, wherever pi_RD is bound) fails every
     character's support check and the whole report."""
-    from cayley_lift import klv_poset, lifting
+    from cayley_lift import klv_poset, theorem
 
     original = klv_poset.pi_RD
 
@@ -125,7 +125,7 @@ def test_verify_catches_a_wrong_full_level_parameter(monkeypatch):
             make_parameter(family, rank, chi, pairs=((1, 2),)),)
 
     assert verify_main_theorem("D", 4).passed
-    for module in (klv_poset, lifting):
+    for module in (klv_poset, theorem):
         monkeypatch.setattr(module, "pi_RD", wrong)
     report = verify_main_theorem("D", 4)
     assert [c.support_matches for c in report.checks] == [False] * 4

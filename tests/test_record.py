@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from cayley_lift import (cartan, cayley_graph, coherent, dense, klv_poset, lifting, parameters, weyl,
-                         witness_data)
+from cayley_lift import (cartan, cayley_graph, center, coherent, dense, klv_poset, lifting, parameters,
+                         theorem, weyl, witness_data)
 from cayley_lift.root_system import Record, RootSystem, build_root_system
 
 
@@ -31,8 +31,8 @@ SAMPLES = {
     "TorusShape": lambda: cartan.cartan_shape(cartan.cartan_classes("A", 3)[1]),
     "CartanClass": lambda: cartan.cartan_classes("E6")[0],
     "HasseDiagram": lambda: cayley_graph.hasse_diagram("A", 3),
-    "FiniteAbelianGroup": lambda: cartan.cover_center_data("D", 4).center,
-    "CenterData": lambda: cartan.cover_center_data("D", 4),
+    "FiniteAbelianGroup": lambda: center.cover_center_data("D", 4).center,
+    "CenterData": lambda: center.cover_center_data("D", 4),
     "PairSetParameter": _parameter,
     "RDSubset": lambda: klv_poset.rd_subsets("A", 3)[1],
     "ChainCertificate": lambda: coherent.rule_out(parameters.make_parameter("A", 3)).certificate,
@@ -41,8 +41,8 @@ SAMPLES = {
     "ReplayReport": lambda: coherent.replay_witness("E6-030"),
     "ParameterPoset": lambda: klv_poset.tower_poset("A", 3),
     "FormalIntegerCombination": lambda: lifting.lift_trivial("A", 3),
-    "CharacterCheck": lambda: lifting.verify_main_theorem("A", 3).checks[0],
-    "TheoremReport": lambda: lifting.verify_main_theorem("A", 3),
+    "CharacterCheck": lambda: theorem.verify_main_theorem("A", 3).checks[0],
+    "TheoremReport": lambda: theorem.verify_main_theorem("A", 3),
     "WitnessEntry": lambda: witness_data.CATALOG["E6-030"],
 }
 TYPES = sorted(SAMPLES)
@@ -179,7 +179,7 @@ def test_repr_names_each_field(name):
 def test_repr_is_the_dataclass_format():
     assert repr(cartan.CartanClass("E6", 6, (2, 2, 0))) == \
         "CartanClass(family='E6', rank=6, signature=(2, 2, 0))"
-    assert repr(cartan.cover_center_data("D", 4).center) == \
+    assert repr(center.cover_center_data("D", 4).center) == \
         "FiniteAbelianGroup(invariant_factors=(2, 2, 2))"
     assert repr(_parameter()) == \
         "PairSetParameter(family='A', rank=3, chi=0, blocks=(), pairs=((1, 2),))"

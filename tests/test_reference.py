@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from golden.generate import ALL_GROUPS, DIGESTS
-from cayley_lift.cartan import cover_center_data, involution_from_pairs, signature_from_involution
-from cayley_lift import cartan, cayley_graph, cli, coherent, dense, parameters, root_system
+from cayley_lift.cartan import involution_from_pairs, signature_from_involution
+from cayley_lift.center import cover_center_data
+from cayley_lift import (cayley_graph, center, cli, cli_json, coherent, dense, parameters,
+                         root_system)
 from cayley_lift.coherent import (
     chain_types,
     matrix_to_word,
@@ -807,7 +809,7 @@ JSON_VALUES = (
 
 
 def _check_json(value):
-    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert cli_json.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("value", JSON_VALUES, ids=ascii)
@@ -818,7 +820,7 @@ def test_the_json_encoder_writes_what_json_dumps_did(value):
 @pytest.mark.parametrize("value", [0.5, {1: "x"}, {None: 1}, {"a": {(1,): 2}}, {1, 2}, b"x"], ids=repr)
 def test_the_json_encoder_rejects_floats_other_types_and_non_str_keys(value):
     with pytest.raises(TypeError):
-        cli._json(value)
+        cli_json.dumps(value)
 
 
 JSON_REQUESTS = sorted(key for key in json.loads(DIGESTS.read_text()) if key.endswith(" json"))
@@ -863,18 +865,27 @@ SMALL_THETA_CASES = [(p,) for f, r, p in THETA_CASES if (f, r) in (("A", 3), ("D
 CORE_FAULTS = {
     "theta_perm": (parameters, "theta_perm", _swap_first_two, _check_theta, SMALL_THETA_CASES),
     "cayley_moves": (cayley_graph, "cayley_moves", _drop_first, _check_moves, SMALL_THETA_CASES),
-    "gf2_kernel_basis": (cartan, "_gf2_kernel_basis", _drop_first, _check_center,
+    "gf2_kernel_basis": (center, "_gf2_kernel_basis", _drop_first, _check_center,
                          [("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E7", None)]),
     "build_root_system": (root_system, "build_root_system", _negate_a_coordinate, _check_roots,
                           [("A", 3), ("D", 4), ("E6", None)]),
     "parse_drops_chi": (cli, "_VERBS", _drop_chi, _check_parse, [(l,) for l in PARSE_LINES]),
     "parse_skips_int": (cli, "_FLAGS", _skip_int_conversion, _check_parse,
                         [(l,) for l in PARSE_LINES]),
-    "json_unsorted_keys": (cli, "_json", _mutant("sorted(value.items())", "value.items()"),
+    "json_unsorted_keys": (cli_json, "dumps", _mutant("sorted(value.items())", "value.items()"),
                            _check_json, [(v,) for v in JSON_VALUES]),
-    "json_item_separator": (cli, "_json", _mutant('("," + inner)', '(", " + inner)'),
+    "json_item_separator": (cli_json, "dumps", _mutant('("," + inner)', '(", " + inner)'),
                             _check_json, [(v,) for v in JSON_VALUES]),
 }
+
+
+def _install(monkeypatch, original, faulty):
+    """faulty in place of original wherever the package or this module binds it."""
+    namespaces = [m for n, m in sys.modules.items() if n.startswith("cayley_lift.")]
+    for namespace in namespaces + [sys.modules[__name__]]:
+        for attr, value in list(vars(namespace).items()):
+            if value is original:
+                monkeypatch.setattr(namespace, attr, faulty)
 
 
 @pytest.mark.parametrize("fault", sorted(CORE_FAULTS))
@@ -889,14 +900,26 @@ def test_the_comparisons_catch_a_core_fault(monkeypatch, fault):
     for cover_center_data, whose cache is cleared."""
     module, name, make_fault, check, cases = CORE_FAULTS[fault]
     original = getattr(module, name)
-    faulty = make_fault(original)
-    namespaces = [m for n, m in sys.modules.items() if n.startswith("cayley_lift.")]
-    for namespace in namespaces + [sys.modules[__name__]]:
-        for attr, value in list(vars(namespace).items()):
-            if value is original:
-                monkeypatch.setattr(namespace, attr, faulty)
+    _install(monkeypatch, original, make_fault(original))
     cover_center_data.cache_clear()
     assert _failures(check, cases)
     monkeypatch.undo()
     cover_center_data.cache_clear()
     assert _failures(check, cases) == []
+
+
+E_GROUPS = [("E6", None), ("E7", None), ("E8", None)]
+
+
+def test_the_root_comparison_catches_e_positives_read_off_the_first_coordinate(monkeypatch):
+    """build_root_system takes an E root as positive when its last nonzero
+    coordinate is (Bourbaki, Planche VII).  The first nonzero coordinate
+    halves each E root system too, so the build's own count check passes,
+    but the comparison with the reference's exact basis solve fails on each
+    E group; without the fault it passes on each."""
+    faulty = _mutant("reversed(v)", "v")(build_root_system)
+    assert [len(faulty(*group).doubled_positive) for group in E_GROUPS] == [36, 63, 120]
+    _install(monkeypatch, build_root_system, faulty)
+    assert _failures(_check_roots, E_GROUPS) == E_GROUPS
+    monkeypatch.undo()
+    assert _failures(_check_roots, E_GROUPS) == []

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayley_lift.cartan import cover_center_data
+from cayley_lift.center import cover_center_data
 from cayley_lift.dense import (
     basis_vector,
     dot,
