@@ -10,9 +10,9 @@ import sys
 # names, or of the module itself, so each CLI verb executes only what it calls.
 _EXPORTS = {
     "root_system": ("CertificateError", "InvariantError", "RootSystem", "ScopeError",
-                    "WordError", "build_root_system"),
-    "cartan": ("CartanClass", "Involution", "TorusShape", "TransformError", "cartan_classes",
-               "cartan_shape", "involution_for_class"),
+                    "TransformError", "WordError", "build_root_system"),
+    "cartan": ("CartanClass", "Involution", "TorusShape", "cartan_classes", "cartan_shape",
+               "involution_for_class"),
     "center": ("CenterData", "FiniteAbelianGroup", "cover_center_data",
                "genuine_central_character_count"),
     "parameters": ("PairSetParameter", "class_of", "length", "make_parameter",

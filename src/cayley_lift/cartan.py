@@ -28,6 +28,7 @@ from .root_system import (
     build_root_system,
     idot,
     ScopeError,
+    TransformError,
 )
 from .center import _gf2_kernel_basis
 
@@ -35,10 +36,6 @@ from .center import _gf2_kernel_basis
 IMAGINARY = "im"
 REAL = "real"
 COMPLEX = "cx"
-
-
-class TransformError(ValueError):
-    """An illegal Cayley transform was requested."""
 
 
 def block_pairs(block: Sequence[int]) -> Tuple[Tuple[int, int], ...]:

@@ -9,37 +9,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .root_system import InvariantError, Record, ScopeError, build_root_system
-from .cartan import CartanClass, TransformError
-from .parameters import (Pair, PairSetParameter, _check_transform_root, _normalize_pair,
-                         _pair_sort_key, class_of, make_parameter, orbit_representatives)
+from .root_system import InvariantError, Record, ScopeError, TransformError, build_root_system
+from .cartan import CartanClass
+from .parameters import Pair, PairSetParameter, class_of, make_parameter, orbit_representatives
 
 
 def cayley(p: PairSetParameter, pair: Sequence[int]) -> PairSetParameter:
-    """Apply one Cayley transform: p with the (normalized) pair added.
-
-    p is valid (make_parameter built it, or cayley did), so only the new
-    pair is checked, by make_parameter's rules and with its errors: the
-    transform root must be a half-integral root through slots that no block
-    and no pair of another plane uses, so that it is real for p's
-    involution.  The pair takes fresh slots, or outside family A completes
-    a single-sign pair to both signs.
+    """Apply one Cayley transform: p with the pair added, by make_parameter's
+    rules and with its errors.  The transform root must be a half-integral
+    root through slots that no block and no pair of another plane uses, so
+    that it is real for p's involution.  The pair takes fresh slots, or
+    outside family A completes a single-sign pair to both signs.
     """
-    new = _normalize_pair(pair)
-    if new in p.pairs:
-        raise TransformError("duplicate pair %r" % (new,))
-    _check_transform_root(build_root_system(p.family, p.rank), new)
-    plane = (abs(new[0]), abs(new[1]))
-    for x in plane:
-        if any(x in b for b in p.blocks):
-            raise TransformError("slot %d reused" % x)
-    clash = [q for q in p.pairs if (abs(q[0]), abs(q[1])) != plane
-             and (abs(q[0]) in plane or abs(q[1]) in plane)]
-    if clash:  # named as make_parameter names them: in sorted order
-        first, other = sorted((new, min(clash, key=_pair_sort_key)), key=_pair_sort_key)
-        raise TransformError("slot shared between pairs %r and %r" % (first, other))
-    return PairSetParameter(family=p.family, rank=p.rank, chi=p.chi, blocks=p.blocks,
-                            pairs=tuple(sorted(p.pairs + (new,), key=_pair_sort_key)))
+    return make_parameter(p.family, p.rank, p.chi, p.blocks, p.pairs + (pair,))
 
 
 def cayley_moves(p: PairSetParameter) -> Tuple[PairSetParameter, ...]:

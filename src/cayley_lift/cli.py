@@ -15,8 +15,8 @@ import sys
 from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
-from .root_system import SCHEMA, CertificateError, InvariantError, ScopeError
-from . import cartan, center
+from .root_system import SCHEMA, CertificateError, InvariantError, ScopeError, TransformError
+from . import center
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -176,7 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvariantError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
-    except cartan.TransformError as exc:
+    except TransformError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -123,14 +123,6 @@ class StabilizerDescription(Record):
     imaginary: RootSubsystem           # imaginary integral roots
     complex_core: RootSubsystem        # integral roots orthogonal to both rho_r, rho_i
 
-    @property
-    def rho_real(self) -> Vector:
-        return self.real.rho
-
-    @property
-    def rho_imaginary(self) -> Vector:
-        return self.imaginary.rho
-
 
 @lru_cache(maxsize=None)
 def stabilizer(p: PairSetParameter) -> StabilizerDescription:
@@ -139,7 +131,7 @@ def stabilizer(p: PairSetParameter) -> StabilizerDescription:
     orthogonal to both of their half sums (integer dot products)."""
     system = _ambient(p)
     th = theta_perm(p)
-    integral = _integral_system(system, system.doubled_rho, 8)
+    integral = _integral_system(system)
     real = subsystem(system, (k for k in integral.positive_index if th[k] == -(k + 1)))
     imaginary = subsystem(system, (k for k in integral.positive_index if th[k] == k + 1))
     sums = (_doubled_sum(real), _doubled_sum(imaginary))

@@ -2,21 +2,21 @@
 
 The package computes in doubled integer coordinates (root_system); this
 module holds what works on fractions.Fraction instead.  It builds the vector
-views of RootSystem, RootSubsystem, CenterData and ChainCertificate, which
-each view imports on first use, and it is the whole dense-matrix layer:
-reflections and Weyl words as matrices, and the signed permutation a matrix
-induces on the roots.  No CLI request runs it; the tests compare the
-integer core with it.  fractions loads on the first call of _fraction.
+views of RootSystem, CenterData, ChainCertificate and Involution, which each
+view imports on first use, the integral roots at rho/2 for a Fraction weight,
+and the dense-matrix layer: reflections and Weyl words as matrices, and the
+signed permutation a matrix induces on the roots.  No CLI request runs it;
+the acceptance gate and the benchmark's tracer read it.  fractions loads on
+the first call of _fraction.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING
 
-from .root_system import Doubled, Matrix, RootSystem, SignedPerm, Vector, WeylWord, idot, neg
-from .cartan import COMPLEX, IMAGINARY, REAL, _dual_basis, _scaled_coefficients
+from .root_system import Doubled, Matrix, RootSystem, SignedPerm, Vector, WeylWord, neg
+from .cartan import COMPLEX, IMAGINARY, REAL
 from .weyl import RootSubsystem, _integral_system
 
 if TYPE_CHECKING:
@@ -42,64 +42,12 @@ def dot(x: Vector, y: Vector) -> Q:
     return sum((a * b for a, b in zip(x, y)), _fraction(0))
 
 
-def sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def scale(c: Q, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
-def basis_vector(i: int, dim: int) -> Vector:
-    """Standard basis vector e_i (1-based index)."""
-    return tuple(_fraction(int(k == i - 1)) for k in range(dim))
-
-
-def pairing(lam: Vector, alpha: Vector) -> Q:
-    """<lam, alpha^vee> = 2(lam, alpha)/(alpha, alpha)."""
-    nn = dot(alpha, alpha)
-    if nn == 0:
-        raise ValueError("pairing against the zero vector")
-    return 2 * dot(lam, alpha) / nn
-
-
-def reflect(alpha: Vector, v: Vector) -> Vector:
-    """Reflection of v in the hyperplane orthogonal to alpha."""
-    return sub(v, scale(pairing(v, alpha), alpha))
-
-
-# ---------------------------------------------------------------------------
-# Root-system queries on rational vectors
-# ---------------------------------------------------------------------------
-
-def simple_coefficients(system: RootSystem, v: Vector) -> Tuple[Q, ...]:
-    """Coordinates of v in the simple-root basis; ValueError off the span."""
-    rows, div = _dual_basis(system.doubled_simple)
-    den = lcm(*(_fraction(x).denominator for x in v))
-    scaled = tuple(int(x * den) for x in v)  # v = scaled / den
-    coeffs = _scaled_coefficients(rows, scaled)  # den * div/2 times the coefficients
-    span = [idot(coeffs, column) for column in zip(*system.doubled_simple)]
-    if span != [div * x for x in scaled]:
-        raise ValueError("vector is not in the span of the basis")
-    return tuple(_fraction(2 * c, den * div) for c in coeffs)
-
-
-def height(system: RootSystem, root: Vector) -> Q:
-    return sum(simple_coefficients(system, root), _fraction(0))
-
-
 def integral_system(lam: Vector, system: RootSystem) -> RootSubsystem:
-    """Roots with integral pairing against lam, with positives and simples.
-
-    At lam = rho/2 this reads the doubled rho; another lam is scaled to
-    integers, den * lam, with <lam, a^vee> = (den * lam . 2a) / 2den.
-    """
-    if len(lam) != system.dim:
-        raise ValueError("dimension mismatch: %d vs %d" % (len(lam), system.dim))
-    if lam == system.rho_half:
-        return _integral_system(system, system.doubled_rho, 8)
-    den = lcm(*(_fraction(x).denominator for x in lam))
-    return _integral_system(system, tuple(int(x * den) for x in lam), 2 * den)
+    """The roots with integral pairing against lam, which must be rho/2."""
+    if lam != system.rho_half:
+        raise ValueError("integral roots are computed at rho/2 only, not at (%s)"
+                         % ", ".join(map(str, lam)))
+    return _integral_system(system)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +69,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 @lru_cache(maxsize=None)
 def reflection_matrix(alpha: Vector) -> Matrix:
-    dim = len(alpha)
-    cols = [reflect(alpha, basis_vector(j + 1, dim)) for j in range(dim)]
-    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
+    """Id - 2 alpha alpha^T / (alpha, alpha): the reflection in alpha's hyperplane."""
+    c = 2 / dot(alpha, alpha)
+    return tuple(tuple(int(i == j) - c * a * b for j, b in enumerate(alpha))
+                 for i, a in enumerate(alpha))
 
 
 def word_matrix(word: WeylWord, system: RootSystem) -> Matrix:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from .root_system import Record, ScopeError
-from .cartan import cartan_shape
-from .parameters import PairSetParameter, class_of
+from .root_system import Record, ScopeError, build_root_system
+from .cartan import signature_from_involution
+from .parameters import PairSetParameter, theta
 from .klv_poset import RDSubset, in_tower_scope, parameter_sort_key, rd_subsets, tower_terms
 
 
@@ -56,14 +56,15 @@ class FormalIntegerCombination(Record):
 
 def cartan_constant(p: PairSetParameter) -> int:
     """The constant C(H) of the Cartan subgroup through a tower parameter:
-    2 when its torus has a compact factor, 1 otherwise."""
+    2 when its torus has a compact factor, 1 otherwise, read off the
+    signature of p's own involution."""
     if not in_tower_scope(p):
         raise ScopeError(
             "C(H) is only established on lifted-parameter towers; %s is outside"
             % p.render()
         )
-    shape = cartan_shape(class_of(p))
-    return 2 if shape.compact >= 1 else 1
+    compact = signature_from_involution(build_root_system(p.family, p.rank), theta(p))[0]
+    return 2 if compact else 1
 
 
 def _tower_sum(family: str, rank: Optional[int], subset: RDSubset,

@@ -21,6 +21,7 @@ from .root_system import (
     RootSystem,
     ScopeError,
     SignedPerm,
+    TransformError,
     build_root_system,
     is_half_integral,
     pair_root,
@@ -28,7 +29,6 @@ from .root_system import (
 from .cartan import (
     CartanClass,
     Involution,
-    TransformError,
     block_pairs,
     cartan_classes,
     class_rep_data,

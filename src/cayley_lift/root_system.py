@@ -11,9 +11,9 @@ is positive when its last nonzero coordinate is (Bourbaki, Planche VII).
 Doubling keeps the lexicographic order, so the positive roots and every
 signed index are those of the rational vectors.  fractions.Fraction appears
 only at the edge, in the dense module, which no CLI request runs: the
-vector views (simple_roots, positive_roots, rho, rho_half and the roots of
-subsystems) import it on first use; output is printed from the doubled
-integers.  There is no floating point anywhere in this package.
+vector views (simple_roots, positive_roots, rho_half, roots and the positive
+roots of a subsystem) import it on first use; output is printed from the
+doubled integers.  There is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ class InvariantError(AssertionError):
 
 class CertificateError(ValueError):
     """A replayed certificate diverged from its stored golden data."""
+
+
+class TransformError(ValueError):
+    """An illegal Cayley transform was requested."""
 
 
 class Record:
@@ -169,11 +173,6 @@ class RootSystem(Record):
         return tuple(map(view, self.doubled_positive))
 
     @cached_property
-    def rho(self) -> Vector:
-        from .dense import view
-        return view(self.doubled_rho)
-
-    @cached_property
     def rho_half(self) -> Vector:
         from .dense import view
         return view(self.doubled_rho, 4)
@@ -185,18 +184,6 @@ class RootSystem(Record):
 
     def is_root(self, v: Vector) -> bool:
         return _doubled(v) in self.index
-
-    def is_positive(self, v: Vector) -> bool:
-        return self.index.get(_doubled(v), 0) > 0
-
-    def simple_coefficients(self, v: Vector) -> Tuple[Q, ...]:
-        """Coordinates of v in the simple-root basis; ValueError off the span."""
-        from .dense import simple_coefficients
-        return simple_coefficients(self, v)
-
-    def height(self, root: Vector) -> Q:
-        from .dense import height
-        return height(self, root)
 
     def __hash__(self) -> int:  # computed once: the lru_caches below are keyed on the system
         return self._hash

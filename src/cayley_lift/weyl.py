@@ -15,10 +15,10 @@ sign test (coherent) runs this module.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from .root_system import (Doubled, Record, RootSystem, SignedPerm, Vector, WeylWord, WordError,
-                          _doubled, idot, neg)
+                          idot, is_integral)
 
 
 def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
@@ -114,20 +114,6 @@ class RootSubsystem(Record):
     def positive(self) -> Tuple[Vector, ...]:
         return tuple(self.system.positive_roots[k] for k in self.positive_index)
 
-    @cached_property
-    def simple(self) -> Tuple[Vector, ...]:
-        return tuple(self.system.positive_roots[k] for k in self.simple_index)
-
-    @cached_property
-    def roots(self) -> Tuple[Vector, ...]:
-        return tuple(sorted(self.positive + tuple(neg(a) for a in self.positive)))
-
-    @cached_property
-    def rho(self) -> Vector:
-        """Half the sum of the positive roots."""
-        from .dense import view
-        return view(_doubled_sum(self), 4)
-
 
 def _doubled_sum(sub: RootSubsystem) -> Doubled:
     """Sum of the doubled positive roots of sub: 4 times its rho."""
@@ -150,26 +136,25 @@ def subsystem(system: RootSystem, positive_index: Iterable[int]) -> RootSubsyste
 
 
 @lru_cache(maxsize=None)
-def _integral_system(system: RootSystem, weight: Tuple[int, ...], modulus: int) -> RootSubsystem:
-    """Roots a with (weight . 2a) = 0 mod modulus."""
+def _integral_system(system: RootSystem) -> RootSubsystem:
+    """The roots integral at rho/2."""
     return subsystem(system, (k for k, d in enumerate(system.doubled_positive)
-                              if idot(weight, d) % modulus == 0))
+                              if is_integral(system, d)))
 
 
 # ---------------------------------------------------------------------------
 # Reflection words
 # ---------------------------------------------------------------------------
 
-def canonical_reflection_word(alpha: Union[Vector, int], system: RootSystem) -> WeylWord:
-    """Deterministic palindromic word for the reflection s_alpha; alpha is a
-    root or its signed index (see RootSystem.index).
+def canonical_reflection_word(s: int, system: RootSystem) -> WeylWord:
+    """Deterministic palindromic word for the reflection in the root with
+    signed index s (see RootSystem.index).
 
     Repeatedly conjugates by the smallest-index simple reflection that strictly
     lowers the height of the conjugated (positive) root.
     """
-    s = alpha if isinstance(alpha, int) else system.index.get(_doubled(alpha), 0)
     if not 0 < abs(s) <= len(system.doubled_positive):
-        raise ValueError("not a root: %r" % (alpha,))
+        raise ValueError("not a root: %r" % (s,))
     tables = weyl_tables(system)
     k = abs(s) - 1
     height, reflections = tables.height, tables.reflections

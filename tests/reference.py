@@ -275,6 +275,12 @@ def build(family: str, rank: Optional[int] = None) -> Tuple[Tuple[Vector, ...], 
     return simples, positives, scale(Q(1, 2), rho)
 
 
+@lru_cache(maxsize=None)
+def _positive_set(system: RootSystem) -> frozenset:
+    """This module's own positive roots of the system, from build."""
+    return frozenset(build(system.family, system.rank)[1])
+
+
 def all_roots(system: RootSystem) -> List[Vector]:
     """Every root of the system, listed from the classification."""
     n = system.dim
@@ -583,7 +589,8 @@ def length(p: PairSetParameter) -> Q:
     the real rank of the Cartan subgroup."""
     system = _system(p)
     th = theta(p)
-    flips = sum(1 for a in system.positive_roots if not system.is_positive(mat_apply(th, a)))
+    positives = _positive_set(system)
+    flips = sum(1 for a in positives if mat_apply(th, a) not in positives)
     r, m, s = signature(system, th)
     return Q(flips, 2) + Q(m + s, 2)
 
@@ -615,15 +622,16 @@ def chain_steps(p: PairSetParameter, word: Sequence[int], system: RootSystem):
 def matrix_descent(m: Matrix, system: RootSystem) -> WeylWord:
     """Reduced word for m: peel off the first simple root m sends negative."""
     ident = identity_matrix(system.dim)
+    positives = _positive_set(system)
     w = m
     rev: List[int] = []
-    guard = len(system.positive_roots) + 1
+    guard = len(positives) + 1
     while w != ident:
         if guard == 0:
             raise ValueError("matrix is not in the Weyl group")
         guard -= 1
         for i, a in enumerate(system.simple_roots):
-            if not system.is_positive(mat_apply(w, a)):
+            if mat_apply(w, a) not in positives:
                 w = mat_mul(w, reflection_matrix(a))
                 rev.append(i)
                 break

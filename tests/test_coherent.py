@@ -87,16 +87,16 @@ def test_imaginary_count_depends_on_word_but_sign_does_not():
 def test_split_stabilizer_is_all_real():
     st = stabilizer(make_parameter("E6", 6))
     assert len(st.real.positive) == 16
-    assert not st.imaginary.roots
-    assert not st.complex_core.roots
+    assert not st.imaginary.positive_index
+    assert not st.complex_core.positive_index
 
 
 def test_compact_e7_stabilizer_is_all_imaginary():
     reps = {c.render(): p for c, p in orbit_representatives("E7")}
     st = stabilizer(reps["(7,0,0)"])
     assert len(st.imaginary.positive) == 28
-    assert not st.real.roots
-    assert not st.complex_core.roots
+    assert not st.real.positive_index
+    assert not st.complex_core.positive_index
 
 
 def test_e6_survivor_core_size():

@@ -14,7 +14,10 @@ its name (family[1]); every other module passes the rank it has to
 build_root_system.  Only the sign test reads the Weyl tables: coherent
 and dense import weyl at their top, and no other module at all.  No module
 imports dense, the Fraction edge that no CLI request runs, at its top: the
-vector views and coherent's matrix_to_word import it when they are called.  No module imports cli, which python -m
+vector views and coherent's matrix_to_word import it when they are called.
+Each public function of dense, and each view or routine that imports dense,
+has a reader: the benchmark's tracer (read through tests/test_package.py),
+the acceptance gate, or a routine that is kept.  No module imports cli, which python -m
 runs as __main__, so that no request compiles it twice, and cli defines
 no verb handler: each verb's handler is a module of its own, which the CLI
 imports on dispatch.  cli imports its help module (help text and comment
@@ -34,7 +37,7 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cayley_lift"
@@ -176,6 +179,53 @@ def module_imports(tree: ast.Module, name: str) -> List[str]:
     return out
 
 
+def _references(node: ast.AST) -> Tuple[Set[str], Set[str]]:
+    """The attribute names node reads, and the names it reads or imports."""
+    attrs, names = set(), set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute):
+            attrs.add(child.attr)
+        elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            names.add(child.id)
+        elif isinstance(child, ast.ImportFrom):
+            names.update(a.asname or a.name for a in child.names)
+    return attrs, names
+
+
+def unread_fraction_code(trees: Dict[str, ast.Module], readers: Set[str]) -> List[str]:
+    """module.function for the Fraction code that nothing reads.  That code is
+    each public top-level function of dense and each function of another
+    module that imports dense.  It is read when its name is in readers, or
+    when another function calls it that is not such code or is read itself;
+    a method is called where its name is read as an attribute, a function
+    also where it is read as a name or imported."""
+    code: Dict[str, Tuple[str, bool, Tuple[Set[str], Set[str]]]] = {}
+    callers = []
+    for module, tree in trees.items():
+        for parent in ast.walk(tree):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                refs = _references(node)
+                public_dense = module == "dense" and parent is tree and not node.name.startswith("_")
+                if public_dense or any(_imports(child, "dense") for child in ast.walk(node)):
+                    code[module + "." + node.name] = (node.name, isinstance(parent, ast.ClassDef), refs)
+                else:
+                    callers.append(refs)
+    read = {key for key, (name, _, _) in code.items() if name in readers}
+    callers += [code[key][2] for key in read]
+    grown = True
+    while grown:
+        grown = False
+        for key, (name, method, refs) in code.items():
+            if key not in read and any(name in attrs or (not method and name in names)
+                                       for attrs, names in callers):
+                read.add(key)
+                callers.append(refs)
+                grown = True
+    return sorted(set(code) - read)
+
+
 def cli_imports(tree: ast.Module) -> List[str]:
     """Lines that import the cli module."""
     return ["line %d" % node.lineno for node in ast.walk(tree) if _imports(node, "cli")]
@@ -261,10 +311,44 @@ def test_no_module_imports_the_dense_module_at_its_top():
         "cartan.py": ["matrix"],
         "center.py": ["quotient_reps"],
         "coherent.py": ["steps", "matrix_to_word"],
-        "root_system.py": ["simple_roots", "positive_roots", "rho", "rho_half", "roots",
-                           "simple_coefficients", "height"],
-        "weyl.py": ["rho"],
+        "root_system.py": ["simple_roots", "positive_roots", "rho_half", "roots"],
     }
+
+
+def _fraction_readers() -> Set[str]:
+    """The names the benchmark's tracer wraps, caches or counts (with the
+    attributes its counters read), and those the acceptance gate imports
+    from the package or reads as attributes."""
+    from test_package import _trace_child
+    tracer = _trace_child()
+    names = {name for names in tracer.LAYERS.values() for name in names}
+    names |= {key.rpartition(".")[2] for key in (*tracer.CACHED, *tracer.COUNTERS)}
+    names |= {name for count in tracer.COUNTERS.values() for name in count.__code__.co_names}
+    gate = _parse(ROOT / "tests" / "test_acceptance.py")
+    names |= {node.attr for node in ast.walk(gate) if isinstance(node, ast.Attribute)}
+    return names | {a.name for node in ast.walk(gate) if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[0] == "cayley_lift" for a in node.names}
+
+
+def test_every_fraction_routine_and_view_has_a_reader():
+    """The tracer, the acceptance gate or a kept routine reads each public
+    function of dense and each view or routine that imports dense."""
+    trees = {p.stem: _parse(p) for p in MODULES}
+    assert unread_fraction_code(trees, _fraction_readers()) == []
+
+
+def test_a_fraction_view_with_no_reader_is_flagged():
+    """RootSystem.rho again, a view that nothing reads, fails the check."""
+    trees = {p.stem: _parse(p) for p in MODULES}
+    anchor = "    @cached_property\n    def rho_half(self)"
+    source = (SRC / "root_system.py").read_text()
+    assert source.count(anchor) == 1
+    trees["root_system"] = ast.parse(source.replace(anchor, (
+        "    @cached_property\n"
+        "    def rho(self) -> Vector:\n"
+        "        from .dense import view\n"
+        "        return view(self.doubled_rho)\n\n") + anchor))
+    assert unread_fraction_code(trees, _fraction_readers()) == ["root_system.rho"]
 
 
 def test_only_the_cli_imports_its_help_and_json_modules_when_it_writes_them():
@@ -352,6 +436,24 @@ def test_checks_flag_what_they_should():
         "    pass\n"
     )
     test = "from m import tested\nassert tested()\nsuborphan = 1\n"
+    views = {
+        "dense": ast.parse(
+            "def view(d):\n    return d\n"
+            "def traced(x):\n    return helper(x)\n"
+            "def helper(x):\n    return x\n"
+            "def unread(x):\n    return x\n"
+            "def _private(x):\n    return x\n"),
+        "m": ast.parse(
+            "class C:\n"
+            "    def read(self):\n        from .dense import view\n        return view(1)\n"
+            "    def lonely(self):\n        from .dense import view\n        return view(2)\n"
+            "    def called(self):\n        from .dense import view\n        return view(3)\n"
+            "def caller(c):\n    return c.called()\n"
+            "def by_name():\n    return lonely()\n"),
+    }
+    assert unread_fraction_code(views, {"traced", "read"}) == ["dense.unread", "m.lonely"]
+    assert unread_fraction_code(views, set()) == ["dense.helper", "dense.traced", "dense.unread",
+                                                  "m.lonely", "m.read"]
     assert unreferenced_functions([ast.parse(module)], [module, test]) == ["dead", "orphan"]
     assert only_tested_helpers([ast.parse(module)], [module], set()) == ["orphan", "tested"]
     assert only_tested_helpers([ast.parse(module)], [module], {"tested"}) == ["orphan"]

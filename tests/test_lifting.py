@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from cayley_lift.klv_poset import pi_RD, rd_subsets
+from cayley_lift.cartan import cartan_shape
+from cayley_lift.center import genuine_central_character_count
+from cayley_lift.klv_poset import pi_RD, rd_subsets, tower_terms
 from cayley_lift.lifting import (
     K_coefficient,
     cartan_constant,
     lift_trivial,
 )
-from cayley_lift.parameters import make_parameter
+from cayley_lift.parameters import class_of, make_parameter
 from cayley_lift.root_system import ScopeError
 from cayley_lift.theorem import verify_main_theorem
 
@@ -24,6 +26,26 @@ def test_cartan_constant_doubles_only_with_compact_directions():
     assert cartan_constant(make_parameter("D", 4)) == 1
     assert cartan_constant(make_parameter("D", 4, pairs=((3, 4), (-3, -4)))) == 2
     assert cartan_constant(make_parameter("E7", 7)) == 1
+
+
+IN_SCOPE = (
+    [("A", r) for r in range(1, 10)]
+    + [("D", r) for r in range(3, 9)]
+    + [("E6", None), ("E7", None), ("E8", None)]
+)
+
+
+@pytest.mark.parametrize("family, rank", IN_SCOPE)
+def test_cartan_constant_matches_the_class_representative(family, rank):
+    """C(H) read off p's own involution is the value read off the torus
+    shape of p's Cartan class, through the class representative, on every
+    tower parameter at every central character."""
+    tower = {p for chi in range(genuine_central_character_count(family, rank))
+             for subset in rd_subsets(family, rank)
+             for _, p in tower_terms(family, rank, chi, subset)}
+    assert tower
+    assert {p: cartan_constant(p) for p in tower} == {
+        p: 2 if cartan_shape(class_of(p)).compact else 1 for p in tower}
 
 
 def test_cartan_constant_is_tower_scoped():

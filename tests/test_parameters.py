@@ -17,7 +17,6 @@ from cayley_lift.parameters import (
     theta,
     tower_parameter,
 )
-from cayley_lift import cayley_graph
 from cayley_lift.cayley_graph import cayley, enumerate_block
 from cayley_lift.klv_poset import contains, pi_RD, rd_subsets
 from cayley_lift import count_small, cover_center_data, hasse_diagram, lift_trivial, tower_poset
@@ -163,7 +162,7 @@ def test_cayley_order_does_not_matter_for_disjoint_pairs():
 
 
 def _cayley_by_make_parameter(p, pair):
-    """cayley before it trusted p: make_parameter checks p's pairs again."""
+    """make_parameter on p's data with the pair added, by keyword."""
     return make_parameter(p.family, p.rank, chi=p.chi, blocks=p.blocks,
                           pairs=p.pairs + (tuple(pair),))
 
@@ -198,23 +197,6 @@ def test_cayley_checks_only_the_new_pair_as_make_parameter_would():
     """On every class representative of all 18 groups, every move gives
     the parameter or the error that make_parameter gives on all the pairs."""
     assert _cayley_mismatches(IN_SCOPE) == []
-
-
-def test_the_cayley_comparison_catches_a_skipped_half_integrality_check(monkeypatch):
-    original = cayley_graph._check_transform_root
-
-    def skip_half_integrality(system, pair):
-        try:
-            original(system, pair)
-        except TransformError as error:
-            if "half-integral" not in str(error):
-                raise
-
-    groups = [("A", 3), ("D", 4), ("E6", None)]
-    monkeypatch.setattr(cayley_graph, "_check_transform_root", skip_half_integrality)
-    assert _cayley_mismatches(groups)
-    monkeypatch.undo()
-    assert _cayley_mismatches(groups) == []
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from cayley_lift.root_system import (
     is_half_integral,
 )
 from cayley_lift.weyl import (
+    _doubled_sum,
     _reflection_perm,
     beta_chain_for_word,
     canonical_reflection_word,
@@ -62,11 +63,27 @@ IN_SCOPE = (
 )
 
 
+def _scaled(vectors, factor=2):
+    """factor times each Fraction vector, as ints: the library's doubled coordinates."""
+    return tuple(tuple(int(factor * x) for x in v) for v in vectors)
+
+
+def _indices(system, vectors):
+    """The 0-based positive-root index of each positive root, read off the
+    library's signed index of its doubled coordinates."""
+    return tuple(system.index[d] - 1 for d in _scaled(vectors))
+
+
 def _check_roots(family, rank):
+    """The doubled simple and positive roots and rho, and the height of each
+    positive root in the Weyl tables against the sum of its coefficients
+    in the reference's exact basis solve."""
     system = build_root_system(family, rank)
-    assert (system.simple_roots, system.positive_roots, system.rho) == reference.build(family, rank)
-    assert {v: system.simple_coefficients(v) for v in system.roots} == \
-        reference.coefficient_table(system)
+    simples, positives, rho = reference.build(family, rank)
+    assert (system.doubled_simple, system.doubled_positive, system.doubled_rho) == \
+        (_scaled(simples), _scaled(positives), _scaled([rho])[0])
+    table = reference.coefficient_table(system)
+    assert weyl_tables(system).height == tuple(sum(table[a]) for a in positives)
 
 
 @pytest.mark.parametrize("family, rank", IN_SCOPE)
@@ -75,7 +92,9 @@ def test_positive_roots_and_coefficients_match_reference(family, rank):
 
 
 def _same_subsystem(sub, expected):
-    return (sub.roots, sub.positive, sub.simple) == tuple(expected)
+    """The positive and simple roots, by index."""
+    return (sub.positive_index, sub.simple_index) == (
+        _indices(sub.system, expected.positive), _indices(sub.system, expected.simple))
 
 
 @pytest.mark.parametrize("family, rank", IN_SCOPE)
@@ -83,12 +102,8 @@ def test_integral_and_half_integral_roots_match_reference(family, rank):
     system = build_root_system(family, rank)
     integral = integral_system(system.rho_half, system)
     assert _same_subsystem(integral, reference.integral_system(system.rho_half, system))
-    half = tuple(a for a, d in zip(system.positive_roots, system.doubled_positive)
-                 if is_half_integral(system, d))
-    assert half == reference.half_integral_roots(system)
-    # any other weight goes through the same integer subsystem code
-    lam = tuple(x / 3 for x in system.rho)
-    assert _same_subsystem(integral_system(lam, system), reference.integral_system(lam, system))
+    half = tuple(k for k, d in enumerate(system.doubled_positive) if is_half_integral(system, d))
+    assert half == _indices(system, reference.half_integral_roots(system))
 
 
 @pytest.mark.parametrize("family, rank", IN_SCOPE)
@@ -104,16 +119,19 @@ def test_reflection_tables_match_direct_permutations(family, rank):
 def test_canonical_reflection_words_match_reference(family, rank):
     system = build_root_system(family, rank)
     expected = [reference.canonical_reflection_word(a, system) for a in system.positive_roots]
-    assert [canonical_reflection_word(a, system) for a in system.positive_roots] == expected
-    assert [canonical_reflection_word(-(k + 1), system)
-            for k in range(len(system.positive_roots))] == expected
+    indices = range(1, len(system.doubled_positive) + 1)
+    assert [canonical_reflection_word(s, system) for s in indices] == expected
+    assert [canonical_reflection_word(-s, system) for s in indices] == expected
 
 
 def _same_stabilizer(st, expected):
+    """Each part by index, and the sums of the real and imaginary doubled
+    positive roots (4 rho_r and 4 rho_i)."""
     return all(
         _same_subsystem(getattr(st, name), getattr(expected, name))
         for name in ("integral", "real", "imaginary", "complex_core")
-    ) and (st.rho_real, st.rho_imaginary) == (expected.rho_real, expected.rho_imaginary)
+    ) and (_doubled_sum(st.real), _doubled_sum(st.imaginary)) == \
+        _scaled((expected.rho_real, expected.rho_imaginary), 4)
 
 
 @pytest.mark.parametrize("family, rank", IN_SCOPE)
