@@ -7,26 +7,25 @@ Conjugacy classes of Cartan subgroups are labelled by a signature: for E
 families the triple (r, m, s) of compact / complex / split torus factors,
 for A the real rank, for D the plane census plus an orientation bit.
 Signatures are computed exactly from the action of sigma = -theta on the
-root lattice, in simple-root coordinates from an integer dual basis.  The
-cover's center is the center module.
+root lattice, in simple-root coordinates: sigma maps each simple root to a
+root, whose coefficients root_system's closure lists.  The cover's center
+is the center module.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd, lcm
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .root_system import (
-    Doubled,
     InvariantError,
     Matrix,
     Record,
     RootSystem,
     Vector,
     build_root_system,
-    idot,
+    positive_coefficients,
     ScopeError,
     TransformError,
 )
@@ -104,35 +103,6 @@ def involution_from_pairs(
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _dual_basis(simples: Tuple[Doubled, ...]) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
-    """Rows d*omega_i, integer for the least d, and the divisor 2d, where
-    omega_i = sum_k (C^-1)_ik alpha_k (C: the Gram = Cartan matrix) pairs to
-    delta_ij with alpha_j: v in the span has coefficients (2v . d*omega_i) / 2d.
-    C^-1 comes from fraction-free Gauss-Jordan elimination on [C | I].
-    """
-    r = len(simples)
-    aug = [[idot(a, b) // 4 for b in simples] + [int(i == j) for j in range(r)]
-           for i, a in enumerate(simples)]
-    for c in range(r):
-        piv = next(i for i in range(c, r) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        for i in range(r):
-            if i != c and aug[i][c]:
-                f, p = aug[i][c], aug[c][c]
-                aug[i] = [p * x - f * y for x, y in zip(aug[i], aug[c])]
-    # Row i reads aug[i][i] * (C^-1)_i, so omega_i = w_i / (2 aug[i][i]).
-    ws = [[idot(aug[i][r:], column) for column in zip(*simples)] for i in range(r)]
-    dens = [2 * aug[i][i] for i in range(r)]
-    d = lcm(*(abs(den) // gcd(den, *w) for w, den in zip(ws, dens)))
-    return tuple(tuple(d * x // den for x in w) for w, den in zip(ws, dens)), 2 * d
-
-
-def _scaled_coefficients(rows: Sequence[Tuple[int, ...]], doubled: Sequence[int]) -> Tuple[int, ...]:
-    """2d times the simple-root coefficients of v = doubled/2, for (rows, 2d) = _dual_basis."""
-    return tuple(idot(row, doubled) for row in rows)
-
-
-@lru_cache(maxsize=None)
 def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[int, int, int]:
     """(compact, complex, split) torus signature of theta.
 
@@ -144,14 +114,14 @@ def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[in
     if not theta.is_involution():
         raise InvariantError("theta is not an involution")
     n = system.rank
-    rows, div = _dual_basis(system.doubled_simple)
-    sigma_cols: List[List[int]] = []
+    coefficients = positive_coefficients(system.doubled_simple)
+    sigma_cols: List[Sequence[int]] = []
     for a in system.doubled_simple:
-        image = tuple([-x for x in theta.apply(a)])
-        col = _scaled_coefficients(rows, image)
-        if image not in system.index or any(c % div for c in col):
+        k = system.index.get(tuple([-x for x in theta.apply(a)]))  # sigma(a), signed
+        if k is None:
             raise InvariantError("sigma does not preserve the root lattice")
-        sigma_cols.append([c // div for c in col])
+        col = coefficients[system.doubled_positive[abs(k) - 1]]
+        sigma_cols.append(col if k > 0 else [-c for c in col])
     trace = sum(sigma_cols[i][i] for i in range(n))
     m = n - len(_gf2_kernel_basis(
         [[sigma_cols[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]))

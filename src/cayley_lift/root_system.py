@@ -6,14 +6,15 @@ every vector doubled, 2v as a tuple of ints, so that the half-integer E8
 roots are integral: construction and the integral roots at rho/2 are
 integer arithmetic, as are the Weyl group tables, the integral subsystems
 and the reflection words of the weyl module, which builds on this one.
-The positive roots need no basis solve: A and D list theirs, and an E root
-is positive when its last nonzero coordinate is (Bourbaki, Planche VII).
-Doubling keeps the lexicographic order, so the positive roots and every
-signed index are those of the rational vectors.  fractions.Fraction appears
-only at the edge, in the dense module, which no CLI request runs: the
-vector views (simple_roots, positive_roots, rho_half, roots and the positive
-roots of a subsystem) import it on first use; output is printed from the
-doubled integers.  There is no floating point anywhere in this package.
+Every family's positive roots, with their simple-root coefficients, come
+from one integer closure of its simple roots by height (Bourbaki, Ch. VI,
+1.6), with no basis solve.  Doubling keeps the lexicographic order, so the
+positive roots and every signed index are those of the rational vectors.
+fractions.Fraction appears only at the edge, in the dense module, which no
+CLI request runs: the vector views (simple_roots, positive_roots, rho_half,
+roots and the positive roots of a subsystem) import it on first use; output
+is printed from the doubled integers.  There is no floating point anywhere
+in this package.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from fractions import Fraction as Q
@@ -193,35 +194,33 @@ class RootSystem(Record):
         return hash((self.family, self.rank, self.doubled_simple, self.doubled_positive))
 
 
-def _e8_roots() -> List[Doubled]:
-    roots: List[Doubled] = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (2, -2):
-                for sj in (2, -2):
-                    v = [0] * 8
-                    v[i] = si
-                    v[j] = sj
-                    roots.append(tuple(v))
-    for signs in range(256):
-        v = tuple(-1 if (signs >> k) & 1 else 1 for k in range(8))
-        if v.count(-1) % 2 == 0:
-            roots.append(v)
-    return roots
-
-
 def _e_simple_roots(family: str) -> Tuple[Doubled, ...]:
     """Doubled: (1/2)(1, -1, ..., -1, 1), e_1 + e_2, then e_{i+1} - e_i."""
     chain = tuple(pair_root(8, (i + 1, i)) for i in range(1, int(family[1]) - 1))
     return ((1, -1, -1, -1, -1, -1, -1, 1), pair_root(8, (-1, -2))) + chain
 
 
-def _in_e_subspace(family: str, v: Doubled) -> bool:
-    if family == "E8":
-        return True
-    if family == "E7":
-        return v[6] + v[7] == 0
-    return v[5] == v[6] == -v[7]
+@lru_cache(maxsize=None)
+def positive_coefficients(simples: Tuple[Doubled, ...]) -> Dict[Doubled, Tuple[int, ...]]:
+    """Each positive root of the simply-laced system with these doubled
+    simple roots, doubled, mapped to its simple-root coefficients.
+
+    The positive roots of height h + 1 are exactly the b + alpha_i with b of
+    height h and (b, alpha_i) = -1 (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. VI, 1.6), so the closure runs level by level from the simple roots;
+    on doubled vectors that pairing reads -4.
+    """
+    level = {a: tuple([int(i == j) for j in range(len(simples))]) for i, a in enumerate(simples)}
+    out: Dict[Doubled, Tuple[int, ...]] = {}
+    while level:
+        out.update(level)
+        higher: Dict[Doubled, Tuple[int, ...]] = {}
+        for b, c in level.items():
+            for i, a in enumerate(simples):
+                if idot(b, a) == -4:
+                    higher[tuple([x + y for x, y in zip(b, a)])] = c[:i] + (c[i] + 1,) + c[i + 1:]
+        level = higher
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -240,9 +239,6 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
         if n > MAX_A_AMBIENT:
             raise ScopeError("family A supported up to SL(%d)" % MAX_A_AMBIENT)
         simples = tuple(pair_root(n, (i, i + 1)) for i in range(1, n))
-        positives = tuple(sorted(
-            pair_root(n, (i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        ))
     elif family == "D":
         if rank is None or rank < 3:
             raise ScopeError("family D needs a rank >= 3")
@@ -250,28 +246,18 @@ def build_root_system(family: str, rank: Optional[int] = None) -> RootSystem:
         if n > MAX_D_RANK:
             raise ScopeError("family D supported up to rank %d" % MAX_D_RANK)
         simples = tuple(pair_root(n, (i, i + 1)) for i in range(1, n)) + (pair_root(n, (1 - n, -n)),)
-        positives = tuple(sorted(
-            pair_root(n, (s * i, s * j))
-            for i in range(1, n + 1) for j in range(i + 1, n + 1) for s in (1, -1)
-        ))
     elif family in ("E6", "E7", "E8"):
         if rank != int(family[1]):
             if rank is None:
                 return build_root_system(family, int(family[1]))
             raise ScopeError("rank of %s is fixed" % family)
         simples = _e_simple_roots(family)
-        members = [v for v in _e8_roots() if _in_e_subspace(family, v)]
-        # Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Planche VII: for
-        # these simple roots an E8 root is positive exactly when its last
-        # nonzero coordinate is.  E6 and E7 take their simple roots from E8's,
-        # so their positive roots are E8's that lie in their subspace.
-        positives = tuple(sorted(v for v in members if next(x for x in reversed(v) if x) > 0))
-        expected = {"E6": 36, "E7": 63, "E8": 120}[family]
-        if len(positives) != expected or 2 * len(positives) != len(members):
-            raise InvariantError("positive system extraction failed for %s" % family)
     else:
         raise ScopeError("unknown family %r" % (family,))
 
+    positives = tuple(sorted(positive_coefficients(simples)))
+    if family[0] == "E" and len(positives) != {"E6": 36, "E7": 63, "E8": 120}[family]:
+        raise InvariantError("positive system extraction failed for %s" % family)
     return RootSystem(
         family=family,
         rank=len(simples),

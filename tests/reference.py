@@ -26,7 +26,8 @@ v in GF(2)^n with C v = 0 mod 2 found by trying all 2^n (C the Cartan
 matrix of this module's simple roots), and the E6/E7/E8 Cayley-transform
 edges, as a fixed table of signature pairs.  The library does
 all of this in doubled integer coordinates, on signed permutations of the
-positive roots and with one integer dual basis per system; it reads the sign
+positive roots and with one integer closure of the simple roots per system
+(positive_coefficients), with no basis solve; it reads the sign
 test from the inversions of a permutation and the signature from a trace and
 one rank modulo 2.  Tests compare the two.  The core sweep has no library
 counterpart: the library tests the sign only on generators of W(core)^theta,

@@ -188,6 +188,16 @@ def test_signature_rejects_a_non_involution():
         signature_from_involution(system, cycle)
 
 
+def test_signature_rejects_an_involution_that_leaves_the_root_system():
+    # swapping coordinates 1 and 7 is an involution, but it sends the E7
+    # simple root e_1 + e_2 to e_2 + e_7, which is no root of E7
+    system = build_root_system("E7")
+    swap = Involution(family="E7", dim=8, coords=(7, 2, 3, 4, 5, 6, 1, 8))
+    assert swap.is_involution()
+    with pytest.raises(InvariantError, match="sigma does not preserve the root lattice"):
+        signature_from_involution(system, swap)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("A", 6), ("D", 4), ("D", 5), ("D", 6)])
 def test_classical_involutions_are_honest(family, rank):
     system = build_root_system(family, rank)

@@ -333,9 +333,9 @@ def _compiled(ran: str) -> int:
 
 # Per verb, at most the AST nodes its golden request compiles (its ran: line
 # and ALWAYS) when pinned, plus 2%.
-COMPILE_BUDGETS = {"cartans": 10028, "centers": 4986, "count-small": 12097, "klv-check": 10243,
-                   "lift": 10692, "params": 8988, "replay-witness": 14786, "roots": 4166,
-                   "verify": 14382}
+COMPILE_BUDGETS = {"cartans": 9083, "centers": 4750, "count-small": 11182, "klv-check": 9521,
+                   "lift": 10060, "params": 8266, "replay-witness": 13872, "roots": 3930,
+                   "verify": 13477}
 
 
 @pytest.mark.parametrize("verb", sorted(REQUESTS))
@@ -357,12 +357,12 @@ def _compiled_cold(request_line: str) -> int:
 # nodes it compiled while the modules it runs still held the dense layer, the
 # Cayley graph and the E class table, and its budget as above.
 TOWER = {
-    "klv-check --family A --rank 6": (13545, 10243),
-    "klv-check --family D --rank 4": (13545, 10243),
-    "klv-check --family D --rank 5": (13545, 10243),
-    "klv-check --family D --rank 7": (13545, 10243),
-    "lift --family D --rank 6": (14034, 10692),
-    "lift --family E7": (14034, 10692),
+    "klv-check --family A --rank 6": (13545, 9521),
+    "klv-check --family D --rank 4": (13545, 9521),
+    "klv-check --family D --rank 5": (13545, 9521),
+    "klv-check --family D --rank 7": (13545, 9521),
+    "lift --family D --rank 6": (14034, 10060),
+    "lift --family E7": (14034, 10060),
 }
 
 
@@ -384,19 +384,19 @@ def test_an_e_lift_runs_no_class_table():
 # while cartan held the cover's center, cli its help text, header and JSON
 # writer, and root_system the dual basis, and its budget as above.
 DESCRIBE = {
-    "roots --family A --rank 4": (5191, 4166),
-    "roots --family A --rank 10": (5191, 4166),
-    "roots --family E6": (5191, 4166),
-    "roots --family E8": (5191, 4166),
-    "centers --family A --rank 4": (8050, 4986),
-    "centers --family A --rank 5": (8050, 4986),
-    "centers --family E7": (8050, 4986),
-    "centers --family E8": (8050, 4986),
-    "cartans --family A --rank 6": (10442, 10028),
-    "replay-witness --id E6-022-s35": (15106, 14786),
-    "replay-witness --id E6-030": (15106, 14786),
-    "replay-witness --id E7-320": (15106, 14786),
-    "replay-witness --id E8-230": (15106, 14786),
+    "roots --family A --rank 4": (5191, 3930),
+    "roots --family A --rank 10": (5191, 3930),
+    "roots --family E6": (5191, 3930),
+    "roots --family E8": (5191, 3930),
+    "centers --family A --rank 4": (8050, 4750),
+    "centers --family A --rank 5": (8050, 4750),
+    "centers --family E7": (8050, 4750),
+    "centers --family E8": (8050, 4750),
+    "cartans --family A --rank 6": (10442, 9083),
+    "replay-witness --id E6-022-s35": (15106, 13872),
+    "replay-witness --id E6-030": (15106, 13872),
+    "replay-witness --id E7-320": (15106, 13872),
+    "replay-witness --id E8-230": (15106, 13872),
 }
 # The least cut per verb: a centers request no longer compiles cartan, and
 # roots no longer compiles the dual basis or the CLI's optional parts.

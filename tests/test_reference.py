@@ -44,6 +44,7 @@ from cayley_lift.root_system import (
     build_root_system,
     idot,
     is_half_integral,
+    positive_coefficients,
 )
 from cayley_lift.weyl import (
     _doubled_sum,
@@ -75,14 +76,16 @@ def _indices(system, vectors):
 
 
 def _check_roots(family, rank):
-    """The doubled simple and positive roots and rho, and the height of each
-    positive root in the Weyl tables against the sum of its coefficients
-    in the reference's exact basis solve."""
+    """The doubled simple and positive roots and rho, the closure's
+    coefficients of each positive root, and its height in the Weyl tables
+    against the reference's exact basis solve."""
     system = build_root_system(family, rank)
     simples, positives, rho = reference.build(family, rank)
     assert (system.doubled_simple, system.doubled_positive, system.doubled_rho) == \
         (_scaled(simples), _scaled(positives), _scaled([rho])[0])
     table = reference.coefficient_table(system)
+    assert positive_coefficients(system.doubled_simple) == {
+        d: table[a] for d, a in zip(_scaled(positives), positives)}
     assert weyl_tables(system).height == tuple(sum(table[a]) for a in positives)
 
 
@@ -929,15 +932,17 @@ def test_the_comparisons_catch_a_core_fault(monkeypatch, fault):
 E_GROUPS = [("E6", None), ("E7", None), ("E8", None)]
 
 
-def test_the_root_comparison_catches_e_positives_read_off_the_first_coordinate(monkeypatch):
-    """build_root_system takes an E root as positive when its last nonzero
-    coordinate is (Bourbaki, Planche VII).  The first nonzero coordinate
-    halves each E root system too, so the build's own count check passes,
-    but the comparison with the reference's exact basis solve fails on each
-    E group; without the fault it passes on each."""
-    faulty = _mutant("reversed(v)", "v")(build_root_system)
-    assert [len(faulty(*group).doubled_positive) for group in E_GROUPS] == [36, 63, 120]
-    _install(monkeypatch, build_root_system, faulty)
+def test_the_root_comparison_catches_a_coefficient_bump_dropped_from_the_closure(monkeypatch):
+    """positive_coefficients adds 1 to the coefficient of alpha_i when it
+    steps from b to b + alpha_i.  Without that bump the closure still
+    reaches every positive root, so the build's own count check passes, but
+    the comparison with the reference's exact basis solve fails on each E
+    group; without the fault it passes on each."""
+    faulty = _mutant("(c[i] + 1,)", "(c[i],)")(positive_coefficients)
+    assert [tuple(sorted(faulty(build_root_system(*group).doubled_simple)))
+            for group in E_GROUPS] == \
+        [build_root_system(*group).doubled_positive for group in E_GROUPS]
+    _install(monkeypatch, positive_coefficients, faulty)
     assert _failures(_check_roots, E_GROUPS) == E_GROUPS
     monkeypatch.undo()
     assert _failures(_check_roots, E_GROUPS) == []
