@@ -11,15 +11,18 @@ import sys
 _EXPORTS = {
     "root_system": ("CertificateError", "InvariantError", "RootSystem", "ScopeError",
                     "TransformError", "WordError", "build_root_system"),
-    "cartan": ("CartanClass", "Involution", "TorusShape", "cartan_classes", "cartan_shape",
-               "involution_for_class"),
+    "cartan": ("Involution",),
+    "classes": ("CartanClass", "TorusShape", "cartan_classes", "cartan_shape",
+                "involution_for_class"),
     "center": ("CenterData", "FiniteAbelianGroup", "cover_center_data",
                "genuine_central_character_count"),
     "parameters": ("PairSetParameter", "class_of", "length", "make_parameter",
                    "orbit_representatives", "theta", "tower_parameter"),
     "cayley_graph": ("HasseDiagram", "cayley", "enumerate_block", "hasse_diagram"),
-    "coherent": ("ChainCertificate", "RuleOutReport", "StabilizerDescription", "chain_types",
-                 "count_small", "replay_witness", "rule_out", "stabilizer"),
+    "chains": ("ChainCertificate", "chain_types"),
+    "coherent": ("RuleOutReport", "StabilizerDescription", "count_small", "rule_out",
+                 "stabilizer"),
+    "witness_data": ("replay_witness",),
     "klv_poset": ("M_entry", "ParameterPoset", "contains", "m_entry", "pi_RD", "rd_subsets",
                   "tower_poset", "verify_inversion"),
     "lifting": ("FormalIntegerCombination", "K_coefficient", "cartan_constant", "lift_trivial"),
@@ -41,7 +44,7 @@ def _lazy(name: str):
 
 
 # cli is left out: python -m warns about a module already in sys.modules.
-globals().update((name, _lazy(name)) for name in (*_EXPORTS, "witness_data", "e_classes"))
+globals().update((name, _lazy(name)) for name in (*_EXPORTS, "e_classes"))
 
 
 def __getattr__(name: str):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .root_system import InvariantError, Record, ScopeError, TransformError, build_root_system
-from .cartan import CartanClass
+from .classes import CartanClass
 from .parameters import Pair, PairSetParameter, class_of, make_parameter, orbit_representatives
 
 

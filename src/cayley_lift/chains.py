@@ -1,0 +1,95 @@
+"""The chain of a Weyl word against a parameter's involution.
+
+For a word in the ambient simple reflections, the letters are consumed from
+the right; the k-th consumed letter alpha_k contributes the chain root
+beta_k = u(alpha_k), u = s_{alpha_1} ... s_{alpha_{k-1}} the letters
+consumed before it (Bourbaki VI 1.6).  u is carried as q_j = 4 u(e_j) on
+the ambient coordinates, which are integers in every family: with
+b = 2 alpha_k, 2 beta_k = (sum_j b_j q_j) / 4, and then u s_{alpha_k} is
+q_j - b_j 2 beta_k.  Each beta_k is held as its signed index
+(RootSystem.index) and tagged imaginary / real / complex as theta fixes it,
+negates it or neither.  No Weyl table is built, so a witness replay runs
+this module and not the sign test; the sign test (coherent) chains only
+the certificate of a violating element.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import List, Sequence, Tuple
+
+from .root_system import (Doubled, Record, RootSystem, Vector, WeylWord, WordError,
+                          build_root_system, neg)
+from .cartan import COMPLEX, IMAGINARY, REAL
+from .parameters import PairSetParameter, theta
+
+
+class ChainCertificate(Record):
+    """The chain of a word against p's involution: the signed positive-root
+    index and the tag of each chain root, in consumption order; the
+    (beta_k, tag) pairs with root vectors are the steps view."""
+
+    parameter: PairSetParameter
+    word: WeylWord
+    indices: Tuple[int, ...]
+    tags: Tuple[str, ...]
+    imaginary_count: int
+    sign: int        # epsilon = (-1)^imaginary_count
+    word_sign: int   # det of the word, (-1)^len
+
+    @cached_property
+    def doubled_steps(self) -> Tuple[Doubled, ...]:
+        """Twice each chain root, in consumption order."""
+        doubled = _ambient(self.parameter).doubled_positive
+        return tuple([doubled[s - 1] if s > 0 else neg(doubled[-s - 1]) for s in self.indices])
+
+    @cached_property
+    def steps(self) -> Tuple[Tuple[Vector, str], ...]:
+        from .dense import view
+        return tuple(zip(map(view, self.doubled_steps), self.tags))
+
+
+def _ambient(p: PairSetParameter) -> RootSystem:
+    return build_root_system(p.family, p.rank)
+
+
+def chain_roots(word: WeylWord, system: RootSystem) -> Tuple[Doubled, ...]:
+    """Twice each chain root beta_1..beta_N of a word, consumed rightmost
+    letter first; the ordered composition of the chain reflections equals
+    the composition of the word's letters."""
+    for letter in word:
+        if not 0 <= letter < system.rank:
+            raise WordError("letter %d out of range" % letter)
+    dim = system.dim
+    q = [[4 if i == j else 0 for i in range(dim)] for j in range(dim)]  # q_j = 4 u(e_j)
+    out: List[Doubled] = []
+    for letter in reversed(word):
+        support = [(j, x) for j, x in enumerate(system.doubled_simple[letter]) if x]
+        total = map(sum, zip(*[[x * y for y in q[j]] for j, x in support]))  # sum_j b_j q_j
+        beta = tuple([s // 4 for s in total])
+        for j, x in support:
+            q[j] = [y - x * z for y, z in zip(q[j], beta)]
+        out.append(beta)
+    return tuple(out)
+
+
+def chain_types(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
+    """Chain roots and their types for the word, against p's involution."""
+    word = tuple(word)
+    system = _ambient(p)
+    th = theta(p)
+    indices, tags = [], []
+    for beta in chain_roots(word, system):
+        indices.append(system.index[beta])
+        image = th.apply(beta)
+        tags.append(IMAGINARY if image == beta else REAL if image == neg(beta) else COMPLEX)
+    m = tags.count(IMAGINARY)
+    return ChainCertificate(
+        parameter=p,
+        word=word,
+        indices=tuple(indices),
+        tags=tuple(tags),
+        imaginary_count=m,
+        sign=-1 if m % 2 else 1,
+        word_sign=-1 if len(word) % 2 else 1,
+    )

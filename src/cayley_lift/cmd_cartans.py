@@ -1,6 +1,7 @@
 """The cartans verb: Cartan classes, torus shapes, and the Cayley diagram."""
 
-from . import cartan, cayley_graph, parameters
+from . import cayley_graph, parameters
+from .classes import cartan_shape
 
 
 def run(args, rank, chis):
@@ -14,7 +15,7 @@ def run(args, rank, chis):
             {
                 "label": c.render(),
                 "signature": list(c.signature),
-                "shape": cartan.cartan_shape(c).render(),
+                "shape": cartan_shape(c).render(),
                 "blocks": [list(b) for b in rep.blocks],
                 "pairs": [list(p) for p in rep.pairs],
             }
@@ -27,7 +28,7 @@ def run(args, rank, chis):
     lines = ["%d Cartan classes" % len(classes)]
     for c, rep in reps:
         lines.append(
-            "%-10s shape %-10s rep %s" % (c.render(), cartan.cartan_shape(c).render(), rep.render())
+            "%-10s shape %-10s rep %s" % (c.render(), cartan_shape(c).render(), rep.render())
         )
     lines.append("Cayley edges (one real rank step each):")
     for i, j in diagram.edges:

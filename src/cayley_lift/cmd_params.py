@@ -1,7 +1,8 @@
 """The params verb: orbit representatives with class, shape, and length."""
 
 from .root_system import rational
-from . import cartan, parameters
+from . import parameters
+from .classes import cartan_shape
 
 
 def run(args, rank, chis):
@@ -13,13 +14,13 @@ def run(args, rank, chis):
             entries.append(
                 {
                     "class": c.render(),
-                    "shape": cartan.cartan_shape(c).render(),
+                    "shape": cartan_shape(c).render(),
                     "length": length,
                     "parameter": parameters.parameter_to_json(p),
                 }
             )
             lines.append(
                 "chi%d %-10s shape %-10s length %-6s %s"
-                % (chi, c.render(), cartan.cartan_shape(c).render(), length, p.render())
+                % (chi, c.render(), cartan_shape(c).render(), length, p.render())
             )
     return {"family": args.family, "parameters": entries}, lines, True

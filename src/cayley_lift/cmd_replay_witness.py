@@ -1,11 +1,11 @@
 """The replay-witness verb: replay a stored sign-test witness chain."""
 
 from .root_system import _vec, rational
-from . import coherent, witness_data
+from . import witness_data
 
 
 def run(args, rank, chis):
-    report = coherent.replay_witness(args.witness_id)
+    report = witness_data.replay_witness(args.witness_id)
     cert = report.certificate
     entry = witness_data.CATALOG[args.witness_id]
     steps = tuple(zip(cert.doubled_steps, cert.tags))

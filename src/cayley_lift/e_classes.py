@@ -1,15 +1,15 @@
 """The representative pair data of the E6, E7 and E8 Cartan classes.
 
-A and D representatives follow from a rule (cartan._class_reps); the E ones
-are this table, which only requests on an E group load.
+A and D representatives follow from a rule (classes._class_reps); the E ones
+are this table, which only requests on an E group load: the class map and a
+witness replay.  Each row is a classes.RepData, (blocks, pairs); the table
+imports nothing from the package, so a replay runs no class map.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
 from typing import Mapping, Tuple
-
-from .cartan import RepData
 
 # Representative pair data for the E classes, keyed by (family, signature).
 # Read-only: the literal's order is the printed E class order.

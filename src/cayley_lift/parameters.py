@@ -26,16 +26,7 @@ from .root_system import (
     is_half_integral,
     pair_root,
 )
-from .cartan import (
-    CartanClass,
-    Involution,
-    block_pairs,
-    cartan_classes,
-    class_rep_data,
-    classify_pairs,
-    involution_from_pairs,
-    signature_from_involution,
-)
+from .cartan import Involution, block_pairs, involution_from_pairs, signature_from_involution
 from .center import genuine_central_character_count
 
 Pair = Tuple[int, int]
@@ -136,38 +127,62 @@ def make_parameter(
     )
 
 
-@lru_cache(maxsize=None)
+# theta, theta_perm and length depend on p's pair set, not on chi, so each
+# is cached on the key (family, rank, blocks, pairs): one build serves every chi.
+
+def _key(p: PairSetParameter) -> Tuple:
+    return p.family, p.rank, p.blocks, p.pairs
+
+
 def theta(p: PairSetParameter) -> Involution:
-    system = build_root_system(p.family, p.rank)
-    return involution_from_pairs(system, pairs=p.pairs, blocks=p.blocks)
+    return _theta(*_key(p))
 
 
 @lru_cache(maxsize=None)
+def _theta(family, rank, blocks, pairs) -> Involution:
+    return involution_from_pairs(build_root_system(family, rank), pairs=pairs, blocks=blocks)
+
+
 def theta_perm(p: PairSetParameter) -> SignedPerm:
     """p's involution as a signed permutation of the positive roots."""
-    th = theta(p)
-    system = build_root_system(p.family, p.rank)
+    return _theta_perm(*_key(p))
+
+
+@lru_cache(maxsize=None)
+def _theta_perm(*key) -> SignedPerm:
+    th = _theta(*key)
+    system = build_root_system(*key[:2])
     return tuple([system.index[th.apply(d)] for d in system.doubled_positive])
 
 
 def class_of(p: PairSetParameter) -> CartanClass:
+    from .classes import classify_pairs
+
     return classify_pairs(p.family, p.rank, p.pairs, p.blocks)
 
 
-@lru_cache(maxsize=None)
 def length(p: PairSetParameter) -> int:
     """The length of p, doubled (the package's Doubled convention): the
     number of positive roots moved out of the positive system by theta,
     plus the real rank of the associated Cartan subgroup."""
-    flips = sum(1 for k in theta_perm(p) if k < 0)
-    r, m, s = signature_from_involution(build_root_system(p.family, p.rank), theta(p))
+    return _length(*_key(p))
+
+
+@lru_cache(maxsize=None)
+def _length(*key) -> int:
+    flips = sum(1 for k in _theta_perm(*key) if k < 0)
+    r, m, s = signature_from_involution(build_root_system(*key[:2]), _theta(*key))
     return flips + m + s
 
 
 def orbit_representatives(
     family: str, rank: Optional[int] = None, chi: int = 0
 ) -> Tuple[Tuple[CartanClass, PairSetParameter], ...]:
-    """One parameter per cross-action orbit, indexed by its Cartan class."""
+    """One parameter per cross-action orbit, indexed by its Cartan class.
+    The class map (classes) is imported here and in class_of, so a request
+    that calls neither never runs it."""
+    from .classes import cartan_classes, class_rep_data
+
     return tuple((c, make_parameter(family, rank, chi, *class_rep_data(c)))
                  for c in cartan_classes(family, rank))
 

@@ -5,11 +5,12 @@ w[k] = +-(j+1) means w maps positive root k to +-(positive root j), in the
 signed indices of RootSystem.index.  W acts faithfully on its roots, so this
 one representation serves every family.  The tables of a system (WeylTables)
 hold the reflections as such permutations, built once from the doubled
-coordinates of root_system; reduced words, reflection words and the chain
-roots of a word are read from them.  The root subsystems (the integral one
-at rho/2 and its real, imaginary and core parts) are held as positive-root
-indices.  theta on the roots needs only the system's index, so only the
-sign test (coherent) runs this module.
+coordinates of root_system; reduced words and reflection words are read
+from them.  The root subsystems (the integral one at rho/2 and its real,
+imaginary and core parts) are held as positive-root indices.  theta on the
+roots needs only the system's index, and the chain roots of a word only
+the ambient coordinates (chains), so only the sign test (coherent) runs
+this module: not the towers, the lift or a witness replay.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from typing import Iterable, List, Optional, Tuple
 
-from .root_system import (Doubled, Record, RootSystem, SignedPerm, Vector, WeylWord, WordError,
-                          idot, is_integral)
+from .root_system import (Doubled, Record, RootSystem, SignedPerm, Vector, WeylWord, idot,
+                          is_integral)
 
 
 def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
@@ -34,11 +35,6 @@ class WeylTables(Record):
     height: Tuple[int, ...]                 # height of positive root k
     reflections: Tuple[SignedPerm, ...]     # s_k for each positive root k
     identity: SignedPerm
-
-    def doubled_root(self, s: int) -> Doubled:
-        """Twice the root with signed index s."""
-        d = self.system.doubled_positive[abs(s) - 1]
-        return d if s > 0 else tuple([-x for x in d])
 
 
 @lru_cache(maxsize=None)
@@ -164,28 +160,3 @@ def canonical_reflection_word(s: int, system: RootSystem) -> WeylWord:
         prefix.append(i)
         k = reflections[tables.simple[i]][k] - 1
     return tuple(prefix) + (tables.simple.index(k),) + tuple(reversed(prefix))
-
-
-# ---------------------------------------------------------------------------
-# Beta chains
-# ---------------------------------------------------------------------------
-
-def beta_chain_for_word(word: WeylWord, system: RootSystem) -> Tuple[int, ...]:
-    """Signed indices of the chain roots beta_1..beta_N of a word, consumed
-    rightmost letter first.
-
-    beta_k = s_{beta_{k-1}} ... s_{beta_1}(a_k) where a_k is the positive root
-    of the k-th consumed letter; the ordered composition of the chain
-    reflections equals the composition of the word's letters.
-    """
-    for letter in word:
-        if not 0 <= letter < system.rank:
-            raise WordError("letter %d out of range" % letter)
-    tables = weyl_tables(system)
-    u = tables.identity
-    indices: List[int] = []
-    for letter in reversed(word):
-        k = tables.simple[letter]
-        indices.append(u[k])
-        u = perm_mul(u, tables.reflections[k])
-    return tuple(indices)

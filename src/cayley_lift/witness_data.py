@@ -1,25 +1,29 @@
-"""Stored sign-test witnesses for the exceptional families.
+"""Stored sign-test witnesses for the exceptional families, and their replay.
 
 Each entry fixes a Weyl word (printed order, 0-based simple indices) whose
 chain violates the sign test for one Cartan class, together with golden
 chain data where the full step list is pinned: each chain root doubled, as
-in the root-system core, with its tag.  rule_out decides every
-class live and never reads this catalog: it is replay data for
-replay_witness and an independent cross-check in the tests.  The four
-searched words were found offline by a breadth-first sweep of the
-theta-commuting core Weyl group (a copy of the sweep in coherent), the
-script search_stabilizer_witnesses.py, last present at commit 1a782c6.
+in the root-system core, with its tag.  rule_out decides every class live
+and never reads this catalog.  replay_witness re-derives a stored word's
+chain (the chains module) against the representative of its class, read
+from the e_classes table, and compares it with the stored data: a
+certificate checked without the sign test, the Weyl tables or the class
+map, none of which a replay runs.  The four searched words were found
+offline by a breadth-first sweep of the theta-commuting core Weyl group (a
+copy of the sweep in coherent), the script search_stabilizer_witnesses.py,
+last present at commit 1a782c6.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .root_system import Doubled, Record, WeylWord, pair_root
-
-IM = "im"
-RE = "real"
-CX = "cx"
+from .root_system import (CertificateError, Doubled, Record, ScopeError, WeylWord, neg,
+                          pair_root)
+from .cartan import COMPLEX, IMAGINARY, REAL
+from .parameters import make_parameter
+from .chains import ChainCertificate, chain_types
+from . import e_classes
 
 _DIM = 8
 
@@ -55,28 +59,28 @@ def _w(*letters_1based: int) -> WeylWord:
 # --- three-letter real-reflection witnesses --------------------------------
 # s_{35} = s_{45} s_{34} s_{45}; chain (-e4+e5, -e3+e5, -e3+e4), all real.
 _S35_WORD = _w(6, 5, 6)
-_S35_GOLDEN = ((_me(4, 5), RE), (_me(3, 5), RE), (_me(3, 4), RE))
+_S35_GOLDEN = ((_me(4, 5), REAL), (_me(3, 5), REAL), (_me(3, 4), REAL))
 # s_{57} = s_{67} s_{56} s_{67}; chain (-e6+e7, -e5+e7, -e5+e6), all real.
 _S57_WORD = _w(8, 7, 8)
-_S57_GOLDEN = ((_me(6, 7), RE), (_me(5, 7), RE), (_me(5, 6), RE))
+_S57_GOLDEN = ((_me(6, 7), REAL), (_me(5, 7), REAL), (_me(5, 6), REAL))
 
 # --- the twelve-letter witness ---------------------------------------------
 # s13 s_{1bar3} s24 s_{2bar4} = -Id on slots 1..4, written as
 # s23 s12 s_{1bar2} s23 s34 s23 s12 s23 s_{1bar2} s23 s12 s34.
 _TWELVE_WORD = _w(4, 3, 2, 4, 5, 4, 3, 4, 2, 4, 3, 5)
 _TWELVE_GOLDEN = (
-    (_me(3, 4), IM),
-    (_me(1, 2), IM),
-    (_me(1, 4), CX),
-    (_pe(2, 4), CX),
-    (_pe(1, 2), IM),
-    (_pe(1, 4), CX),
-    (_me(4, 2), CX),
-    (_pe(3, 4), RE),
-    (_pe(2, 3), CX),
-    (_pe(1, 3), CX),
-    (_me(1, 3), CX),
-    (_me(2, 3), CX),
+    (_me(3, 4), IMAGINARY),
+    (_me(1, 2), IMAGINARY),
+    (_me(1, 4), COMPLEX),
+    (_pe(2, 4), COMPLEX),
+    (_pe(1, 2), IMAGINARY),
+    (_pe(1, 4), COMPLEX),
+    (_me(4, 2), COMPLEX),
+    (_pe(3, 4), REAL),
+    (_pe(2, 3), COMPLEX),
+    (_pe(1, 3), COMPLEX),
+    (_me(1, 3), COMPLEX),
+    (_me(2, 3), COMPLEX),
 )
 
 # --- searched witnesses ----------------------------------------------------
@@ -110,78 +114,78 @@ _E7_320_WORD = _w(
     *(_R4567 + _R123567 + _W56 + (4, 3, 1, 3, 4) + _W24 + (1,) + _W24 + _W56)
 )
 _E7_320_GOLDEN = (
-    (_me(4, 5), CX),
-    (_me(3, 5), CX),
-    (_me(2, 5), CX),
-    (_me(1, 5), CX),
-    (_me(4, 6), CX),
-    (_me(3, 6), CX),
-    (_me(2, 6), CX),
-    (_me(1, 6), CX),
-    (_pe(5, 6), RE),
-    (_pe(1, 5), CX),
-    (_pe(2, 5), CX),
-    (_pe(3, 5), CX),
-    (_pe(4, 5), CX),
-    (_pe(1, 6), CX),
-    (_pe(2, 6), CX),
-    (_pe(3, 6), CX),
-    (_pe(4, 6), CX),
-    (_me(1, 2), IM),
-    (_me(3, 4), IM),
-    (_me(1, 4), IM),
-    (_pe(2, 4), IM),
-    (_pe(1, 2), IM),
-    (_pe(2, 3), IM),
-    (_pe(1, 4), IM),
-    (_b(3, 7), CX),
-    (_b(1, 3, 4, 7), CX),
-    (_pe(2, 3), IM),
-    (_b(1, 2, 3, 7), CX),
-    (_b(2, 3, 4, 7), CX),
-    (_me(1, 4), IM),
-    (_b(4, 7), CX),
-    (_me(1, 2), IM),
-    (_b(2, 7), CX),
-    (_b(1, 7), CX),
-    (_b(1, 2, 4, 7), CX),
-    (_pe(2, 4), IM),
-    (_pe(1, 4), IM),
-    (_b(3, 4, 6, 7), CX),
-    (_b(1, 2, 3, 4, 6, 7), CX),
-    (_b(2, 3, 6, 7), CX),
-    (_b(1, 3, 6, 7), CX),
-    (_b(3, 4, 5, 7), CX),
-    (_b(1, 2, 3, 4, 5, 7), CX),
-    (_b(2, 3, 5, 7), CX),
-    (_b(1, 3, 5, 7), CX),
-    (_me(7, 8), IM),
-    (_b(2, 4, 6, 7), CX),
-    (_b(1, 4, 6, 7), CX),
-    (_b(6, 7), CX),
-    (_b(1, 2, 6, 7), CX),
-    (_b(2, 4, 5, 7), CX),
-    (_b(1, 4, 5, 7), CX),
-    (_b(5, 7), CX),
-    (_b(1, 2, 5, 7), CX),
-    (_pe(1, 2), IM),
-    (_me(2, 4), IM),
-    (_me(1, 4), IM),
-    (_b(1, 2, 3, 5, 6, 7), CX),
-    (_b(2, 3, 4, 5, 6, 7), CX),
-    (_b(1, 3, 4, 5, 6, 7), CX),
-    (_b(3, 5, 6, 7), CX),
-    (_me(1, 2), IM),
-    (_pe(2, 4), IM),
-    (_b(1, 5, 6, 7), CX),
-    (_b(1, 2, 4, 5, 6, 7), CX),
-    (_b(2, 5, 6, 7), CX),
-    (_b(4, 5, 6, 7), CX),
-    (_me(2, 4), IM),
-    (_pe(1, 2), IM),
-    (_me(1, 4), IM),
-    (_pe(2, 4), IM),
-    (_me(2, 1), IM),
+    (_me(4, 5), COMPLEX),
+    (_me(3, 5), COMPLEX),
+    (_me(2, 5), COMPLEX),
+    (_me(1, 5), COMPLEX),
+    (_me(4, 6), COMPLEX),
+    (_me(3, 6), COMPLEX),
+    (_me(2, 6), COMPLEX),
+    (_me(1, 6), COMPLEX),
+    (_pe(5, 6), REAL),
+    (_pe(1, 5), COMPLEX),
+    (_pe(2, 5), COMPLEX),
+    (_pe(3, 5), COMPLEX),
+    (_pe(4, 5), COMPLEX),
+    (_pe(1, 6), COMPLEX),
+    (_pe(2, 6), COMPLEX),
+    (_pe(3, 6), COMPLEX),
+    (_pe(4, 6), COMPLEX),
+    (_me(1, 2), IMAGINARY),
+    (_me(3, 4), IMAGINARY),
+    (_me(1, 4), IMAGINARY),
+    (_pe(2, 4), IMAGINARY),
+    (_pe(1, 2), IMAGINARY),
+    (_pe(2, 3), IMAGINARY),
+    (_pe(1, 4), IMAGINARY),
+    (_b(3, 7), COMPLEX),
+    (_b(1, 3, 4, 7), COMPLEX),
+    (_pe(2, 3), IMAGINARY),
+    (_b(1, 2, 3, 7), COMPLEX),
+    (_b(2, 3, 4, 7), COMPLEX),
+    (_me(1, 4), IMAGINARY),
+    (_b(4, 7), COMPLEX),
+    (_me(1, 2), IMAGINARY),
+    (_b(2, 7), COMPLEX),
+    (_b(1, 7), COMPLEX),
+    (_b(1, 2, 4, 7), COMPLEX),
+    (_pe(2, 4), IMAGINARY),
+    (_pe(1, 4), IMAGINARY),
+    (_b(3, 4, 6, 7), COMPLEX),
+    (_b(1, 2, 3, 4, 6, 7), COMPLEX),
+    (_b(2, 3, 6, 7), COMPLEX),
+    (_b(1, 3, 6, 7), COMPLEX),
+    (_b(3, 4, 5, 7), COMPLEX),
+    (_b(1, 2, 3, 4, 5, 7), COMPLEX),
+    (_b(2, 3, 5, 7), COMPLEX),
+    (_b(1, 3, 5, 7), COMPLEX),
+    (_me(7, 8), IMAGINARY),
+    (_b(2, 4, 6, 7), COMPLEX),
+    (_b(1, 4, 6, 7), COMPLEX),
+    (_b(6, 7), COMPLEX),
+    (_b(1, 2, 6, 7), COMPLEX),
+    (_b(2, 4, 5, 7), COMPLEX),
+    (_b(1, 4, 5, 7), COMPLEX),
+    (_b(5, 7), COMPLEX),
+    (_b(1, 2, 5, 7), COMPLEX),
+    (_pe(1, 2), IMAGINARY),
+    (_me(2, 4), IMAGINARY),
+    (_me(1, 4), IMAGINARY),
+    (_b(1, 2, 3, 5, 6, 7), COMPLEX),
+    (_b(2, 3, 4, 5, 6, 7), COMPLEX),
+    (_b(1, 3, 4, 5, 6, 7), COMPLEX),
+    (_b(3, 5, 6, 7), COMPLEX),
+    (_me(1, 2), IMAGINARY),
+    (_pe(2, 4), IMAGINARY),
+    (_b(1, 5, 6, 7), COMPLEX),
+    (_b(1, 2, 4, 5, 6, 7), COMPLEX),
+    (_b(2, 5, 6, 7), COMPLEX),
+    (_b(4, 5, 6, 7), COMPLEX),
+    (_me(2, 4), IMAGINARY),
+    (_pe(1, 2), IMAGINARY),
+    (_me(1, 4), IMAGINARY),
+    (_pe(2, 4), IMAGINARY),
+    (_me(2, 1), IMAGINARY),
 )
 
 
@@ -213,3 +217,59 @@ CATALOG: Dict[str, WitnessEntry] = {
         WitnessEntry("E8-230", "E8", (2, 3, 0), _E8_230_WORD, 13, None, "searched"),
     )
 }
+
+
+# ---------------------------------------------------------------------------
+# Witness replay
+# ---------------------------------------------------------------------------
+
+class ReplayReport(Record):
+    witness_id: str
+    certificate: ChainCertificate
+    golden_checked: bool
+
+
+def replay_witness(witness_id: str) -> ReplayReport:
+    """Recompute a stored witness chain and compare with its golden data.
+
+    The chain must violate the sign test (epsilon != det); chain roots must
+    match up to sign, tags and the imaginary count exactly.
+    """
+    if witness_id not in CATALOG:
+        raise ScopeError("unknown witness id %r" % witness_id)
+    entry = CATALOG[witness_id]
+    rep = e_classes.E_CLASS_REPS.get((entry.family, entry.signature))
+    if rep is None:
+        raise ScopeError("unknown %s class %r" % (entry.family, entry.signature))
+    p = make_parameter(entry.family, None, 0, *rep)
+    cert = chain_types(p, entry.word)
+    if cert.sign == cert.word_sign:
+        raise CertificateError(
+            "stored witness %s no longer violates the sign test" % witness_id
+        )
+    if cert.imaginary_count != entry.imaginary_count:
+        raise CertificateError(
+            "witness %s: imaginary count %d, stored %d"
+            % (witness_id, cert.imaginary_count, entry.imaginary_count)
+        )
+    golden_checked = False
+    if entry.golden is not None:
+        if len(entry.golden) != len(cert.tags):
+            raise CertificateError(
+                "witness %s: %d steps, stored %d"
+                % (witness_id, len(cert.tags), len(entry.golden))
+            )
+        steps = zip(cert.doubled_steps, cert.tags)
+        for k, ((root, tag), (groot, gtag)) in enumerate(zip(steps, entry.golden)):
+            if root != groot and root != neg(groot):
+                raise CertificateError(
+                    "witness %s: step %d root %r differs from stored %r (doubled)"
+                    % (witness_id, k + 1, root, groot)
+                )
+            if tag != gtag:
+                raise CertificateError(
+                    "witness %s: step %d tag %s differs from stored %s"
+                    % (witness_id, k + 1, tag, gtag)
+                )
+        golden_checked = True
+    return ReplayReport(witness_id=witness_id, certificate=cert, golden_checked=golden_checked)

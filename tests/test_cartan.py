@@ -9,17 +9,19 @@ import pytest
 import reference
 from cayley_lift import center
 from cayley_lift.cartan import (
-    CartanClass,
     Involution,
     TransformError,
     block_pairs,
+    involution_from_pairs,
+    signature_from_involution,
+)
+from cayley_lift.classes import (
+    CartanClass,
     cartan_classes,
     cartan_shape,
     class_rep_data,
     classify_pairs,
     involution_for_class,
-    involution_from_pairs,
-    signature_from_involution,
 )
 from cayley_lift.cayley_graph import hasse_diagram
 from cayley_lift.center import cover_center_data, genuine_central_character_count

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cayley_lift import cartan, center, cli_help, cmd_roots, e_classes, klv_poset, parameters, theorem
+from cayley_lift import center, classes, cli_help, cmd_roots, e_classes, klv_poset, parameters, theorem
 from cayley_lift.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -111,7 +111,7 @@ def test_internal_error_is_exit_code_4_without_traceback(capsys, monkeypatch):
     # an earlier E6 map nor the filtered one outlives this test
     reps = {k: v for k, v in e_classes.E_CLASS_REPS.items() if k != ("E6", (2, 2, 0))}
     monkeypatch.setattr(e_classes, "E_CLASS_REPS", reps)
-    monkeypatch.setattr(cartan, "_class_reps", cartan._class_reps.__wrapped__)
+    monkeypatch.setattr(classes, "_class_reps", classes._class_reps.__wrapped__)
     assert EXIT_INTERNAL == 4
     assert main(["cartans", "--family", "E6"]) == EXIT_INTERNAL
     captured = capsys.readouterr()

@@ -13,8 +13,9 @@ The stabilizer sign test reads each swept element's permutation, so
 rule_out builds a word and a chain only for the certificate of a violating
 element.  Per central character, the tower check builds each distinct
 tower parameter once, and the lift each term of each K_S once (the
-full-level parameter is the last term of its tower).  Calls are counted (through monkeypatch and
-sys.setprofile) on cold caches, not by timing.
+full-level parameter is the last term of its tower), and both build each
+involution once for all central characters.  Calls are counted (through
+monkeypatch and sys.setprofile) on cold caches, not by timing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 
 import pytest
 
-from cayley_lift import coherent, dense, parameters
+from cayley_lift import cartan, coherent, dense, parameters
 from cayley_lift.center import genuine_central_character_count
 from cayley_lift.coherent import count_small, rule_out, stabilizer
 from cayley_lift.klv_poset import rd_subsets, tower_poset, verify_inversion
@@ -123,6 +124,32 @@ def test_tower_work_builds_each_tower_parameter_once(monkeypatch, label):
     for chi in chis:
         lift_trivial(family, rank, chi)
     assert calls["make_parameter"] == lift_builds == len(chis) * terms
+
+
+# Distinct pair sets among the tower parameters of every central character.
+TOWER_PAIR_SETS = {"D 4": 7, "D 6": 13, "SL(6)": 8, "E7": 8}
+
+
+@pytest.mark.parametrize("label", sorted(TOWER_BUILDS))
+def test_tower_work_builds_each_involution_once_for_every_chi(monkeypatch, label):
+    """theta, theta_perm and length are cached on the pair set, which is all
+    that the involution depends on, not on the parameter and its chi: on cold
+    caches, the tower check and the lift over every central character each
+    build one involution per distinct pair set (the parameters differ only
+    in chi across characters)."""
+    family, rank, _, _ = TOWER_BUILDS[label]
+    chis = range(genuine_central_character_count(family, rank))
+    pair_sets = {(p.blocks, p.pairs) for chi in chis for p in tower_poset(family, rank, chi).elements}
+    assert len(chis) > 1 and len(pair_sets) == TOWER_PAIR_SETS[label]
+    calls = _count_calls(monkeypatch, cartan, ["involution_from_pairs"])
+    for chi in chis:
+        assert verify_inversion(tower_poset(family, rank, chi))
+    assert calls["involution_from_pairs"] == len(pair_sets)
+    _clear_caches()
+    calls["involution_from_pairs"] = 0
+    for chi in chis:
+        lift_trivial(family, rank, chi)
+    assert calls["involution_from_pairs"] == len(pair_sets)
 
 
 @pytest.mark.parametrize("family, rank", [("A", 6), ("D", 5), ("E6", None), ("E7", None), ("E8", None)])

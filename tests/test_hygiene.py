@@ -12,9 +12,12 @@ so that no helper only the tests call sits in the package, compiled by every
 request that runs its module.  Only root_system reads an E group's rank off
 its name (family[1]); every other module passes the rank it has to
 build_root_system.  Only the sign test reads the Weyl tables: coherent
-and dense import weyl at their top, and no other module at all.  No module
-imports dense, the Fraction edge that no CLI request runs, at its top: the
-vector views and coherent's matrix_to_word import it when they are called.
+and dense import weyl at their top, and no other module at all.  Only the
+count and the theorem import the sign test (coherent), and the class map
+(classes) is imported at the top of the modules of the cartans and params
+verbs only, so a witness replay runs neither.  No module imports dense, the
+Fraction edge that no CLI request runs, at its top: the vector views and
+coherent's matrix_to_word import it when they are called.
 Each public function of dense, and each view or routine that imports dense,
 has a reader: the benchmark's tracer (read through tests/test_package.py),
 the acceptance gate, or a routine that is kept.  No module imports cli, which python -m
@@ -298,8 +301,34 @@ def _importers(name: str) -> dict:
 
 def test_only_the_sign_test_imports_the_weyl_module():
     """theta on the roots reads RootSystem.index, so parameters, cartan and
-    the verbs built on them (cartans, params, klv-check, lift) never run weyl."""
+    the verbs built on them (cartans, params, klv-check, lift) never run weyl;
+    chains reads a word's chain roots off the ambient coordinates, so a
+    witness replay never runs it either."""
     assert _importers("weyl") == {"coherent.py": ["<module>"], "dense.py": ["<module>"]}
+
+
+def test_only_the_count_and_the_theorem_import_the_sign_test():
+    """A witness replay chains its stored word with chains and witness_data,
+    so only the count-small handler and theorem (verify) run coherent."""
+    assert _importers("coherent") == {"cmd_count_small.py": ["<module>"],
+                                      "theorem.py": ["<module>"]}
+
+
+def test_the_class_map_is_imported_where_it_is_read():
+    """parameters imports the class map inside the two functions that read
+    it, and the E class table imports no package module, so the towers, the
+    lift and a witness replay, which run parameters or the table, never run
+    classes; only the cartans and params handlers and the Cayley graph
+    import it at their top."""
+    assert _importers("classes") == {
+        "cayley_graph.py": ["<module>"],
+        "cmd_cartans.py": ["<module>"],
+        "cmd_params.py": ["<module>"],
+        "parameters.py": ["class_of", "orbit_representatives"],
+    }
+    assert [node.lineno for node in ast.walk(_parse(SRC / "e_classes.py"))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("cayley_lift"))] == []
 
 
 def test_no_module_imports_the_dense_module_at_its_top():
@@ -310,7 +339,8 @@ def test_no_module_imports_the_dense_module_at_its_top():
     assert _importers("dense") == {
         "cartan.py": ["matrix"],
         "center.py": ["quotient_reps"],
-        "coherent.py": ["steps", "matrix_to_word"],
+        "chains.py": ["steps"],
+        "coherent.py": ["matrix_to_word"],
         "root_system.py": ["simple_roots", "positive_roots", "rho_half", "roots"],
     }
 

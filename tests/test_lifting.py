@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from cayley_lift.cartan import cartan_shape
+from cayley_lift.classes import cartan_shape
 from cayley_lift.center import genuine_central_character_count
 from cayley_lift.klv_poset import pi_RD, rd_subsets, tower_terms
 from cayley_lift.lifting import (

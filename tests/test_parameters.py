@@ -20,7 +20,7 @@ from cayley_lift.parameters import (
 from cayley_lift.cayley_graph import cayley, enumerate_block
 from cayley_lift.klv_poset import contains, pi_RD, rd_subsets
 from cayley_lift import count_small, cover_center_data, hasse_diagram, lift_trivial, tower_poset
-from cayley_lift.cartan import cartan_classes
+from cayley_lift.classes import cartan_classes
 from cayley_lift.root_system import build_root_system
 from reference import (
     identity_matrix,

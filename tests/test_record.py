@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from cayley_lift import (cartan, cayley_graph, center, coherent, dense, klv_poset, lifting, parameters,
-                         theorem, weyl, witness_data)
+from cayley_lift import (cartan, cayley_graph, center, classes, coherent, dense, klv_poset, lifting,
+                         parameters, theorem, weyl, witness_data)
 from cayley_lift.root_system import Record, RootSystem, build_root_system
 
 
@@ -28,8 +28,8 @@ SAMPLES = {
     "RootSubsystem": lambda: dense.integral_system(_a3().rho_half, _a3()),
     "WeylTables": lambda: weyl.weyl_tables(_a3()),
     "Involution": lambda: cartan.involution_from_pairs(_a3(), pairs=((1, 2),)),
-    "TorusShape": lambda: cartan.cartan_shape(cartan.cartan_classes("A", 3)[1]),
-    "CartanClass": lambda: cartan.cartan_classes("E6")[0],
+    "TorusShape": lambda: classes.cartan_shape(classes.cartan_classes("A", 3)[1]),
+    "CartanClass": lambda: classes.cartan_classes("E6")[0],
     "HasseDiagram": lambda: cayley_graph.hasse_diagram("A", 3),
     "FiniteAbelianGroup": lambda: center.cover_center_data("D", 4).center,
     "CenterData": lambda: center.cover_center_data("D", 4),
@@ -38,7 +38,7 @@ SAMPLES = {
     "ChainCertificate": lambda: coherent.rule_out(parameters.make_parameter("A", 3)).certificate,
     "StabilizerDescription": lambda: coherent.stabilizer(_parameter()),
     "RuleOutReport": lambda: coherent.rule_out(_parameter()),
-    "ReplayReport": lambda: coherent.replay_witness("E6-030"),
+    "ReplayReport": lambda: witness_data.replay_witness("E6-030"),
     "ParameterPoset": lambda: klv_poset.tower_poset("A", 3),
     "FormalIntegerCombination": lambda: lifting.lift_trivial("A", 3),
     "CharacterCheck": lambda: theorem.verify_main_theorem("A", 3).checks[0],
@@ -133,7 +133,7 @@ def test_cartan_class_and_a_lookalike_record_are_unequal():
         rank: int
         signature: tuple
 
-    c = cartan.CartanClass("E6", 6, (2, 2, 0))
+    c = classes.CartanClass("E6", 6, (2, 2, 0))
     assert Lookalike("E6", 6, (2, 2, 0)) != c
     assert len({c, Lookalike("E6", 6, (2, 2, 0))}) == 2
 
@@ -177,7 +177,7 @@ def test_repr_names_each_field(name):
 
 
 def test_repr_is_the_dataclass_format():
-    assert repr(cartan.CartanClass("E6", 6, (2, 2, 0))) == \
+    assert repr(classes.CartanClass("E6", 6, (2, 2, 0))) == \
         "CartanClass(family='E6', rank=6, signature=(2, 2, 0))"
     assert repr(center.cover_center_data("D", 4).center) == \
         "FiniteAbelianGroup(invariant_factors=(2, 2, 2))"

@@ -20,10 +20,10 @@ import reference
 from golden.generate import ALL_GROUPS, DIGESTS
 from cayley_lift.cartan import involution_from_pairs, signature_from_involution
 from cayley_lift.center import cover_center_data
-from cayley_lift import (cayley_graph, center, cli, cli_json, coherent, dense, parameters,
-                         root_system)
+from cayley_lift import (cayley_graph, center, chains, cli, cli_json, coherent, dense, parameters,
+                         root_system, witness_data)
+from cayley_lift.chains import chain_roots, chain_types
 from cayley_lift.coherent import (
-    chain_types,
     matrix_to_word,
     rule_out,
     stabilizer,
@@ -31,6 +31,7 @@ from cayley_lift.coherent import (
 )
 from cayley_lift.cayley_graph import cayley_moves, enumerate_block
 from cayley_lift.dense import integral_system, root_permutation, word_matrix
+from cayley_lift.e_classes import E_CLASS_REPS
 from cayley_lift.parameters import (
     length,
     make_parameter,
@@ -49,7 +50,6 @@ from cayley_lift.root_system import (
 from cayley_lift.weyl import (
     _doubled_sum,
     _reflection_perm,
-    beta_chain_for_word,
     canonical_reflection_word,
     perm_mul,
     perm_to_word,
@@ -257,11 +257,64 @@ def test_chains_match_reference(case, data):
     family, rank, system, word = case
     _, p = data.draw(st.sampled_from(orbit_representatives(family, rank)))
     steps = reference.chain_steps(p, word, system)
-    roots = map(weyl_tables(system).doubled_root, beta_chain_for_word(word, system))
-    assert tuple(map(dense.view, roots)) == tuple(beta for beta, _ in steps)
+    assert tuple(map(dense.view, chain_roots(word, system))) == tuple(beta for beta, _ in steps)
     cert = chain_types(p, word)
     assert cert.steps == steps
     assert cert.imaginary_count == sum(1 for _, tag in steps if tag == "im")
+
+
+@lru_cache(maxsize=None)
+def _long_chain_cases():
+    """(label, parameter, word) for every catalog word, against its class's
+    representative, and for the certificate word of every ruled-out class."""
+    cases = [(witness_id, make_parameter(e.family, None, 0, *E_CLASS_REPS[e.family, e.signature]),
+              e.word) for witness_id, e in sorted(witness_data.CATALOG.items())]
+    for family, rank in IN_SCOPE:
+        for c, p in orbit_representatives(family, rank):
+            cert = rule_out(p).certificate
+            if cert is not None:
+                cases.append(("%s%s %s" % (family, rank or "", c.render()), p, cert.word))
+    return tuple(cases)
+
+
+def _chain_mismatches(cases):
+    """Labels of the cases whose chain_types steps (roots and tags) differ
+    from the oracle's; a chain root with no index (not a root) counts as a
+    difference."""
+    out = []
+    for label, p, word in cases:
+        try:
+            same = chain_types(p, word).steps == reference.chain_steps(p, word, build_root_system(
+                p.family, p.rank))
+        except KeyError:
+            same = False
+        if not same:
+            out.append(label)
+    return out
+
+
+def test_chains_of_long_words_match_reference():
+    """The drawn words above have at most 16 letters.  The catalog's words
+    have up to 112 (E8-610; E7-320 has 72), and the certificates of the 76
+    ruled-out classes are the reduced words of their violating elements."""
+    cases = _long_chain_cases()
+    assert len(cases) == len(witness_data.CATALOG) + 76
+    assert max(len(word) for _, _, word in cases) == 112
+    assert _chain_mismatches(cases) == []
+
+
+def test_the_long_word_check_catches_a_dropped_coordinate(monkeypatch):
+    """chain_roots with the first support coordinate of each letter left out
+    of the update of u fails the comparison on every word in which a letter
+    follows another."""
+    source = inspect.getsource(chains.chain_roots)
+    update = "        for j, x in support:\n"
+    assert source.count(update) == 1
+    namespace = dict(vars(chains))
+    exec(source.replace(update, "        for j, x in support[1:]:\n"), namespace)
+    monkeypatch.setattr(chains, "chain_roots", namespace["chain_roots"])
+    cases = _long_chain_cases()
+    assert _chain_mismatches(cases) == [label for label, _, word in cases if len(word) > 1]
 
 
 @settings(max_examples=40, deadline=None)

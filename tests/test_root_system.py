@@ -23,7 +23,8 @@ from cayley_lift.root_system import (
     rational,
     root_system_to_json,
 )
-from cayley_lift.weyl import beta_chain_for_word, canonical_reflection_word, perm_to_word, weyl_tables
+from cayley_lift.chains import chain_roots
+from cayley_lift.weyl import canonical_reflection_word, perm_to_word, weyl_tables
 from reference import (basis_vector, beta_root, coefficient_table, decompose_to_chain,
                        half_integral_roots, pairing, reflect, sub, vector_from_strings)
 
@@ -38,8 +39,8 @@ def _signed_index(system, root):
 
 
 def _chain_roots(word, system):
-    """The chain roots of a word, read off their signed indices."""
-    return tuple(map(view, map(weyl_tables(system).doubled_root, beta_chain_for_word(word, system))))
+    """The chain roots of a word, from their doubled coordinates."""
+    return tuple(map(view, chain_roots(word, system)))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +285,9 @@ def test_decompose_to_chain_rejects_bad_words():
 
 def test_word_validation():
     a3 = build_root_system("A", 3)
-    with pytest.raises(WordError):
-        beta_chain_for_word((0, 5), a3)
+    for word in ((0, 5), (-1,), (3, 0)):
+        with pytest.raises(WordError, match="out of range"):
+            chain_roots(word, a3)
 
 
 # ---------------------------------------------------------------------------
