@@ -1,16 +1,18 @@
 """The chain of a Weyl word against a parameter's involution.
 
 For a word in the ambient simple reflections, the letters are consumed from
-the right; the k-th consumed letter alpha_k contributes the chain root
-beta_k = u(alpha_k), u = s_{alpha_1} ... s_{alpha_{k-1}} the letters
-consumed before it (Bourbaki VI 1.6).  u is carried as q_j = 4 u(e_j) on
-the ambient coordinates, which are integers in every family: with
-b = 2 alpha_k, 2 beta_k = (sum_j b_j q_j) / 4, and then u s_{alpha_k} is
-q_j - b_j 2 beta_k.  Each beta_k is held as its signed index
-(RootSystem.index) and tagged imaginary / real / complex as theta fixes it,
-negates it or neither.  No Weyl table is built, so a witness replay runs
-this module and not the sign test; the sign test (coherent) chains only
-the certificate of a violating element.
+the right; the k-th consumed letter alpha_c contributes the chain root
+beta_k = u(alpha_c), u = s_{alpha_1} ... s_{alpha_{k-1}} the letters
+consumed before it (Bourbaki VI 1.6).  u is carried as the doubled images
+2 u(alpha_j) of the simple roots, integers in every family.  Since
+s_c(alpha_j) = alpha_j - <alpha_j, alpha_c^vee> alpha_c (Bourbaki VI 1.1),
+u s_c sends alpha_c to -beta_k, each Dynkin neighbour alpha_j of alpha_c
+to u(alpha_j) + beta_k, and every other simple root where u does.  Each
+beta_k is held as its signed index (RootSystem.index) and tagged imaginary
+/ real / complex as theta fixes it, negates it or neither.  No Weyl group
+element is built, so a witness replay runs this module and not the sign
+test; the sign test (coherent) chains only the certificate of a violating
+element.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .root_system import (Doubled, Record, RootSystem, Vector, WeylWord, WordError,
-                          build_root_system, neg)
+                          build_root_system, idot, neg)
 from .cartan import COMPLEX, IMAGINARY, REAL
 from .parameters import PairSetParameter, theta
 
@@ -60,15 +62,15 @@ def chain_roots(word: WeylWord, system: RootSystem) -> Tuple[Doubled, ...]:
     for letter in word:
         if not 0 <= letter < system.rank:
             raise WordError("letter %d out of range" % letter)
-    dim = system.dim
-    q = [[4 if i == j else 0 for i in range(dim)] for j in range(dim)]  # q_j = 4 u(e_j)
+    simple = system.doubled_simple
+    joined = [[j for j, a in enumerate(simple) if idot(a, b) == -4] for b in simple]  # Dynkin
+    images = list(simple)  # images[j] = 2 u(alpha_j)
     out: List[Doubled] = []
-    for letter in reversed(word):
-        support = [(j, x) for j, x in enumerate(system.doubled_simple[letter]) if x]
-        total = map(sum, zip(*[[x * y for y in q[j]] for j, x in support]))  # sum_j b_j q_j
-        beta = tuple([s // 4 for s in total])
-        for j, x in support:
-            q[j] = [y - x * z for y, z in zip(q[j], beta)]
+    for c in reversed(word):
+        beta = images[c]
+        for j in joined[c]:
+            images[j] = tuple([x + y for x, y in zip(images[j], beta)])
+        images[c] = neg(beta)
         out.append(beta)
     return tuple(out)
 

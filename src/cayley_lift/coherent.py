@@ -6,36 +6,42 @@ module); comparing it with det(w) on the stabilizer of gamma's orbit
 decides whether gamma supports a sign-consistent family (it "survives") or
 is ruled out.
 
-Every Weyl group element here (weyl.WeylTables), and the involution theta,
-is a signed permutation of the ambient positive roots (RootSystem.index).
+Every Weyl group element here, and the involution theta, is a signed
+permutation of the ambient positive roots (RootSystem.index); the only
+ones built are theta's and the core simple reflections (weyl.reflection).
 For a reduced word the chain roots are, up to sign, the positive roots
 that w sends negative (Bourbaki VI 1.6), so epsilon * det is the parity of
 w's non-imaginary inversions and the sign test reads the permutation.
 That parity is a character of the centralizer of theta (N(xy) is N(y)
 plus y^-1 N(x) mod 2), so it is tested on generators of the stabilizer
-only: a real integral reflection, the imaginary ones, then the Schreier
-generators of W(core)^theta, each read off the parity labels of two
-conjugates of theta, stopping at the first violation, which alone becomes
-a word and a certificate.  A witness replay (witness_data) chains a stored
-word without this module.
+only: a real integral reflection, then the Schreier generators of
+W(core)^theta, each read off the parity labels of two conjugates of
+theta, stopping at the first violation, which alone becomes a word and a
+certificate.  The imaginary integral reflections, the other generators,
+are never tested: the inversions of s_alpha other than alpha pair off as
+beta and alpha - beta (Bjorner-Brenti, GTM 231), and when theta fixes
+alpha it fixes both or neither, so an imaginary reflection never
+violates; when theta negates alpha it fixes none (theta(beta) = beta
+would send alpha - beta to -alpha - beta, no root), so a real one always
+does.  A witness replay (witness_data) chains a stored word without this
+module.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence, Tuple
 
 from .root_system import InvariantError, Matrix, Record, RootSystem, SignedPerm, WeylWord, idot
 from .weyl import (
     RootSubsystem,
-    WeylTables,
     _doubled_sum,
     _integral_system,
     canonical_reflection_word,
     perm_mul,
     perm_to_word,
+    reflection,
     subsystem,
-    weyl_tables,
 )
 from .center import genuine_central_character_count
 from .parameters import PairSetParameter, orbit_representatives, theta_perm
@@ -103,7 +109,7 @@ class RuleOutReport(Record):
     verdict: str                 # "ruled_out" | "survives"
     method: str                  # "real_reflection" | "complex_search" | "full_sweep"
     certificate: Optional[ChainCertificate]
-    checked: int                 # imaginary reflections tested + conjugates of theta labelled
+    checked: int                 # 1 for a real reflection, else conjugates of theta labelled
 
 
 def violates(w: SignedPerm, th: SignedPerm) -> bool:
@@ -112,8 +118,7 @@ def violates(w: SignedPerm, th: SignedPerm) -> bool:
     return sum(1 for k, x in enumerate(w) if x < 0 and th[k] != k + 1) % 2 == 1
 
 
-def _core_violation(st: StabilizerDescription, th: SignedPerm,
-                    tables: WeylTables) -> Tuple[Optional[SignedPerm], int]:
+def _core_violation(st: StabilizerDescription, th: SignedPerm) -> Tuple[Optional[SignedPerm], int]:
     """A violating element of W(core)^theta, or None, and the number of
     W(core)-conjugates of theta labelled.
 
@@ -124,7 +129,8 @@ def _core_violation(st: StabilizerDescription, th: SignedPerm,
     u_y^-1 g u_x of theta's stabilizer, which violates exactly when pi(y)
     differs from that sum; only the first such one is built, from the steps.
     """
-    gens = [tables.reflections[k] for k in st.complex_core.simple_index]
+    core = st.complex_core
+    gens = [reflection(core.system, k) for k in core.simple_index]
     labels = {th: (False, ())}  # conjugate -> (pi, steps from theta, last first)
     frontier = [th]
     while frontier:
@@ -139,10 +145,7 @@ def _core_violation(st: StabilizerDescription, th: SignedPerm,
                     labels[y] = (pi_y, (g,) + steps)
                     nxt.append(y)
                 elif known[0] != pi_y:
-                    w = tables.identity
-                    for h in known[1][::-1] + (g,) + steps:
-                        w = perm_mul(w, h)
-                    return w, len(labels)
+                    return reduce(perm_mul, known[1][::-1] + (g,) + steps), len(labels)
         frontier = nxt
     return None, len(labels)
 
@@ -160,30 +163,24 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
     """Decide the sign test for p's orbit, live.
 
     epsilon * det is a character of the theta-centralizer, so it is tested
-    on generators of the stabilizer alone: a real integral reflection, then
-    the imaginary integral reflections, then the Schreier generators of
-    W(core)^theta, read off the labels of theta's W(core)-orbit.  The first
-    violation rules the class out; if none violates, it survives.  checked
-    is 1 for a real reflection, else the imaginary reflections tested plus
-    the conjugates labelled, which for a survivor are the whole orbit.
+    on generators of the stabilizer alone: a real integral reflection, which
+    always violates, then the Schreier generators of W(core)^theta, read off
+    the labels of theta's W(core)-orbit (an imaginary reflection never
+    violates; see the module docstring).  The first violation rules the
+    class out; if none violates, it survives.  checked is 1 for a real
+    reflection, else the conjugates labelled, which for a survivor are the
+    whole orbit.
     """
     system = _ambient(p)
     st = stabilizer(p)
     if st.real.positive_index:
         word = canonical_reflection_word(st.real.positive_index[0] + 1, system)
         return _ruled_out(p, "real_reflection", word, 1)
-    tables = weyl_tables(system)
-    th = theta_perm(p)
-    checked = 0
-    for k in st.imaginary.positive_index:
-        checked += 1
-        if violates(tables.reflections[k], th):
-            return _ruled_out(p, "complex_search", canonical_reflection_word(k + 1, system), checked)
-    w, labelled = _core_violation(st, th, tables)
+    w, labelled = _core_violation(st, theta_perm(p))
     if w is not None:
-        return _ruled_out(p, "complex_search", perm_to_word(w, system), checked + labelled)
+        return _ruled_out(p, "complex_search", perm_to_word(w, system), labelled)
     return RuleOutReport(parameter=p, verdict="survives", method="full_sweep",
-                         certificate=None, checked=checked + labelled)
+                         certificate=None, checked=labelled)
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,8 @@ Families: A (ambient n coordinates, roots e_i - e_j), D (roots +-e_i +- e_j),
 and E6/E7/E8 realized inside an 8-dimensional ambient space.  The core holds
 every vector doubled, 2v as a tuple of ints, so that the half-integer E8
 roots are integral: construction and the integral roots at rho/2 are
-integer arithmetic, as are the Weyl group tables, the integral subsystems
-and the reflection words of the weyl module, which builds on this one.
+integer arithmetic, as are the reflections, the integral subsystems and
+the reflection words of the weyl module, which builds on this one.
 Every family's positive roots, with their simple-root coefficients, come
 from one integer closure of its simple roots by height (Bourbaki, Ch. VI,
 1.6), with no basis solve.  Doubling keeps the lexicographic order, so the

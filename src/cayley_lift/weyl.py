@@ -3,20 +3,22 @@ reflection subgroups, for the sign test.
 
 w[k] = +-(j+1) means w maps positive root k to +-(positive root j), in the
 signed indices of RootSystem.index.  W acts faithfully on its roots, so this
-one representation serves every family.  The tables of a system (WeylTables)
-hold the reflections as such permutations, built once from the doubled
-coordinates of root_system; reduced words and reflection words are read
-from them.  The root subsystems (the integral one at rho/2 and its real,
-imaginary and core parts) are held as positive-root indices.  theta on the
-roots needs only the system's index, and the chain roots of a word only
-the ambient coordinates (chains), so only the sign test (coherent) runs
-this module: not the towers, the lift or a witness replay.
+one representation serves every family.  A reflection is built from the
+doubled coordinates of root_system only when it is asked for (reflection,
+cached), so the sign test builds the simple and core-simple ones it reads
+and no table of all N.  Reduced words peel simple reflections off a
+permutation, and reflection words descend on a doubled root.  The root
+subsystems (the integral one at rho/2 and its real, imaginary and core
+parts) are held as positive-root indices.  theta on the roots needs only
+the system's index, and the chain roots of a word only the simple roots
+(chains), so only the sign test (coherent) runs this module: not the
+towers, the lift or a witness replay.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .root_system import (Doubled, Record, RootSystem, SignedPerm, Vector, WeylWord, idot,
                           is_integral)
@@ -27,52 +29,15 @@ def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
     return tuple([a[j - 1] if j > 0 else -a[-j - 1] for j in b])
 
 
-class WeylTables(Record):
-    """Integer tables for the action of W on a system's positive roots."""
-
-    system: RootSystem
-    simple: Tuple[int, ...]                 # positive-root index of each simple root
-    height: Tuple[int, ...]                 # height of positive root k
-    reflections: Tuple[SignedPerm, ...]     # s_k for each positive root k
-    identity: SignedPerm
-
-
 @lru_cache(maxsize=None)
-def weyl_tables(system: RootSystem) -> WeylTables:
-    """The system's WeylTables, built once in doubled integer coordinates.
-
-    Only the simple reflections are computed from coordinates; in order of
-    height every other one is a conjugate, s_beta = s_i s_gamma s_i for a
-    simple s_i with gamma = s_i(beta) of smaller height.
-    """
+def reflection(system: RootSystem, k: int) -> SignedPerm:
+    """s_a for the positive root a of 0-based index k, as a signed
+    permutation of the positive roots, from the doubled coordinates:
+    s_a(d) = d - <d, a^vee> a, and on doubled roots of a simply-laced
+    system <d, a^vee> is the integer (d . a) / 4."""
     doubled, index = system.doubled_positive, system.index
-    height = tuple(idot(system.doubled_rho, d) // 4 for d in doubled)  # (rho, a)
-    simple = tuple(index[a] - 1 for a in system.doubled_simple)
-    reflections: List[Optional[SignedPerm]] = [None] * len(doubled)
-    for k in simple:
-        reflections[k] = _reflection_perm(doubled[k], doubled, index)
-    lowering = [reflections[k] for k in simple]
-    for k in sorted(range(len(doubled)), key=height.__getitem__):
-        if reflections[k] is None:
-            s = next(s for s in lowering if height[s[k] - 1] < height[k])
-            reflections[k] = perm_mul(perm_mul(s, reflections[s[k] - 1]), s)
-    return WeylTables(
-        system=system,
-        simple=simple,
-        height=height,
-        reflections=tuple(reflections),
-        identity=tuple(range(1, len(doubled) + 1)),
-    )
-
-
-def _reflection_perm(a, doubled, index) -> SignedPerm:
-    """s_a on the positive roots, all in doubled integer coordinates."""
-    aa = idot(a, a)
-    out = []
-    for d in doubled:
-        c = 2 * idot(d, a) // aa  # <d, a^vee>, an integer
-        out.append(index[tuple([x - c * y for x, y in zip(d, a)])])
-    return tuple(out)
+    a = doubled[k]
+    return tuple([index[tuple([x - idot(d, a) // 4 * y for x, y in zip(d, a)])] for d in doubled])
 
 
 def perm_to_word(w: SignedPerm, system: RootSystem) -> WeylWord:
@@ -81,15 +46,16 @@ def perm_to_word(w: SignedPerm, system: RootSystem) -> WeylWord:
     Repeatedly peels off, on the right, the first simple root that w sends
     negative.  Raises ValueError if w is not in the Weyl group.
     """
-    tables = weyl_tables(system)
+    simple = [system.index[a] - 1 for a in system.doubled_simple]
+    identity = tuple(range(1, len(system.doubled_positive) + 1))
     rev: List[int] = []
     for _ in range(len(w) + 1):
-        if w == tables.identity:
+        if w == identity:
             return tuple(reversed(rev))
-        i = next((i for i, k in enumerate(tables.simple) if w[k] < 0), None)
+        i = next((i for i, k in enumerate(simple) if w[k] < 0), None)
         if i is None:
             break
-        w = perm_mul(w, tables.reflections[tables.simple[i]])
+        w = perm_mul(w, reflection(system, simple[i]))
         rev.append(i)
     raise ValueError("element is not in the Weyl group")
 
@@ -147,16 +113,16 @@ def canonical_reflection_word(s: int, system: RootSystem) -> WeylWord:
     signed index s (see RootSystem.index).
 
     Repeatedly conjugates by the smallest-index simple reflection that strictly
-    lowers the height of the conjugated (positive) root.
+    lowers the height of the conjugated (positive) root: s_i lowers b exactly
+    when (b, alpha_i) > 0, and then s_i(b) = b - alpha_i, all on doubled roots.
     """
     if not 0 < abs(s) <= len(system.doubled_positive):
         raise ValueError("not a root: %r" % (s,))
-    tables = weyl_tables(system)
-    k = abs(s) - 1
-    height, reflections = tables.height, tables.reflections
+    simple = system.doubled_simple
+    b = system.doubled_positive[abs(s) - 1]
     prefix: List[int] = []
-    while height[k] > 1:
-        i = next(i for i, s in enumerate(tables.simple) if height[reflections[s][k] - 1] < height[k])
+    while b not in simple:
+        i = next(i for i, a in enumerate(simple) if idot(b, a) > 0)
+        b = tuple([x - y for x, y in zip(b, simple[i])])
         prefix.append(i)
-        k = reflections[tables.simple[i]][k] - 1
-    return tuple(prefix) + (tables.simple.index(k),) + tuple(reversed(prefix))
+    return tuple(prefix) + (simple.index(b),) + tuple(reversed(prefix))

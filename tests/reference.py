@@ -34,9 +34,11 @@ counterpart: the library tests the sign only on generators of W(core)^theta,
 and tests compare its verdicts with the sweep's.  The Schreier generators of
 W(core)^theta, which the library streamed and tested one by one before it
 labelled theta's orbit with parities, are here, on this module's own
-signed-permutation product, inverse and descent; tests compare the library's
-verdict, method and certificate word with the first generator that violates
-the sign test.  Neither do the membership
+signed-permutation product, inverse and descent and its own table of every
+reflection (reflection_table, each from Fraction coordinates); tests
+compare the library's verdict, method and certificate word with the first
+generator that violates the sign test, the imaginary integral reflections,
+which the library does not test, included.  Neither do the membership
 tests for the integral Weyl group and for W(core)^theta (descent on dense
 matrices); tests use them to check stored witness words.
 The command-line parser the CLI had before its flag table, built with
@@ -88,10 +90,10 @@ from cayley_lift.root_system import (
     build_root_system,
     neg,
 )
-from cayley_lift.weyl import WeylTables, weyl_tables
 
 Subsystem = namedtuple("Subsystem", "roots positive simple")
 Chain = namedtuple("Chain", "word steps")
+ReflectionTable = namedtuple("ReflectionTable", "simple reflections identity")
 Stabilizer = namedtuple(
     "Stabilizer", "integral real imaginary complex_core rho_real rho_imaginary"
 )
@@ -736,13 +738,35 @@ def perm_inv(a: SignedPerm) -> SignedPerm:
     return tuple(back[k] for k in range(1, len(a) + 1))
 
 
-def perm_descent(w: SignedPerm, tables: WeylTables) -> WeylWord:
+@lru_cache(maxsize=None)
+def reflection_table(system: RootSystem) -> ReflectionTable:
+    """Every reflection s_a of the system as a signed permutation of build's
+    positive roots: s_a(b) = b - (b, a) a on Fraction vectors (every root
+    has (a, a) = 2), looked up in this module's own signed index; with the
+    0-based position of each simple root among the positive roots, and the
+    identity."""
+    rank = system.rank if system.family in ("A", "D") else None
+    simples, positives, _ = build(system.family, rank)
+    index = signed_index(system.family, rank)
+
+    def image(a: Vector, b: Vector) -> int:
+        c = dot(b, a)
+        return index[sub(b, scale(c, a)) if c else b]
+
+    return ReflectionTable(
+        simple=tuple(index[a] - 1 for a in simples),
+        reflections=tuple(tuple(image(a, b) for b in positives) for a in positives),
+        identity=tuple(range(1, len(positives) + 1)),
+    )
+
+
+def perm_descent(w: SignedPerm, table: ReflectionTable) -> WeylWord:
     """Reduced word of w: peel off, on the right, the first simple root
     that w sends negative."""
     rev: List[int] = []
-    while w != tables.identity:
-        i = next(i for i, k in enumerate(tables.simple) if w[k] < 0)
-        w = perm_mul(w, tables.reflections[tables.simple[i]])
+    while w != table.identity:
+        i = next(i for i, k in enumerate(table.simple) if w[k] < 0)
+        w = perm_mul(w, table.reflections[table.simple[i]])
         rev.append(i)
     return tuple(reversed(rev))
 
@@ -754,7 +778,7 @@ def perm_violates(w: SignedPerm, th: SignedPerm) -> bool:
 
 
 def schreier_generators(st: coherent.StabilizerDescription, th: SignedPerm,
-                        tables: WeylTables) -> Iterator[SignedPerm]:
+                        table: ReflectionTable) -> Iterator[SignedPerm]:
     """Generators of W(core)^theta, lazily, by Schreier's lemma.
 
     A breadth-first search over the W(core)-conjugates x = u theta u^-1,
@@ -765,8 +789,8 @@ def schreier_generators(st: coherent.StabilizerDescription, th: SignedPerm,
     first, and an edge whose generator is the identity (u_y = g u_x, as on
     every tree edge) yields nothing.
     """
-    gens = [tables.reflections[k] for k in st.complex_core.simple_index]
-    transversal = {th: (0, tables.identity)}  # conjugate -> (discovery index, u)
+    gens = [table.reflections[k] for k in st.complex_core.simple_index]
+    transversal = {th: (0, table.identity)}  # conjugate -> (discovery index, u)
     frontier = [th]
     while frontier:
         nxt = []
@@ -792,18 +816,18 @@ def generator_rule_out(p: PairSetParameter) -> Tuple[str, str, Optional[WeylWord
     gives the word: its reflection's canonical word, or its descent."""
     system = _system(p)
     st = coherent.stabilizer(p)
-    tables = weyl_tables(system)
+    table = reflection_table(system)
     th = theta_perm(p)
     if st.real.positive_index:
         alpha = system.positive_roots[st.real.positive_index[0]]
         return "ruled_out", "real_reflection", canonical_reflection_word(alpha, system)
     for k in st.imaginary.positive_index:
-        if perm_violates(tables.reflections[k], th):
+        if perm_violates(table.reflections[k], th):
             alpha = system.positive_roots[k]
             return "ruled_out", "complex_search", canonical_reflection_word(alpha, system)
-    for w in schreier_generators(st, th, tables):
+    for w in schreier_generators(st, th, table):
         if perm_violates(w, th):
-            return "ruled_out", "complex_search", perm_descent(w, tables)
+            return "ruled_out", "complex_search", perm_descent(w, table)
     return "survives", "full_sweep", None
 
 

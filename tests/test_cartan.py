@@ -330,6 +330,20 @@ def test_a_block_expands_to_sorted_odd_even_pairs():
     assert block_pairs((1, 6, 3, 8, 5, 2)) == ((1, 2), (3, 6), (5, 8))
 
 
+# D pair sets whose every coordinate sits in a single-sign plane: the
+# orientation bit is the parity of the negative planes.
+ORIENTED = [
+    (4, ((-1, -2), (-3, -4)), (2, 0, 0)),
+    (4, ((1, 2), (-3, -4)), (2, 0, 1)),
+    (6, ((-1, -2), (-3, -4), (-5, -6)), (3, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("rank, pairs, signature", ORIENTED)
+def test_the_orientation_bit_is_the_parity_of_the_negative_planes(rank, pairs, signature):
+    assert classify_pairs("D", rank, pairs).signature == signature
+
+
 @pytest.mark.parametrize("block", [(1, 2, 3), (1, 3), ()])
 def test_every_block_expansion_rejects_an_unbalanced_block(block):
     """make_parameter, the involution and the class of a block all read it

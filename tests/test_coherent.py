@@ -194,17 +194,17 @@ def test_d5_rule_out_verdicts():
 
 
 def test_e6_rule_out_decides_live():
-    """checked counts the imaginary reflections tested and the conjugates
-    of theta labelled up to the first violation, whose word is the
-    certificate: (2,2,0) has 4 imaginary roots and an orbit of 6, (0,3,0)
-    none and 17 conjugates labelled."""
+    """checked counts the conjugates of theta labelled up to the first
+    violation, whose word is the certificate, and none of the imaginary
+    reflections, which are not tested: (2,2,0) has 4 imaginary roots and
+    an orbit of 6, (0,3,0) none and 17 conjugates labelled."""
     verdicts = {}
     for c, p in orbit_representatives("E6"):
         report = rule_out(p)
         word = report.certificate.word if report.certificate else None
         verdicts[c.render()] = (report.verdict, report.method, report.checked, word)
     assert verdicts == {
-        "(2,2,0)": ("survives", "full_sweep", 10, None),
+        "(2,2,0)": ("survives", "full_sweep", 6, None),
         "(0,3,0)": ("ruled_out", "complex_search", 17, (4, 3, 2, 1, 3, 4, 3, 2, 1, 3, 2, 1)),
         "(0,2,2)": ("ruled_out", "real_reflection", 1, (4, 5, 4)),
         "(0,1,4)": ("ruled_out", "real_reflection", 1, (0, 2, 3, 4, 3, 2, 0)),

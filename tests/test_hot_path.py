@@ -3,12 +3,13 @@ lift and tower paths, and out of the integer root-system core.
 
 Every Cartan involution is a signed permutation of the coordinates, so
 count_small, lift_trivial and the tower check must never multiply a matrix
-or build a reflection matrix.  The Weyl tables, the integral system at
-rho/2, the stabilizer and the canonical reflection words work in doubled
-integer coordinates, and chains, certificates, center representatives and
-lengths hold integers, so the core and the whole count, lift, tower and
-verification paths make no call into the fractions module (and no cold CLI
-request even loads it: tests/test_package.py).
+or build a reflection matrix.  The reflections (signed permutations of the
+positive roots), the integral system at rho/2, the stabilizer and the
+canonical reflection words work in doubled integer coordinates, and
+chains, certificates, center representatives and lengths hold integers, so
+the core and the whole count, lift, tower and verification paths make no
+call into the fractions module (and no cold CLI request even loads it:
+tests/test_package.py).
 The stabilizer sign test reads each swept element's permutation, so
 rule_out builds a word and a chain only for the certificate of a violating
 element.  Per central character, the tower check builds each distinct
@@ -34,7 +35,7 @@ from cayley_lift.parameters import orbit_representatives
 from cayley_lift.dense import integral_system
 from cayley_lift.root_system import build_root_system
 from cayley_lift.theorem import verify_main_theorem
-from cayley_lift.weyl import canonical_reflection_word, weyl_tables
+from cayley_lift.weyl import canonical_reflection_word, reflection
 
 WATCHED = ("mat_mul", "reflection_matrix")
 
@@ -199,7 +200,8 @@ def test_integer_core_makes_no_fraction_calls(family, rank):
     system = build_root_system(family, rank)
     lam = system.rho_half
     calls = {
-        "weyl_tables": _fraction_calls(weyl_tables, system),
+        "reflection": sum(_fraction_calls(reflection, system, k)
+                          for k in range(len(system.doubled_positive))),
         "integral_system": _fraction_calls(integral_system, lam, system),
         "stabilizer": sum(_fraction_calls(stabilizer, p) for p in reps),
     }

@@ -11,7 +11,7 @@ be named elsewhere in src/, be public or be wrapped by the benchmark's tracer,
 so that no helper only the tests call sits in the package, compiled by every
 request that runs its module.  Only root_system reads an E group's rank off
 its name (family[1]); every other module passes the rank it has to
-build_root_system.  Only the sign test reads the Weyl tables: coherent
+build_root_system.  Only the sign test builds reflections: coherent
 and dense import weyl at their top, and no other module at all.  Only the
 count and the theorem import the sign test (coherent), and the class map
 (classes) is imported at the top of the modules of the cartans and params
@@ -29,9 +29,9 @@ ends the process with os._exit; that skips the interpreter's wait for
 non-daemon threads, so no module imports threading, _thread,
 multiprocessing or concurrent.  The exact-Fraction oracle in
 tests/reference.py takes none of the library's matrix, permutation,
-Fraction-vector or root-tagging helpers, so that a fault in one cannot show
-on both sides of a comparison; the acceptance gate takes those it uses from
-the oracle.
+reflection, Fraction-vector or root-tagging helpers, so that a fault in one
+cannot show on both sides of a comparison; the acceptance gate takes those
+it uses from the oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ MODULES = sorted(SRC.glob("*.py"))
 ORACLE_OWN = frozenset({"root_type", "root_permutation", "reflection_matrix", "identity_matrix",
                         "word_matrix", "mat_mul", "mat_apply", "matrix_to_word",
                         "perm_mul", "perm_inv", "dot", "sub", "scale", "basis_vector",
-                        "pairing", "reflect"})
+                        "pairing", "reflect", "reflection", "reflection_table"})
 TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
 REPO_PATH = re.compile(r"(?<![\w/.-])(?:scripts|tests|perfbench|src)/(?:[\w/.-]*[\w/])?")
 
@@ -494,6 +494,7 @@ def test_checks_flag_what_they_should():
         "from reference import mat_mul\n"
         "def f():\n"
         "    from cayley_lift.coherent import matrix_to_word\n"
+        "from cayley_lift.weyl import perm_to_word, reflection\n"
     )
     imports = ast.parse(
         "from .weyl import a\n"
@@ -506,7 +507,7 @@ def test_checks_flag_what_they_should():
         "    from cayley_lift import weyl\n"
         "class C:\n"
         "    def g(self):\n"
-        "        from .root_system import weyl_tables\n"
+        "        from .root_system import reflection\n"
     )
     assert module_imports(imports, "weyl") == [
         "line 1: <module>", "line 2: <module>", "line 3: <module>", "line 6: <module>", "line 8: f"]
@@ -540,4 +541,4 @@ def test_checks_flag_what_they_should():
     assert main_block(threads) == ["sys.exit(main())", "run()"]
     assert library_helpers_used(oracle) == [
         "line 1: mat_apply", "line 1: pairing", "line 1: word_matrix", "line 2: root_type",
-        "line 5: matrix_to_word"]
+        "line 6: reflection", "line 5: matrix_to_word"]

@@ -116,6 +116,23 @@ def test_overlapping_pairs_message(family, rank, pairs, shared):
     assert str(info.value) == "slot shared between pairs " + shared
 
 
+# A D 6 pair whose first slot (after normalization) lies inside the block
+# (1,2,3,4); the block's own slots are checked before any pair's.
+SLOT_REUSE = [
+    ((4, 5), "slot 4 reused"),
+    ((3, 6), "slot 3 reused"),
+    ((5, 2), "slot 2 reused"),
+    ((-3, -6), "slot 3 reused"),
+]
+
+
+@pytest.mark.parametrize("pair, message", SLOT_REUSE)
+def test_a_pair_cannot_reuse_a_block_slot(pair, message):
+    with pytest.raises(TransformError) as info:
+        make_parameter("D", 6, blocks=[(1, 2, 3, 4)], pairs=[pair])
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("family", ["E6", "E7", "E8"])
 def test_e_rank_must_be_the_lie_rank(family):
     lie_rank = int(family[1])

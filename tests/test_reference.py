@@ -49,11 +49,10 @@ from cayley_lift.root_system import (
 )
 from cayley_lift.weyl import (
     _doubled_sum,
-    _reflection_perm,
     canonical_reflection_word,
     perm_mul,
     perm_to_word,
-    weyl_tables,
+    reflection,
 )
 
 GROUPS = [("A", 5), ("D", 5), ("E6", None), ("E7", None), ("E8", None)]
@@ -76,9 +75,9 @@ def _indices(system, vectors):
 
 
 def _check_roots(family, rank):
-    """The doubled simple and positive roots and rho, the closure's
-    coefficients of each positive root, and its height in the Weyl tables
-    against the reference's exact basis solve."""
+    """The doubled simple and positive roots and rho, and the closure's
+    coefficients of each positive root against the reference's exact basis
+    solve."""
     system = build_root_system(family, rank)
     simples, positives, rho = reference.build(family, rank)
     assert (system.doubled_simple, system.doubled_positive, system.doubled_rho) == \
@@ -86,7 +85,6 @@ def _check_roots(family, rank):
     table = reference.coefficient_table(system)
     assert positive_coefficients(system.doubled_simple) == {
         d: table[a] for d, a in zip(_scaled(positives), positives)}
-    assert weyl_tables(system).height == tuple(sum(table[a]) for a in positives)
 
 
 @pytest.mark.parametrize("family, rank", IN_SCOPE)
@@ -111,11 +109,13 @@ def test_integral_and_half_integral_roots_match_reference(family, rank):
 
 @pytest.mark.parametrize("family, rank", IN_SCOPE)
 def test_reflection_tables_match_direct_permutations(family, rank):
+    """Each reflection, built from doubled coordinates, is the oracle's,
+    built from Fraction vectors and looked up in the oracle's own index."""
     system = build_root_system(family, rank)
-    doubled = system.doubled_positive
-    assert weyl_tables(system).reflections == tuple(
-        _reflection_perm(d, doubled, system.index) for d in doubled
-    )
+    table = reference.reflection_table(system)
+    assert tuple(reflection(system, k) for k in range(len(system.doubled_positive))) == \
+        table.reflections
+    assert tuple(system.index[a] - 1 for a in system.doubled_simple) == table.simple
 
 
 @pytest.mark.parametrize("family, rank", IN_SCOPE)
@@ -303,29 +303,32 @@ def test_chains_of_long_words_match_reference():
     assert _chain_mismatches(cases) == []
 
 
-def test_the_long_word_check_catches_a_dropped_coordinate(monkeypatch):
-    """chain_roots with the first support coordinate of each letter left out
-    of the update of u fails the comparison on every word in which a letter
-    follows another."""
+def test_the_long_word_check_catches_a_skipped_neighbour(monkeypatch):
+    """chain_roots that leaves the first Dynkin neighbour of each consumed
+    letter out of the update of u fails the comparison on every long word,
+    the 21 catalog words (E7-320 among them) and the 76 certificates; the
+    routine as it is passes on all of them."""
+    cases = _long_chain_cases()
+    assert _chain_mismatches(cases) == []
     source = inspect.getsource(chains.chain_roots)
-    update = "        for j, x in support:\n"
+    update = "        for j in joined[c]:\n"
     assert source.count(update) == 1
     namespace = dict(vars(chains))
-    exec(source.replace(update, "        for j, x in support[1:]:\n"), namespace)
+    exec(source.replace(update, "        for j in joined[c][1:]:\n"), namespace)
     monkeypatch.setattr(chains, "chain_roots", namespace["chain_roots"])
-    cases = _long_chain_cases()
-    assert _chain_mismatches(cases) == [label for label, _, word in cases if len(word) > 1]
+    found = _chain_mismatches(cases)
+    assert "E7-320" in found
+    assert found == [label for label, _, _ in cases]
 
 
 @settings(max_examples=40, deadline=None)
 @given(group_and_word())
 def test_permutation_descent_matches_matrix_descent(case):
     _, _, system, word = case
-    tables = weyl_tables(system)
     m = word_matrix(word, system)
-    w = tables.identity
+    w = tuple(range(1, len(system.doubled_positive) + 1))
     for letter in word:
-        w = perm_mul(w, tables.reflections[tables.simple[letter]])
+        w = perm_mul(w, reflection(system, system.index[system.doubled_simple[letter]] - 1))
     assert root_permutation(m, system) == w
     expected = reference.matrix_descent(m, system)
     assert perm_to_word(w, system) == expected
@@ -361,10 +364,10 @@ def parameter_and_element(draw):
     if family in ("A", "D"):
         params += enumerate_block(family, rank)
     system = build_root_system(family, rank)
-    tables = weyl_tables(system)
-    w = tables.identity
-    for k in draw(st.lists(st.integers(0, len(tables.reflections) - 1), max_size=8)):
-        w = perm_mul(w, tables.reflections[k])
+    n = len(system.doubled_positive)
+    w = tuple(range(1, n + 1))
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+        w = perm_mul(w, reflection(system, k))
     return draw(st.sampled_from(params)), system, w
 
 
@@ -423,12 +426,12 @@ def _weyl_order(sub):
     return order
 
 
-def _core_centralizer(p, tables):
+def _core_centralizer(p, table):
     """The theta-commuting elements of W(core), from a breadth-first search
     over all of W(core), which must have _weyl_order elements."""
     th = theta_perm(p)
     core = stabilizer(p).complex_core
-    group = _closure([tables.reflections[k] for k in core.simple_index], tables.identity)
+    group = _closure([table.reflections[k] for k in core.simple_index], table.identity)
     assert len(group) == _weyl_order(core)
     return frozenset(w for w in group if perm_mul(th, w) == perm_mul(w, th))
 
@@ -440,7 +443,7 @@ def _small_core_classes():
     with no real integral root."""
     cases, unreal = [], 0
     for family, rank in IN_SCOPE:
-        tables = weyl_tables(build_root_system(family, rank))
+        table = reference.reflection_table(build_root_system(family, rank))
         for c, p in orbit_representatives(family, rank):
             st = stabilizer(p)
             if st.real.positive_index:
@@ -448,23 +451,24 @@ def _small_core_classes():
             unreal += 1
             if _weyl_order(st.complex_core) <= CORE_LIMIT:
                 label = "%s%s %s" % (family, rank or "", c.render())
-                cases.append((label, p, _core_centralizer(p, tables)))
+                cases.append((label, p, _core_centralizer(p, table)))
     return tuple(cases), unreal
 
 
 def _schreier_list(p, limit=None):
-    """The first limit (default all) Schreier generators for p, and the tables."""
-    tables = weyl_tables(build_root_system(p.family, p.rank if p.family in ("A", "D") else None))
-    gens = reference.schreier_generators(stabilizer(p), theta_perm(p), tables)
-    return list(islice(gens, limit)), tables
+    """The first limit (default all) Schreier generators for p, and the
+    oracle's reflection table."""
+    table = reference.reflection_table(build_root_system(p.family, p.rank))
+    gens = reference.schreier_generators(stabilizer(p), theta_perm(p), table)
+    return list(islice(gens, limit)), table
 
 
 def _span_mismatches(cases):
     """Labels of the cases whose Schreier generators do not generate W(core)^theta."""
     out = []
     for label, p, centralizer in cases:
-        gens, tables = _schreier_list(p)
-        if _closure(gens, tables.identity) != centralizer:
+        gens, table = _schreier_list(p)
+        if _closure(gens, table.identity) != centralizer:
             out.append(label)
     return out
 
@@ -477,9 +481,9 @@ def test_schreier_generators_span_the_core_centralizer():
 
 
 def _orbit(p):
-    """theta's W(core)-orbit as rule_out labelled it: checked less the
-    imaginary reflections."""
-    return rule_out(p).checked - len(stabilizer(p).imaginary.positive_index)
+    """theta's W(core)-orbit as rule_out labelled it: checked, which counts
+    no imaginary reflection."""
+    return rule_out(p).checked
 
 
 def _small_core_orbit_failures():
@@ -495,9 +499,8 @@ def _small_core_orbit_failures():
 
 
 def test_orbit_times_centralizer_is_the_core_weyl_order():
-    """For each survivor among the small-core classes, checked less the
-    imaginary reflections is theta's W(core)-orbit, and the orbit times
-    W(core)^theta is W(core)."""
+    """For each survivor among the small-core classes, checked is theta's
+    W(core)-orbit, and the orbit times W(core)^theta is W(core)."""
     assert _small_core_orbit_failures() == ([], 32)
 
 
@@ -535,8 +538,7 @@ def test_rule_out_matches_the_schreier_generators_on_every_class():
 
 def test_the_generator_comparison_catches_a_labelling_fault(monkeypatch):
     """Labels read with |N(g)| = 1, the parity of g's own root alone where x
-    does not fix it, change some verdict or word; the imaginary reflections,
-    whose roots theta fixes, are still tested in full."""
+    does not fix it, change some verdict or word."""
     sign_test = coherent.violates
 
     def own_root_only(w, x):
@@ -557,9 +559,9 @@ def _survivor_centralizers():
     out = []
     for group, label, p, (verdict, _, _) in _generator_verdicts():
         if verdict == "survives":
-            tables = weyl_tables(build_root_system(p.family, p.rank))
-            gens = set(reference.schreier_generators(stabilizer(p), reference.theta_perm(p), tables))
-            centralizer = _closure(gens, tables.identity, reference.perm_mul)
+            table = reference.reflection_table(build_root_system(p.family, p.rank))
+            gens = set(reference.schreier_generators(stabilizer(p), reference.theta_perm(p), table))
+            centralizer = _closure(gens, table.identity, reference.perm_mul)
             out.append(("%s %s" % (group, label), p, frozenset(centralizer)))
     return tuple(out)
 
@@ -595,8 +597,8 @@ def test_every_survivor_search_covers_the_core_centralizer():
 def test_every_certificate_lies_in_the_group_it_certifies():
     """A ruled-out verdict rests on its certificate.  On all 76 ruled-out
     classes of the 18 groups, the certificate word's element lies in the
-    integral Weyl group, and one found by the core stage (after every
-    imaginary reflection passed) lies in W(core)^theta."""
+    integral Weyl group, and one found by the core stage (complex_search,
+    the only stage after the real reflection) lies in W(core)^theta."""
     ruled_out, core_stage, failures = 0, 0, []
     for group, label, p, _ in _generator_verdicts():
         report = rule_out(p)
@@ -605,8 +607,7 @@ def test_every_certificate_lies_in_the_group_it_certifies():
         ruled_out += 1
         word = report.certificate.word
         # W(core)^theta membership includes integral membership
-        if report.method == "complex_search" and \
-                report.checked > len(stabilizer(p).imaginary.positive_index):
+        if report.method == "complex_search":
             core_stage += 1
             if not reference.is_complex_fixed_member(p, word):
                 failures.append((group, label, "core"))
@@ -616,6 +617,42 @@ def test_every_certificate_lies_in_the_group_it_certifies():
     assert failures == []
 
 
+def _reflection_lemma():
+    """(imaginary, real, failures): the imaginary and the real integral
+    reflections of every class representative of the 18 groups, and those
+    among them whose sign test is not as the lemma says, all on the
+    oracle's own reflection table, theta, integral roots and sign test."""
+    imaginary = real = 0
+    failures = []
+    for family, rank in IN_SCOPE:
+        system = build_root_system(family, rank)
+        table = reference.reflection_table(system)
+        index = reference.signed_index(family, rank)
+        integral = [index[a] - 1 for a in reference.integral_system(system.rho_half, system).positive]
+        for c, p in orbit_representatives(family, rank):
+            th = reference.theta_perm(p)
+            for k in integral:
+                if th[k] == k + 1:
+                    imaginary += 1
+                    if reference.perm_violates(table.reflections[k], th):
+                        failures.append(("%s%s %s" % (family, rank or "", c.render()), k, "im"))
+                elif th[k] == -(k + 1):
+                    real += 1
+                    if not reference.perm_violates(table.reflections[k], th):
+                        failures.append(("%s%s %s" % (family, rank or "", c.render()), k, "re"))
+    return imaginary, real, failures
+
+
+def test_imaginary_reflections_never_violate_and_real_ones_always_do():
+    """Why rule_out tests no imaginary reflection and needs only one real
+    one.  The inversions of s_alpha other than alpha pair off as beta and
+    alpha - beta; theta fixes both or neither when it fixes alpha, and
+    neither when it negates alpha.  On all 112 classes every imaginary
+    integral reflection passes the sign test and every real one fails it."""
+    assert sum(len(orbit_representatives(f, r)) for f, r in IN_SCOPE) == 112
+    assert _reflection_lemma() == (264, 434, [])
+
+
 def test_the_coverage_check_catches_an_orbit_cut_short(monkeypatch):
     """An orbit search that counts at most 200 labelled conjugates, as one
     cut off there would on a survivor, passes the small-core check (whose
@@ -623,8 +660,8 @@ def test_the_coverage_check_catches_an_orbit_cut_short(monkeypatch):
     check on the survivor of A 9 whose orbit has 600."""
     search = coherent._core_violation
 
-    def cut_at_200(st, th, tables):
-        w, labelled = search(st, th, tables)
+    def cut_at_200(st, th):
+        w, labelled = search(st, th)
         return w, min(labelled, 200)
 
     monkeypatch.setattr(coherent, "_core_violation", cut_at_200)
@@ -675,11 +712,11 @@ def centralizer_pair(draw):
     params = [p for _, p in orbit_representatives(family, rank)
               if not stabilizer(p).real.positive_index]
     p = draw(st.sampled_from(params))
-    gens, tables = _schreier_list(p, 200)
-    gens += [tables.reflections[k] for k in stabilizer(p).imaginary.positive_index]
+    gens, table = _schreier_list(p, 200)
+    gens += [table.reflections[k] for k in stabilizer(p).imaginary.positive_index]
     products = []
     for _ in range(2):
-        w = tables.identity
+        w = table.identity
         for g in draw(st.lists(st.sampled_from(gens), max_size=6)):
             w = perm_mul(w, g)
         products.append(w)
@@ -699,12 +736,12 @@ def reflection_products(draw):
     reflections, and b^-1 as the reversed product."""
     family, rank = draw(st.sampled_from(GROUPS))
     p = draw(st.sampled_from([p for _, p in orbit_representatives(family, rank)]))
-    tables = weyl_tables(build_root_system(family, rank))
+    table = reference.reflection_table(build_root_system(family, rank))
     out = []
     for _ in range(2):
-        letters = draw(st.lists(st.sampled_from(tables.reflections), max_size=6))
+        letters = draw(st.lists(st.sampled_from(table.reflections), max_size=6))
         for word in (letters, letters[::-1]):
-            w = tables.identity
+            w = table.identity
             for g in word:
                 w = perm_mul(w, g)
             out.append(w)
@@ -729,12 +766,12 @@ def test_the_comparisons_catch_injected_faults(monkeypatch):
     cases, _ = _small_core_classes()
     original = reference.schreier_generators
 
-    def one_short(stab, th, tables):
+    def one_short(stab, th, table):
         # every copy of the first nontrivial generator, since another edge
         # can give the same generator again
         dropped = None
-        for w in original(stab, th, tables):
-            if dropped is None and w != tables.identity:
+        for w in original(stab, th, table):
+            if dropped is None and w != table.identity:
                 dropped = w
             if w != dropped:
                 yield w

@@ -24,7 +24,7 @@ from cayley_lift.root_system import (
     root_system_to_json,
 )
 from cayley_lift.chains import chain_roots
-from cayley_lift.weyl import canonical_reflection_word, perm_to_word, weyl_tables
+from cayley_lift.weyl import canonical_reflection_word, perm_to_word, reflection
 from reference import (basis_vector, beta_root, coefficient_table, decompose_to_chain,
                        half_integral_roots, pairing, reflect, sub, vector_from_strings)
 
@@ -234,12 +234,11 @@ IN_SCOPE = (
 def test_canonical_reflection_words_are_reduced(family, rank):
     # simply laced: l(s_beta) = 2 ht(beta) - 1, and the canonical word has that length
     system = build_root_system(family, rank)
-    tables = weyl_tables(system)
     heights = coefficient_table(system)
     for k, root in enumerate(system.positive_roots):
         length = 2 * sum(heights[root]) - 1
         assert len(canonical_reflection_word(k + 1, system)) == length
-        assert len(perm_to_word(tables.reflections[k], system)) == length
+        assert len(perm_to_word(reflection(system, k), system)) == length
 
 
 def test_canonical_reflection_word_rejects_non_roots():
