@@ -20,14 +20,13 @@ _EXPORTS = {
                    "orbit_representatives", "theta", "tower_parameter"),
     "cayley_graph": ("HasseDiagram", "cayley", "enumerate_block", "hasse_diagram"),
     "chains": ("ChainCertificate", "chain_types"),
-    "coherent": ("RuleOutReport", "StabilizerDescription", "count_small", "rule_out",
-                 "stabilizer"),
+    "coherent": ("RootSubsystem", "RuleOutReport", "StabilizerDescription",
+                 "canonical_reflection_word", "count_small", "rule_out", "stabilizer"),
     "witness_data": ("replay_witness",),
     "klv_poset": ("M_entry", "ParameterPoset", "contains", "m_entry", "pi_RD", "rd_subsets",
                   "tower_poset", "verify_inversion"),
     "lifting": ("FormalIntegerCombination", "K_coefficient", "cartan_constant", "lift_trivial"),
     "theorem": ("TheoremReport", "verify_main_theorem"),
-    "weyl": ("RootSubsystem", "canonical_reflection_word"),
     "dense": ("integral_system", "root_type"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -7,8 +7,20 @@ decides whether gamma supports a sign-consistent family (it "survives") or
 is ruled out.
 
 Every Weyl group element here, and the involution theta, is a signed
-permutation of the ambient positive roots (RootSystem.index); the only
-ones built are theta's and the core simple reflections (weyl.reflection).
+permutation of the ambient positive roots: w[k] = +-(j+1) means w maps
+positive root k to +-(positive root j), in the signed indices of
+RootSystem.index.  W acts faithfully on its roots, so this one
+representation serves every family.  A reflection is built from the
+doubled coordinates of root_system only when it is asked for (reflection,
+cached), so the only elements built are theta's and the core simple
+reflections, and no table of all N.  Reduced words peel simple reflections
+off a permutation, and reflection words descend on a doubled root.  The
+root subsystems (the integral one at rho/2 and its real, imaginary and core
+parts) are held as positive-root indices.  theta on the roots needs only
+the system's index (parameters), and the chain roots of a word only the
+simple roots (chains), so the towers, the lift and a witness replay
+(witness_data) run none of this module.
+
 For a reduced word the chain roots are, up to sign, the positive roots
 that w sends negative (Bourbaki VI 1.6), so epsilon * det is the parity of
 w's non-imaginary inversions and the sign test reads the permutation.
@@ -23,29 +35,127 @@ beta and alpha - beta (Bjorner-Brenti, GTM 231), and when theta fixes
 alpha it fixes both or neither, so an imaginary reflection never
 violates; when theta negates alpha it fixes none (theta(beta) = beta
 would send alpha - beta to -alpha - beta, no root), so a real one always
-does.  A witness replay (witness_data) chains a stored word without this
-module.
+does.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from typing import Optional, Sequence, Tuple
+from functools import cached_property, lru_cache, reduce
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .root_system import InvariantError, Matrix, Record, RootSystem, SignedPerm, WeylWord, idot
-from .weyl import (
-    RootSubsystem,
-    _doubled_sum,
-    _integral_system,
-    canonical_reflection_word,
-    perm_mul,
-    perm_to_word,
-    reflection,
-    subsystem,
-)
+from .root_system import (Doubled, InvariantError, Record, RootSystem, SignedPerm, Vector,
+                          WeylWord, build_root_system, idot, is_integral)
 from .center import genuine_central_character_count
 from .parameters import PairSetParameter, orbit_representatives, theta_perm
-from .chains import ChainCertificate, _ambient, chain_types
+from .chains import ChainCertificate, chain_types
+
+
+# ---------------------------------------------------------------------------
+# Weyl group elements
+# ---------------------------------------------------------------------------
+
+def perm_mul(a: SignedPerm, b: SignedPerm) -> SignedPerm:
+    """The product a.b of two signed permutations (b acts first)."""
+    return tuple([a[j - 1] if j > 0 else -a[-j - 1] for j in b])
+
+
+@lru_cache(maxsize=None)
+def reflection(system: RootSystem, k: int) -> SignedPerm:
+    """s_a for the positive root a of 0-based index k, as a signed
+    permutation of the positive roots, from the doubled coordinates:
+    s_a(d) = d - <d, a^vee> a, and on doubled roots of a simply-laced
+    system <d, a^vee> is the integer (d . a) / 4."""
+    doubled, index = system.doubled_positive, system.index
+    a = doubled[k]
+    return tuple([index[tuple([x - idot(d, a) // 4 * y for x, y in zip(d, a)])] for d in doubled])
+
+
+def perm_to_word(w: SignedPerm, system: RootSystem) -> WeylWord:
+    """Reduced word (printed order) for w, by descent on the positive roots.
+
+    Repeatedly peels off, on the right, the first simple root that w sends
+    negative.  Raises ValueError if w is not in the Weyl group.
+    """
+    simple = [system.index[a] - 1 for a in system.doubled_simple]
+    identity = tuple(range(1, len(system.doubled_positive) + 1))
+    rev: List[int] = []
+    for _ in range(len(w) + 1):
+        if w == identity:
+            return tuple(reversed(rev))
+        i = next((i for i, k in enumerate(simple) if w[k] < 0), None)
+        if i is None:
+            break
+        w = perm_mul(w, reflection(system, simple[i]))
+        rev.append(i)
+    raise ValueError("element is not in the Weyl group")
+
+
+# ---------------------------------------------------------------------------
+# Root subsystems
+# ---------------------------------------------------------------------------
+
+class RootSubsystem(Record):
+    """A reflection-closed set of roots of a system, held as ascending
+    0-based positive-root indices; the root vectors are views."""
+
+    system: RootSystem
+    positive_index: Tuple[int, ...]
+    simple_index: Tuple[int, ...]
+
+    @cached_property
+    def positive(self) -> Tuple[Vector, ...]:
+        return tuple(self.system.positive_roots[k] for k in self.positive_index)
+
+
+def _doubled_sum(sub: RootSubsystem) -> Doubled:
+    """Sum of the doubled positive roots of sub: 4 times its rho."""
+    doubled = sub.system.doubled_positive
+    return tuple(sum(doubled[k][i] for k in sub.positive_index) for i in range(sub.system.dim))
+
+
+def subsystem(system: RootSystem, positive_index: Iterable[int]) -> RootSubsystem:
+    """The subsystem with the given positive roots (closed under reflections);
+    its simple roots are the positive roots a with no positive b such that
+    a - b is a positive root, found by index lookups of doubled differences."""
+    pos = tuple(sorted(set(positive_index)))
+    doubled, index = system.doubled_positive, system.index
+    members = {k + 1 for k in pos}
+    simple = tuple(a for a in pos if not any(
+        index.get(tuple([x - y for x, y in zip(doubled[a], doubled[b])])) in members
+        for b in pos if b != a
+    ))
+    return RootSubsystem(system=system, positive_index=pos, simple_index=simple)
+
+
+@lru_cache(maxsize=None)
+def _integral_system(system: RootSystem) -> RootSubsystem:
+    """The roots integral at rho/2."""
+    return subsystem(system, (k for k, d in enumerate(system.doubled_positive)
+                              if is_integral(system, d)))
+
+
+# ---------------------------------------------------------------------------
+# Reflection words
+# ---------------------------------------------------------------------------
+
+def canonical_reflection_word(s: int, system: RootSystem) -> WeylWord:
+    """Deterministic palindromic word for the reflection in the root with
+    signed index s (see RootSystem.index).
+
+    Repeatedly conjugates by the smallest-index simple reflection that strictly
+    lowers the height of the conjugated (positive) root: s_i lowers b exactly
+    when (b, alpha_i) > 0, and then s_i(b) = b - alpha_i, all on doubled roots.
+    """
+    if not 0 < abs(s) <= len(system.doubled_positive):
+        raise ValueError("not a root: %r" % (s,))
+    simple = system.doubled_simple
+    b = system.doubled_positive[abs(s) - 1]
+    prefix: List[int] = []
+    while b not in simple:
+        i = next(i for i, a in enumerate(simple) if idot(b, a) > 0)
+        b = tuple([x - y for x, y in zip(b, simple[i])])
+        prefix.append(i)
+    return tuple(prefix) + (simple.index(b),) + tuple(reversed(prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +175,7 @@ def stabilizer(p: PairSetParameter) -> StabilizerDescription:
     """The split of Delta(rho/2) by theta, on positive-root indices: theta
     fixes the imaginary roots and negates the real ones; the core is
     orthogonal to both of their half sums (integer dot products)."""
-    system = _ambient(p)
+    system = build_root_system(p.family, p.rank)
     th = theta_perm(p)
     integral = _integral_system(system)
     real = subsystem(system, (k for k in integral.positive_index if th[k] == -(k + 1)))
@@ -80,24 +190,6 @@ def stabilizer(p: PairSetParameter) -> StabilizerDescription:
         imaginary=imaginary,
         complex_core=subsystem(system, core),
     )
-
-
-# ---------------------------------------------------------------------------
-# Word extraction
-# ---------------------------------------------------------------------------
-
-def matrix_to_word(m: Matrix, system: RootSystem) -> WeylWord:
-    """Reduced word (printed order) for a Weyl group element given as a matrix."""
-    from .dense import root_permutation, word_matrix
-
-    try:
-        word = perm_to_word(root_permutation(m, system), system)
-    except ValueError:
-        raise ValueError("matrix is not in the Weyl group") from None
-    # W fixes the complement of the root span pointwise; m must as well.
-    if word_matrix(word, system) != m:
-        raise ValueError("matrix is not in the Weyl group")
-    return word
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +263,7 @@ def rule_out(p: PairSetParameter) -> RuleOutReport:
     reflection, else the conjugates labelled, which for a survivor are the
     whole orbit.
     """
-    system = _ambient(p)
+    system = build_root_system(p.family, p.rank)
     st = stabilizer(p)
     if st.real.positive_index:
         word = canonical_reflection_word(st.real.positive_index[0] + 1, system)
@@ -197,10 +289,10 @@ def count_small(family: str, rank: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 # Forwarded names
 # ---------------------------------------------------------------------------
-# A name that perfbench/trace_child.py wraps in this module and the acceptance
-# gate imports from it, and the module that now holds it; nothing in the
-# package reads it here.
-_FORWARDED = {"replay_witness": "witness_data"}
+# Names that perfbench/trace_child.py wraps in this module (the acceptance gate
+# also imports replay_witness from it), and the modules that now hold them;
+# nothing in the package reads them here.
+_FORWARDED = {"replay_witness": "witness_data", "matrix_to_word": "dense"}
 
 
 def __getattr__(name: str):

@@ -4,10 +4,12 @@ The package computes in doubled integer coordinates (root_system); this
 module holds what works on fractions.Fraction instead.  It builds the vector
 views of RootSystem, CenterData, ChainCertificate and Involution, which each
 view imports on first use, the integral roots at rho/2 for a Fraction weight,
-and the dense-matrix layer: reflections and Weyl words as matrices, and the
-signed permutation a matrix induces on the roots.  No CLI request runs it;
-the acceptance gate and the benchmark's tracer read it.  fractions loads on
-the first call of _fraction.
+and the dense-matrix layer: reflections and Weyl words as matrices, the
+signed permutation a matrix induces on the roots, and the reduced word of a
+matrix.  The two routines that read the sign test's integer Weyl code
+(coherent) import it when they are called, so a view loads no sign test.
+No CLI request runs this module; the acceptance gate and the benchmark's
+tracer read it.  fractions loads on the first call of _fraction.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from typing import TYPE_CHECKING
 
 from .root_system import Doubled, Matrix, RootSystem, SignedPerm, Vector, WeylWord, neg
 from .cartan import COMPLEX, IMAGINARY, REAL
-from .weyl import RootSubsystem, _integral_system
 
 if TYPE_CHECKING:
     from fractions import Fraction as Q
+
+    from .coherent import RootSubsystem
 
 
 @lru_cache(maxsize=1024)  # views share one Fraction per value; bounded: callers pass user input
@@ -47,6 +50,8 @@ def integral_system(lam: Vector, system: RootSystem) -> RootSubsystem:
     if lam != system.rho_half:
         raise ValueError("integral roots are computed at rho/2 only, not at (%s)"
                          % ", ".join(map(str, lam)))
+    from .coherent import _integral_system
+
     return _integral_system(system)
 
 
@@ -106,3 +111,17 @@ def root_permutation(m: Matrix, system: RootSystem) -> SignedPerm:
         except KeyError:
             raise ValueError("matrix does not permute the roots") from None
     return tuple(out)
+
+
+def matrix_to_word(m: Matrix, system: RootSystem) -> WeylWord:
+    """Reduced word (printed order) for a Weyl group element given as a matrix."""
+    from .coherent import perm_to_word
+
+    try:
+        word = perm_to_word(root_permutation(m, system), system)
+    except ValueError:
+        raise ValueError("matrix is not in the Weyl group") from None
+    # W fixes the complement of the root span pointwise; m must as well.
+    if word_matrix(word, system) != m:
+        raise ValueError("matrix is not in the Weyl group")
+    return word

@@ -5,7 +5,7 @@ and E6/E7/E8 realized inside an 8-dimensional ambient space.  The core holds
 every vector doubled, 2v as a tuple of ints, so that the half-integer E8
 roots are integral: construction and the integral roots at rho/2 are
 integer arithmetic, as are the reflections, the integral subsystems and
-the reflection words of the weyl module, which builds on this one.
+the reflection words of the sign test (coherent), which builds on this one.
 Every family's positive roots, with their simple-root coefficients, come
 from one integer closure of its simple roots by height (Bourbaki, Ch. VI,
 1.6), with no basis solve.  Doubling keeps the lexicographic order, so the
@@ -315,7 +315,7 @@ def root_system_to_json(system: RootSystem) -> dict:
 # Names that perfbench/trace_child.py wraps in this module, and the modules
 # that now hold them; nothing in the package reads them here.
 _FORWARDED = {"mat_mul": "dense", "mat_apply": "dense", "reflection_matrix": "dense",
-              "integral_system": "dense", "canonical_reflection_word": "weyl"}
+              "integral_system": "dense", "canonical_reflection_word": "coherent"}
 
 
 def __getattr__(name: str):

@@ -7,8 +7,8 @@ in the root-system core, with its tag.  rule_out decides every class live
 and never reads this catalog.  replay_witness re-derives a stored word's
 chain (the chains module) against the representative of its class, read
 from the e_classes table, and compares it with the stored data: a
-certificate checked without the sign test, the weyl module or the class
-map, none of which a replay runs.  The four searched words were found
+certificate checked without the sign test (and its reflections) or the
+class map, neither of which a replay runs.  The four searched words were found
 offline by a breadth-first sweep of the theta-commuting core Weyl group (a
 copy of the sweep in coherent), the script search_stabilizer_witnesses.py,
 last present at commit 1a782c6.

@@ -808,6 +808,80 @@ def schreier_generators(st: coherent.StabilizerDescription, th: SignedPerm,
         frontier = nxt
 
 
+def _act(w: SignedPerm, j: int) -> int:
+    """The image under w of the root with signed index j."""
+    return w[j - 1] if j > 0 else -w[-j - 1]
+
+
+def schreier_sims_order(gens: Sequence[SignedPerm], identity: SignedPerm) -> int:
+    """|<gens>|, by a deterministic Schreier-Sims on the 2N signed roots
+    (Sims 1970; Seress, Permutation Group Algorithms, ch. 4).
+
+    Each level of the stabilizer chain holds a base root b, the strong
+    generators that fix the base roots above it, and a transversal
+    {c: u with u(b) = c} of b's orbit.  A residue that does not sift to the
+    identity joins the strong generators of the levels between the one
+    whose Schreier generator gave it and the one where it dropped out, and
+    the check restarts there; the first moved root of a residue that
+    sifts through every level becomes a new base root.  When every
+    Schreier generator u_{s(c)}^-1 s u_c of every level sifts through the
+    levels below it, the orbit lengths multiply to the order.
+    """
+    levels: List[Tuple[int, List[SignedPerm], Dict[int, SignedPerm], set]] = []
+
+    def strip(g: SignedPerm, start: int) -> Tuple[SignedPerm, int]:
+        for i in range(start, len(levels)):
+            u = levels[i][2].get(_act(g, levels[i][0]))
+            if u is None:
+                return g, i
+            g = perm_mul(perm_inv(u), g)
+        return g, len(levels)
+
+    def add(g: SignedPerm, first: int, last: int) -> None:
+        if last == len(levels):
+            b = next(k for k, j in enumerate(g, 1) if j != k)
+            levels.append((b, [], {b: identity}, set()))
+        for level in levels[first:last + 1]:
+            level[1].append(g)
+
+    for g in gens:
+        residue, j = strip(g, 0)
+        if residue != identity:
+            add(residue, 0, j)
+    i = len(levels) - 1
+    while i >= 0:
+        _, strong, transversal, checked = levels[i]
+        orbit = list(transversal)
+        for c in orbit:  # close the orbit under the strong generators
+            for s in strong:
+                d = _act(s, c)
+                if d not in transversal:
+                    transversal[d] = perm_mul(s, transversal[c])
+                    orbit.append(d)
+        found = None
+        for c in orbit:
+            for n, s in enumerate(strong):
+                if (c, n) in checked:
+                    continue
+                checked.add((c, n))
+                h = perm_mul(perm_inv(transversal[_act(s, c)]), perm_mul(s, transversal[c]))
+                residue, j = strip(h, i + 1)
+                if residue != identity:
+                    found = residue, j
+                    break
+            if found:
+                break
+        if found:
+            add(found[0], i + 1, found[1])
+            i = found[1]
+        else:
+            i -= 1
+    order = 1
+    for _, _, transversal, _ in levels:
+        order *= len(transversal)
+    return order
+
+
 def generator_rule_out(p: PairSetParameter) -> Tuple[str, str, Optional[WeylWord]]:
     """(verdict, method, certificate word) of the sign test on generators of
     the stabilizer, each tested by its inversions against this module's

@@ -7,7 +7,8 @@ import pytest
 import reference
 from cayley_lift import witness_data
 from cayley_lift.chains import chain_types
-from cayley_lift.coherent import count_small, matrix_to_word, rule_out, stabilizer
+from cayley_lift.coherent import count_small, rule_out, stabilizer
+from cayley_lift.dense import matrix_to_word
 from cayley_lift.witness_data import replay_witness
 from cayley_lift.parameters import make_parameter, orbit_representatives
 from cayley_lift.root_system import (

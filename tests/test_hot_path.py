@@ -28,14 +28,14 @@ import pytest
 
 from cayley_lift import cartan, coherent, dense, parameters
 from cayley_lift.center import genuine_central_character_count
-from cayley_lift.coherent import count_small, rule_out, stabilizer
+from cayley_lift.coherent import (canonical_reflection_word, count_small, reflection, rule_out,
+                                   stabilizer)
 from cayley_lift.klv_poset import rd_subsets, tower_poset, verify_inversion
 from cayley_lift.lifting import lift_trivial
 from cayley_lift.parameters import orbit_representatives
 from cayley_lift.dense import integral_system
 from cayley_lift.root_system import build_root_system
 from cayley_lift.theorem import verify_main_theorem
-from cayley_lift.weyl import canonical_reflection_word, reflection
 
 WATCHED = ("mat_mul", "reflection_matrix")
 

@@ -11,13 +11,15 @@ be named elsewhere in src/, be public or be wrapped by the benchmark's tracer,
 so that no helper only the tests call sits in the package, compiled by every
 request that runs its module.  Only root_system reads an E group's rank off
 its name (family[1]); every other module passes the rank it has to
-build_root_system.  Only the sign test builds reflections: coherent
-and dense import weyl at their top, and no other module at all.  Only the
-count and the theorem import the sign test (coherent), and the class map
-(classes) is imported at the top of the modules of the cartans and params
-verbs only, so a witness replay runs neither.  No module imports dense, the
-Fraction edge that no CLI request runs, at its top: the vector views and
-coherent's matrix_to_word import it when they are called.
+build_root_system.  Only the sign test builds reflections: coherent alone
+defines the Weyl group code (reflection, perm_mul, perm_to_word, subsystem,
+canonical_reflection_word), so no second copy of it can grow.  Only the
+count and the theorem import the sign test (coherent) at their top, and
+dense inside the two routines that read it, and the class map (classes) is
+imported at the top of the modules of the cartans and params verbs only, so
+a witness replay runs neither.  No module imports dense, the Fraction edge
+that no CLI request runs, at its top: the vector views import it when they
+are called.
 Each public function of dense, and each view or routine that imports dense,
 has a reader: the benchmark's tracer (read through tests/test_package.py),
 the acceptance gate, or a routine that is kept.  No module imports cli, which python -m
@@ -166,13 +168,16 @@ def _imports(node: ast.AST, name: str) -> bool:
 
 def module_imports(tree: ast.Module, name: str) -> List[str]:
     """Imports of the package module called name, each with the function or
-    class whose body holds it, or <module> (a TYPE_CHECKING block included)."""
+    class whose body holds it, TYPE_CHECKING for one in such a block (which
+    only a type checker runs), or <module>."""
     out = []
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name)
+            elif isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                visit(child, "TYPE_CHECKING")
             elif _imports(child, name):
                 out.append("line %d: %s" % (child.lineno, scope))
             else:
@@ -180,6 +185,13 @@ def module_imports(tree: ast.Module, name: str) -> List[str]:
 
     visit(tree, "<module>")
     return out
+
+
+def definitions(tree: ast.Module, names: Sequence[str]) -> List[str]:
+    """The functions, methods and classes of tree that are called one of names."""
+    return ["line %d: %s" % (node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name in names]
 
 
 def _references(node: ast.AST) -> Tuple[Set[str], Set[str]]:
@@ -299,18 +311,32 @@ def _importers(name: str) -> dict:
     return {module: scopes for module, scopes in found.items() if scopes}
 
 
-def test_only_the_sign_test_imports_the_weyl_module():
+# The Weyl group code of the sign test: reflections and products of signed
+# permutations, reduced words, subsystems and reflection words.
+WEYL_CODE = ("reflection", "perm_mul", "perm_to_word", "subsystem", "canonical_reflection_word")
+
+
+def test_only_the_sign_test_defines_the_weyl_group_code():
     """theta on the roots reads RootSystem.index, so parameters, cartan and
-    the verbs built on them (cartans, params, klv-check, lift) never run weyl;
-    chains reads a word's chain roots off the ambient coordinates, so a
-    witness replay never runs it either."""
-    assert _importers("weyl") == {"coherent.py": ["<module>"], "dense.py": ["<module>"]}
+    the verbs built on them (cartans, params, klv-check, lift) need no
+    reflection; chains reads a word's chain roots off the simple roots, so a
+    witness replay needs none either.  coherent alone defines the code, each
+    name once, so the Weyl layer cannot fork into a second module."""
+    found = {p.name: [place.partition(": ")[2] for place in definitions(_parse(p), WEYL_CODE)]
+             for p in MODULES}
+    assert {name: names for name, names in found.items() if names} == {
+        "coherent.py": ["perm_mul", "reflection", "perm_to_word", "subsystem",
+                        "canonical_reflection_word"]}
 
 
 def test_only_the_count_and_the_theorem_import_the_sign_test():
     """A witness replay chains its stored word with chains and witness_data,
-    so only the count-small handler and theorem (verify) run coherent."""
+    so only the count-small handler and theorem (verify) run coherent; dense,
+    which no request runs, imports it only inside the two routines that read
+    it, so a Fraction view runs no sign test."""
     assert _importers("coherent") == {"cmd_count_small.py": ["<module>"],
+                                      "dense.py": ["TYPE_CHECKING", "integral_system",
+                                                   "matrix_to_word"],
                                       "theorem.py": ["<module>"]}
 
 
@@ -340,7 +366,6 @@ def test_no_module_imports_the_dense_module_at_its_top():
         "cartan.py": ["matrix"],
         "center.py": ["quotient_reps"],
         "chains.py": ["steps"],
-        "coherent.py": ["matrix_to_word"],
         "root_system.py": ["simple_roots", "positive_roots", "rho_half", "roots"],
     }
 
@@ -493,24 +518,34 @@ def test_checks_flag_what_they_should():
         "from cayley_lift import root_type\n"
         "from reference import mat_mul\n"
         "def f():\n"
-        "    from cayley_lift.coherent import matrix_to_word\n"
-        "from cayley_lift.weyl import perm_to_word, reflection\n"
+        "    from cayley_lift.dense import matrix_to_word\n"
+        "from cayley_lift.coherent import perm_to_word, reflection\n"
     )
     imports = ast.parse(
-        "from .weyl import a\n"
-        "import cayley_lift.weyl\n"
-        "from . import cartan, weyl\n"
-        "from .weylish import b\n"
+        "from .coherent import a\n"
+        "import cayley_lift.coherent\n"
+        "from . import cartan, coherent\n"
+        "from .coherentish import b\n"
         "if TYPE_CHECKING:\n"
-        "    from cayley_lift.weyl import c\n"
+        "    from cayley_lift.coherent import c\n"
         "def f():\n"
-        "    from cayley_lift import weyl\n"
+        "    from cayley_lift import coherent\n"
         "class C:\n"
         "    def g(self):\n"
         "        from .root_system import reflection\n"
     )
-    assert module_imports(imports, "weyl") == [
-        "line 1: <module>", "line 2: <module>", "line 3: <module>", "line 6: <module>", "line 8: f"]
+    assert module_imports(imports, "coherent") == [
+        "line 1: <module>", "line 2: <module>", "line 3: <module>", "line 6: TYPE_CHECKING",
+        "line 8: f"]
+    assert definitions(imports, ("g", "C", "a")) == ["line 9: C", "line 10: g"]
+    forks = ast.parse(
+        "def perm_mul(a, b):\n    pass\n"
+        "class W:\n    def reflection(self):\n        pass\n"
+        "def outer():\n    def subsystem():\n        pass\n"
+        "perm_to_word = None\n"
+        "def perm_to_words():\n    pass\n")
+    assert definitions(forks, WEYL_CODE) == [
+        "line 1: perm_mul", "line 4: reflection", "line 7: subsystem"]
     clis = ast.parse(
         "from .cli import _vec\n"
         "from . import cartan, cli\n"

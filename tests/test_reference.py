@@ -24,13 +24,17 @@ from cayley_lift import (cayley_graph, center, chains, cli, cli_json, coherent, 
                          root_system, witness_data)
 from cayley_lift.chains import chain_roots, chain_types
 from cayley_lift.coherent import (
-    matrix_to_word,
+    _doubled_sum,
+    canonical_reflection_word,
+    perm_mul,
+    perm_to_word,
+    reflection,
     rule_out,
     stabilizer,
     violates,
 )
 from cayley_lift.cayley_graph import cayley_moves, enumerate_block
-from cayley_lift.dense import integral_system, root_permutation, word_matrix
+from cayley_lift.dense import integral_system, matrix_to_word, root_permutation, word_matrix
 from cayley_lift.e_classes import E_CLASS_REPS
 from cayley_lift.parameters import (
     length,
@@ -46,13 +50,6 @@ from cayley_lift.root_system import (
     idot,
     is_half_integral,
     positive_coefficients,
-)
-from cayley_lift.weyl import (
-    _doubled_sum,
-    canonical_reflection_word,
-    perm_mul,
-    perm_to_word,
-    reflection,
 )
 
 GROUPS = [("A", 5), ("D", 5), ("E6", None), ("E7", None), ("E8", None)]
@@ -405,9 +402,20 @@ def _closure(gens, identity, mul=perm_mul):
     return group
 
 
+def _component_order(r, n):
+    """|W| of an irreducible simply-laced system of rank r with n positive
+    roots: A_r, D_r or E_r (Bourbaki, Planches I, IV-VII)."""
+    if n == r * (r + 1) // 2:
+        return factorial(r + 1)
+    if n == r * (r - 1):
+        return 2 ** (r - 1) * factorial(r)
+    return {36: 51840, 63: 2903040, 120: 696729600}[n]
+
+
 def _weyl_order(sub):
-    """|W| of a simply-laced root subsystem: each irreducible component is
-    A_r, D_r or E_r, told apart by its rank r and its number of positive roots."""
+    """|W| of a simply-laced root subsystem: the product of its irreducible
+    components' orders, each told apart by its rank and its number of
+    positive roots."""
     doubled = sub.system.doubled_positive
     parts = []
     for k in sub.simple_index:
@@ -415,14 +423,8 @@ def _weyl_order(sub):
         parts = [c for c in parts if c not in linked] + [sum(linked, [k])]
     order = 1
     for c in parts:
-        r = len(c)
         n = sum(1 for j in sub.positive_index if any(idot(doubled[j], doubled[k]) for k in c))
-        if n == r * (r + 1) // 2:
-            order *= factorial(r + 1)
-        elif n == r * (r - 1):
-            order *= 2 ** (r - 1) * factorial(r)
-        else:
-            order *= {36: 51840, 63: 2903040, 120: 696729600}[n]
+        order *= _component_order(len(c), n)
     return order
 
 
@@ -502,6 +504,51 @@ def test_orbit_times_centralizer_is_the_core_weyl_order():
     """For each survivor among the small-core classes, checked is theta's
     W(core)-orbit, and the orbit times W(core)^theta is W(core)."""
     assert _small_core_orbit_failures() == ([], 32)
+
+
+@lru_cache(maxsize=None)
+def _schreier_sims_orders():
+    """(label, W(core), its order by the oracle's Schreier-Sims on the
+    reflections of its simple roots) for every class of the 18 groups."""
+    out = []
+    for family, rank in IN_SCOPE:
+        table = reference.reflection_table(build_root_system(family, rank))
+        for c, p in orbit_representatives(family, rank):
+            core = stabilizer(p).complex_core
+            gens = [table.reflections[k] for k in core.simple_index]
+            label = "%s%s %s" % (family, rank or "", c.render())
+            out.append((label, core, reference.schreier_sims_order(gens, table.identity)))
+    return tuple(out)
+
+
+def _order_mismatches():
+    """The classes whose core's Schreier-Sims order is not _weyl_order's
+    product of component orders."""
+    return [label for label, core, order in _schreier_sims_orders() if order != _weyl_order(core)]
+
+
+def test_schreier_sims_gives_the_core_weyl_order_on_every_class():
+    """A second route to |W(core)|: the core's own stabilizer chain on the
+    signed roots gives the product of its components' orders on all 112
+    classes, the D8 core of E8 (0,4,0) the largest."""
+    orders = _schreier_sims_orders()
+    assert len(orders) == 112
+    assert max((order, label) for label, _, order in orders) == (5160960, "E8 (0,4,0)")
+    assert _order_mismatches() == []
+
+
+def test_the_order_comparison_catches_a_wrong_component_type(monkeypatch):
+    """An A component given D's order, 2^(r-1) r! for (r+1)!, fails the
+    comparison."""
+    right = _component_order
+
+    def a_as_d(r, n):
+        return right(r, r * (r - 1)) if n == r * (r + 1) // 2 else right(r, n)
+
+    monkeypatch.setattr(sys.modules[__name__], "_component_order", a_as_d)
+    assert _order_mismatches() != []
+    monkeypatch.undo()
+    assert _order_mismatches() == []
 
 
 @lru_cache(maxsize=None)

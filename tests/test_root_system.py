@@ -24,7 +24,7 @@ from cayley_lift.root_system import (
     root_system_to_json,
 )
 from cayley_lift.chains import chain_roots
-from cayley_lift.weyl import canonical_reflection_word, perm_to_word, reflection
+from cayley_lift.coherent import canonical_reflection_word, perm_to_word, reflection
 from reference import (basis_vector, beta_root, coefficient_table, decompose_to_chain,
                        half_integral_roots, pairing, reflect, sub, vector_from_strings)
 
