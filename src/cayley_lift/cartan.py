@@ -1,4 +1,4 @@
-"""Cartan involutions, their torus signatures, and the root type tags.
+"""Cartan involutions and their torus signatures.
 
 An involution theta is stored as a signed permutation of the ambient
 coordinates: every theta built here is -Id composed with reflections in
@@ -8,7 +8,8 @@ factors, is computed exactly from the action of sigma = -theta on the root
 lattice, in simple-root coordinates: sigma maps each simple root to a root,
 whose coefficients root_system's closure lists.  The conjugacy classes of
 Cartan subgroups and their representatives are the classes module; the
-cover's center is the center module.
+cover's center is the center module; the root type tags are the chains
+module.
 """
 
 from __future__ import annotations
@@ -24,13 +25,9 @@ from .root_system import (
     Vector,
     positive_coefficients,
     TransformError,
+    forwarding,
 )
 from .center import _gf2_kernel_basis
-
-# Root type tags, as printed in chain certificates.
-IMAGINARY = "im"
-REAL = "real"
-COMPLEX = "cx"
 
 
 def block_pairs(block: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
@@ -133,10 +130,4 @@ def signature_from_involution(system: RootSystem, theta: Involution) -> Tuple[in
 _FORWARDED = {"hasse_diagram": "cayley_graph", "root_type": "dense",
               "cover_center_data": "center", "cartan_classes": "classes",
               "involution_for_class": "classes"}
-
-
-def __getattr__(name: str):
-    if name in _FORWARDED:
-        from importlib import import_module
-        return getattr(import_module("." + _FORWARDED[name], __package__), name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+__getattr__ = forwarding(__name__, _FORWARDED)

@@ -1,8 +1,10 @@
 """The Cayley graph: one Cayley transform at a time, the block it reaches,
 and the diagram of Cartan classes it induces.
 
-Only the cartans verb runs this module: the count, the towers and the lift
-build their parameters with make_parameter directly.
+The move generator offers every pair through free slots, and make_parameter
+alone decides which of them is a legal transform.  Only the cartans verb
+runs this module: the count, the towers and the lift build their
+parameters with make_parameter directly.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ def cayley_moves(p: PairSetParameter) -> Tuple[PairSetParameter, ...]:
 
     The candidates are the pairs (i, j) through two slots that p leaves
     free, and outside family A also (-i, -j) and the other sign of each
-    pair of p; cayley keeps the legal ones.  Free pairs with i + j even are
-    not tried: in these coordinates a pair root is half-integral at rho/2
-    exactly when i + j is odd.
+    pair of p; cayley keeps the legal ones.
     """
     signed = p.family != "A"
     used = {abs(x) for q in p.pairs for x in q} | {x for b in p.blocks for x in b}
@@ -39,8 +39,7 @@ def cayley_moves(p: PairSetParameter) -> Tuple[PairSetParameter, ...]:
     candidates: List[Pair] = []
     for k, i in enumerate(free):
         for j in free[k + 1:]:
-            if (i + j) % 2:
-                candidates += [(i, j), (-i, -j)] if signed else [(i, j)]
+            candidates += [(i, j), (-i, -j)] if signed else [(i, j)]
     if signed:
         candidates += [(-a, -b) for a, b in p.pairs]
     moves: List[PairSetParameter] = []

@@ -9,10 +9,11 @@ s_c(alpha_j) = alpha_j - <alpha_j, alpha_c^vee> alpha_c (Bourbaki VI 1.1),
 u s_c sends alpha_c to -beta_k, each Dynkin neighbour alpha_j of alpha_c
 to u(alpha_j) + beta_k, and every other simple root where u does.  Each
 beta_k is held as its signed index (RootSystem.index) and tagged imaginary
-/ real / complex as theta fixes it, negates it or neither.  No Weyl group
-element is built, so a witness replay runs this module and not the sign
-test; the sign test (coherent) chains only the certificate of a violating
-element.
+/ real / complex as theta fixes it, negates it or neither: root_tag is the
+package's one rule for a tag, which dense.root_type reads too.  No Weyl
+group element is built, so a witness replay runs this module and not the
+sign test; the sign test (coherent) chains only the certificate of a
+violating element.
 """
 
 from __future__ import annotations
@@ -22,8 +23,18 @@ from typing import List, Sequence, Tuple
 
 from .root_system import (Doubled, Record, RootSystem, Vector, WeylWord, WordError,
                           build_root_system, idot, neg)
-from .cartan import COMPLEX, IMAGINARY, REAL
 from .parameters import PairSetParameter, theta
+
+# Root type tags, as printed in chain certificates.
+IMAGINARY = "im"
+REAL = "real"
+COMPLEX = "cx"
+
+
+def root_tag(root: Tuple, image: Tuple) -> str:
+    """The tag of a root against an involution, from the root's image:
+    imaginary if theta fixes it, real if theta negates it, else complex."""
+    return IMAGINARY if image == root else REAL if image == neg(root) else COMPLEX
 
 
 class ChainCertificate(Record):
@@ -42,17 +53,14 @@ class ChainCertificate(Record):
     @cached_property
     def doubled_steps(self) -> Tuple[Doubled, ...]:
         """Twice each chain root, in consumption order."""
-        doubled = _ambient(self.parameter).doubled_positive
+        p = self.parameter
+        doubled = build_root_system(p.family, p.rank).doubled_positive
         return tuple([doubled[s - 1] if s > 0 else neg(doubled[-s - 1]) for s in self.indices])
 
     @cached_property
     def steps(self) -> Tuple[Tuple[Vector, str], ...]:
         from .dense import view
         return tuple(zip(map(view, self.doubled_steps), self.tags))
-
-
-def _ambient(p: PairSetParameter) -> RootSystem:
-    return build_root_system(p.family, p.rank)
 
 
 def chain_roots(word: WeylWord, system: RootSystem) -> Tuple[Doubled, ...]:
@@ -78,13 +86,12 @@ def chain_roots(word: WeylWord, system: RootSystem) -> Tuple[Doubled, ...]:
 def chain_types(p: PairSetParameter, word: Sequence[int]) -> ChainCertificate:
     """Chain roots and their types for the word, against p's involution."""
     word = tuple(word)
-    system = _ambient(p)
+    system = build_root_system(p.family, p.rank)
     th = theta(p)
     indices, tags = [], []
     for beta in chain_roots(word, system):
         indices.append(system.index[beta])
-        image = th.apply(beta)
-        tags.append(IMAGINARY if image == beta else REAL if image == neg(beta) else COMPLEX)
+        tags.append(root_tag(beta, th.apply(beta)))
     m = tags.count(IMAGINARY)
     return ChainCertificate(
         parameter=p,

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .root_system import (Doubled, InvariantError, Record, RootSystem, SignedPerm, Vector,
-                          WeylWord, build_root_system, idot, is_integral)
+                          WeylWord, build_root_system, forwarding, idot, is_integral)
 from .center import genuine_central_character_count
 from .parameters import PairSetParameter, orbit_representatives, theta_perm
 from .chains import ChainCertificate, chain_types
@@ -293,10 +293,4 @@ def count_small(family: str, rank: Optional[int] = None) -> int:
 # also imports replay_witness from it), and the modules that now hold them;
 # nothing in the package reads them here.
 _FORWARDED = {"replay_witness": "witness_data", "matrix_to_word": "dense"}
-
-
-def __getattr__(name: str):
-    if name in _FORWARDED:
-        from importlib import import_module
-        return getattr(import_module("." + _FORWARDED[name], __package__), name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+__getattr__ = forwarding(__name__, _FORWARDED)

@@ -6,10 +6,12 @@ views of RootSystem, CenterData, ChainCertificate and Involution, which each
 view imports on first use, the integral roots at rho/2 for a Fraction weight,
 and the dense-matrix layer: reflections and Weyl words as matrices, the
 signed permutation a matrix induces on the roots, and the reduced word of a
-matrix.  The two routines that read the sign test's integer Weyl code
-(coherent) import it when they are called, so a view loads no sign test.
-No CLI request runs this module; the acceptance gate and the benchmark's
-tracer read it.  fractions loads on the first call of _fraction.
+matrix.  Only root_system is imported at the top: the two routines that
+read the sign test's integer Weyl code (coherent) import it when they are
+called, and root_type imports the tag rule (chains) the same way, so a view
+loads no sign test, Cartan or chain module.  No CLI request runs this
+module; the acceptance gate and the benchmark's tracer read it.  fractions
+loads on the first call of _fraction.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .root_system import Doubled, Matrix, RootSystem, SignedPerm, Vector, WeylWord, neg
-from .cartan import COMPLEX, IMAGINARY, REAL
+from .root_system import Doubled, Matrix, RootSystem, SignedPerm, Vector, WeylWord
 
 if TYPE_CHECKING:
     from fractions import Fraction as Q
@@ -90,12 +91,9 @@ def word_matrix(word: WeylWord, system: RootSystem) -> Matrix:
 
 def root_type(theta: Matrix, alpha: Vector) -> str:
     """The type of alpha against the involution theta, given as a matrix."""
-    image = mat_apply(theta, alpha)
-    if image == alpha:
-        return IMAGINARY
-    if image == neg(alpha):
-        return REAL
-    return COMPLEX
+    from .chains import root_tag
+
+    return root_tag(alpha, mat_apply(theta, alpha))
 
 
 def root_permutation(m: Matrix, system: RootSystem) -> SignedPerm:

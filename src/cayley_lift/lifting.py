@@ -32,12 +32,6 @@ class FormalIntegerCombination(Record):
         kept.sort(key=lambda t: parameter_sort_key(t[0]))
         return FormalIntegerCombination(tuple(kept))
 
-    def coefficient(self, p: PairSetParameter) -> int:
-        for q, c in self.terms:
-            if q == p:
-                return c
-        return 0
-
     def support(self) -> Tuple[PairSetParameter, ...]:
         return tuple(p for p, _ in self.terms)
 

@@ -312,14 +312,20 @@ def root_system_to_json(system: RootSystem) -> dict:
 # ---------------------------------------------------------------------------
 # Forwarded names
 # ---------------------------------------------------------------------------
+
+def forwarding(module: str, table: Dict[str, str]):
+    """The __getattr__ of the package module named module: each name in
+    table is read, on first use, from the package module table names."""
+    def __getattr__(name: str):
+        if name in table:
+            from importlib import import_module
+            return getattr(import_module("." + table[name], __package__), name)
+        raise AttributeError("module %r has no attribute %r" % (module, name))
+    return __getattr__
+
+
 # Names that perfbench/trace_child.py wraps in this module, and the modules
 # that now hold them; nothing in the package reads them here.
 _FORWARDED = {"mat_mul": "dense", "mat_apply": "dense", "reflection_matrix": "dense",
               "integral_system": "dense", "canonical_reflection_word": "coherent"}
-
-
-def __getattr__(name: str):
-    if name in _FORWARDED:
-        from importlib import import_module
-        return getattr(import_module("." + _FORWARDED[name], __package__), name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+__getattr__ = forwarding(__name__, _FORWARDED)

@@ -20,9 +20,8 @@ from typing import Dict, Optional, Tuple
 
 from .root_system import (CertificateError, Doubled, Record, ScopeError, WeylWord, neg,
                           pair_root)
-from .cartan import COMPLEX, IMAGINARY, REAL
 from .parameters import make_parameter
-from .chains import ChainCertificate, chain_types
+from .chains import COMPLEX, IMAGINARY, REAL, ChainCertificate, chain_types
 from . import e_classes
 
 _DIM = 8

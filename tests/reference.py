@@ -40,7 +40,13 @@ compare the library's verdict, method and certificate word with the first
 generator that violates the sign test, the imaginary integral reflections,
 which the library does not test, included.  Neither do the membership
 tests for the integral Weyl group and for W(core)^theta (descent on dense
-matrices); tests use them to check stored witness words.
+matrices); tests use them to check stored witness words.  Nor does the
+W-conjugacy class of theta for A and D: theta on the ambient coordinates
+as a signed permutation, built from the pair data, and its W-orbit by
+breadth-first search over the simple reflections' action on the
+coordinates, whose least element is the orbit's canonical form; tests
+compare the library's class map with these orbits and the class count
+with Carter's count of involution classes.
 The command-line parser the CLI had before its flag table, built with
 argparse, is here too: tests run both parsers on the same command lines.
 So are the helpers that only the tests call: Fraction vectors from numbers
@@ -483,6 +489,91 @@ def cayley_moves(p: PairSetParameter) -> List[Tuple[int, int]]:
                         and mat_apply(th, root) == neg(root)):
                     out.append(pair)
     return out
+
+
+# ---------------------------------------------------------------------------
+# W-conjugacy of theta (A and D), on the ambient coordinates
+# ---------------------------------------------------------------------------
+# theta and the Weyl group act on the n ambient coordinates by signed
+# permutations, held as the images of e_1..e_n: entry k - 1 is c when
+# e_k goes to sign(c) e_|c|.  W(A_{n-1}) permutes the coordinates; W(D_n)
+# also changes an even number of signs.
+
+def _signed_image(g: Tuple[int, ...], x: int) -> int:
+    return g[x - 1] if x > 0 else -g[-x - 1]
+
+
+def coordinate_theta(p: PairSetParameter) -> Tuple[int, ...]:
+    """p's theta on the coordinates: -Id times the reflection in e_i - e_j
+    (swap e_i and e_j) for a pair (i, j), in e_i + e_j (e_i to -e_j, e_j to
+    -e_i) for (-i, -j), and both for each (odd, even) match of a block."""
+    dim = p.rank + 1 if p.family == "A" else p.rank
+    planes = [(abs(a), abs(b), a < 0) for a, b in p.pairs]
+    for block in p.blocks:
+        odds = sorted(x for x in block if x % 2 == 1)
+        evens = sorted(x for x in block if x % 2 == 0)
+        planes += [(i, j, plus) for i, j in zip(odds, evens) for plus in (False, True)]
+    images = tuple(range(1, dim + 1))
+    for i, j, plus in planes:
+        r = list(range(1, dim + 1))
+        r[i - 1], r[j - 1] = (-j, -i) if plus else (j, i)
+        images = tuple(_signed_image(r, x) for x in images)
+    return tuple(-x for x in images)
+
+
+def _coordinate_simple_reflections(family: str, dim: int) -> List[Tuple[int, ...]]:
+    """The simple reflections of W(A_{dim-1}) or W(D_dim) on the coordinates:
+    e_k <-> e_{k+1}, and for D also e_{n-1} -> -e_n, e_n -> -e_{n-1}."""
+    gens = []
+    for k in range(1, dim):
+        g = list(range(1, dim + 1))
+        g[k - 1], g[k] = k + 1, k
+        gens.append(tuple(g))
+    if family == "D":
+        g = list(range(1, dim + 1))
+        g[dim - 2], g[dim - 1] = -dim, -(dim - 1)
+        gens.append(tuple(g))
+    return gens
+
+
+def conjugacy_forms(family: str,
+                    thetas: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], Tuple[int, ...]]:
+    """Every signed permutation W-conjugate to one of thetas, mapped to the
+    canonical form of its orbit, the orbit's least element; each orbit is
+    found by breadth-first search, conjugating by the simple reflections
+    (each its own inverse)."""
+    forms: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    for t in thetas:
+        if t in forms:
+            continue
+        dim = len(t)
+        gens = _coordinate_simple_reflections(family, dim)
+        orbit, frontier = {t}, [t]
+        while frontier:
+            grown = []
+            for x in frontier:
+                for g in gens:
+                    y = tuple(_signed_image(g, _signed_image(x, _signed_image(g, k)))
+                              for k in range(1, dim + 1))
+                    if y not in orbit:
+                        orbit.add(y)
+                        grown.append(y)
+            frontier = grown
+        least = min(orbit)
+        forms.update(dict.fromkeys(orbit, least))
+    return forms
+
+
+def involution_class_count(family: str, rank: int) -> int:
+    """The number of conjugacy classes of involutions (the identity
+    included) in W(A_rank) = S_{rank+1}, by the number of transpositions, or
+    in W(D_rank) (Carter 1972): signed cycle types of a positive and b
+    negative fixed points and c positive 2-cycles, a + b + 2c = n, b even,
+    the type with n = 2c counted twice."""
+    if family == "A":
+        return (rank + 1) // 2 + 1
+    n = rank
+    return sum((n - b) // 2 + 1 for b in range(0, n + 1, 2)) + (1 if n % 2 == 0 else 0)
 
 
 def integer_kernel_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:

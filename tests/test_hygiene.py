@@ -13,7 +13,10 @@ request that runs its module.  Only root_system reads an E group's rank off
 its name (family[1]); every other module passes the rank it has to
 build_root_system.  Only the sign test builds reflections: coherent alone
 defines the Weyl group code (reflection, perm_mul, perm_to_word, subsystem,
-canonical_reflection_word), so no second copy of it can grow.  Only the
+canonical_reflection_word), so no second copy of it can grow.  Only chains
+binds the root tags and defines root_tag, the one tag rule, and only
+root_system (in forwarding) and the package __init__ define a __getattr__;
+root_system, cartan and coherent each assign forwarding's.  Only the
 count and the theorem import the sign test (coherent) at their top, and
 dense inside the two routines that read it, and the class map (classes) is
 imported at the top of the modules of the cartans and params verbs only, so
@@ -31,9 +34,9 @@ ends the process with os._exit; that skips the interpreter's wait for
 non-daemon threads, so no module imports threading, _thread,
 multiprocessing or concurrent.  The exact-Fraction oracle in
 tests/reference.py takes none of the library's matrix, permutation,
-reflection, Fraction-vector or root-tagging helpers, so that a fault in one
-cannot show on both sides of a comparison; the acceptance gate takes those
-it uses from the oracle.
+reflection, involution, Fraction-vector or root-tagging helpers, so that a
+fault in one cannot show on both sides of a comparison; the acceptance gate
+takes those it uses from the oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ MODULES = sorted(SRC.glob("*.py"))
 ORACLE_OWN = frozenset({"root_type", "root_permutation", "reflection_matrix", "identity_matrix",
                         "word_matrix", "mat_mul", "mat_apply", "matrix_to_word",
                         "perm_mul", "perm_inv", "dot", "sub", "scale", "basis_vector",
-                        "pairing", "reflect", "reflection", "reflection_table"})
+                        "pairing", "reflect", "reflection", "reflection_table",
+                        "involution_from_pairs"})
 TRACE_CHILD = ROOT / "perfbench" / "trace_child.py"
 REPO_PATH = re.compile(r"(?<![\w/.-])(?:scripts|tests|perfbench|src)/(?:[\w/.-]*[\w/])?")
 
@@ -194,6 +198,13 @@ def definitions(tree: ast.Module, names: Sequence[str]) -> List[str]:
             and node.name in names]
 
 
+def assignments(tree: ast.Module, names: Sequence[str]) -> List[str]:
+    """The assignments in tree to a plain name that is one of names."""
+    return ["line %d: %s" % (node.lineno, target.id) for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name) and target.id in names]
+
+
 def _references(node: ast.AST) -> Tuple[Set[str], Set[str]]:
     """The attribute names node reads, and the names it reads or imports."""
     attrs, names = set(), set()
@@ -327,6 +338,28 @@ def test_only_the_sign_test_defines_the_weyl_group_code():
     assert {name: names for name, names in found.items() if names} == {
         "coherent.py": ["perm_mul", "reflection", "perm_to_word", "subsystem",
                         "canonical_reflection_word"]}
+
+
+def _binding(names: Sequence[str], find) -> Dict[str, List[str]]:
+    """Module file -> the names of names that find (definitions or
+    assignments) reports in it, for the modules where it reports any."""
+    found = {p.name: [place.partition(": ")[2] for place in find(_parse(p), names)]
+             for p in MODULES}
+    return {module: bound for module, bound in found.items() if bound}
+
+
+def test_one_module_holds_the_root_tags_and_one_the_forwarding_rule():
+    """chains alone binds the three root tags and defines root_tag, which
+    chain_types and dense.root_type both call.  root_system alone defines the
+    __getattr__ that forwards a moved name (forwarding), which root_system,
+    cartan and coherent assign; __init__ defines the package's own."""
+    tags = ("IMAGINARY", "REAL", "COMPLEX", "root_tag")
+    assert _binding(tags, assignments) == {"chains.py": ["IMAGINARY", "REAL", "COMPLEX"]}
+    assert _binding(tags, definitions) == {"chains.py": ["root_tag"]}
+    assert _binding(("__getattr__",), definitions) == {"__init__.py": ["__getattr__"],
+                                                       "root_system.py": ["__getattr__"]}
+    assert set(_binding(("__getattr__",), assignments)) == {"cartan.py", "coherent.py",
+                                                            "root_system.py"}
 
 
 def test_only_the_count_and_the_theorem_import_the_sign_test():
@@ -546,6 +579,7 @@ def test_checks_flag_what_they_should():
         "def perm_to_words():\n    pass\n")
     assert definitions(forks, WEYL_CODE) == [
         "line 1: perm_mul", "line 4: reflection", "line 7: subsystem"]
+    assert assignments(forks, WEYL_CODE) == ["line 9: perm_to_word"]
     clis = ast.parse(
         "from .cli import _vec\n"
         "from . import cartan, cli\n"

@@ -19,7 +19,8 @@ from cayley_lift.parameters import (
 )
 from cayley_lift.cayley_graph import cayley, enumerate_block
 from cayley_lift.klv_poset import contains, pi_RD, rd_subsets
-from cayley_lift import count_small, cover_center_data, hasse_diagram, lift_trivial, tower_poset
+from cayley_lift import (cayley_graph, count_small, cover_center_data, hasse_diagram, lift_trivial,
+                         tower_poset)
 from cayley_lift.classes import cartan_classes
 from cayley_lift.root_system import build_root_system
 from reference import (
@@ -163,6 +164,28 @@ def test_cayley_moves_down_and_contains():
     assert length(p1) < length(p0)
     with pytest.raises(TransformError):
         cayley(p1, (2, 3))  # slot 2 already used
+
+
+def test_make_parameter_alone_decides_which_free_pair_is_a_move(monkeypatch):
+    """cayley_moves offers cayley every pair of free slots and keeps no rule
+    of its own: make_parameter refuses the two pairs whose root is not
+    half-integral at rho/2, and the other four are the moves."""
+    offered, refused = [], {}
+
+    def recorded(p, pair):
+        offered.append(pair)
+        try:
+            return cayley(p, pair)
+        except TransformError as error:
+            refused[pair] = str(error)
+            raise
+
+    monkeypatch.setattr(cayley_graph, "cayley", recorded)
+    moves = cayley_graph.cayley_moves(make_parameter("A", 3))
+    assert offered == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    assert refused == {pair: "pair %r is not a half-integral transform" % (pair,)
+                       for pair in [(1, 3), (2, 4)]}
+    assert [q.pairs for q in moves] == [((1, 2),), ((1, 4),), ((2, 3),), ((3, 4),)]
 
 
 def test_cayley_supports_both_states_in_d():

@@ -19,9 +19,9 @@ from hypothesis import given, settings, strategies as st
 import reference
 from golden.generate import ALL_GROUPS, DIGESTS
 from cayley_lift.cartan import involution_from_pairs, signature_from_involution
-from cayley_lift.center import cover_center_data
-from cayley_lift import (cayley_graph, center, chains, cli, cli_json, coherent, dense, parameters,
-                         root_system, witness_data)
+from cayley_lift.center import cover_center_data, genuine_central_character_count
+from cayley_lift import (cayley_graph, center, chains, classes, cli, cli_json, coherent, dense,
+                         parameters, root_system, witness_data)
 from cayley_lift.chains import chain_roots, chain_types
 from cayley_lift.coherent import (
     _doubled_sum,
@@ -36,7 +36,9 @@ from cayley_lift.coherent import (
 from cayley_lift.cayley_graph import cayley_moves, enumerate_block
 from cayley_lift.dense import integral_system, matrix_to_word, root_permutation, word_matrix
 from cayley_lift.e_classes import E_CLASS_REPS
+from cayley_lift.klv_poset import rd_subsets, tower_terms
 from cayley_lift.parameters import (
+    class_of,
     length,
     make_parameter,
     orbit_representatives,
@@ -195,6 +197,80 @@ def _check_moves(p):
         assert set(p.pairs) < set(q.pairs)
         added += set(q.pairs) - set(p.pairs)
     assert sorted(added) == sorted(reference.cayley_moves(p))
+
+
+# Every group with a rule-built class map: A 1-9 and D 3-8.
+CLASS_MAP_GROUPS = [("A", r) for r in range(1, 10)] + [("D", r) for r in range(3, 9)]
+
+
+@lru_cache(maxsize=None)
+def _class_map_parameters(family, rank):
+    """The chi = 0 block and every tower parameter at every chi."""
+    towers = tuple(p for chi in range(genuine_central_character_count(family, rank))
+                   for subset in rd_subsets(family, rank)
+                   for _, p in tower_terms(family, rank, chi, subset))
+    return enumerate_block(family, rank) + towers
+
+
+def _class_map_mismatches(groups):
+    """Where the class map disagrees with the W-conjugacy class of theta on
+    the coordinates: representatives that share a canonical form, a class
+    count other than Carter's, and each parameter whose class_of is not the
+    class of the representative with its canonical form."""
+    out = []
+    for family, rank in groups:
+        group = "%s %d" % (family, rank)
+        reps = orbit_representatives(family, rank)
+        thetas = [reference.coordinate_theta(rep) for _, rep in reps]
+        forms = reference.conjugacy_forms(family, thetas)
+        by_form = {forms[t]: c for t, (c, _) in zip(thetas, reps)}
+        if len(by_form) != len(reps):
+            out.append((group, "representatives share a canonical form"))
+        if len(reps) != reference.involution_class_count(family, rank):
+            out.append((group, "%d classes" % len(reps)))
+        for p in _class_map_parameters(family, rank):
+            expected = by_form.get(forms.get(reference.coordinate_theta(p)))
+            if class_of(p) != expected:
+                out.append((group, p.render(), class_of(p).render()))
+    return out
+
+
+def test_the_class_map_is_the_w_conjugacy_class_of_theta():
+    """On every parameter of the A 1-9 and D 3-8 blocks and every tower
+    parameter, class_of agrees with theta's W-orbit on the coordinates, the
+    representatives lie in distinct orbits, and there are as many classes as
+    Carter's involution classes."""
+    assert sum(len(_class_map_parameters(*group)) for group in CLASS_MAP_GROUPS) > 9000
+    assert _class_map_mismatches(CLASS_MAP_GROUPS) == []
+
+
+def test_the_class_map_check_catches_a_wrong_orientation_bit(monkeypatch):
+    """The orientation bit read modulo 3 gives D 4's parameters with two
+    negative single-sign pairs a class that no representative has."""
+    monkeypatch.setattr(classes, "_class_reps", classes._class_reps.__wrapped__)
+    monkeypatch.setattr(classes, "classify_pairs",
+                        _mutant("% 2", "% 3")(classes.classify_pairs))
+    assert _class_map_mismatches([("D", 4)])
+    monkeypatch.undo()
+    assert _class_map_mismatches([("D", 4)]) == []
+
+
+def test_the_class_map_check_catches_a_flipped_representative(monkeypatch):
+    """D 4's (2,0,+) representative with the sign of its last pair flipped
+    lies in the orbit of the (2,0,-) representative."""
+    right = classes._class_reps
+
+    def flipped(family, rank):
+        reps = dict(right(family, rank))
+        if (family, rank) == ("D", 4):
+            blocks, pairs = reps[(2, 0, 0)]
+            reps[(2, 0, 0)] = (blocks, pairs[:-1] + (tuple(-x for x in pairs[-1]),))
+        return reps
+
+    monkeypatch.setattr(classes, "_class_reps", flipped)
+    assert _class_map_mismatches([("D", 4)])
+    monkeypatch.undo()
+    assert _class_map_mismatches([("D", 4)]) == []
 
 
 @pytest.mark.parametrize("family, rank", BLOCKS)
